@@ -52,6 +52,7 @@ from .rates import (
     DEFAULT_ROWS,
     BenchmarkReport,
     ROAD_RULES,
+    _OBSERVED_LEVELS,
     benchmark_from_aggregates,
     build_benchmark,
     load_aggregates,
@@ -68,11 +69,6 @@ POWER_ROWS: tuple[tuple[SeverityLevel, str], ...] = (
 )
 
 _DEFAULT_RELATIVE_RATES = (0.01, 0.10, 0.25, 0.50, 0.75, 1.25, 1.50)
-
-_OBSERVED_LEVELS = tuple(
-    level for level in SeverityLevel
-    if level is not SeverityLevel.ANY_PROPERTY_DAMAGE_OR_INJURY
-)
 
 _INPUT_ERRORS = (ValidationError, UndefinedStatistic, FileNotFoundError,
                  IsADirectoryError, NotADirectoryError, PermissionError)

@@ -3,14 +3,17 @@
 The comparable-driving subset is defined on two axes: road type (surface
 streets only) and vehicle type (in-transport passenger vehicles, with
 not-further-specified vehicles assigned fractionally via an imputation
-weight).  Severity is a property of the crash, classified after
-subsetting so the tow and airbag tests only consider eligible units.
+weight).  Severity is a property of the crash, classified once, after
+subsetting so the tow and airbag tests only consider eligible units; each
+retained crash becomes one ``CrashRow`` that every tally reads.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .errors import UndefinedStatistic
 from .model import (
@@ -54,6 +57,35 @@ class SeverityFlags:
         return getattr(self, level.value)
 
 
+# Bit i of a severity mask stands for SeverityFlags field i.
+_BIT = {f.name: 1 << i for i, f in enumerate(fields(SeverityFlags))}
+# The injury chain's bits for each max KABCO; tow and airbag are added per crash.
+_KABCO_BITS = {
+    kabco: (_BIT["police_reported"]
+            | (_BIT["any_injury_reported"] if kabco.is_injury else 0)
+            | (_BIT["suspected_serious_injury_plus"] if kabco.is_suspected_serious_plus else 0)
+            | (_BIT["fatal"] if kabco is Kabco.K else 0))
+    for kabco in Kabco
+}
+
+
+def _severity_bits(crash: CrashEvent, unit_towed: bool, unit_airbag: bool,
+                   tow_from_units: bool, airbag_from_units: bool) -> int:
+    """Severity mask of one crash: the single classification rule.  The
+    ``unit_*`` flags (any eligible unit towed / airbag deployed) decide
+    where the source has unit-level data, the crash-level folds otherwise."""
+    bits = _KABCO_BITS[crash.max_kabco]
+    if unit_towed if tow_from_units else crash.tow_away:
+        bits |= _BIT["tow_away"]
+    if unit_airbag if airbag_from_units else crash.airbag_deployed:
+        bits |= _BIT["airbag_deployed"]
+    return bits
+
+
+def _flags_from_bits(bits: int) -> SeverityFlags:
+    return SeverityFlags(**{name: bool(bits & bit) for name, bit in _BIT.items()})
+
+
 def classify_severity(
     crash: CrashEvent,
     units: tuple[VehicleInvolvement, ...] = (),
@@ -68,25 +100,10 @@ def classify_severity(
     used instead (``*_from_units=False``).  Unknown injury codes classify
     as non-injury; the loader already counted them.
     """
-    injury = crash.max_kabco.is_injury
-    serious = crash.max_kabco.is_suspected_serious_plus
-    fatal = crash.max_kabco is Kabco.K
-    if tow_from_units:
-        towed = any(u.towed for u in units)
-    else:
-        towed = crash.tow_away
-    if airbag_from_units:
-        airbag = any(u.airbag_deployed for u in units)
-    else:
-        airbag = crash.airbag_deployed
-    return SeverityFlags(
-        police_reported=True,
-        any_injury_reported=injury,
-        tow_away=towed,
-        airbag_deployed=airbag,
-        suspected_serious_injury_plus=serious,
-        fatal=fatal,
-    )
+    return _flags_from_bits(_severity_bits(
+        crash, any(u.towed for u in units), any(u.airbag_deployed for u in units),
+        tow_from_units, airbag_from_units,
+    ))
 
 
 @dataclass(frozen=True)
@@ -103,19 +120,18 @@ class ImputationWeight:
             raise UndefinedStatistic(f"imputation weight {self.w!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class CrashSlice:
-    """One retained crash with its unit tallies."""
+class CrashRow(NamedTuple):
+    """One retained crash, classified once: everything the tallies read."""
 
-    crash: CrashEvent
-    units: tuple[VehicleInvolvement, ...]   # retained passenger/NFS units
-    passenger: int
-    nfs: int
+    weight: float                           # sample weight
+    passenger: int                          # retained passenger units
+    nfs: int                                # retained not-further-specified units
     other: int                              # in-transport classified non-passenger
+    severity: int                           # bit i set when SeverityFlags field i holds
 
     @property
-    def flags_input(self) -> tuple[VehicleInvolvement, ...]:
-        return self.units
+    def flags(self) -> SeverityFlags:
+        return _flags_from_bits(self.severity)
 
 
 @dataclass
@@ -124,7 +140,7 @@ class Subset:
 
     crashes: list[CrashEvent]
     vehicles: list[VehicleInvolvement]
-    slices: dict[str, CrashSlice]
+    rows: dict[str, CrashRow]               # by crash id
     road: str                               # surface | all
     in_transport_only: bool
     tow_from_units: bool
@@ -132,14 +148,6 @@ class Subset:
     weighted: bool
     exclusions: Counter = field(default_factory=Counter)
     caveats: tuple[str, ...] = ()
-
-    def flags_for(self, crash_id: str) -> SeverityFlags:
-        s = self.slices[crash_id]
-        return classify_severity(
-            s.crash, s.units,
-            tow_from_units=self.tow_from_units,
-            airbag_from_units=self.airbag_from_units,
-        )
 
 
 def select_subset(
@@ -172,7 +180,7 @@ def select_subset(
 
     kept_crashes: list[CrashEvent] = []
     kept_vehicles: list[VehicleInvolvement] = []
-    slices: dict[str, CrashSlice] = {}
+    rows: dict[str, CrashRow] = {}
     for crash in crashes:
         if road == "surface":
             if crash.road_class is RoadClass.EXCLUDED_HIGHWAY:
@@ -181,8 +189,8 @@ def select_subset(
             if crash.road_class is RoadClass.UNKNOWN:
                 exclusions["crash_road_unknown"] += 1
                 continue
-        retained: list[VehicleInvolvement] = []
         passenger = nfs = other = 0
+        towed = airbag = False
         for v in by_crash.get(crash.crash_id, ()):
             if v.body_class is BodyClass.NON_VEHICLE:
                 exclusions["unit_non_vehicle"] += 1
@@ -192,23 +200,24 @@ def select_subset(
                 continue
             if v.body_class is BodyClass.PASSENGER:
                 passenger += 1
-                retained.append(v)
             elif v.body_class is BodyClass.VEHICLE_NFS:
                 nfs += 1
-                retained.append(v)
             else:
                 other += 1
                 exclusions["unit_other_vehicle"] += 1
+                continue
+            kept_vehicles.append(v)
+            towed = towed or v.towed
+            airbag = airbag or v.airbag_deployed
         kept_crashes.append(crash)
-        kept_vehicles.extend(retained)
-        slices[crash.crash_id] = CrashSlice(
-            crash=crash, units=tuple(retained),
-            passenger=passenger, nfs=nfs, other=other,
+        rows[crash.crash_id] = CrashRow(
+            crash.sample_weight, passenger, nfs, other,
+            _severity_bits(crash, towed, airbag, unit_tow_flags, unit_airbag_flags),
         )
     return Subset(
         crashes=kept_crashes,
         vehicles=kept_vehicles,
-        slices=slices,
+        rows=rows,
         road=road,
         in_transport_only=in_transport_only,
         tow_from_units=unit_tow_flags,
@@ -225,11 +234,9 @@ def compute_imputation_weight(subset: Subset, region: Region) -> ImputationWeigh
     Weight invariance: scaling every sample weight by a constant leaves
     the ratio unchanged.
     """
-    passenger = 0.0
-    other = 0.0
-    for s in subset.slices.values():
-        passenger += s.passenger * s.crash.sample_weight
-        other += s.other * s.crash.sample_weight
+    rows = subset.rows.values()
+    passenger = math.fsum(row.passenger * row.weight for row in rows)
+    other = math.fsum(row.other * row.weight for row in rows)
     total = passenger + other
     if total <= 0.0:
         raise UndefinedStatistic(

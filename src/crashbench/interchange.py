@@ -28,6 +28,7 @@ from .model import (
     RoadClass,
     VehicleInvolvement,
 )
+from .rates import ROAD_RULES
 
 CRASH_HEADER = (
     "crash_id", "source", "region", "region_state", "year", "road_class",
@@ -322,4 +323,10 @@ def load_manifest(path: str | Path) -> list[DatasetManifest]:
     out = [_parse_dataset(entry, base) for entry in datasets]
     if not out:
         raise ValidationError(f"{path}: manifest lists no datasets")
+    for ds in out:
+        if ds.road_rule not in ROAD_RULES:
+            raise ValidationError(
+                f"{path}: unknown road rule {ds.road_rule!r}; "
+                f"expected one of {sorted(ROAD_RULES)}"
+            )
     return out

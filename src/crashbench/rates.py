@@ -4,17 +4,19 @@ Counting is vehicle-level throughout: the numerator for a severity is
 the weighted number of qualifying vehicle involvements in crashes at
 that severity, not the number of crashes.  Crash-level tallies are kept
 alongside for the reporting-share diagnostics and the vehicles-per-crash
-ratio.
+ratio.  Every weighted total is an exactly rounded sum (``math.fsum``), so
+no count depends on the order of the input records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import UndefinedStatistic, ValidationError
 from .filters import (
     ImputationWeight,
+    SeverityFlags,
     Subset,
     audit_subset,
     compute_imputation_weight,
@@ -34,14 +36,9 @@ from .model import (
     ShareGroup,
 )
 
-_OBSERVED_LEVELS = (
-    SeverityLevel.POLICE_REPORTED,
-    SeverityLevel.ANY_INJURY_REPORTED,
-    SeverityLevel.TOW_AWAY,
-    SeverityLevel.AIRBAG_DEPLOYED,
-    SeverityLevel.SUSPECTED_SERIOUS_INJURY_PLUS,
-    SeverityLevel.FATAL,
-)
+# In SeverityFlags field order, which is also the bit order of a crash's
+# severity mask (bit i set means the crash qualifies at _OBSERVED_LEVELS[i]).
+_OBSERVED_LEVELS = tuple(SeverityLevel(f.name) for f in fields(SeverityFlags))
 
 
 @dataclass(frozen=True)
@@ -93,38 +90,39 @@ class SeverityCounts:
         return self.any_injury_reported - self.fatal
 
 
-def _tally(subset: Subset, contribution) -> SeverityCounts:
-    totals = {level: 0.0 for level in _OBSERVED_LEVELS}
-    for s in subset.slices.values():
-        amount = contribution(s)
-        if amount == 0.0:
-            continue
-        flags = subset.flags_for(s.crash.crash_id)
-        for level in _OBSERVED_LEVELS:
-            if flags.has(level):
-                totals[level] += amount
-    return SeverityCounts(**{level.value: totals[level] for level in _OBSERVED_LEVELS})
+def _level_sums(masked_amounts) -> SeverityCounts:
+    """Counts from (severity mask, amount) pairs: each level sums, exactly
+    rounded, the amounts whose mask has that level's bit."""
+    by_mask: dict[int, list[float]] = {}
+    for mask, amount in masked_amounts:
+        by_mask.setdefault(mask, []).append(amount)
+    return SeverityCounts(**{
+        level.value: math.fsum(
+            amount for mask, amounts in by_mask.items() if mask >> i & 1
+            for amount in amounts
+        )
+        for i, level in enumerate(_OBSERVED_LEVELS)
+    })
 
 
 def tally_vehicle_counts(subset: Subset, w: float) -> SeverityCounts:
     """Weighted crashed-vehicle counts per severity, with NFS imputation."""
-    return _tally(
-        subset,
-        lambda s: effective_passenger_count(s.passenger, s.nfs, w) * s.crash.sample_weight,
+    return _level_sums(
+        (row.severity, effective_passenger_count(row.passenger, row.nfs, w) * row.weight)
+        for row in subset.rows.values()
     )
 
 
 def tally_crash_counts(subset: Subset) -> SeverityCounts:
     """Weighted crash counts per severity (diagnostic, not the benchmark)."""
-    return _tally(subset, lambda s: s.crash.sample_weight)
+    return _level_sums((row.severity, row.weight) for row in subset.rows.values())
 
 
 def resolve_imputation(subset: Subset, region: Region) -> ImputationWeight | None:
     """The subset's imputation weight, or None when nothing needs imputing."""
-    has_nfs = any(s.nfs for s in subset.slices.values())
-    has_classified = any(s.passenger or s.other for s in subset.slices.values())
-    if not has_classified:
-        if has_nfs:
+    rows = subset.rows.values()
+    if not any(row.passenger or row.other for row in rows):
+        if any(row.nfs for row in rows):
             raise UndefinedStatistic(
                 f"imputation weight undefined for {region.name}: "
                 "NFS vehicles present but no classified vehicles"
@@ -139,11 +137,7 @@ def count_crashed_vehicles(subset: Subset, severity: SeverityLevel,
     if w is None:
         imputation = resolve_imputation(subset, _subset_region(subset))
         w = 1.0 if imputation is None else imputation.w
-    total = 0.0
-    for s in subset.slices.values():
-        if subset.flags_for(s.crash.crash_id).has(severity):
-            total += effective_passenger_count(s.passenger, s.nfs, w) * s.crash.sample_weight
-    return total
+    return tally_vehicle_counts(subset, w).get(severity)
 
 
 def _subset_region(subset: Subset) -> Region:
@@ -152,15 +146,18 @@ def _subset_region(subset: Subset) -> Region:
     return Region.national()
 
 
+def _weighted_totals(subset: Subset) -> tuple[float, float]:
+    """Weighted crashes and weighted vehicle involvements of any type."""
+    rows = subset.rows.values()
+    return (math.fsum(row.weight for row in rows),
+            math.fsum((row.passenger + row.nfs + row.other) * row.weight for row in rows))
+
+
 def crash_vs_vehicle_ratio(subset: Subset) -> float:
     """Weighted vehicle involvements per weighted crash."""
-    crashes = sum(s.crash.sample_weight for s in subset.slices.values())
+    crashes, vehicles = _weighted_totals(subset)
     if crashes <= 0.0:
         raise UndefinedStatistic("vehicles-per-crash ratio undefined: no crashes")
-    vehicles = sum(
-        (s.passenger + s.nfs + s.other) * s.crash.sample_weight
-        for s in subset.slices.values()
-    )
     return vehicles / crashes
 
 
@@ -424,10 +421,6 @@ def build_benchmark(dataset, rows: tuple[tuple[SeverityLevel, str], ...] = DEFAU
     records = dataset.records
     region, year = manifest.region, manifest.year
     road_rule = manifest.road_rule
-    if road_rule not in ROAD_RULES:
-        raise ValidationError(
-            f"unknown road rule {road_rule!r}; expected one of {sorted(ROAD_RULES)}"
-        )
 
     common = dict(
         in_transport_only=True,
@@ -453,17 +446,10 @@ def build_benchmark(dataset, rows: tuple[tuple[SeverityLevel, str], ...] = DEFAU
         merge_mileage(dataset.mileage, shares, region, road_rule, scope="all")
         if shares is not None else None
     )
-    mileage_surface = (
-        merge_mileage(dataset.mileage, shares, region, road_rule, scope="surface")
-        if shares is not None
-        else merge_mileage(dataset.mileage, None, region, road_rule, scope="surface")
-    )
+    mileage_surface = merge_mileage(dataset.mileage, shares, region, road_rule,
+                                    scope="surface")
 
-    weighted_crashes = sum(s.crash.sample_weight for s in all_subset.slices.values())
-    vehicles_any = sum(
-        (s.passenger + s.nfs + s.other) * s.crash.sample_weight
-        for s in all_subset.slices.values()
-    )
+    weighted_crashes, vehicles_any = _weighted_totals(all_subset)
     passenger_all = count_crashed_vehicles(
         all_subset, SeverityLevel.POLICE_REPORTED, w_all,
     )

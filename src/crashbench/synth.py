@@ -385,7 +385,9 @@ def brute_force_tally(
             total += crash.sample_weight * len(units_of[crash.crash_id])
         return total
     if question == "vehicle_count":
-        total = 0.0
+        # Exactly rounded: the imputed amounts are not integers, and the
+        # correctly rounded total is the one value independent of order.
+        terms = []
         for crash in crashes:
             if not eligible(crash):
                 continue
@@ -401,8 +403,8 @@ def brute_force_tally(
                             "vehicle_count needs an imputation weight: NFS units present"
                         )
                     per_crash += w
-            total += crash.sample_weight * per_crash
-        return total
+            terms.append(crash.sample_weight * per_crash)
+        return math.fsum(terms)
     if question == "imputation_weight":
         passenger = 0.0
         classified = 0.0

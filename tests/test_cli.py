@@ -70,6 +70,23 @@ class TestExitCodes:
         assert code == 1
         assert "internal error" in err and "wires crossed" in err
 
+    def test_unknown_manifest_road_rule_names_the_file(self, capsys, tmp_path,
+                                                       fixtures):
+        manifest = json.loads(
+            (fixtures / "manifests" / "national_2022.json").read_text())
+        manifest["road_rule"] = "by_vibes"
+        for entry in manifest["crash_sources"]:
+            for key in ("crash_file", "vehicle_file", "person_file"):
+                entry[key] = str(fixtures / "manifests" / entry[key])
+        for entry in manifest["mileage"] + manifest["shares"]:
+            entry["file"] = str(fixtures / "manifests" / entry["file"])
+        path = tmp_path / "vibes.json"
+        path.write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "ingest", "--manifest", str(path),
+                           "--out", str(tmp_path / "out"), "--quiet")
+        assert code == 2
+        assert "unknown road rule" in err and "vibes.json" in err
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -110,7 +110,7 @@ class TestSelectSubset:
     def test_surface_subset_of_national_fixture(self, national):
         subset = select_subset(national.crashes, national.vehicles,
                                weighted=national.weighted)
-        assert sorted(s for s in subset.slices) == [
+        assert sorted(subset.rows) == [
             "C001", "C002", "C004", "C006", "C007", "C010",
             "F001", "F003", "F006"]
         assert len(subset.vehicles) == 10
@@ -131,28 +131,28 @@ class TestSelectSubset:
     def test_unit_tallies(self, national):
         subset = select_subset(national.crashes, national.vehicles,
                                weighted=national.weighted)
-        s = subset.slices["C002"]
-        assert (s.passenger, s.nfs, s.other) == (0, 1, 1)
-        s = subset.slices["C001"]
-        assert (s.passenger, s.nfs, s.other) == (2, 0, 0)
+        row = subset.rows["C002"]
+        assert (row.passenger, row.nfs, row.other) == (0, 1, 1)
+        row = subset.rows["C001"]
+        assert (row.passenger, row.nfs, row.other) == (2, 0, 0)
 
     def test_zero_unit_crash_stays(self, national):
         subset = select_subset(national.crashes, national.vehicles)
-        s = subset.slices["C010"]
-        assert s.units == ()
-        assert (s.passenger, s.nfs, s.other) == (0, 0, 0)
-        assert subset.flags_for("C010").tow_away is False
+        row = subset.rows["C010"]
+        assert [v for v in subset.vehicles if v.crash_id == "C010"] == []
+        assert (row.passenger, row.nfs, row.other) == (0, 0, 0)
+        assert row.flags.tow_away is False
 
     def test_flags_on_fixture_crashes(self, national):
         subset = select_subset(national.crashes, national.vehicles,
                                weighted=national.weighted)
-        c001 = subset.flags_for("C001")
+        c001 = subset.rows["C001"].flags
         assert (c001.tow_away, c001.airbag_deployed) == (True, True)
         assert not c001.any_injury_reported
-        c006 = subset.flags_for("C006")
+        c006 = subset.rows["C006"].flags
         assert c006.any_injury_reported
         assert not c006.suspected_serious_injury_plus
-        f001 = subset.flags_for("F001")
+        f001 = subset.rows["F001"].flags
         assert f001.fatal and f001.suspected_serious_injury_plus
 
     def test_non_vehicle_excluded_before_transport_check(self):
@@ -166,7 +166,7 @@ class TestSelectSubset:
         units = [unit(body=BodyClass.OTHER_VEHICLE), unit(uid="2")]
         subset = select_subset(crashes, units)
         assert len(subset.vehicles) == 1
-        assert subset.slices["X1"].other == 1
+        assert subset.rows["X1"].other == 1
 
     def test_bad_road_scope_rejected(self, national):
         with pytest.raises(ValueError, match="road"):

@@ -15,6 +15,7 @@ from crashbench.model import (
     SeverityLevel,
     ShareGroup,
     UNADJUSTED,
+    severity_chain_contains,
 )
 
 
@@ -31,6 +32,23 @@ class TestSeverity:
     def test_tow_and_airbag_sit_outside_the_chain(self):
         outside = set(SeverityLevel) - set(SEVERITY_CHAIN)
         assert outside == {SeverityLevel.TOW_AWAY, SeverityLevel.AIRBAG_DEPLOYED}
+
+    def test_chain_containment_runs_outer_to_inner(self):
+        for i, outer in enumerate(SEVERITY_CHAIN):
+            for j, inner in enumerate(SEVERITY_CHAIN):
+                assert severity_chain_contains(outer, inner) is (i <= j)
+        assert severity_chain_contains(SeverityLevel.POLICE_REPORTED,
+                                       SeverityLevel.FATAL)
+        assert not severity_chain_contains(SeverityLevel.FATAL,
+                                           SeverityLevel.POLICE_REPORTED)
+
+    @pytest.mark.parametrize("level", [SeverityLevel.TOW_AWAY,
+                                       SeverityLevel.AIRBAG_DEPLOYED])
+    def test_off_chain_levels_have_no_containment(self, level):
+        with pytest.raises(ValueError, match="not on the severity chain"):
+            severity_chain_contains(level, SeverityLevel.FATAL)
+        with pytest.raises(ValueError, match="not on the severity chain"):
+            severity_chain_contains(SeverityLevel.POLICE_REPORTED, level)
 
 
 class TestKabco:

@@ -1,6 +1,8 @@
 """Counting, adjustment, mileage merging, and report assembly."""
 
+import dataclasses
 import math
+import random
 
 import pytest
 
@@ -37,6 +39,7 @@ from crashbench.rates import (
     tally_vehicle_counts,
 )
 from crashbench.schema import load_schema
+from crashbench.synth import PopulationSpec, generate
 
 NATIONAL = Region.national()
 APPROX = dict(rel=1e-12)
@@ -195,8 +198,9 @@ class TestTallies:
         # C002's towed unit is a classified non-passenger vehicle, so the
         # crash does not count as tow-away at the vehicle level even
         # though the crash-level fold says towed.
-        assert surface.slices["C002"].crash.tow_away is True
-        assert surface.flags_for("C002").tow_away is False
+        c002, = (c for c in surface.crashes if c.crash_id == "C002")
+        assert c002.tow_away is True
+        assert surface.rows["C002"].flags.tow_away is False
 
     def test_crash_counts_on_national_surface(self, surface):
         got = tally_crash_counts(surface)
@@ -220,6 +224,28 @@ class TestTallies:
                                weighted=national.weighted)
         assert crash_vs_vehicle_ratio(subset) == pytest.approx(
             798.0 / 616.25, **APPROX)
+
+
+class TestOrderIndependence:
+    def test_shuffled_records_give_identical_totals(self, fixtures):
+        spec = dataclasses.replace(
+            PopulationSpec.from_config(str(fixtures / "synth" / "mixed_population.ini")),
+            n_crashes=2000, weights="real")
+        crashes, vehicles, _ = generate(spec)
+        shuffled_crashes, shuffled_vehicles = list(crashes), list(vehicles)
+        rng = random.Random(5)
+        rng.shuffle(shuffled_crashes)
+        rng.shuffle(shuffled_vehicles)
+
+        def totals(crash_list, vehicle_list):
+            surface = select_subset(crash_list, vehicle_list, weighted=True)
+            every = select_subset(crash_list, vehicle_list, road="all", weighted=True)
+            w = resolve_imputation(surface, spec.region).w
+            return (tally_vehicle_counts(surface, w), tally_crash_counts(surface),
+                    w, crash_vs_vehicle_ratio(every))
+
+        assert totals(shuffled_crashes, shuffled_vehicles) == totals(
+            list(crashes), list(vehicles))
 
 
 class TestResolveImputation:
