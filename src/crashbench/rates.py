@@ -298,16 +298,21 @@ def merge_mileage(
 
 
 def garwood_interval(count: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Exact Poisson confidence interval on an observed integer count."""
-    from scipy.stats import chi2
+    """Exact Poisson confidence interval on an observed integer count.
+
+    The chi-square form chi2.ppf(q, 2k)/2 is the inverse regularized lower
+    incomplete gamma gammaincinv(k, q), which is how scipy evaluates that
+    quantile; calling it directly skips importing scipy.stats.
+    """
+    from scipy.special import gammaincinv
 
     if count < 0 or count != int(count):
         raise ValidationError(f"exact interval needs a nonnegative integer, got {count!r}")
     if not 0.0 < confidence < 1.0:
         raise ValidationError(f"confidence must lie in (0, 1), got {confidence!r}")
     alpha = 1.0 - confidence
-    low = 0.0 if count == 0 else chi2.ppf(alpha / 2.0, 2 * count) / 2.0
-    high = chi2.ppf(1.0 - alpha / 2.0, 2 * count + 2) / 2.0
+    low = 0.0 if count == 0 else gammaincinv(count, alpha / 2.0)
+    high = gammaincinv(count + 1, 1.0 - alpha / 2.0)
     return float(low), float(high)
 
 

@@ -12,6 +12,12 @@ constant 0x9E3779B97F4A7C15 per draw and is finalized by two
 xor-shift-multiply rounds; uniform doubles take the top 53 bits.
 Derived sub-streams (one per Monte Carlo trial) are seeded from the
 finalizer applied to seed + k*GOLDEN so trials are order-independent.
+
+``simulate_power`` draws its trials with ``derived_poisson``, a numpy
+sampler that follows the same stream contract: its count for trial k is
+bit-identical to ``poisson(SplitMix64(seed).derived(k), mean)``.  The
+scalar ``poisson`` stays as the written-down reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -64,6 +70,11 @@ class SplitMix64:
         return SplitMix64(self._mix((self._seed + _GOLDEN * (k + 1)) & _MASK))
 
 
+def _check_mean(mean: float) -> None:
+    if mean < 0.0 or not math.isfinite(mean):
+        raise ValidationError(f"poisson mean must be finite and >= 0, got {mean!r}")
+
+
 def poisson(rng: SplitMix64, mean: float) -> int:
     """Poisson draw by product-of-uniforms inversion.
 
@@ -71,8 +82,7 @@ def poisson(rng: SplitMix64, mean: float) -> int:
     because means above 500 are split in half and the halves summed;
     inversion stays exact for each piece.
     """
-    if mean < 0.0 or not math.isfinite(mean):
-        raise ValidationError(f"poisson mean must be finite and >= 0, got {mean!r}")
+    _check_mean(mean)
     if mean > 500.0:
         half = mean / 2.0
         return poisson(rng, half) + poisson(rng, mean - half)
@@ -83,6 +93,73 @@ def poisson(rng: SplitMix64, mean: float) -> int:
         count += 1
         product *= rng.random()
     return count
+
+
+# Trials per block of draws: one block holds _CHUNK_TRIALS x (piece + 1 sd)
+# doubles, a few MiB at the largest piece, whatever n_trials is.
+_CHUNK_TRIALS = 1024
+
+
+def _halves(mean: float):
+    """The piece means poisson() draws, in its draw order."""
+    if mean > 500.0:
+        half = mean / 2.0
+        yield from _halves(half)
+        yield from _halves(mean - half)
+    else:
+        yield mean
+
+
+def derived_poisson(seed: int, mean: float, n: int):
+    """``poisson(SplitMix64(seed).derived(k), mean)`` for k in range(n).
+
+    Returns a numpy int64 array, vectorised over trials and bit-identical
+    to the scalar loop: draw j of stream s is mix(s + j*GOLDEN) in
+    wrapping uint64, the running product multiplies strictly left to
+    right (``np.multiply.accumulate``), and a piece's count is the number
+    of prefix products above exp(-piece).  A trial whose block of draws
+    ends before that product falls to the limit carries it into the next
+    block; each trial keeps its own draw offset across the halved pieces.
+    """
+    import numpy as np
+
+    _check_mean(mean)
+    golden = np.uint64(_GOLDEN)
+
+    def mix(z):
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
+
+    counts = np.zeros(n, dtype=np.int64)
+    for start in range(0, n, _CHUNK_TRIALS):
+        stop = min(start + _CHUNK_TRIALS, n)
+        streams = mix(np.arange(start + 1, stop + 1, dtype=np.uint64) * golden
+                      + np.uint64(seed & _MASK))
+        drawn = np.zeros(stop - start, dtype=np.uint64)
+        chunk = counts[start:stop]
+        for piece in _halves(mean):
+            limit = math.exp(-piece)
+            steps = np.arange(1, int(piece + math.sqrt(piece)) + 3,
+                              dtype=np.uint64) * golden
+            rows = np.arange(stop - start)
+            carry = np.ones(stop - start)
+            while rows.size:
+                draws = mix(streams[rows, None] + drawn[rows, None] * golden + steps)
+                product = (draws >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+                del draws
+                product[:, 0] *= carry
+                np.multiply.accumulate(product, axis=1, out=product)
+                above = (product > limit).sum(axis=1)
+                unfinished = above == steps.size
+                chunk[rows] += above
+                drawn[rows] += (above + ~unfinished).astype(np.uint64)
+                carry = product[unfinished, -1]
+                rows = rows[unfinished]
+    return counts
 
 
 def _check_mixture(name: str, items: tuple[tuple[object, float], ...]) -> None:
@@ -465,10 +542,6 @@ def simulate_power(
     mu1 = relative_rate * mu0
     z_a = normal_quantile(1.0 - alpha / 2.0)
     root = math.sqrt(mu0)
-    base = SplitMix64(seed)
-    rejections = 0
-    for trial in range(n_trials):
-        x = poisson(base.derived(trial), mu1)
-        if abs((x - mu0) / root) > z_a:
-            rejections += 1
+    counts = derived_poisson(seed, mu1, n_trials)
+    rejections = int((abs((counts - mu0) / root) > z_a).sum())
     return rejections / n_trials

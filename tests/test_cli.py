@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crashbench
 from crashbench.cli import main
 from crashbench.interchange import (
     CRASH_HEADER,
@@ -407,3 +412,23 @@ class TestConfigFile:
                            "--out", str(tmp_path))
         assert code == 2
         assert "config file not found" in err
+
+
+class TestImportHygiene:
+    def test_cli_start_loads_neither_numpy_nor_scipy_stats(self):
+        # Every command pays for what the package imports at start-up:
+        # numpy and scipy load only inside the functions that need them.
+        probe = (
+            "import sys, crashbench, crashbench.cli\n"
+            "loaded = sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('numpy', 'scipy'))\n"
+            "assert not loaded, loaded\n"
+            "crashbench.garwood_interval(3)\n"
+            "assert 'scipy.stats' not in sys.modules\n"
+        )
+        src = str(Path(crashbench.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr

@@ -332,6 +332,19 @@ class TestGarwood:
         assert low == pytest.approx(4.7954, abs=5e-4)
         assert high == pytest.approx(18.3904, abs=5e-4)
 
+    @pytest.mark.parametrize("confidence", [0.90, 0.95, 0.99])
+    def test_equals_chi_square_quantiles_exactly(self, confidence):
+        import numpy as np
+        from scipy.stats import chi2
+
+        alpha = 1.0 - confidence
+        k = np.arange(2001)
+        low = chi2.ppf(alpha / 2.0, 2 * k) / 2.0
+        high = chi2.ppf(1.0 - alpha / 2.0, 2 * k + 2) / 2.0
+        low[0] = 0.0
+        got = [garwood_interval(int(i), confidence) for i in k]
+        assert got == list(zip(low.tolist(), high.tolist()))
+
     def test_interval_widens_with_confidence(self):
         low95, high95 = garwood_interval(5)
         low99, high99 = garwood_interval(5, confidence=0.99)

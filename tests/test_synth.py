@@ -1,6 +1,7 @@
 """Generator determinism and oracle agreement with the counting pipeline."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -28,6 +29,7 @@ from crashbench.synth import (
     PopulationSpec,
     SplitMix64,
     brute_force_tally,
+    derived_poisson,
     generate,
     poisson,
     simulate_power,
@@ -127,6 +129,22 @@ class TestPoisson:
         n = 800
         total = sum(poisson(rng, 1200.0) for _ in range(n))
         assert abs(total / n - 1200.0) < 4.0 * math.sqrt(1200.0 / n)
+
+
+class TestDerivedPoisson:
+    # Means cover zero, tiny, moderate, the 500 split edge on both sides
+    # and a twice-halved mean; 2000 trials span two blocks of trials.
+    @pytest.mark.parametrize("mean", [0.0, 0.04, 3.7, 168.2, 500.0, 501.0, 1200.0])
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    def test_bit_identical_to_scalar_draws(self, seed, mean):
+        n = 2000 if mean < 100.0 else 200
+        expected = [poisson(SplitMix64(seed).derived(k), mean) for k in range(n)]
+        assert derived_poisson(seed, mean, n).tolist() == expected
+
+    def test_rejects_bad_mean(self):
+        for mean in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="poisson mean"):
+                derived_poisson(0, mean, 10)
 
 
 class TestPopulationSpec:
@@ -400,6 +418,27 @@ class TestSimulatePower:
         b = simulate_power(self.LAM_FATAL, 0.5, 1000.0, n_trials=2000, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("args, kwargs, expected", [
+        ((LAM_FATAL, 0.5, 1000.0), dict(n_trials=2000, seed=9), 0.5755),
+        ((1.0, 1.0, 100.0), dict(n_trials=20000, seed=0), 0.05195),
+        ((2.0, 0.25, 0.25), dict(n_trials=1000, seed=2**64 - 1), 0.003),
+        ((1.0, 0.8, 625.0), dict(alpha=0.01, n_trials=1500, seed=5),
+         0.9986666666666667),
+    ])
+    def test_pinned_results(self, args, kwargs, expected):
+        # Recorded from the scalar per-trial loop; the sampler must not
+        # move a single trial.
+        assert simulate_power(*args, **kwargs) == expected
+
+    def test_memory_is_bounded_by_the_trial_block(self):
+        tracemalloc.start()
+        try:
+            simulate_power(1.0, 1.0, 1200.0, n_trials=20000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError, match="n_trials"):
             simulate_power(1.0, 0.5, 10.0, n_trials=10)
@@ -407,3 +446,5 @@ class TestSimulatePower:
             simulate_power(0.0, 0.5, 10.0)
         with pytest.raises(ValidationError, match="alpha"):
             simulate_power(1.0, 0.5, 10.0, alpha=1.5)
+        with pytest.raises(ValidationError, match="poisson mean"):
+            simulate_power(1e300, 0.5, 1e300)
