@@ -15,7 +15,7 @@ provenance at all so they compare byte-for-byte across runs and
 implementations; the audit file written next to them carries it instead.
 
 Configuration lives in an INI file (see ``--config``); every key has a
-matching flag, and flags win.  Sections: [run] out_dir, formats, jobs,
+matching flag, and flags win.  Sections: [run] out_dir, formats,
 verbosity; [benchmark] manifest, aggregates, region, road_rule, rows;
 [power] relative_rates, alpha, target_power.
 
@@ -371,13 +371,6 @@ def _verbosity(args, cfg) -> int:
     return int(_opt(None, cfg, "run", "verbosity", 1))
 
 
-def _jobs(args, cfg) -> int:
-    jobs = int(_opt(args.jobs, cfg, "run", "jobs", 1))
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 def _formats(args, cfg) -> tuple[str, ...]:
     return _parse_formats(_opt(args.formats, cfg, "run", "formats", "csv,json"))
 
@@ -394,18 +387,16 @@ def cmd_ingest(args) -> int:
     manifest_path = Path(manifest_path)
     out = _out_dir(args, cfg)
     verbosity = _verbosity(args, cfg)
-    jobs = _jobs(args, cfg)
     manifests = load_manifest(manifest_path)
     effective = {
         "command": "ingest",
         "manifest": str(manifest_path),
         "out_dir": str(out),
-        "jobs": jobs,
     }
     for ds in manifests:
         target = out if len(manifests) == 1 else out / _region_slug(ds.region)
         target.mkdir(parents=True, exist_ok=True)
-        dataset = load_dataset(ds, jobs=jobs)
+        dataset = load_dataset(ds)
         write_crashes(target / "crashes.csv", dataset.records.crashes)
         write_vehicles(target / "vehicles.csv", dataset.records.vehicles)
         write_persons(target / "persons.csv", dataset.records.persons)
@@ -436,7 +427,7 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _select_reports(args, cfg, jobs: int) -> tuple[list[BenchmarkReport], list[Path], dict]:
+def _select_reports(args, cfg) -> tuple[list[BenchmarkReport], list[Path], dict]:
     """Shared benchmark assembly for `benchmark` and `report`."""
     manifest_path = _opt(args.manifest, cfg, "benchmark", "manifest")
     aggregates = _opt(args.aggregates, cfg, "benchmark", "aggregates")
@@ -489,7 +480,7 @@ def _select_reports(args, cfg, jobs: int) -> tuple[list[BenchmarkReport], list[P
             ]
         inputs.extend(_manifest_inputs(manifest_path, manifests))
         for ds in manifests:
-            reports.append(build_benchmark(load_dataset(ds, jobs=jobs), rows))
+            reports.append(build_benchmark(load_dataset(ds), rows))
     if not reports:
         raise ValidationError(
             f"no dataset matches region {region_filter!r}" if region_filter
@@ -514,9 +505,8 @@ def cmd_benchmark(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(args, cfg)
     verbosity = _verbosity(args, cfg)
-    jobs = _jobs(args, cfg)
     formats = _formats(args, cfg)
-    reports, inputs, effective = _select_reports(args, cfg, jobs)
+    reports, inputs, effective = _select_reports(args, cfg)
     if args.config:
         inputs.append(Path(args.config))
     _emit_benchmark(reports, inputs, effective, out, formats, verbosity)
@@ -648,9 +638,8 @@ def cmd_report(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(args, cfg)
     verbosity = _verbosity(args, cfg)
-    jobs = _jobs(args, cfg)
     formats = _formats(args, cfg)
-    reports, inputs, effective = _select_reports(args, cfg, jobs)
+    reports, inputs, effective = _select_reports(args, cfg)
     effective = {**effective, "command": "report"}
     if args.config:
         inputs.append(Path(args.config))
@@ -708,8 +697,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="INI run configuration; flags override it")
     common.add_argument("--out", type=Path, default=None,
                         help="output directory (default out)")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="parallel source loads (default 1)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress lines")
     common.add_argument("--format", dest="formats", default=None,

@@ -5,6 +5,16 @@ under exactly one diagnostic reason, so row counts are conserved and the
 filter audit can account for every exclusion.  Unknown codes never drop a
 record silently: they classify to an explicit unknown bucket and bump a
 warning counter.
+
+Raw tables are read into positional rows with the semantics of
+``csv.DictReader``: blank lines are skipped, a short row is padded with
+nulls (a missing cell is null, so rules over it evaluate to unknown),
+extra cells are ignored, and a header name that appears twice resolves
+to its last column.  Each spec rule is bound once per file to the
+positions of the cells it reads and memoized on those cells: rows that
+hold equal cells share one ``Rule.eval`` (or ``KabcoMap.lookup``) call,
+made on a dict of just those cells.  Warnings are still counted once per
+row, never once per evaluation.
 """
 
 from __future__ import annotations
@@ -12,7 +22,9 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import Callable, Iterable
 
 from .errors import ReferentialError, SchemaError, ValidationError
 from . import interchange
@@ -28,7 +40,10 @@ from .model import (
     Region,
     VehicleInvolvement,
 )
-from .schema import Rule, SchemaSpec, _normalize_code, load_schema
+from .schema import KabcoMap, Rule, SchemaSpec, _normalize_code, load_schema
+
+_UNIT_KEY = attrgetter("crash_id", "unit_id")
+_PERSON_KEY = attrgetter("crash_id", "unit_id", "person_id")
 
 
 @dataclass
@@ -52,18 +67,62 @@ class LoadResult:
     caveats: tuple[str, ...] = ()
 
 
-def _read_table(path: Path, required: set[str], label: str) -> list[dict]:
+def _read_table(path: Path, required: set[str],
+                label: str) -> tuple[dict[str, int], list[list]]:
+    """(column name -> position, rows) of one raw CSV file.
+
+    A duplicated header name maps to its last column, blank lines are
+    skipped and short rows are padded with None, as ``csv.DictReader``
+    would read them.
+    """
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise ValidationError(f"{label} file {path}: {exc}") from None
     with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = sorted(required - set(header))
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        positions = {name: i for i, name in enumerate(header)}
+        missing = sorted(required - positions.keys())
         if missing:
             raise SchemaError(f"{label} file {path}: missing column(s) {', '.join(missing)}")
-        return list(reader)
+        width = len(header)
+        rows = []
+        for row in reader:
+            if len(row) < width:
+                if not row:
+                    continue
+                row += [None] * (width - len(row))
+            rows.append(row)
+    return positions, rows
+
+
+def _bind(positions: dict[str, int], columns: Iterable[str],
+          evaluate: Callable[[dict], object]) -> Callable[[list], object]:
+    """``evaluate`` of a row's cells at ``columns``, memoized on those cells.
+
+    ``evaluate`` sees a dict of just those cells, so spec rules keep their
+    one evaluator; rows holding equal cells share one call.  The cache
+    lives as long as the returned function.
+    """
+    columns = sorted(columns)
+    getter = itemgetter(*(positions[c] for c in columns))
+    cache: dict = {}
+
+    def classify(row: list):
+        key = getter(row)
+        try:
+            return cache[key]
+        except KeyError:
+            cells = dict(zip(columns, key)) if len(columns) > 1 else {columns[0]: key}
+            value = cache[key] = evaluate(cells)
+            return value
+
+    return classify
+
+
+def _bind_kabco(positions: dict[str, int], kabco: KabcoMap) -> Callable[[list], object]:
+    return _bind(positions, (kabco.column,), lambda cells: kabco.lookup(cells[kabco.column]))
 
 
 def _crash_columns(spec: SchemaSpec) -> set[str]:
@@ -74,20 +133,22 @@ def _crash_columns(spec: SchemaSpec) -> set[str]:
             cols.add(col)
     if crash.kabco is not None:
         cols.add(crash.kabco.column)
-    for rule in (crash.road.surface, crash.road.excluded, crash.towed):
-        if rule is not None:
-            cols.update(rule.columns())
+    cols.update(_rule_columns(crash.road.surface, crash.road.excluded, crash.towed))
     return cols
+
+
+def _unit_rules(spec: SchemaSpec) -> tuple[Rule | None, ...]:
+    v = spec.vehicle
+    return (v.passenger, v.vehicle_nfs, v.non_vehicle, v.in_transport, v.towed, v.airbag)
+
+
+def _rule_columns(*rules: Rule | None) -> set[str]:
+    return {col for rule in rules if rule is not None for col in rule.columns()}
 
 
 def _vehicle_columns(spec: SchemaSpec) -> set[str]:
     v = spec.vehicle
-    cols = {v.id_column, v.crash_column}
-    for rule in (v.passenger, v.vehicle_nfs, v.non_vehicle, v.in_transport,
-                 v.towed, v.airbag):
-        if rule is not None:
-            cols.update(rule.columns())
-    return cols
+    return {v.id_column, v.crash_column} | _rule_columns(*_unit_rules(spec))
 
 
 def _person_columns(spec: SchemaSpec) -> set[str]:
@@ -111,6 +172,28 @@ def _eval_flag(rule: Rule | None, row: dict, diagnostics: Counter, warn_key: str
         diagnostics[warn_key] += 1
         return False
     return value
+
+
+def _classify_unit(spec: SchemaSpec, cells: dict) -> tuple:
+    """(body class, in transport, towed, airbag, warning keys) of one unit."""
+    v = spec.vehicle
+    warnings: Counter = Counter()
+    return (
+        _classify_body(spec, cells, warnings),
+        _eval_flag(v.in_transport, cells, warnings, "unknown_in_transport"),
+        _eval_flag(v.towed, cells, warnings, "unknown_towed"),
+        _eval_flag(v.airbag, cells, warnings, "unknown_airbag"),
+        tuple(warnings.elements()),
+    )
+
+
+def _unit_ref(spec: SchemaSpec, cell: str | None) -> str:
+    """The unit a person row names, or "" when it names none."""
+    null_codes = spec.person.unit_null_codes
+    cell = (cell or "").strip()
+    if cell and not (null_codes is not None and null_codes.contains(cell)):
+        return cell
+    return ""
 
 
 def load_crash_source(
@@ -140,18 +223,21 @@ def load_crash_source(
         if region_filter else None
     )
 
-    crash_rows = _read_table(
+    crash_where = f"{spec.tag} crash file {crash_file}"
+    crash_pos, crash_rows = _read_table(
         Path(crash_file),
         _crash_columns(spec) | (filter_rule.columns() if filter_rule else set()),
         f"{spec.tag} crash",
     )
-    vehicle_rows = (
+    vehicle_where = f"{spec.tag} vehicle file {vehicle_file}"
+    vehicle_pos, vehicle_rows = (
         _read_table(Path(vehicle_file), _vehicle_columns(spec), f"{spec.tag} vehicle")
-        if vehicle_file is not None else []
+        if vehicle_file is not None else ({}, [])
     )
-    person_rows = (
+    person_where = f"{spec.tag} person file {person_file}"
+    person_pos, person_rows = (
         _read_table(Path(person_file), _person_columns(spec), f"{spec.tag} person")
-        if person_file is not None and spec.person is not None else []
+        if person_file is not None and spec.person is not None else ({}, [])
     )
     rows_in = {
         "crashes": len(crash_rows),
@@ -160,28 +246,35 @@ def load_crash_source(
     }
 
     crash_schema = spec.crash
-    kept: dict[str, dict] = {}       # crash_id -> raw row
+    id_at = crash_pos[crash_schema.id_column]
+    year_column = crash_schema.year_column
+    region_match = (_bind(crash_pos, filter_rule.columns(), filter_rule.eval)
+                    if filter_rule is not None else None)
+    kept: dict[str, list] = {}       # crash_id -> raw row
     dropped: set[str] = set()
     for row in crash_rows:
-        crash_id = (row.get(crash_schema.id_column) or "").strip()
+        crash_id = (row[id_at] or "").strip()
         if not crash_id:
-            raise ValidationError(f"{spec.tag}: crash row with empty {crash_schema.id_column}")
+            raise ValidationError(
+                f"{crash_where}: crash row with empty id column {crash_schema.id_column}"
+            )
         if crash_id in kept or crash_id in dropped:
             raise ValidationError(f"{spec.tag}: duplicate crash id {crash_id}")
-        if filter_rule is not None:
-            match = filter_rule.eval(row)
+        if region_match is not None:
+            match = region_match(row)
             if match is not True:
                 key = "region_filtered" if match is False else "region_filter_unknown"
                 diagnostics[key] += 1
                 dropped.add(crash_id)
                 continue
-        if crash_schema.year_column:
-            cell = (row.get(crash_schema.year_column) or "").strip()
+        if year_column:
+            cell = (row[crash_pos[year_column]] or "").strip()
             try:
                 row_year = int(cell)
             except ValueError:
                 raise ValidationError(
-                    f"{spec.tag}: crash {crash_id} has unreadable year {cell!r}"
+                    f"{crash_where}: crash {crash_id} has unreadable year {cell!r} "
+                    f"in column {year_column}"
                 )
             if row_year != year:
                 diagnostics["year_mismatch"] += 1
@@ -189,14 +282,19 @@ def load_crash_source(
                 continue
         kept[crash_id] = row
 
-    # Units, with folds accumulated per crash.
+    # Units, with folds accumulated per crash.  A unit's memo entry is
+    # shared by every unit whose classifier cells are equal.
     vehicle_schema = spec.vehicle
-    unit_seen: set[tuple[str, str]] = set()
-    unit_info: dict[tuple[str, str], dict] = {}
-    crash_any_towed: Counter = Counter()
-    crash_any_airbag: Counter = Counter()
+    unit_info: dict[tuple[str, str], tuple] = {}
+    crash_towed: set[str] = set()
+    crash_airbag: set[str] = set()
+    if vehicle_rows:
+        vcrash_at = vehicle_pos[vehicle_schema.crash_column]
+        unit_at = vehicle_pos[vehicle_schema.id_column]
+        classify_unit = _bind(vehicle_pos, _rule_columns(*_unit_rules(spec)),
+                              lambda cells: _classify_unit(spec, cells))
     for row in vehicle_rows:
-        crash_id = (row.get(vehicle_schema.crash_column) or "").strip()
+        crash_id = (row[vcrash_at] or "").strip()
         if crash_id in dropped:
             diagnostics["parent_dropped"] += 1
             continue
@@ -204,35 +302,43 @@ def load_crash_source(
             raise ReferentialError(
                 f"{spec.tag}: vehicle row references unknown crash {crash_id!r}"
             )
-        unit_id = (row.get(vehicle_schema.id_column) or "").strip()
+        unit_id = (row[unit_at] or "").strip()
         if not unit_id:
-            raise ValidationError(f"{spec.tag}: crash {crash_id} has a unit with no id")
-        if (crash_id, unit_id) in unit_seen:
+            raise ValidationError(
+                f"{vehicle_where}: crash {crash_id} has a unit with no id "
+                f"in column {vehicle_schema.id_column}"
+            )
+        if (crash_id, unit_id) in unit_info:
             raise ValidationError(f"{spec.tag}: duplicate unit {crash_id}/{unit_id}")
-        unit_seen.add((crash_id, unit_id))
-        towed = _eval_flag(vehicle_schema.towed, row, diagnostics, "unknown_towed")
-        airbag = _eval_flag(vehicle_schema.airbag, row, diagnostics, "unknown_airbag") \
-            if vehicle_schema.airbag is not None else False
-        unit_info[(crash_id, unit_id)] = {
-            "body": _classify_body(spec, row, diagnostics),
-            "in_transport": _eval_flag(vehicle_schema.in_transport, row, diagnostics,
-                                       "unknown_in_transport"),
-            "towed": towed,
-            "airbag": airbag,
-        }
+        info = unit_info[(crash_id, unit_id)] = classify_unit(row)
+        _, _, towed, airbag, warnings = info
+        if warnings:
+            diagnostics.update(warnings)
         if towed:
-            crash_any_towed[crash_id] += 1
+            crash_towed.add(crash_id)
         if airbag:
-            crash_any_airbag[crash_id] += 1
+            crash_airbag.add(crash_id)
 
     # Persons.
     person_schema = spec.person
     persons: list[PersonOutcome] = []
     person_seen: set[tuple[str, str, str]] = set()
-    person_airbag: dict[tuple[str, str], bool] = {}
+    person_airbag: set[tuple[str, str]] = set()
     crash_person_kabco: dict[str, Kabco] = {}
+    if person_rows:
+        pcrash_at = person_pos[person_schema.crash_column]
+        person_at = person_pos[person_schema.id_column]
+        unit_column = person_schema.unit_column
+        unit_ref = (_bind(person_pos, (unit_column,),
+                          lambda cells: _unit_ref(spec, cells[unit_column]))
+                    if unit_column else None)
+        person_kabco = (_bind_kabco(person_pos, person_schema.kabco)
+                        if person_schema.kabco is not None else None)
+        airbag_rule = person_schema.airbag
+        person_airbag_of = (_bind(person_pos, airbag_rule.columns(), airbag_rule.eval)
+                            if airbag_rule is not None else None)
     for row in person_rows:
-        crash_id = (row.get(person_schema.crash_column) or "").strip()
+        crash_id = (row[pcrash_at] or "").strip()
         if crash_id in dropped:
             diagnostics["parent_dropped"] += 1
             continue
@@ -240,43 +346,43 @@ def load_crash_source(
             raise ReferentialError(
                 f"{spec.tag}: person row references unknown crash {crash_id!r}"
             )
-        unit_id = ""
-        if person_schema.unit_column:
-            cell = (row.get(person_schema.unit_column) or "").strip()
-            if cell and not (
-                person_schema.unit_null_codes is not None
-                and person_schema.unit_null_codes.contains(cell)
-            ):
-                if (crash_id, cell) not in unit_seen:
-                    raise ReferentialError(
-                        f"{spec.tag}: person row references unknown unit "
-                        f"{crash_id}/{cell}"
-                    )
-                unit_id = cell
-        person_id = (row.get(person_schema.id_column) or "").strip()
+        unit_id = unit_ref(row) if unit_ref is not None else ""
+        if unit_id and (crash_id, unit_id) not in unit_info:
+            raise ReferentialError(
+                f"{spec.tag}: person row references unknown unit "
+                f"{crash_id}/{unit_id}"
+            )
+        person_id = (row[person_at] or "").strip()
         if not person_id:
-            raise ValidationError(f"{spec.tag}: crash {crash_id} has a person with no id")
+            raise ValidationError(
+                f"{person_where}: crash {crash_id} has a person with no id "
+                f"in column {person_schema.id_column}"
+            )
         if (crash_id, unit_id, person_id) in person_seen:
             raise ValidationError(
                 f"{spec.tag}: duplicate person {crash_id}/{unit_id}/{person_id}"
             )
         person_seen.add((crash_id, unit_id, person_id))
-        if person_schema.kabco is not None:
-            kabco, known = person_schema.kabco.lookup(row.get(person_schema.kabco.column))
+        if person_kabco is not None:
+            kabco, known = person_kabco(row)
             if not known:
                 diagnostics["unknown_person_kabco"] += 1
         else:
             kabco = Kabco.UNK
-        airbag = _eval_flag(person_schema.airbag, row, diagnostics, "unknown_airbag") \
-            if person_schema.airbag is not None else False
+        airbag = False
+        if person_airbag_of is not None:
+            airbag = person_airbag_of(row)
+            if airbag is None:
+                diagnostics["unknown_airbag"] += 1
+                airbag = False
         persons.append(PersonOutcome(
             crash_id=crash_id, unit_id=unit_id, person_id=person_id,
             kabco=kabco, airbag_deployed=airbag,
         ))
         if airbag:
             if unit_id:
-                person_airbag[(crash_id, unit_id)] = True
-            crash_any_airbag[crash_id] += 1
+                person_airbag.add((crash_id, unit_id))
+            crash_airbag.add(crash_id)
         prev = crash_person_kabco.get(crash_id)
         if prev is None or KABCO_FOLD_RANK[kabco] > KABCO_FOLD_RANK[prev]:
             crash_person_kabco[crash_id] = kabco
@@ -285,41 +391,53 @@ def load_crash_source(
         VehicleInvolvement(
             crash_id=crash_id,
             unit_id=unit_id,
-            body_class=info["body"],
-            in_transport=info["in_transport"],
-            towed=info["towed"],
-            airbag_deployed=info["airbag"] or person_airbag.get((crash_id, unit_id), False),
+            body_class=body,
+            in_transport=in_transport,
+            towed=towed,
+            airbag_deployed=airbag or (crash_id, unit_id) in person_airbag,
         )
-        for (crash_id, unit_id), info in unit_info.items()
+        for (crash_id, unit_id), (body, in_transport, towed, airbag, _)
+        in unit_info.items()
     ]
 
     crashes: list[CrashEvent] = []
+    road_class_of = _bind(crash_pos, _rule_columns(crash_schema.road.surface,
+                                                   crash_schema.road.excluded),
+                          crash_schema.road.classify)
+    crash_kabco = (_bind_kabco(crash_pos, crash_schema.kabco)
+                   if spec.kabco_from == "crash" else None)
+    crash_towed_of = (_bind(crash_pos, crash_schema.towed.columns(), crash_schema.towed.eval)
+                      if crash_schema.towed is not None else None)
+    weight_column = crash_schema.weight_column
     for crash_id, row in kept.items():
-        road_class, known = crash_schema.road.classify(row)
+        road_class, known = road_class_of(row)
         if not known:
             diagnostics["unknown_road"] += 1
-        if spec.kabco_from == "crash":
-            kabco, kabco_known = crash_schema.kabco.lookup(row.get(crash_schema.kabco.column))
+        if crash_kabco is not None:
+            kabco, kabco_known = crash_kabco(row)
             if not kabco_known:
                 diagnostics["unknown_kabco"] += 1
         else:
             kabco = crash_person_kabco.get(crash_id, Kabco.UNK)
             if kabco is Kabco.UNK:
                 diagnostics["unknown_kabco"] += 1
-        if crash_schema.weight_column:
-            cell = (row.get(crash_schema.weight_column) or "").strip()
+        if weight_column:
+            cell = (row[crash_pos[weight_column]] or "").strip()
             try:
                 weight = float(cell)
             except ValueError:
                 raise ValidationError(
-                    f"{spec.tag}: crash {crash_id} has unreadable weight {cell!r}"
+                    f"{crash_where}: crash {crash_id} has unreadable weight {cell!r} "
+                    f"in column {weight_column}"
                 )
         else:
             weight = 1.0
-        towed = bool(crash_any_towed[crash_id])
-        if crash_schema.towed is not None:
-            towed = towed or _eval_flag(crash_schema.towed, row, diagnostics,
-                                        "unknown_towed")
+        towed = crash_id in crash_towed
+        if not towed and crash_towed_of is not None:
+            towed = crash_towed_of(row)
+            if towed is None:
+                diagnostics["unknown_towed"] += 1
+                towed = False
         crashes.append(CrashEvent(
             crash_id=crash_id,
             source=spec.tag,
@@ -329,12 +447,12 @@ def load_crash_source(
             sample_weight=weight,
             max_kabco=kabco,
             tow_away=towed,
-            airbag_deployed=bool(crash_any_airbag[crash_id]),
+            airbag_deployed=crash_id in crash_airbag,
         ))
 
-    crashes.sort(key=lambda c: c.crash_id)
-    vehicles.sort(key=lambda v: (v.crash_id, v.unit_id))
-    persons.sort(key=lambda p: (p.crash_id, p.unit_id, p.person_id))
+    crashes.sort(key=attrgetter("crash_id"))
+    vehicles.sort(key=_UNIT_KEY)
+    persons.sort(key=_PERSON_KEY)
     airbag_units = vehicle_schema.airbag is not None or (
         spec.person is not None and spec.person.airbag is not None
         and spec.person.unit_column is not None
@@ -420,11 +538,15 @@ def combine_sources(loads: list[tuple[str, LoadResult]]) -> CombinedRecords:
                 )
             seen_ids[crash.crash_id] = load.tag
             crashes.append(crash)
-        vehicles.extend(v for v in load.vehicles if v.crash_id not in drop)
-        persons.extend(p for p in load.persons if p.crash_id not in drop)
-    crashes.sort(key=lambda c: (c.source, c.crash_id))
-    vehicles.sort(key=lambda v: (v.crash_id, v.unit_id))
-    persons.sort(key=lambda p: (p.crash_id, p.unit_id, p.person_id))
+        if drop:
+            vehicles.extend(v for v in load.vehicles if v.crash_id not in drop)
+            persons.extend(p for p in load.persons if p.crash_id not in drop)
+        else:
+            vehicles.extend(load.vehicles)
+            persons.extend(load.persons)
+    crashes.sort(key=attrgetter("source", "crash_id"))
+    vehicles.sort(key=_UNIT_KEY)
+    persons.sort(key=_PERSON_KEY)
     return CombinedRecords(
         crashes=crashes, vehicles=vehicles, persons=persons,
         diagnostics=diagnostics, unit_tow_flags=unit_tow,
@@ -455,15 +577,20 @@ def load_mileage(
             required.add(col)
     if filter_rule is not None:
         required.update(filter_rule.columns())
-    rows = _read_table(Path(file), required, f"{spec.tag} mileage")
+    positions, rows = _read_table(Path(file), required, f"{spec.tag} mileage")
+    region_match = (_bind(positions, filter_rule.columns(), filter_rule.eval)
+                    if filter_rule is not None else None)
+    class_at = positions[schema.class_column]
+    vmt_at = positions[schema.vmt_column]
+    area_at = positions[schema.area_column] if schema.area_column else None
     cells: list[MileageCell] = []
     for i, row in enumerate(rows, start=2):
         context = f"{spec.tag} mileage row {i}"
-        if filter_rule is not None and filter_rule.eval(row) is not True:
+        if region_match is not None and region_match(row) is not True:
             diagnostics["region_filtered"] += 1
             continue
         if schema.year_column:
-            cell_text = (row.get(schema.year_column) or "").strip()
+            cell_text = (row[positions[schema.year_column]] or "").strip()
             try:
                 row_year = int(cell_text)
             except ValueError:
@@ -471,7 +598,7 @@ def load_mileage(
             if row_year != year:
                 diagnostics["year_mismatch"] += 1
                 continue
-        vmt_text = (row.get(schema.vmt_column) or "").strip()
+        vmt_text = (row[vmt_at] or "").strip()
         try:
             vmt = float(vmt_text)
         except ValueError:
@@ -479,8 +606,9 @@ def load_mileage(
         cells.append(MileageCell(
             region=region,
             year=year,
-            functional_class=schema.class_of(row.get(schema.class_column) or "", context),
-            area_type=schema.area_of(row.get(schema.area_column), context),
+            functional_class=schema.class_of(row[class_at] or "", context),
+            area_type=schema.area_of(row[area_at] if area_at is not None else None,
+                                     context),
             vmt_millions=schema.to_millions(vmt),
         ))
     return cells, diagnostics
@@ -492,7 +620,11 @@ def load_passenger_share(spec: SchemaSpec, file: str | Path) -> PassengerShareTa
     schema = spec.shares
     required = {schema.state_column, schema.area_column, schema.group_column,
                 schema.share_column}
-    rows = _read_table(Path(file), required, f"{spec.tag} shares")
+    positions, rows = _read_table(Path(file), required, f"{spec.tag} shares")
+    state_at, area_at, group_at, share_at = (
+        positions[c] for c in (schema.state_column, schema.area_column,
+                               schema.group_column, schema.share_column)
+    )
     area_index = dict(schema.area_codes) if schema.area_codes else {
         a.value: a for a in AreaType
     }
@@ -500,16 +632,16 @@ def load_passenger_share(spec: SchemaSpec, file: str | Path) -> PassengerShareTa
     mapping: dict = {}
     for i, row in enumerate(rows, start=2):
         context = f"{spec.tag} shares row {i}"
-        state = (row.get(schema.state_column) or "").strip()
+        state = (row[state_at] or "").strip()
         if not state:
             raise ValidationError(f"{context}: empty state")
-        area_key = _normalize_code(row.get(schema.area_column) or "")
+        area_key = _normalize_code(row[area_at] or "")
         if area_key not in area_index:
             raise SchemaError(f"{context}: unmapped area code {area_key!r}")
-        group_key = _normalize_code(row.get(schema.group_column) or "")
+        group_key = _normalize_code(row[group_at] or "")
         if group_key not in group_index:
             raise SchemaError(f"{context}: unmapped class group {group_key!r}")
-        share_text = (row.get(schema.share_column) or "").strip()
+        share_text = (row[share_at] or "").strip()
         try:
             share = float(share_text)
         except ValueError:
@@ -575,25 +707,19 @@ def _load_canonical_source(ref: interchange.CrashSourceRef, region: Region,
     )
 
 
-def load_dataset(manifest: interchange.DatasetManifest,
-                 jobs: int = 1) -> DatasetRecords:
+def load_dataset(manifest: interchange.DatasetManifest) -> DatasetRecords:
     """Load and merge every source named by one dataset manifest."""
-    def load_one(ref: interchange.CrashSourceRef) -> tuple[str, LoadResult]:
+    loads: list[tuple[str, LoadResult]] = []
+    for ref in manifest.crash_sources:
         if ref.spec == CANONICAL_SPEC:
-            return ref.role, _load_canonical_source(ref, manifest.region, manifest.year)
-        spec = load_schema(ref.spec)
-        return ref.role, load_crash_source(
-            spec, ref.crash_file, ref.vehicle_file, ref.person_file,
-            region=manifest.region, year=manifest.year,
-            region_filter=ref.region_filter,
-        )
-
-    if jobs > 1 and len(manifest.crash_sources) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            loads = list(pool.map(load_one, manifest.crash_sources))
-    else:
-        loads = [load_one(ref) for ref in manifest.crash_sources]
+            load = _load_canonical_source(ref, manifest.region, manifest.year)
+        else:
+            load = load_crash_source(
+                load_schema(ref.spec), ref.crash_file, ref.vehicle_file,
+                ref.person_file, region=manifest.region, year=manifest.year,
+                region_filter=ref.region_filter,
+            )
+        loads.append((ref.role, load))
 
     records = combine_sources(loads)
     audits = []

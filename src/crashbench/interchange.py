@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -93,7 +94,7 @@ def write_crashes(path: str | Path, crashes: Iterable[CrashEvent]) -> None:
     handle, writer = _open_writer(Path(path))
     with handle:
         writer.writerow(CRASH_HEADER)
-        for c in sorted(crashes, key=lambda c: (c.source, c.crash_id)):
+        for c in sorted(crashes, key=attrgetter("source", "crash_id")):
             name, state = _region_columns(c.region)
             writer.writerow([
                 c.crash_id, c.source, name, state, c.year, c.road_class.value,
@@ -124,7 +125,7 @@ def write_vehicles(path: str | Path, vehicles: Iterable[VehicleInvolvement]) -> 
     handle, writer = _open_writer(Path(path))
     with handle:
         writer.writerow(VEHICLE_HEADER)
-        for v in sorted(vehicles, key=lambda v: (v.crash_id, v.unit_id)):
+        for v in sorted(vehicles, key=attrgetter("crash_id", "unit_id")):
             writer.writerow([
                 v.crash_id, v.unit_id, v.body_class.value,
                 _fmt_bool(v.in_transport), _fmt_bool(v.towed),
@@ -151,7 +152,7 @@ def write_persons(path: str | Path, persons: Iterable[PersonOutcome]) -> None:
     handle, writer = _open_writer(Path(path))
     with handle:
         writer.writerow(PERSON_HEADER)
-        for p in sorted(persons, key=lambda p: (p.crash_id, p.unit_id, p.person_id)):
+        for p in sorted(persons, key=attrgetter("crash_id", "unit_id", "person_id")):
             writer.writerow([
                 p.crash_id, p.unit_id, p.person_id, p.kabco.value,
                 _fmt_bool(p.airbag_deployed),
@@ -176,10 +177,8 @@ def write_mileage(path: str | Path, cells: Iterable[MileageCell]) -> None:
     handle, writer = _open_writer(Path(path))
     with handle:
         writer.writerow(MILEAGE_HEADER)
-        ordered = sorted(
-            cells,
-            key=lambda m: (m.region.name, m.year, m.functional_class.value, m.area_type.value),
-        )
+        ordered = sorted(cells, key=attrgetter(
+            "region.name", "year", "functional_class.value", "area_type.value"))
         for m in ordered:
             name, state = _region_columns(m.region)
             writer.writerow([

@@ -92,6 +92,35 @@ class TestExitCodes:
         assert code == 2
         assert "unknown road rule" in err and "vibes.json" in err
 
+    @pytest.mark.parametrize("file_key, old, new, column", [
+        ("crash_file", "C002,2022,80.25,1,0", "C002,20x2,80.25,1,0", "YEAR"),
+        ("crash_file", "C002,2022,80.25,1,0", "C002,2022,lots,1,0", "WEIGHT"),
+        ("crash_file", "C002,2022,80.25,1,0", ",2022,80.25,1,0", "CASENUM"),
+        ("vehicle_file", "2,C001,20,1,0", ",C001,20,1,0", "VEH_NO"),
+        ("person_file", "2,C001,2,0,20", ",C001,2,0,20", "PER_NO"),
+    ], ids=["year", "weight", "crash_id", "unit_id", "person_id"])
+    def test_malformed_raw_row_names_the_file_and_column(
+            self, capsys, tmp_path, fixtures, file_key, old, new, column):
+        manifest = json.loads(
+            (fixtures / "manifests" / "national_2022.json").read_text())
+        for entry in manifest["crash_sources"]:
+            for key in ("crash_file", "vehicle_file", "person_file"):
+                entry[key] = str(fixtures / "manifests" / entry[key])
+        for entry in manifest["mileage"] + manifest["shares"]:
+            entry["file"] = str(fixtures / "manifests" / entry["file"])
+        crss, = (e for e in manifest["crash_sources"] if e["spec"] == "crss")
+        text = Path(crss[file_key]).read_text()
+        assert text.count(old) == 1
+        broken = tmp_path / f"broken_{Path(crss[file_key]).name}"
+        broken.write_text(text.replace(old, new))
+        crss[file_key] = str(broken)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "ingest", "--manifest", str(path),
+                           "--out", str(tmp_path / "out"), "--quiet")
+        assert code == 2
+        assert str(broken) in err and column in err
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

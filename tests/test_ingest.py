@@ -5,9 +5,13 @@ files under fixtures/golden are regenerated from these same inputs, so
 this module, not the goldens, is the ground truth for their content.
 """
 
+import csv
+import dataclasses
+from importlib import resources
+
 import pytest
 
-from crashbench.errors import ReferentialError, ValidationError
+from crashbench.errors import ReferentialError, SchemaError, ValidationError
 from crashbench.ingest import (
     combine_sources,
     load_crash_source,
@@ -442,7 +446,7 @@ class TestDatasets:
 
     def test_national_manifest_loads(self, fixtures):
         manifest, = load_manifest(fixtures / "manifests" / "national_2022.json")
-        data = load_dataset(manifest, jobs=2)
+        data = load_dataset(manifest)
         assert len(data.records.crashes) == 13
         assert data.records.weighted is True
         assert len(data.mileage) == 14
@@ -519,3 +523,183 @@ class TestStructuralErrors:
         with pytest.raises(ValidationError):
             load_crash_source(load_schema("crss"), tmp_path / "absent.csv",
                               region=NATIONAL, year=2022)
+
+
+class TestReaderSemantics:
+    """Raw files read as csv.DictReader read them (values recorded from the
+    DictReader-based loader)."""
+
+    def test_blank_short_extra_and_duplicate_header(self, tmp_path):
+        (tmp_path / "c.csv").write_text(
+            "CASENUM,YEAR,WEIGHT,MAXSEV_IM,INT_HWY,INT_HWY\n"
+            "X1,2022,1.5,0,1,0\n"           # duplicate name: last column wins
+            "\n"
+            "X2,2022,2.0,4,1,1,EXTRA,MORE\n"  # extra cells ignored
+            "X3,2022,3.0,2\n"               # short: INT_HWY is null
+            "X4,2022,4.0,3,,\n")
+        (tmp_path / "v.csv").write_text(
+            "VEH_NO,CASENUM,BODY_TYP,UNITTYPE,TOWED\n"
+            "1,X1,4,1,2\n"
+            "\n"
+            "\n"
+            "2,X1,99,1,0,junk\n"
+            "1,X2,4,1\n"                    # short: TOWED is null
+            "1,X3\n")                       # short: every rule unknown
+        (tmp_path / "p.csv").write_text("PER_NO,CASENUM,VEH_NO,INJ_SEV,AIR_BAG\n")
+        load = load_crash_source(load_schema("crss"), tmp_path / "c.csv",
+                                 tmp_path / "v.csv", tmp_path / "p.csv",
+                                 region=NATIONAL, year=2022)
+        assert load.rows_in == {"crashes": 4, "vehicles": 4, "persons": 0}
+        assert dict(load.diagnostics) == {
+            "unknown_body": 1, "unknown_in_transport": 1,
+            "unknown_road": 2, "unknown_towed": 2,
+        }
+        assert [(c.crash_id, c.road_class, c.max_kabco, c.sample_weight,
+                 c.tow_away, c.airbag_deployed) for c in load.crashes] == [
+            ("X1", RoadClass.SURFACE_STREET, Kabco.O, 1.5, True, False),
+            ("X2", RoadClass.EXCLUDED_HIGHWAY, Kabco.K, 2.0, False, False),
+            ("X3", RoadClass.UNKNOWN, Kabco.B, 3.0, False, False),
+            ("X4", RoadClass.UNKNOWN, Kabco.A, 4.0, False, False),
+        ]
+        assert [(v.crash_id, v.unit_id, v.body_class, v.in_transport, v.towed,
+                 v.airbag_deployed) for v in load.vehicles] == [
+            ("X1", "1", BodyClass.PASSENGER, True, True, False),
+            ("X1", "2", BodyClass.VEHICLE_NFS, True, False, False),
+            ("X2", "1", BodyClass.PASSENGER, True, False, False),
+            ("X3", "1", BodyClass.VEHICLE_NFS, False, False, False),
+        ]
+        assert load.persons == []
+
+    def test_header_only_and_empty_files(self, tmp_path):
+        (tmp_path / "h.csv").write_text("CASENUM,YEAR,WEIGHT,MAXSEV_IM,INT_HWY\n")
+        load = load_crash_source(load_schema("crss"), tmp_path / "h.csv",
+                                 region=NATIONAL, year=2022)
+        assert load.rows_in == {"crashes": 0, "vehicles": 0, "persons": 0}
+        assert load.crashes == [] and not load.diagnostics
+        (tmp_path / "e.csv").write_text("")
+        with pytest.raises(SchemaError, match="missing column"):
+            load_crash_source(load_schema("crss"), tmp_path / "e.csv",
+                              region=NATIONAL, year=2022)
+
+    def test_mileage_rows(self, tmp_path):
+        (tmp_path / "m.csv").write_text(
+            "YEAR,FUNC_SYSTEM,ANNUAL_VMT_MILLIONS,AREA,AREA\n"
+            "2022,1,10,rural,urban\n"
+            "\n"
+            "2022,7,2.5\n"
+            "2021,3,1,urban,urban,extra\n")
+        cells, diag = load_mileage(load_schema("fhwa_vm2"), tmp_path / "m.csv",
+                                   region=NATIONAL, year=2022)
+        assert [(m.functional_class.name, m.area_type, m.vmt_millions)
+                for m in cells] == [("INTERSTATE", AreaType.URBAN, 10.0),
+                                    ("LOCAL", AreaType.ALL, 2.5)]
+        assert dict(diag) == {"year_mismatch": 1}
+
+
+# (spec, crash/vehicle/person files, region, region_filter) of every raw fixture
+RAW_FIXTURES = {
+    "crss": ("crss", ("crss_crashes.csv", "crss_vehicles.csv", "crss_persons.csv"),
+             NATIONAL, None),
+    "fars": ("fars_national",
+             ("fars_crashes.csv", "fars_vehicles.csv", "fars_persons.csv"),
+             NATIONAL, None),
+    "adot": ("adot", ("adot_crashes.csv", "adot_units.csv", "adot_persons.csv"),
+             MARICOPA, None),
+    "switrs": ("switrs",
+               ("switrs_crashes.csv", "switrs_parties.csv", "switrs_victims.csv"),
+               SF, 'county in "San Francisco"'),
+}
+
+
+def _rewrite(src, dst, edit):
+    """Copy a raw CSV, passing (header, data rows) through ``edit``."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    header, rows = edit(header, rows)
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
+def _load_files(spec_name, paths, region, region_filter):
+    return load_crash_source(load_schema(spec_name), *paths, region=region,
+                             year=2022, region_filter=region_filter)
+
+
+class TestMemoizedRules:
+    """Rules are memoized per file on the cells they read; warnings and
+    every other diagnostic must still count once per row."""
+
+    @pytest.mark.parametrize("name", sorted(RAW_FIXTURES))
+    def test_replicated_rows_count_every_diagnostic(self, fixtures, tmp_path, name):
+        spec_name, files, region, region_filter = RAW_FIXTURES[name]
+        spec = load_schema(spec_name)
+        id_columns = (spec.crash.id_column, spec.vehicle.crash_column,
+                      spec.person.crash_column)
+        copies = 3
+
+        def replicate(column):
+            def edit(header, rows):
+                at = header.index(column)
+                out = []
+                for k in range(copies):
+                    for row in rows:
+                        row = list(row)
+                        row[at] = f"{row[at]}~{k}"
+                        out.append(row)
+                return header, out
+            return edit
+
+        paths = []
+        for file_name, column in zip(files, id_columns):
+            paths.append(tmp_path / file_name)
+            _rewrite(fixtures / "raw" / file_name, paths[-1], replicate(column))
+        once = _load_files(spec_name, [fixtures / "raw" / f for f in files],
+                           region, region_filter)
+        many = _load_files(spec_name, paths, region, region_filter)
+
+        assert once.diagnostics and once.crashes
+        assert many.rows_in == {k: copies * v for k, v in once.rows_in.items()}
+        assert dict(many.diagnostics) == {
+            k: copies * v for k, v in once.diagnostics.items()}
+        for field_name in ("crashes", "vehicles", "persons"):
+            expected = sorted(
+                (dataclasses.replace(r, crash_id=f"{r.crash_id}~{k}")
+                 for r in getattr(once, field_name) for k in range(copies)),
+                key=lambda r: dataclasses.astuple(r)[:3],
+            )
+            got = sorted(getattr(many, field_name),
+                         key=lambda r: dataclasses.astuple(r)[:3])
+            assert got == expected, field_name
+
+    def test_permuted_columns_and_back_to_back_specs(self, fixtures, tmp_path):
+        """Rules bind to each file's own column positions; nothing cached
+        for one load is seen by the next."""
+        fresh = {name: _load_files(spec_name, [fixtures / "raw" / f for f in files],
+                                   region, region_filter)
+                 for name, (spec_name, files, region, region_filter)
+                 in RAW_FIXTURES.items()}
+        spec_name, files, region, region_filter = RAW_FIXTURES["crss"]
+        permuted = []
+        for file_name in files:
+            permuted.append(tmp_path / file_name)
+            _rewrite(fixtures / "raw" / file_name, permuted[-1],
+                     lambda header, rows: (header[::-1], [r[::-1] for r in rows]))
+        # Same columns as crss, opposite road codes.
+        text = resources.files("crashbench").joinpath("specs", "crss.spec").read_text()
+        swapped = tmp_path / "crss_swapped.spec"
+        swapped.write_text(text.replace("surface = INT_HWY in 0", "surface = INT_HWY in 1")
+                               .replace("excluded = INT_HWY in 1", "excluded = INT_HWY in 0"))
+        flip = {RoadClass.SURFACE_STREET: RoadClass.EXCLUDED_HIGHWAY,
+                RoadClass.EXCLUDED_HIGHWAY: RoadClass.SURFACE_STREET,
+                RoadClass.UNKNOWN: RoadClass.UNKNOWN}
+        crss_paths = [fixtures / "raw" / f for f in RAW_FIXTURES["crss"][1]]
+        for name in ("switrs", "crss", "adot", "fars", "crss"):
+            spec_name, files, region, region_filter = RAW_FIXTURES[name]
+            again = _load_files(spec_name, [fixtures / "raw" / f for f in files],
+                                region, region_filter)
+            assert again == fresh[name], name
+            if name == "crss":
+                assert _load_files("crss", permuted, NATIONAL, None) == fresh["crss"]
+                flipped = _load_files(str(swapped), crss_paths, NATIONAL, None)
+                assert [c.road_class for c in flipped.crashes] == [
+                    flip[c.road_class] for c in fresh["crss"].crashes]
