@@ -4,15 +4,16 @@ The comparable-driving subset is defined on two axes: road type (surface
 streets only) and vehicle type (in-transport passenger vehicles, with
 not-further-specified vehicles assigned fractionally via an imputation
 weight).  Severity is a property of the crash, classified once, after
-subsetting so the tow and airbag tests only consider eligible units; each
-retained crash becomes one ``CrashRow`` that every tally reads.
+unit filtering so the tow and airbag tests only consider eligible units;
+each crash becomes one ``CrashRow`` that every tally reads.  The surface
+subset keeps the all-roads rows on surface streets, sharing the objects.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 from .errors import UndefinedStatistic
@@ -121,13 +122,16 @@ class ImputationWeight:
 
 
 class CrashRow(NamedTuple):
-    """One retained crash, classified once: everything the tallies read."""
+    """One crash, classified once: everything the tallies read."""
 
     weight: float                           # sample weight
     passenger: int                          # retained passenger units
     nfs: int                                # retained not-further-specified units
     other: int                              # in-transport classified non-passenger
     severity: int                           # bit i set when SeverityFlags field i holds
+    road_class: RoadClass
+    non_vehicle: int                        # excluded non-vehicle units
+    not_in_transport: int                   # excluded units not in transport
 
     @property
     def flags(self) -> SeverityFlags:
@@ -136,10 +140,8 @@ class CrashRow(NamedTuple):
 
 @dataclass
 class Subset:
-    """The filtered crash/vehicle record sets plus selection bookkeeping."""
+    """Classified crash rows plus selection bookkeeping."""
 
-    crashes: list[CrashEvent]
-    vehicles: list[VehicleInvolvement]
     rows: dict[str, CrashRow]               # by crash id
     road: str                               # surface | all
     in_transport_only: bool
@@ -148,6 +150,29 @@ class Subset:
     weighted: bool
     exclusions: Counter = field(default_factory=Counter)
     caveats: tuple[str, ...] = ()
+
+    def surface(self) -> Subset:
+        """This all-roads subset's surface-street rows (the same objects), with
+        dropped crashes counted and unit exclusions summed over kept ones."""
+        if self.road != "all":
+            raise ValueError("a surface subset derives from an all-roads subset")
+        rows = {cid: row for cid, row in self.rows.items()
+                if row.road_class is RoadClass.SURFACE_STREET}
+        roads = Counter(row.road_class for row in self.rows.values())
+        exclusions = _unit_exclusions(rows.values()) + Counter({
+            "crash_road_excluded": roads[RoadClass.EXCLUDED_HIGHWAY],
+            "crash_road_unknown": roads[RoadClass.UNKNOWN],
+        })
+        return replace(self, rows=rows, road="surface", exclusions=exclusions)
+
+
+def _unit_exclusions(rows) -> Counter:
+    """Excluded units summed over crash rows; zero counts are left out."""
+    return +Counter({
+        "unit_non_vehicle": sum(row.non_vehicle for row in rows),
+        "unit_not_in_transport": sum(row.not_in_transport for row in rows),
+        "unit_other_vehicle": sum(row.other for row in rows),
+    })
 
 
 def select_subset(
@@ -161,42 +186,31 @@ def select_subset(
     weighted: bool = False,
     caveats: tuple[str, ...] = (),
 ) -> Subset:
-    """Filter records to the comparable subset.
+    """Classify every crash once and filter units to the comparable subset.
 
-    Road filtering keeps surface-street crashes (``road="surface"``) or
-    everything (``road="all"``); unknown road classes are excluded from
-    surface subsets and counted.  Vehicle filtering keeps in-transport
-    passenger and NFS units; classified non-passenger units are tallied
-    per crash for the imputation weight but are not part of the retained
-    vehicle record set.  Crashes with no retained units stay in the
-    crash-level set with empty unit tallies.
+    The walk keeps every crash, so it yields the all-roads subset
+    (``road="all"``); ``road="surface"`` derives the surface-street
+    subset from it (``Subset.surface``).  Vehicle filtering keeps
+    in-transport passenger and NFS units; classified non-passenger units
+    are tallied per crash for the imputation weight but are not retained.
+    Crashes with no retained units keep a row with empty unit tallies.
     """
     if road not in ("surface", "all"):
         raise ValueError(f"road must be 'surface' or 'all', got {road!r}")
-    exclusions: Counter = Counter()
     by_crash: dict[str, list[VehicleInvolvement]] = {}
     for v in vehicles:
         by_crash.setdefault(v.crash_id, []).append(v)
 
-    kept_crashes: list[CrashEvent] = []
-    kept_vehicles: list[VehicleInvolvement] = []
     rows: dict[str, CrashRow] = {}
     for crash in crashes:
-        if road == "surface":
-            if crash.road_class is RoadClass.EXCLUDED_HIGHWAY:
-                exclusions["crash_road_excluded"] += 1
-                continue
-            if crash.road_class is RoadClass.UNKNOWN:
-                exclusions["crash_road_unknown"] += 1
-                continue
-        passenger = nfs = other = 0
+        passenger = nfs = other = non_vehicle = not_in_transport = 0
         towed = airbag = False
         for v in by_crash.get(crash.crash_id, ()):
             if v.body_class is BodyClass.NON_VEHICLE:
-                exclusions["unit_non_vehicle"] += 1
+                non_vehicle += 1
                 continue
             if in_transport_only and not v.in_transport:
-                exclusions["unit_not_in_transport"] += 1
+                not_in_transport += 1
                 continue
             if v.body_class is BodyClass.PASSENGER:
                 passenger += 1
@@ -204,28 +218,25 @@ def select_subset(
                 nfs += 1
             else:
                 other += 1
-                exclusions["unit_other_vehicle"] += 1
                 continue
-            kept_vehicles.append(v)
             towed = towed or v.towed
             airbag = airbag or v.airbag_deployed
-        kept_crashes.append(crash)
         rows[crash.crash_id] = CrashRow(
             crash.sample_weight, passenger, nfs, other,
             _severity_bits(crash, towed, airbag, unit_tow_flags, unit_airbag_flags),
+            crash.road_class, non_vehicle, not_in_transport,
         )
-    return Subset(
-        crashes=kept_crashes,
-        vehicles=kept_vehicles,
+    subset = Subset(
         rows=rows,
-        road=road,
+        road="all",
         in_transport_only=in_transport_only,
         tow_from_units=unit_tow_flags,
         airbag_from_units=unit_airbag_flags,
         weighted=weighted,
-        exclusions=exclusions,
+        exclusions=_unit_exclusions(rows.values()),
         caveats=caveats,
     )
+    return subset.surface() if road == "surface" else subset
 
 
 def compute_imputation_weight(subset: Subset, region: Region) -> ImputationWeight:
@@ -258,8 +269,8 @@ def audit_subset(subset: Subset, imputation: ImputationWeight | None) -> dict:
     return {
         "road": subset.road,
         "in_transport_only": subset.in_transport_only,
-        "crashes_retained": len(subset.crashes),
-        "vehicles_retained": len(subset.vehicles),
+        "crashes_retained": len(subset.rows),
+        "vehicles_retained": sum(row.passenger + row.nfs for row in subset.rows.values()),
         "weighted": subset.weighted,
         "exclusions": dict(sorted(subset.exclusions.items())),
         "tow_basis": "subset_units" if subset.tow_from_units else "crash_flag",

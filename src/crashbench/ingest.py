@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -41,9 +41,6 @@ from .model import (
     VehicleInvolvement,
 )
 from .schema import KabcoMap, Rule, SchemaSpec, _normalize_code, load_schema
-
-_UNIT_KEY = attrgetter("crash_id", "unit_id")
-_PERSON_KEY = attrgetter("crash_id", "unit_id", "person_id")
 
 
 @dataclass
@@ -450,9 +447,6 @@ def load_crash_source(
             airbag_deployed=crash_id in crash_airbag,
         ))
 
-    crashes.sort(key=attrgetter("crash_id"))
-    vehicles.sort(key=_UNIT_KEY)
-    persons.sort(key=_PERSON_KEY)
     airbag_units = vehicle_schema.airbag is not None or (
         spec.person is not None and spec.person.airbag is not None
         and spec.person.unit_column is not None
@@ -485,7 +479,7 @@ def _classify_body(spec: SchemaSpec, row: dict, diagnostics: Counter) -> BodyCla
 
 @dataclass
 class CombinedRecords:
-    """Crash/vehicle/person records merged across a dataset's sources."""
+    """Crash/vehicle/person records merged across a dataset's sources, in input order."""
 
     crashes: list[CrashEvent]
     vehicles: list[VehicleInvolvement]
@@ -544,9 +538,6 @@ def combine_sources(loads: list[tuple[str, LoadResult]]) -> CombinedRecords:
         else:
             vehicles.extend(load.vehicles)
             persons.extend(load.persons)
-    crashes.sort(key=attrgetter("source", "crash_id"))
-    vehicles.sort(key=_UNIT_KEY)
-    persons.sort(key=_PERSON_KEY)
     return CombinedRecords(
         crashes=crashes, vehicles=vehicles, persons=persons,
         diagnostics=diagnostics, unit_tow_flags=unit_tow,

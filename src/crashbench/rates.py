@@ -131,19 +131,9 @@ def resolve_imputation(subset: Subset, region: Region) -> ImputationWeight | Non
     return compute_imputation_weight(subset, region)
 
 
-def count_crashed_vehicles(subset: Subset, severity: SeverityLevel,
-                           w: float | None = None) -> float:
+def count_crashed_vehicles(subset: Subset, severity: SeverityLevel, w: float) -> float:
     """Weighted qualifying vehicle involvements in crashes at a severity."""
-    if w is None:
-        imputation = resolve_imputation(subset, _subset_region(subset))
-        w = 1.0 if imputation is None else imputation.w
     return tally_vehicle_counts(subset, w).get(severity)
-
-
-def _subset_region(subset: Subset) -> Region:
-    if subset.crashes:
-        return subset.crashes[0].region
-    return Region.national()
 
 
 def _weighted_totals(subset: Subset) -> tuple[float, float]:
@@ -427,15 +417,13 @@ def build_benchmark(dataset, rows: tuple[tuple[SeverityLevel, str], ...] = DEFAU
     region, year = manifest.region, manifest.year
     road_rule = manifest.road_rule
 
-    common = dict(
-        in_transport_only=True,
+    all_subset = select_subset(
+        records.crashes, records.vehicles, road="all",
         unit_tow_flags=records.unit_tow_flags,
         unit_airbag_flags=records.unit_airbag_flags,
-        weighted=records.weighted,
-        caveats=records.caveats,
+        weighted=records.weighted, caveats=records.caveats,
     )
-    all_subset = select_subset(records.crashes, records.vehicles, road="all", **common)
-    surface = select_subset(records.crashes, records.vehicles, road="surface", **common)
+    surface = all_subset.surface()
 
     surface_imp = resolve_imputation(surface, region)
     w = 1.0 if surface_imp is None else surface_imp.w
@@ -488,7 +476,7 @@ def build_benchmark(dataset, rows: tuple[tuple[SeverityLevel, str], ...] = DEFAU
         crash_counts=crash_counts,
         imputation_w=w if surface_imp is not None else None,
         vehicles_per_crash=(
-            crash_vs_vehicle_ratio(all_subset) if all_subset.crashes else None
+            crash_vs_vehicle_ratio(all_subset) if all_subset.rows else None
         ),
         rows=report_rows,
         pdo_share_vehicle=(
@@ -600,7 +588,8 @@ def load_aggregates(source: str) -> list[AggregateInputs]:
 
     ``source`` is a path, or a bare year like "2022" naming a table
     shipped with the package.  Empty severity cells mean the source did
-    not publish that level.
+    not publish that level; a non-finite number, an unreadable year or a
+    ``weighted`` other than 0 or 1 is an error naming the row and column.
     """
     import csv
     import re
@@ -632,9 +621,12 @@ def load_aggregates(source: str) -> list[AggregateInputs]:
         if not raw:
             return math.nan
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ValidationError(f"{context}: unreadable {key} {raw!r}")
+        if not math.isfinite(value):
+            raise ValidationError(f"{context}: non-finite {key} {raw!r}")
+        return value
 
     out = []
     for i, row in enumerate(reader, start=2):
@@ -642,6 +634,12 @@ def load_aggregates(source: str) -> list[AggregateInputs]:
         name = (row.get("region") or "").strip()
         state = (row.get("region_state") or "").strip()
         region = Region.national() if name == "national" else Region.county(name, state)
+        year = (row.get("year") or "").strip()
+        if not re.fullmatch(r"[0-9]{4}", year):
+            raise ValidationError(f"{context}: unreadable year {year!r}")
+        weighted = (row.get("weighted") or "").strip()
+        if weighted not in ("0", "1"):
+            raise ValidationError(f"{context}: weighted must be 0 or 1, got {weighted!r}")
         counts = SeverityCounts(
             police_reported=cell(row, "police_reported", context),
             any_injury_reported=cell(row, "any_injury_reported", context),
@@ -653,8 +651,8 @@ def load_aggregates(source: str) -> list[AggregateInputs]:
         )
         out.append(AggregateInputs(
             region=region,
-            year=int(row["year"]),
-            weighted=row["weighted"].strip() == "1",
+            year=int(year),
+            weighted=weighted == "1",
             mileage_all_roads_mmi=cell(row, "mileage_all_roads_mmi", context),
             crashes_all_roads=cell(row, "crashes_all_roads", context),
             vehicles_all_roads=cell(row, "vehicles_all_roads", context),

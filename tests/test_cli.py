@@ -92,6 +92,26 @@ class TestExitCodes:
         assert code == 2
         assert "unknown road rule" in err and "vibes.json" in err
 
+    @pytest.mark.parametrize("column, value", [
+        ("fatal", "nan"),
+        ("police_reported", "inf"),
+        ("year", "20x2"),
+        ("weighted", "yes"),
+    ])
+    def test_bad_aggregate_cell_names_the_row_and_column(self, capsys, tmp_path,
+                                                         column, value):
+        text = (Path(crashbench.__file__).parent / "data" / "aggregates_2022.csv").read_text()
+        header, *rows = list(csv.reader(text.splitlines()))
+        maricopa = next(r for r in rows if r[0] == "Maricopa")
+        maricopa[header.index(column)] = value
+        path = tmp_path / "aggregates.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        code, _, err = run(capsys, "benchmark", "--aggregates", str(path),
+                           "--out", str(tmp_path / "out"), "--quiet")
+        assert code == 2, err
+        assert f"row {rows.index(maricopa) + 2}" in err and column in err
+
     @pytest.mark.parametrize("file_key, old, new, column", [
         ("crash_file", "C002,2022,80.25,1,0", "C002,20x2,80.25,1,0", "YEAR"),
         ("crash_file", "C002,2022,80.25,1,0", "C002,2022,lots,1,0", "WEIGHT"),

@@ -1,5 +1,8 @@
 """Subset selection and severity flag derivation."""
 
+import pathlib
+from collections import Counter
+
 import pytest
 
 from crashbench.errors import UndefinedStatistic
@@ -11,7 +14,8 @@ from crashbench.filters import (
     effective_passenger_count,
     select_subset,
 )
-from crashbench.ingest import combine_sources, load_crash_source
+from crashbench.ingest import combine_sources, load_crash_source, load_dataset
+from crashbench.interchange import load_manifest
 from crashbench.model import (
     BodyClass,
     CrashEvent,
@@ -24,6 +28,11 @@ from crashbench.model import (
 from crashbench.schema import load_schema
 
 NATIONAL = Region.national()
+MANIFESTS = sorted((pathlib.Path(__file__).parent / "fixtures" / "manifests").glob("*.json"))
+DATASETS = [
+    pytest.param(path, i, id=f"{path.stem}-{dataset.region.name}")
+    for path in MANIFESTS for i, dataset in enumerate(load_manifest(path))
+]
 
 
 def crash(cid="X1", kabco=Kabco.O, road=RoadClass.SURFACE_STREET,
@@ -113,7 +122,7 @@ class TestSelectSubset:
         assert sorted(subset.rows) == [
             "C001", "C002", "C004", "C006", "C007", "C010",
             "F001", "F003", "F006"]
-        assert len(subset.vehicles) == 10
+        assert audit_subset(subset, None)["vehicles_retained"] == 10
         assert dict(subset.exclusions) == {
             "crash_road_excluded": 2,    # C003, F002
             "crash_road_unknown": 2,     # C008, F004
@@ -124,7 +133,7 @@ class TestSelectSubset:
     def test_all_roads_subset_keeps_everything(self, national):
         subset = select_subset(national.crashes, national.vehicles, road="all",
                                weighted=national.weighted)
-        assert len(subset.crashes) == 13
+        assert len(subset.rows) == 13
         assert "crash_road_excluded" not in subset.exclusions
         assert "crash_road_unknown" not in subset.exclusions
 
@@ -139,7 +148,6 @@ class TestSelectSubset:
     def test_zero_unit_crash_stays(self, national):
         subset = select_subset(national.crashes, national.vehicles)
         row = subset.rows["C010"]
-        assert [v for v in subset.vehicles if v.crash_id == "C010"] == []
         assert (row.passenger, row.nfs, row.other) == (0, 0, 0)
         assert row.flags.tow_away is False
 
@@ -165,12 +173,51 @@ class TestSelectSubset:
         crashes = [crash()]
         units = [unit(body=BodyClass.OTHER_VEHICLE), unit(uid="2")]
         subset = select_subset(crashes, units)
-        assert len(subset.vehicles) == 1
+        assert subset.rows["X1"].passenger == 1
         assert subset.rows["X1"].other == 1
 
     def test_bad_road_scope_rejected(self, national):
         with pytest.raises(ValueError, match="road"):
             select_subset(national.crashes, national.vehicles, road="rural")
+        with pytest.raises(ValueError, match="all-roads"):
+            select_subset(national.crashes, national.vehicles).surface()
+
+
+class TestSurfaceFromAllRoads:
+    @pytest.mark.parametrize("manifest, index", DATASETS)
+    def test_rows_shared_and_exclusions_conserved(self, manifest, index):
+        records = load_dataset(load_manifest(manifest)[index]).records
+        all_subset = select_subset(
+            records.crashes, records.vehicles, road="all",
+            unit_tow_flags=records.unit_tow_flags,
+            unit_airbag_flags=records.unit_airbag_flags, weighted=records.weighted)
+        surface = all_subset.surface()
+        assert surface.road == "surface" and surface.rows
+        for cid, row in surface.rows.items():
+            assert row is all_subset.rows[cid]
+
+        expected = Counter()
+        surface_ids = set()
+        for c in records.crashes:
+            if c.road_class is RoadClass.EXCLUDED_HIGHWAY:
+                expected["crash_road_excluded"] += 1
+            elif c.road_class is RoadClass.UNKNOWN:
+                expected["crash_road_unknown"] += 1
+            else:
+                surface_ids.add(c.crash_id)
+        for v in records.vehicles:
+            if v.crash_id not in surface_ids:
+                continue
+            if v.body_class is BodyClass.NON_VEHICLE:
+                expected["unit_non_vehicle"] += 1
+            elif not v.in_transport:
+                expected["unit_not_in_transport"] += 1
+            elif v.body_class is BodyClass.OTHER_VEHICLE:
+                expected["unit_other_vehicle"] += 1
+        assert dict(surface.exclusions) == dict(expected)
+        assert sorted(surface.rows) == sorted(surface_ids)
+        assert (len(surface.rows) + surface.exclusions["crash_road_excluded"]
+                + surface.exclusions["crash_road_unknown"]) == len(records.crashes)
 
 
 class TestImputation:

@@ -7,10 +7,13 @@ this module, not the goldens, is the ground truth for their content.
 
 import csv
 import dataclasses
+import json
+import random
 from importlib import resources
 
 import pytest
 
+from crashbench.cli import main
 from crashbench.errors import ReferentialError, SchemaError, ValidationError
 from crashbench.ingest import (
     combine_sources,
@@ -703,3 +706,32 @@ class TestMemoizedRules:
                 flipped = _load_files(str(swapped), crss_paths, NATIONAL, None)
                 assert [c.road_class for c in flipped.crashes] == [
                     flip[c.road_class] for c in fresh["crss"].crashes]
+
+
+class TestInputOrder:
+    def test_shuffled_raw_rows_write_the_golden_bytes(self, fixtures, tmp_path, capsys):
+        """Records keep input order until the canonical writers sort them."""
+        rng = random.Random(6)
+
+        def shuffle(header, rows):
+            rng.shuffle(rows)
+            return header, rows
+
+        manifest = json.loads(
+            (fixtures / "manifests" / "national_2022.json").read_text())
+        for entry in manifest["crash_sources"]:
+            for key in ("crash_file", "vehicle_file", "person_file"):
+                name = entry[key].rsplit("/", 1)[-1]
+                _rewrite(fixtures / "raw" / name, tmp_path / name, shuffle)
+                entry[key] = str(tmp_path / name)
+        for entry in manifest["mileage"] + manifest["shares"]:
+            entry["file"] = str(fixtures / "manifests" / entry["file"])
+        path = tmp_path / "shuffled.json"
+        path.write_text(json.dumps(manifest))
+
+        out = tmp_path / "out"
+        code = main(["ingest", "--manifest", str(path), "--out", str(out), "--quiet"])
+        assert code == 0, capsys.readouterr().err
+        for name in ("crashes.csv", "vehicles.csv", "persons.csv", "mileage.csv"):
+            golden = fixtures / "golden" / "national_2022" / name
+            assert (out / name).read_bytes() == golden.read_bytes(), name

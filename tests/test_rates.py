@@ -194,11 +194,11 @@ class TestTallies:
         assert got.suspected_serious_injury_plus == pytest.approx(203.0, **APPROX)
         assert got.fatal == pytest.approx(3.0, **APPROX)
 
-    def test_tow_flag_needs_a_retained_towed_unit(self, surface):
+    def test_tow_flag_needs_a_retained_towed_unit(self, national, surface):
         # C002's towed unit is a classified non-passenger vehicle, so the
         # crash does not count as tow-away at the vehicle level even
         # though the crash-level fold says towed.
-        c002, = (c for c in surface.crashes if c.crash_id == "C002")
+        c002, = (c for c in national.crashes if c.crash_id == "C002")
         assert c002.tow_away is True
         assert surface.rows["C002"].flags.tow_away is False
 
