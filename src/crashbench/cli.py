@@ -563,24 +563,17 @@ def _power_rates(args, cfg) -> tuple[list[tuple[str, float]], list[Path]]:
     return rates, inputs
 
 
-def cmd_power(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(args, cfg)
-    verbosity = _verbosity(args, cfg)
-    formats = _formats(args, cfg)
+def _emit_power(args, cfg, rates, inputs, effective, out, formats, verbosity) -> None:
+    """The power table over ``rates`` at the power settings, as power.csv/json."""
     relative_text = _opt(args.relative_rates, cfg, "power", "relative_rates")
     relative = (
         _parse_floats(relative_text) if relative_text else _DEFAULT_RELATIVE_RATES
     )
     alpha = float(_opt(args.alpha, cfg, "power", "alpha", 0.05))
     target = float(_opt(args.target_power, cfg, "power", "target_power", 0.80))
-    rates, inputs = _power_rates(args, cfg)
-    if args.config:
-        inputs.append(Path(args.config))
     table = power_table(rates, list(relative), alpha=alpha, target_power=target)
     effective = {
-        "command": "power",
-        "rates": [[label, value] for label, value in rates],
+        **effective,
         "relative_rates": list(relative),
         "alpha": alpha,
         "target_power": target,
@@ -590,6 +583,21 @@ def cmd_power(args) -> int:
         _write_power_csv(out / "power.csv", table, provenance, verbosity)
     if "json" in formats:
         _write_json(out / "power.json", _power_payload(table, provenance), verbosity)
+
+
+def cmd_power(args) -> int:
+    cfg = _load_config(args.config)
+    out = _out_dir(args, cfg)
+    verbosity = _verbosity(args, cfg)
+    formats = _formats(args, cfg)
+    rates, inputs = _power_rates(args, cfg)
+    if args.config:
+        inputs.append(Path(args.config))
+    effective = {
+        "command": "power",
+        "rates": [[label, value] for label, value in rates],
+    }
+    _emit_power(args, cfg, rates, inputs, effective, out, formats, verbosity)
     return 0
 
 
@@ -657,24 +665,10 @@ def cmd_report(args) -> int:
                 break
     if not rates:
         raise ValidationError("no benchmark rows available for the power table")
-    relative_text = _opt(args.relative_rates, cfg, "power", "relative_rates")
-    relative = (
-        _parse_floats(relative_text) if relative_text else _DEFAULT_RELATIVE_RATES
-    )
-    alpha = float(_opt(args.alpha, cfg, "power", "alpha", 0.05))
-    target = float(_opt(args.target_power, cfg, "power", "target_power", 0.80))
-    table = power_table(rates, list(relative), alpha=alpha, target_power=target)
-    power_effective = dict(effective)
-    power_effective.update({
-        "relative_rates": list(relative),
-        "alpha": alpha,
-        "target_power": target,
-    })
-    provenance = _provenance(power_effective, inputs)
-    if "csv" in formats:
-        _write_power_csv(out / "power.csv", table, provenance, verbosity)
-    if "json" in formats:
-        _write_json(out / "power.json", _power_payload(table, provenance), verbosity)
+    try:
+        _emit_power(args, cfg, rates, inputs, effective, out, formats, verbosity)
+    except ValidationError as exc:
+        raise ValidationError(f"benchmark for {chosen.region.name}: {exc}") from None
     return 0
 
 

@@ -3,8 +3,16 @@
 One CSV file per table (crashes, vehicles, persons, mileage), UTF-8,
 minimal RFC-4180 quoting, LF line endings.  Booleans are written as 1/0
 and floats with repr so that a write/read/write cycle is byte-identical.
-Rows are sorted on their natural keys before writing, so regenerating a
-file from the same records always produces the same bytes.
+
+Each table is declared once: header, natural sort key, one encoder from a
+record to a row, and one decoder per record field.  The writer sorts rows
+on the key, so the same records always give the same bytes.  The reader
+streams rows and builds each record through its constructor, so the
+record types' own checks run; cells other than ids and floats come from
+small domains and are parsed once per distinct text per file.  A cell
+that does not parse raises ValidationError naming ``path:line``, the
+column and the bad value; a record its constructor rejects names
+``path:line`` and the reason.
 """
 
 from __future__ import annotations
@@ -12,9 +20,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import cache
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import ValidationError
 from .model import (
@@ -44,160 +53,145 @@ MILEAGE_HEADER = (
 )
 
 
-def _fmt_bool(value: bool) -> str:
-    return "1" if value else "0"
+class _Table(NamedTuple):
+    header: tuple[str, ...]
+    key: Callable          # natural sort key of a record
+    encode: Callable       # record -> row
+    make: Callable         # record constructor
+    fields: dict           # "column[,column]" -> parse, in constructor order
 
 
-def _parse_bool(cell: str, context: str) -> bool:
-    if cell == "1":
-        return True
-    if cell == "0":
-        return False
-    raise ValidationError(f"{context}: boolean cell must be 1 or 0, got {cell!r}")
+_UNMEMOIZED = (str, float)      # ids and measures; every other parse is memoized
+_BOOL = {"1": True, "0": False}.__getitem__
 
 
-def _region_columns(region: Region) -> tuple[str, str]:
-    return region.name, region.state
-
-
-def _parse_region(name: str, state: str) -> Region:
+def _parse_region(cells: tuple[str, str]) -> Region:
+    name, state = cells
     if name == "national" and not state:
         return Region.national()
     return Region.county(name, state)
 
 
-def _open_writer(path: Path):
-    handle = open(path, "w", encoding="utf-8", newline="")
-    return handle, csv.writer(handle, lineterminator="\n")
+_CRASHES = _Table(
+    CRASH_HEADER, attrgetter("source", "crash_id"),
+    lambda c: (
+        c.crash_id, c.source, c.region.name, c.region.state, c.year, c.road_class.value,
+        repr(c.sample_weight), c.max_kabco.value, int(c.tow_away), int(c.airbag_deployed),
+    ),
+    CrashEvent,
+    {"crash_id": str, "source": str, "region,region_state": _parse_region, "year": int,
+     "road_class": RoadClass, "sample_weight": float, "max_kabco": Kabco,
+     "tow_away": _BOOL, "airbag_deployed": _BOOL},
+)
+_VEHICLES = _Table(
+    VEHICLE_HEADER, attrgetter("crash_id", "unit_id"),
+    lambda v: (
+        v.crash_id, v.unit_id, v.body_class.value, int(v.in_transport), int(v.towed),
+        int(v.airbag_deployed),
+    ),
+    VehicleInvolvement,
+    {"crash_id": str, "unit_id": str, "body_class": BodyClass, "in_transport": _BOOL,
+     "towed": _BOOL, "airbag_deployed": _BOOL},
+)
+_PERSONS = _Table(
+    PERSON_HEADER, attrgetter("crash_id", "unit_id", "person_id"),
+    lambda p: (p.crash_id, p.unit_id, p.person_id, p.kabco.value, int(p.airbag_deployed)),
+    PersonOutcome,
+    {"crash_id": str, "unit_id": str, "person_id": str, "kabco": Kabco,
+     "airbag_deployed": _BOOL},
+)
+_MILEAGE = _Table(
+    MILEAGE_HEADER,
+    attrgetter("region.name", "year", "functional_class.value", "area_type.value"),
+    lambda m: (
+        m.region.name, m.region.state, m.year, m.functional_class.value,
+        m.area_type.value, repr(m.vmt_millions),
+    ),
+    MileageCell,
+    {"region,region_state": _parse_region, "year": int,
+     "functional_class": FunctionalClass, "area_type": AreaType, "vmt_millions": float},
+)
 
 
-def _read_rows(path: Path, header: Sequence[str]) -> list[dict]:
+def _write_table(path: str | Path, table: _Table, records: Iterable) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(table.header)
+        writer.writerows(map(table.encode, sorted(records, key=table.key)))
+
+
+def _read_table(path: str | Path, table: _Table) -> list:
+    header = table.header
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            found = next(reader)
-        except StopIteration:
+        found = next(reader, None)
+        if found is None:
             raise ValidationError(f"{path}: empty file, expected header {','.join(header)}")
-        if tuple(found) != tuple(header):
+        if tuple(found) != header:
             raise ValidationError(
                 f"{path}: header {found!r} does not match canonical header {list(header)!r}"
             )
-        rows = []
-        for i, raw in enumerate(reader, start=2):
-            if len(raw) != len(header):
-                raise ValidationError(f"{path}:{i}: expected {len(header)} cells, got {len(raw)}")
-            rows.append(dict(zip(header, raw)))
-    return rows
+        # Per field: (row -> its cell or cells, cell text -> value).
+        plan = [
+            (itemgetter(*map(header.index, columns.split(","))),
+             parse if parse in _UNMEMOIZED else cache(parse))
+            for columns, parse in table.fields.items()
+        ]
+        width, make = len(header), table.make
+        records = []
+        for line, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise ValidationError(f"{path}:{line}: expected {width} cells, got {len(row)}")
+            try:
+                values = [decode(cells(row)) for cells, decode in plan]
+            except (KeyError, ValueError):
+                raise _cell_error(f"{path}:{line}", table, plan, row) from None
+            try:
+                records.append(make(*values))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{line}: {exc}") from None
+    return records
+
+
+def _cell_error(where: str, table: _Table, plan: list, row: list) -> ValidationError:
+    """The error naming the first cell of ``row`` that does not decode."""
+    for columns, (cells, decode) in zip(table.fields, plan):
+        try:
+            decode(cells(row))
+        except (KeyError, ValueError):
+            return ValidationError(f"{where}: unreadable {columns} {cells(row)!r}")
 
 
 def write_crashes(path: str | Path, crashes: Iterable[CrashEvent]) -> None:
-    handle, writer = _open_writer(Path(path))
-    with handle:
-        writer.writerow(CRASH_HEADER)
-        for c in sorted(crashes, key=attrgetter("source", "crash_id")):
-            name, state = _region_columns(c.region)
-            writer.writerow([
-                c.crash_id, c.source, name, state, c.year, c.road_class.value,
-                repr(c.sample_weight), c.max_kabco.value,
-                _fmt_bool(c.tow_away), _fmt_bool(c.airbag_deployed),
-            ])
+    _write_table(path, _CRASHES, crashes)
 
 
 def read_crashes(path: str | Path) -> list[CrashEvent]:
-    out = []
-    for row in _read_rows(Path(path), CRASH_HEADER):
-        ctx = f"crash {row['crash_id']}"
-        out.append(CrashEvent(
-            crash_id=row["crash_id"],
-            source=row["source"],
-            region=_parse_region(row["region"], row["region_state"]),
-            year=int(row["year"]),
-            road_class=RoadClass(row["road_class"]),
-            sample_weight=float(row["sample_weight"]),
-            max_kabco=Kabco(row["max_kabco"]),
-            tow_away=_parse_bool(row["tow_away"], ctx),
-            airbag_deployed=_parse_bool(row["airbag_deployed"], ctx),
-        ))
-    return out
+    return _read_table(path, _CRASHES)
 
 
 def write_vehicles(path: str | Path, vehicles: Iterable[VehicleInvolvement]) -> None:
-    handle, writer = _open_writer(Path(path))
-    with handle:
-        writer.writerow(VEHICLE_HEADER)
-        for v in sorted(vehicles, key=attrgetter("crash_id", "unit_id")):
-            writer.writerow([
-                v.crash_id, v.unit_id, v.body_class.value,
-                _fmt_bool(v.in_transport), _fmt_bool(v.towed),
-                _fmt_bool(v.airbag_deployed),
-            ])
+    _write_table(path, _VEHICLES, vehicles)
 
 
 def read_vehicles(path: str | Path) -> list[VehicleInvolvement]:
-    out = []
-    for row in _read_rows(Path(path), VEHICLE_HEADER):
-        ctx = f"vehicle {row['crash_id']}/{row['unit_id']}"
-        out.append(VehicleInvolvement(
-            crash_id=row["crash_id"],
-            unit_id=row["unit_id"],
-            body_class=BodyClass(row["body_class"]),
-            in_transport=_parse_bool(row["in_transport"], ctx),
-            towed=_parse_bool(row["towed"], ctx),
-            airbag_deployed=_parse_bool(row["airbag_deployed"], ctx),
-        ))
-    return out
+    return _read_table(path, _VEHICLES)
 
 
 def write_persons(path: str | Path, persons: Iterable[PersonOutcome]) -> None:
-    handle, writer = _open_writer(Path(path))
-    with handle:
-        writer.writerow(PERSON_HEADER)
-        for p in sorted(persons, key=attrgetter("crash_id", "unit_id", "person_id")):
-            writer.writerow([
-                p.crash_id, p.unit_id, p.person_id, p.kabco.value,
-                _fmt_bool(p.airbag_deployed),
-            ])
+    _write_table(path, _PERSONS, persons)
 
 
 def read_persons(path: str | Path) -> list[PersonOutcome]:
-    out = []
-    for row in _read_rows(Path(path), PERSON_HEADER):
-        ctx = f"person {row['crash_id']}/{row['person_id']}"
-        out.append(PersonOutcome(
-            crash_id=row["crash_id"],
-            unit_id=row["unit_id"],
-            person_id=row["person_id"],
-            kabco=Kabco(row["kabco"]),
-            airbag_deployed=_parse_bool(row["airbag_deployed"], ctx),
-        ))
-    return out
+    return _read_table(path, _PERSONS)
 
 
 def write_mileage(path: str | Path, cells: Iterable[MileageCell]) -> None:
-    handle, writer = _open_writer(Path(path))
-    with handle:
-        writer.writerow(MILEAGE_HEADER)
-        ordered = sorted(cells, key=attrgetter(
-            "region.name", "year", "functional_class.value", "area_type.value"))
-        for m in ordered:
-            name, state = _region_columns(m.region)
-            writer.writerow([
-                name, state, m.year, m.functional_class.value, m.area_type.value,
-                repr(m.vmt_millions),
-            ])
+    _write_table(path, _MILEAGE, cells)
 
 
 def read_mileage(path: str | Path) -> list[MileageCell]:
-    out = []
-    for row in _read_rows(Path(path), MILEAGE_HEADER):
-        out.append(MileageCell(
-            region=_parse_region(row["region"], row["region_state"]),
-            year=int(row["year"]),
-            functional_class=FunctionalClass(row["functional_class"]),
-            area_type=AreaType(row["area_type"]),
-            vmt_millions=float(row["vmt_millions"]),
-        ))
-    return out
+    return _read_table(path, _MILEAGE)
 
 
 # ---------------------------------------------------------------------------

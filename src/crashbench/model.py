@@ -7,8 +7,8 @@ and airbag-deployment are real severity thresholds but sit outside the
 chain; they are neither subsets nor supersets of the injury levels.
 
 All record types are immutable value objects.  Counting code never
-mutates them, which keeps per-file parsing and per-region aggregation
-safe to run concurrently.
+mutates them, so one record can be shared by every subset and tally
+that reads it, and readers can hand out one ``Region`` per file.
 """
 
 from __future__ import annotations

@@ -173,7 +173,8 @@ def power_table(
     """required_vmt over a grid of benchmark rates and relative rates.
 
     A relative rate of exactly 1 produces an annotated empty cell rather
-    than an error: no exposure distinguishes identical rates.
+    than an error: no exposure distinguishes identical rates.  A row whose
+    rate or settings are rejected raises ValidationError naming its label.
     """
     if not rates or not relative_rates:
         raise ValidationError("power table needs at least one rate and one column")
@@ -184,8 +185,11 @@ def power_table(
             if r == 1.0:
                 cells.append(PowerCell(r, None, note="diverges"))
                 continue
-            q = PowerQuery(lam, r, alpha=alpha, target_power=target_power)
-            cells.append(PowerCell(r, required_vmt(q)))
+            try:
+                q = PowerQuery(lam, r, alpha=alpha, target_power=target_power)
+                cells.append(PowerCell(r, required_vmt(q)))
+            except ValidationError as exc:
+                raise ValidationError(f"power row {label}: {exc}") from None
         rows.append((label, lam, tuple(cells)))
     return PowerTable(
         alpha=alpha,

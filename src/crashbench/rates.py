@@ -588,8 +588,9 @@ def load_aggregates(source: str) -> list[AggregateInputs]:
 
     ``source`` is a path, or a bare year like "2022" naming a table
     shipped with the package.  Empty severity cells mean the source did
-    not publish that level; a non-finite number, an unreadable year or a
-    ``weighted`` other than 0 or 1 is an error naming the row and column.
+    not publish that level; a negative or non-finite number, an unreadable
+    year or a ``weighted`` other than 0 or 1 is an error naming the row and
+    column.
     """
     import csv
     import re
@@ -626,6 +627,8 @@ def load_aggregates(source: str) -> list[AggregateInputs]:
             raise ValidationError(f"{context}: unreadable {key} {raw!r}")
         if not math.isfinite(value):
             raise ValidationError(f"{context}: non-finite {key} {raw!r}")
+        if value < 0.0:
+            raise ValidationError(f"{context}: negative {key} {raw!r}")
         return value
 
     out = []

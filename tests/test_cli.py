@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import crashbench
+from crashbench import interchange
 from crashbench.cli import main
 from crashbench.interchange import (
     CRASH_HEADER,
@@ -97,6 +99,7 @@ class TestExitCodes:
         ("police_reported", "inf"),
         ("year", "20x2"),
         ("weighted", "yes"),
+        ("fatal", "-5"),
     ])
     def test_bad_aggregate_cell_names_the_row_and_column(self, capsys, tmp_path,
                                                          column, value):
@@ -141,6 +144,34 @@ class TestExitCodes:
         assert code == 2
         assert str(broken) in err and column in err
 
+    @pytest.mark.parametrize("table, column, value", [
+        ("crashes", "road_class", "surfce"),
+        ("crashes", "max_kabco", "Q"),
+        ("crashes", "sample_weight", "abc"),
+        ("crashes", "year", "20x2"),
+        ("crashes", "tow_away", "2"),
+        ("vehicles", "body_class", "car"),
+        ("mileage", "vmt_millions", "lots"),
+    ])
+    def test_malformed_canonical_cell_names_the_file_line_and_column(
+            self, capsys, tmp_path, fixtures, table, column, value):
+        for folder, pattern in (("manifests", "town_2022.json"),
+                                ("canonical", "town_*.csv")):
+            (tmp_path / folder).mkdir()
+            for source in (fixtures / folder).glob(pattern):
+                shutil.copy(source, tmp_path / folder)
+        path = tmp_path / "canonical" / f"town_{table}.csv"
+        rows = list(csv.reader(path.read_text().splitlines()))
+        rows[-1][rows[0].index(column)] = value
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        code, _, err = run(capsys, "benchmark",
+                           "--manifest", str(tmp_path / "manifests" / "town_2022.json"),
+                           "--out", str(tmp_path / "out"), "--quiet")
+        assert code == 2, err
+        assert f"town_{table}.csv:{len(rows)}:" in err
+        assert column in err and repr(value) in err
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -167,6 +198,15 @@ class TestIngestGoldens:
             produced = (tmp_path / file_name).read_bytes()
             golden = (fixtures / "golden" / name / file_name).read_bytes()
             assert produced == golden, f"{name}/{file_name} drifted"
+
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in (Path(__file__).parent / "fixtures" / "golden").iterdir()))
+    def test_goldens_survive_a_read_write_cycle(self, tmp_path, fixtures, name):
+        for table in ("crashes", "vehicles", "persons", "mileage"):
+            golden = fixtures / "golden" / name / f"{table}.csv"
+            records = getattr(interchange, f"read_{table}")(golden)
+            getattr(interchange, f"write_{table}")(tmp_path / golden.name, records)
+            assert (tmp_path / golden.name).read_bytes() == golden.read_bytes(), table
 
     def test_audit_sits_next_to_the_csvs(self, capsys, tmp_path, fixtures):
         run(capsys, "ingest",
@@ -412,6 +452,17 @@ class TestReportCommand:
         for row in power["rows"]:
             severity, scheme = row["label"].split(":")
             assert row["benchmark_rate_ipmm"] == by_kind[(severity, scheme)]
+
+
+    def test_rejected_power_row_names_the_row_and_region(self, capsys, tmp_path,
+                                                         fixtures):
+        code, _, err = run(
+            capsys, "report",
+            "--manifest", str(fixtures / "manifests" / "town_2022.json"),
+            "--out", str(tmp_path), "--quiet")
+        assert code == 2
+        assert "suspected_serious_injury_plus:unadjusted" in err
+        assert "Springfield" in err
 
 
 class TestConfigFile:
