@@ -465,6 +465,36 @@ class TestReportCommand:
         assert "Springfield" in err
 
 
+REPORT_GOLDENS = Path(__file__).parent / "fixtures" / "reports"
+
+
+def without_provenance(path):
+    """A report file with its provenance block dropped: the config digest
+    covers the absolute input paths, so it differs between checkouts."""
+    if path.suffix == ".json":
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload.pop("provenance")
+        return payload
+    return [line for line in path.read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#")]
+
+
+class TestReportGoldens:
+    @pytest.mark.parametrize("name", sorted(p.name for p in REPORT_GOLDENS.iterdir()))
+    def test_report_matches_goldens(self, capsys, tmp_path, fixtures, name):
+        if name.startswith("aggregates_"):
+            source = ("--aggregates", name.removeprefix("aggregates_"))
+        else:
+            source = ("--manifest", str(fixtures / "manifests" / f"{name}.json"))
+        run(capsys, "report", *source, "--out", str(tmp_path), "--quiet")
+        golden = REPORT_GOLDENS / name
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            p.name for p in golden.iterdir())
+        for expected in golden.iterdir():
+            assert (without_provenance(tmp_path / expected.name)
+                    == without_provenance(expected)), f"{name}/{expected.name} drifted"
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, capsys, tmp_path,
                                                     fixtures):
