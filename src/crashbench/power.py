@@ -99,7 +99,7 @@ class PowerQuery:
             )
 
 
-def required_vmt(query: PowerQuery, *, floor_events: bool = False) -> float:
+def required_vmt(query: PowerQuery) -> float:
     """Million miles needed to separate the fictive rate from the benchmark.
 
     Closed form: with z_a the upper alpha/2 normal quantile and z_p the
@@ -108,10 +108,7 @@ def required_vmt(query: PowerQuery, *, floor_events: bool = False) -> float:
         t = ((z_a + z_p * sqrt(r)) / |1 - r|)**2 / lambda_B.
 
     The numerator-squared term is the benchmark-expected event count, so
-    scaling lambda_B by k scales t by exactly 1/k.  ``floor_events``
-    rounds that expected count down to a whole event before converting
-    back to miles, a coarser display convention; the fractional form is
-    the default because it is what the reference sample sizes follow.
+    scaling lambda_B by k scales t by exactly 1/k.
     """
     r = query.relative_rate
     if r == 1.0:
@@ -119,12 +116,6 @@ def required_vmt(query: PowerQuery, *, floor_events: bool = False) -> float:
     z_a = normal_quantile(1.0 - query.alpha / 2.0)
     z_p = normal_quantile(query.target_power)
     events = ((z_a + z_p * math.sqrt(r)) / abs(1.0 - r)) ** 2
-    if floor_events:
-        events = float(math.floor(events))
-        if events <= 0.0:
-            raise ValidationError(
-                "floor_events leaves zero expected events; use the fractional form"
-            )
     return events / query.benchmark_rate
 
 
@@ -150,7 +141,7 @@ def achieved_power(benchmark_rate: float, relative_rate: float, vmt_millions: fl
 @dataclass(frozen=True)
 class PowerCell:
     relative_rate: float
-    vmt_millions: float | None       # None when the query diverges (r == 1)
+    vmt_millions: float | None       # None when r == 1 or the benchmark rate is 0
     note: str = ""
 
 
@@ -172,9 +163,12 @@ def power_table(
 ) -> PowerTable:
     """required_vmt over a grid of benchmark rates and relative rates.
 
-    A relative rate of exactly 1 produces an annotated empty cell rather
-    than an error: no exposure distinguishes identical rates.  A row whose
-    rate or settings are rejected raises ValidationError naming its label.
+    Two cells have no finite answer and are left empty with a note rather
+    than raising: a relative rate of exactly 1 ("diverges": no exposure
+    distinguishes identical rates) and a benchmark rate of exactly 0 ("zero
+    rate": no events were observed to compare against).  A row whose rate
+    or settings are otherwise rejected raises ValidationError naming its
+    label.
     """
     if not rates or not relative_rates:
         raise ValidationError("power table needs at least one rate and one column")
@@ -184,12 +178,14 @@ def power_table(
         for r in relative_rates:
             if r == 1.0:
                 cells.append(PowerCell(r, None, note="diverges"))
-                continue
-            try:
-                q = PowerQuery(lam, r, alpha=alpha, target_power=target_power)
-                cells.append(PowerCell(r, required_vmt(q)))
-            except ValidationError as exc:
-                raise ValidationError(f"power row {label}: {exc}") from None
+            elif lam == 0.0:
+                cells.append(PowerCell(r, None, note="zero rate"))
+            else:
+                try:
+                    q = PowerQuery(lam, r, alpha=alpha, target_power=target_power)
+                    cells.append(PowerCell(r, required_vmt(q)))
+                except ValidationError as exc:
+                    raise ValidationError(f"power row {label}: {exc}") from None
         rows.append((label, lam, tuple(cells)))
     return PowerTable(
         alpha=alpha,

@@ -6,12 +6,19 @@ that severity, not the number of crashes.  Crash-level tallies are kept
 alongside for the reporting-share diagnostics and the vehicles-per-crash
 ratio.  Every weighted total is an exactly rounded sum (``math.fsum``), so
 no count depends on the order of the input records.
+
+A benchmark table rests on a handful of intermediate totals per region
+and year (``AggregateInputs``): mileage, all-roads crashes and vehicles,
+and surface-street passenger-vehicle counts per severity.  Published
+tables give those totals directly; ``build_benchmark`` reduces microdata
+to the same record, and ``benchmark_from_aggregates`` turns either into
+the report.  A total that was not published is None, never a number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .errors import UndefinedStatistic, ValidationError
 from .filters import (
@@ -31,6 +38,7 @@ from .model import (
     PassengerShareTable,
     Region,
     SCHEMES,
+    SEVERITY_CHAIN,
     SHARE_GROUP_OF_CLASS,
     SeverityLevel,
     ShareGroup,
@@ -39,11 +47,19 @@ from .model import (
 # In SeverityFlags field order, which is also the bit order of a crash's
 # severity mask (bit i set means the crash qualifies at _OBSERVED_LEVELS[i]).
 _OBSERVED_LEVELS = tuple(SeverityLevel(f.name) for f in fields(SeverityFlags))
+# The chain's levels that have observed counts, outermost first.
+_NESTED_LEVELS = SEVERITY_CHAIN[1:]
 
 
 @dataclass(frozen=True)
 class SeverityCounts:
     """Weighted counts at each observed severity level.
+
+    A level the source did not publish is None.  Every other count is a
+    finite nonnegative number.  Published levels on the severity chain
+    nest: each is at most the nearest published level outside it, so an
+    unpublished level in between does not switch the check off.  Tow-away
+    and airbag counts are at most police_reported when both are published.
 
     The adjustment class split is derived: pdo = police_reported minus
     any_injury_reported, nonfatal_injury = any_injury_reported minus
@@ -51,29 +67,33 @@ class SeverityCounts:
     construction.
     """
 
-    police_reported: float
-    any_injury_reported: float
-    tow_away: float
-    airbag_deployed: float
-    suspected_serious_injury_plus: float
-    fatal: float
+    police_reported: float | None
+    any_injury_reported: float | None
+    tow_away: float | None
+    airbag_deployed: float | None
+    suspected_serious_injury_plus: float | None
+    fatal: float | None
 
     def __post_init__(self) -> None:
         for level in _OBSERVED_LEVELS:
-            if self.get(level) < 0.0:
-                raise ValidationError(f"negative count at {level.value}")
-        chain = (self.police_reported, self.any_injury_reported,
-                 self.suspected_serious_injury_plus, self.fatal)
-        for i, (outer, inner) in enumerate(zip(chain, chain[1:])):
-            if inner > outer * (1.0 + 1e-12):
+            value = self.get(level)
+            if value is not None and not 0.0 <= value < math.inf:
                 raise ValidationError(
-                    f"severity counts break containment: {chain[i]} < {chain[i + 1]}"
+                    f"negative or non-finite count at {level.value}: {value!r}")
+        published = [level for level in _NESTED_LEVELS if self.get(level) is not None]
+        for outer, inner in zip(published, published[1:]):
+            if self.get(inner) > self.get(outer) * (1.0 + 1e-12):
+                raise ValidationError(
+                    f"severity counts break containment: {inner.value} "
+                    f"{self.get(inner)!r} exceeds {outer.value} {self.get(outer)!r}"
                 )
-        for name in ("tow_away", "airbag_deployed"):
-            if getattr(self, name) > self.police_reported * (1.0 + 1e-12):
-                raise ValidationError(f"{name} count exceeds police_reported")
+        if self.police_reported is not None:
+            for name in ("tow_away", "airbag_deployed"):
+                value = getattr(self, name)
+                if value is not None and value > self.police_reported * (1.0 + 1e-12):
+                    raise ValidationError(f"{name} count exceeds police_reported")
 
-    def get(self, level: SeverityLevel) -> float:
+    def get(self, level: SeverityLevel) -> float | None:
         if level is SeverityLevel.ANY_PROPERTY_DAMAGE_OR_INJURY:
             raise ValidationError(
                 "any_property_damage_or_injury has no observed count; "
@@ -382,6 +402,44 @@ class BenchmarkReport:
     audit: dict
 
 
+@dataclass(frozen=True)
+class AggregateInputs:
+    """One region-year of the intermediate totals a benchmark table rests on.
+
+    Published-aggregate tables give these totals directly, and
+    ``build_benchmark`` reduces microdata to them, so both paths share
+    ``benchmark_from_aggregates``.  A total that was not published is
+    None: an empty cell of a published table, or the all-roads passenger
+    mileage of a dataset without passenger shares.  Rate rows that need
+    an unpublished total are skipped rather than invented.
+    """
+
+    region: Region
+    year: int
+    weighted: bool
+    mileage_all_roads_mmi: float | None
+    crashes_all_roads: float | None
+    vehicles_all_roads: float | None
+    mileage_all_roads_passenger_mmi: float | None
+    vehicles_all_roads_passenger: float | None
+    mileage_surface_passenger_mmi: float | None
+    counts: SeverityCounts           # surface-street passenger, vehicle-level
+
+
+def _row_published(agg: AggregateInputs, severity: SeverityLevel,
+                   scheme_name: str) -> bool:
+    """Whether every total the rate row needs was published."""
+    if severity is SeverityLevel.ANY_PROPERTY_DAMAGE_OR_INJURY:
+        needed = (SeverityLevel.POLICE_REPORTED, SeverityLevel.ANY_INJURY_REPORTED,
+                  SeverityLevel.FATAL)
+    elif scheme_name != "unadjusted":
+        needed = (severity, SeverityLevel.FATAL)
+    else:
+        needed = (severity,)
+    return (agg.mileage_surface_passenger_mmi is not None
+            and all(agg.counts.get(level) is not None for level in needed))
+
+
 def _benchmark_rows(
     counts: SeverityCounts,
     vmt: float,
@@ -407,15 +465,64 @@ def _benchmark_rows(
     return out
 
 
+def benchmark_from_aggregates(
+    agg: AggregateInputs,
+    rows: tuple[tuple[SeverityLevel, str], ...] = DEFAULT_ROWS,
+) -> BenchmarkReport:
+    """Benchmark report from one region-year of intermediate totals.
+
+    Rows that need an unpublished total are left out.  The report is
+    labelled with the published-aggregates road rule; ``build_benchmark``
+    replaces that and the other fields only microdata can fill.
+    """
+    counts = agg.counts
+    crashes, vehicles = agg.crashes_all_roads, agg.vehicles_all_roads
+    available = tuple(row for row in rows if _row_published(agg, *row))
+    return BenchmarkReport(
+        region=agg.region,
+        year=agg.year,
+        road_rule="published_aggregates",
+        weighted=agg.weighted,
+        mileage={
+            "all_roads_total_mmi": agg.mileage_all_roads_mmi,
+            "all_roads_passenger_mmi": agg.mileage_all_roads_passenger_mmi,
+            "surface_passenger_mmi": agg.mileage_surface_passenger_mmi,
+        },
+        intermediates={
+            "crashes": crashes,
+            "vehicles_any_type": vehicles,
+            "passenger_vehicles_all_roads": agg.vehicles_all_roads_passenger,
+        },
+        vehicle_counts=counts,
+        crash_counts=None,
+        imputation_w=None,
+        vehicles_per_crash=vehicles / crashes if crashes and vehicles is not None else None,
+        rows=_benchmark_rows(counts, agg.mileage_surface_passenger_mmi, agg.region,
+                             agg.year, available, not agg.weighted),
+        pdo_share_vehicle=(
+            pdo_share(counts)
+            if counts.police_reported and counts.any_injury_reported is not None else None
+        ),
+        pdo_share_crash=None,
+        caveats=(),
+        audit={"road_rule": "published_aggregates"},
+    )
+
+
 def build_benchmark(dataset, rows: tuple[tuple[SeverityLevel, str], ...] = DEFAULT_ROWS,
                     ) -> BenchmarkReport:
-    """Compute the full benchmark report from loaded microdata."""
+    """Compute the full benchmark report from loaded microdata.
+
+    The records reduce to the same intermediate totals a published table
+    gives; the report adds what only microdata has: the road rule, crash
+    counts, the imputation weight, the crash PDO share, caveats and the
+    filter audit.
+    """
     from .filters import select_subset
 
     manifest = dataset.manifest
     records = dataset.records
-    region, year = manifest.region, manifest.year
-    road_rule = manifest.road_rule
+    region, road_rule = manifest.region, manifest.road_rule
 
     all_subset = select_subset(
         records.crashes, records.vehicles, road="all",
@@ -429,148 +536,49 @@ def build_benchmark(dataset, rows: tuple[tuple[SeverityLevel, str], ...] = DEFAU
     w = 1.0 if surface_imp is None else surface_imp.w
     all_imp = resolve_imputation(all_subset, region)
     w_all = 1.0 if all_imp is None else all_imp.w
-
-    counts = tally_vehicle_counts(surface, w)
     crash_counts = tally_crash_counts(surface)
 
     shares = dataset.shares
-    mileage_all_total = merge_mileage(dataset.mileage, None, region, road_rule, scope="all")
-    mileage_all_passenger = (
-        merge_mileage(dataset.mileage, shares, region, road_rule, scope="all")
-        if shares is not None else None
-    )
-    mileage_surface = merge_mileage(dataset.mileage, shares, region, road_rule,
-                                    scope="surface")
-
-    weighted_crashes, vehicles_any = _weighted_totals(all_subset)
-    passenger_all = count_crashed_vehicles(
-        all_subset, SeverityLevel.POLICE_REPORTED, w_all,
-    )
-
-    exact = not records.weighted
-    report_rows = _benchmark_rows(counts, mileage_surface, region, year, rows, exact)
-
-    audit = {
-        "sources": dataset.source_audits,
-        "road_rule": road_rule,
-        "surface": audit_subset(surface, surface_imp),
-        "all_roads": audit_subset(all_subset, all_imp),
-        "diagnostics": dict(sorted(records.diagnostics.items())),
-    }
-    return BenchmarkReport(
+    crashes, vehicles = _weighted_totals(all_subset)
+    totals = AggregateInputs(
         region=region,
-        year=year,
-        road_rule=road_rule,
+        year=manifest.year,
         weighted=records.weighted,
-        mileage={
-            "all_roads_total_mmi": mileage_all_total,
-            "all_roads_passenger_mmi": mileage_all_passenger,
-            "surface_passenger_mmi": mileage_surface,
-        },
-        intermediates={
-            "crashes": weighted_crashes,
-            "vehicles_any_type": vehicles_any,
-            "passenger_vehicles_all_roads": passenger_all,
-        },
-        vehicle_counts=counts,
+        mileage_all_roads_mmi=merge_mileage(dataset.mileage, None, region, road_rule,
+                                            scope="all"),
+        crashes_all_roads=crashes,
+        vehicles_all_roads=vehicles,
+        mileage_all_roads_passenger_mmi=(
+            merge_mileage(dataset.mileage, shares, region, road_rule, scope="all")
+            if shares is not None else None
+        ),
+        vehicles_all_roads_passenger=count_crashed_vehicles(
+            all_subset, SeverityLevel.POLICE_REPORTED, w_all),
+        mileage_surface_passenger_mmi=merge_mileage(dataset.mileage, shares, region,
+                                                    road_rule, scope="surface"),
+        counts=tally_vehicle_counts(surface, w),
+    )
+    return replace(
+        benchmark_from_aggregates(totals, rows),
+        road_rule=road_rule,
         crash_counts=crash_counts,
         imputation_w=w if surface_imp is not None else None,
-        vehicles_per_crash=(
-            crash_vs_vehicle_ratio(all_subset) if all_subset.rows else None
-        ),
-        rows=report_rows,
-        pdo_share_vehicle=(
-            pdo_share(counts) if counts.police_reported > 0 else None
-        ),
         pdo_share_crash=(
             pdo_share(crash_counts) if crash_counts.police_reported > 0 else None
         ),
         caveats=records.caveats,
-        audit=audit,
+        audit={
+            "sources": dataset.source_audits,
+            "road_rule": road_rule,
+            "surface": audit_subset(surface, surface_imp),
+            "all_roads": audit_subset(all_subset, all_imp),
+            "diagnostics": dict(sorted(records.diagnostics.items())),
+        },
     )
 
 
 # ---------------------------------------------------------------------------
-# Published-aggregate inputs: reproduce the benchmark table without microdata
-
-
-@dataclass(frozen=True)
-class AggregateInputs:
-    """One region-year of published intermediate totals.
-
-    Severity levels the source did not publish carry NaN counts; rows
-    needing them are skipped rather than invented.
-    """
-
-    region: Region
-    year: int
-    weighted: bool
-    mileage_all_roads_mmi: float
-    crashes_all_roads: float
-    vehicles_all_roads: float
-    mileage_all_roads_passenger_mmi: float
-    vehicles_all_roads_passenger: float
-    mileage_surface_passenger_mmi: float
-    counts: SeverityCounts           # surface-street passenger, vehicle-level
-
-
-def _row_published(counts: SeverityCounts, severity: SeverityLevel,
-                   scheme_name: str) -> bool:
-    if severity is SeverityLevel.ANY_PROPERTY_DAMAGE_OR_INJURY:
-        needed = (SeverityLevel.POLICE_REPORTED, SeverityLevel.ANY_INJURY_REPORTED,
-                  SeverityLevel.FATAL)
-    elif scheme_name != "unadjusted":
-        needed = (severity, SeverityLevel.FATAL)
-    else:
-        needed = (severity,)
-    return all(not math.isnan(counts.get(level)) for level in needed)
-
-
-def benchmark_from_aggregates(
-    agg: AggregateInputs,
-    rows: tuple[tuple[SeverityLevel, str], ...] = DEFAULT_ROWS,
-) -> BenchmarkReport:
-    """Benchmark report straight from published totals."""
-    available = tuple(
-        (severity, scheme) for severity, scheme in rows
-        if _row_published(agg.counts, severity, scheme)
-    )
-    exact = not agg.weighted
-    report_rows = _benchmark_rows(
-        agg.counts, agg.mileage_surface_passenger_mmi,
-        agg.region, agg.year, available, exact,
-    )
-    ratio = (agg.vehicles_all_roads / agg.crashes_all_roads
-             if agg.crashes_all_roads > 0 else None)
-    share_defined = (
-        agg.counts.police_reported > 0
-        and not math.isnan(agg.counts.any_injury_reported)
-    )
-    return BenchmarkReport(
-        region=agg.region,
-        year=agg.year,
-        road_rule="published_aggregates",
-        weighted=agg.weighted,
-        mileage={
-            "all_roads_total_mmi": agg.mileage_all_roads_mmi,
-            "all_roads_passenger_mmi": agg.mileage_all_roads_passenger_mmi,
-            "surface_passenger_mmi": agg.mileage_surface_passenger_mmi,
-        },
-        intermediates={
-            "crashes": agg.crashes_all_roads,
-            "vehicles_any_type": agg.vehicles_all_roads,
-            "passenger_vehicles_all_roads": agg.vehicles_all_roads_passenger,
-        },
-        vehicle_counts=agg.counts,
-        crash_counts=None,
-        imputation_w=None,
-        vehicles_per_crash=ratio,
-        rows=report_rows,
-        pdo_share_vehicle=pdo_share(agg.counts) if share_defined else None,
-        pdo_share_crash=None,
-        caveats=(),
-        audit={"road_rule": "published_aggregates"},
-    )
+# Published-aggregate tables
 
 
 _AGGREGATE_COLUMNS = (
@@ -587,10 +595,10 @@ def load_aggregates(source: str) -> list[AggregateInputs]:
     """Read published-aggregate rows from a CSV file or a shipped year.
 
     ``source`` is a path, or a bare year like "2022" naming a table
-    shipped with the package.  Empty severity cells mean the source did
-    not publish that level; a negative or non-finite number, an unreadable
-    year or a ``weighted`` other than 0 or 1 is an error naming the row and
-    column.
+    shipped with the package.  An empty cell means the source did not
+    publish that total, and reads as None.  A negative or non-finite
+    number, an unreadable year, a ``weighted`` other than 0 or 1 or
+    severity counts that break containment is an error naming the row.
     """
     import csv
     import re
@@ -617,10 +625,10 @@ def load_aggregates(source: str) -> list[AggregateInputs]:
             f"aggregate table {source}: missing column(s) {', '.join(sorted(missing))}"
         )
 
-    def cell(row: dict, key: str, context: str) -> float:
+    def cell(row: dict, key: str, context: str) -> float | None:
         raw = (row.get(key) or "").strip()
         if not raw:
-            return math.nan
+            return None
         try:
             value = float(raw)
         except ValueError:
@@ -636,37 +644,21 @@ def load_aggregates(source: str) -> list[AggregateInputs]:
         context = f"aggregate table {source} row {i}"
         name = (row.get("region") or "").strip()
         state = (row.get("region_state") or "").strip()
-        region = Region.national() if name == "national" else Region.county(name, state)
         year = (row.get("year") or "").strip()
         if not re.fullmatch(r"[0-9]{4}", year):
             raise ValidationError(f"{context}: unreadable year {year!r}")
         weighted = (row.get("weighted") or "").strip()
         if weighted not in ("0", "1"):
             raise ValidationError(f"{context}: weighted must be 0 or 1, got {weighted!r}")
-        counts = SeverityCounts(
-            police_reported=cell(row, "police_reported", context),
-            any_injury_reported=cell(row, "any_injury_reported", context),
-            tow_away=cell(row, "tow_away", context),
-            airbag_deployed=cell(row, "airbag_deployed", context),
-            suspected_serious_injury_plus=cell(
-                row, "suspected_serious_injury_plus", context),
-            fatal=cell(row, "fatal", context),
-        )
-        out.append(AggregateInputs(
-            region=region,
-            year=int(year),
-            weighted=weighted == "1",
-            mileage_all_roads_mmi=cell(row, "mileage_all_roads_mmi", context),
-            crashes_all_roads=cell(row, "crashes_all_roads", context),
-            vehicles_all_roads=cell(row, "vehicles_all_roads", context),
-            mileage_all_roads_passenger_mmi=cell(
-                row, "mileage_all_roads_passenger_mmi", context),
-            vehicles_all_roads_passenger=cell(
-                row, "vehicles_all_roads_passenger", context),
-            mileage_surface_passenger_mmi=cell(
-                row, "mileage_surface_passenger_mmi", context),
-            counts=counts,
-        ))
+        totals = {key: cell(row, key, context) for key in _AGGREGATE_COLUMNS[4:]}
+        try:
+            region = Region.national() if name == "national" else Region.county(name, state)
+            counts = SeverityCounts(
+                **{level.value: totals.pop(level.value) for level in _OBSERVED_LEVELS})
+        except ValidationError as exc:
+            raise ValidationError(f"{context}: {exc}") from None
+        out.append(AggregateInputs(region=region, year=int(year), weighted=weighted == "1",
+                                   counts=counts, **totals))
     if not out:
         raise ValidationError(f"aggregate table {source}: no rows")
     return out

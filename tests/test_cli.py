@@ -115,6 +115,22 @@ class TestExitCodes:
         assert code == 2, err
         assert f"row {rows.index(maricopa) + 2}" in err and column in err
 
+    def test_unpublished_level_keeps_containment_checked(self, capsys, tmp_path):
+        # An empty any_injury_reported cell must not let fatal exceed
+        # police_reported.
+        text = (Path(crashbench.__file__).parent / "data" / "aggregates_2021.csv").read_text()
+        header, *rows = list(csv.reader(text.splitlines()))
+        maricopa = next(r for r in rows if r[0] == "Maricopa")
+        maricopa[header.index("any_injury_reported")] = ""
+        maricopa[header.index("fatal")] = "999999"
+        path = tmp_path / "aggregates.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        code, _, err = run(capsys, "report", "--aggregates", str(path),
+                           "--out", str(tmp_path / "out"), "--quiet")
+        assert code == 2, err
+        assert f"row {rows.index(maricopa) + 2}" in err and "containment" in err
+
     @pytest.mark.parametrize("file_key, old, new, column", [
         ("crash_file", "C002,2022,80.25,1,0", "C002,20x2,80.25,1,0", "YEAR"),
         ("crash_file", "C002,2022,80.25,1,0", "C002,2022,lots,1,0", "WEIGHT"),
@@ -456,12 +472,22 @@ class TestReportCommand:
 
     def test_rejected_power_row_names_the_row_and_region(self, capsys, tmp_path,
                                                          fixtures):
-        code, _, err = run(
-            capsys, "report",
-            "--manifest", str(fixtures / "manifests" / "town_2022.json"),
-            "--out", str(tmp_path), "--quiet")
+        # Springfield has no serious-injury crashes: that row's power cells
+        # are left empty with a note, and the rest of the table is written.
+        manifest = str(fixtures / "manifests" / "town_2022.json")
+        code, _, err = run(capsys, "report", "--manifest", manifest,
+                           "--out", str(tmp_path), "--quiet")
+        assert code == 0, err
+        power = json.loads((tmp_path / "power.json").read_text())
+        serious, = (row for row in power["rows"]
+                    if row["label"] == "suspected_serious_injury_plus:unadjusted")
+        assert serious["benchmark_rate_ipmm"] == 0.0
+        assert {c["note"] for c in serious["cells"]} == {"zero rate"}
+        assert all(c["required_vmt_mmi"] is None for c in serious["cells"])
+        code, _, err = run(capsys, "report", "--manifest", manifest, "--alpha", "1.5",
+                           "--out", str(tmp_path / "bad"), "--quiet")
         assert code == 2
-        assert "suspected_serious_injury_plus:unadjusted" in err
+        assert "any_property_damage_or_injury:blanco" in err
         assert "Springfield" in err
 
 

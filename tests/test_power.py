@@ -114,17 +114,6 @@ class TestRequiredVmt:
         assert (required_vmt(PowerQuery(LAM_POLICE, 0.5, alpha=0.01))
                 > required_vmt(PowerQuery(LAM_POLICE, 0.5)))
 
-    def test_floor_events_rounds_down(self):
-        q = PowerQuery(LAM_POLICE, 0.25)
-        fractional = required_vmt(q)
-        floored = required_vmt(q, floor_events=True)
-        assert floored == 10.0 / LAM_POLICE
-        assert floored < fractional
-
-    def test_floor_events_refuses_zero(self):
-        with pytest.raises(ValidationError, match="zero expected events"):
-            required_vmt(PowerQuery(1.0, 1000.0), floor_events=True)
-
 
 class TestAchievedPower:
     @pytest.mark.parametrize("lam,r", [
@@ -161,6 +150,19 @@ class TestPowerTable:
         cell = table.rows[0][2][0]
         assert cell.vmt_millions is None
         assert cell.note == "diverges"
+
+    def test_zero_rate_gets_annotated_holes(self):
+        table = power_table([("serious", 0.0), ("fatal", LAM_FATAL)], [0.5, 1.0])
+        (_, lam, zero), (_, _, fatal) = table.rows
+        assert lam == 0.0
+        assert [(c.vmt_millions, c.note) for c in zero] == [
+            (None, "zero rate"), (None, "diverges")]
+        assert fatal[0].vmt_millions == required_vmt(PowerQuery(LAM_FATAL, 0.5))
+
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    def test_invalid_rate_names_its_row(self, lam):
+        with pytest.raises(ValidationError, match="power row serious: benchmark_rate"):
+            power_table([("serious", lam)], [0.5])
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValidationError, match="at least one"):

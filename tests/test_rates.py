@@ -130,10 +130,28 @@ class TestSeverityCounts:
         assert c.nonfatal_injury == 3.5
         assert c.pdo + c.nonfatal_injury + c.fatal == c.police_reported
 
-    def test_nan_cells_pass_through(self):
-        # Unpublished severity levels ride along as NaN.
-        c = counts(serious=math.nan, airbag=math.nan)
-        assert math.isnan(c.get(SeverityLevel.SUSPECTED_SERIOUS_INJURY_PLUS))
+    def test_unpublished_cells_are_none(self):
+        c = counts(serious=None, airbag=None)
+        assert c.get(SeverityLevel.SUSPECTED_SERIOUS_INJURY_PLUS) is None
+        assert c.get(SeverityLevel.AIRBAG_DEPLOYED) is None
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValidationError, match="non-finite count at fatal"):
+            counts(fatal=value)
+
+    @pytest.mark.parametrize("unpublished, outer", [
+        (dict(injury=None, serious=None), "police_reported 10.0"),
+        (dict(serious=None), "any_injury_reported 4.0"),
+    ])
+    def test_containment_spans_unpublished_levels(self, unpublished, outer):
+        # A level is checked against the nearest published level outside it.
+        with pytest.raises(ValidationError, match=f"fatal 11.0 exceeds {outer}"):
+            counts(fatal=11.0, **unpublished)
+
+    def test_a_lone_published_level_stands(self):
+        c = counts(police=None, injury=None, tow=None, airbag=None, serious=None)
+        assert c.fatal == 0.5
 
 
 class TestAdjustment:
@@ -485,7 +503,7 @@ class TestAggregates:
     def test_unpublished_levels_drop_their_rows(self):
         rows = load_aggregates("2021")
         national = next(r for r in rows if r.region.kind == "national")
-        assert math.isnan(national.counts.suspected_serious_injury_plus)
+        assert national.counts.suspected_serious_injury_plus is None
         report = benchmark_from_aggregates(national)
         kinds = {(r.severity, r.adjustment) for r in report.rows}
         assert (SeverityLevel.SUSPECTED_SERIOUS_INJURY_PLUS, "unadjusted") \
