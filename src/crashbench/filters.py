@@ -144,7 +144,6 @@ class Subset:
 
     rows: dict[str, CrashRow]               # by crash id
     road: str                               # surface | all
-    in_transport_only: bool
     tow_from_units: bool
     airbag_from_units: bool
     weighted: bool
@@ -180,7 +179,6 @@ def select_subset(
     vehicles: list[VehicleInvolvement],
     *,
     road: str = "surface",
-    in_transport_only: bool = True,
     unit_tow_flags: bool = True,
     unit_airbag_flags: bool = True,
     weighted: bool = False,
@@ -209,7 +207,7 @@ def select_subset(
             if v.body_class is BodyClass.NON_VEHICLE:
                 non_vehicle += 1
                 continue
-            if in_transport_only and not v.in_transport:
+            if not v.in_transport:
                 not_in_transport += 1
                 continue
             if v.body_class is BodyClass.PASSENGER:
@@ -229,7 +227,6 @@ def select_subset(
     subset = Subset(
         rows=rows,
         road="all",
-        in_transport_only=in_transport_only,
         tow_from_units=unit_tow_flags,
         airbag_from_units=unit_airbag_flags,
         weighted=weighted,
@@ -268,7 +265,7 @@ def audit_subset(subset: Subset, imputation: ImputationWeight | None) -> dict:
     """Filter-audit payload: retention, exclusions, flag bases, caveats."""
     return {
         "road": subset.road,
-        "in_transport_only": subset.in_transport_only,
+        "in_transport_only": True,         # units not in transport never count
         "crashes_retained": len(subset.rows),
         "vehicles_retained": sum(row.passenger + row.nfs for row in subset.rows.values()),
         "weighted": subset.weighted,

@@ -12,7 +12,7 @@ nulls (a missing cell is null, so rules over it evaluate to unknown),
 extra cells are ignored, and a header name that appears twice resolves
 to its last column.  Each spec rule is bound once per file to the
 positions of the cells it reads and memoized on those cells: rows that
-hold equal cells share one ``Rule.eval`` (or ``KabcoMap.lookup``) call,
+hold equal cells share one ``Rule.eval`` (or code-table lookup) call,
 made on a dict of just those cells.  Warnings are still counted once per
 row, never once per evaluation.
 """
@@ -22,14 +22,14 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import pairwise
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
 from .errors import ReferentialError, SchemaError, ValidationError
 from . import interchange
 from .model import (
-    AreaType,
     BodyClass,
     CrashEvent,
     Kabco,
@@ -40,7 +40,7 @@ from .model import (
     Region,
     VehicleInvolvement,
 )
-from .schema import KabcoMap, Rule, SchemaSpec, _normalize_code, load_schema
+from .schema import CodeMap, Rule, SchemaSpec, load_schema
 
 
 @dataclass
@@ -118,8 +118,14 @@ def _bind(positions: dict[str, int], columns: Iterable[str],
     return classify
 
 
-def _bind_kabco(positions: dict[str, int], kabco: KabcoMap) -> Callable[[list], object]:
-    return _bind(positions, (kabco.column,), lambda cells: kabco.lookup(cells[kabco.column]))
+def _bind_kabco(positions: dict[str, int], column: str,
+                codes: CodeMap) -> Callable[[list], tuple[Kabco, bool]]:
+    """(KABCO, known) of a row; an empty or unmapped cell is (UNK, False)."""
+    def lookup(cells: dict) -> tuple[Kabco, bool]:
+        kabco = codes.get(cells[column])
+        return (Kabco.UNK, False) if kabco is None else (kabco, True)
+
+    return _bind(positions, (column,), lookup)
 
 
 def _crash_columns(spec: SchemaSpec) -> set[str]:
@@ -128,8 +134,8 @@ def _crash_columns(spec: SchemaSpec) -> set[str]:
     for col in (crash.year_column, crash.weight_column):
         if col:
             cols.add(col)
-    if crash.kabco is not None:
-        cols.add(crash.kabco.column)
+    if crash.kabco_column is not None:
+        cols.add(crash.kabco_column)
     cols.update(_rule_columns(crash.road.surface, crash.road.excluded, crash.towed))
     return cols
 
@@ -153,8 +159,8 @@ def _person_columns(spec: SchemaSpec) -> set[str]:
     cols = {p.id_column, p.crash_column}
     if p.unit_column:
         cols.add(p.unit_column)
-    if p.kabco is not None:
-        cols.add(p.kabco.column)
+    if p.kabco_column is not None:
+        cols.add(p.kabco_column)
     if p.airbag is not None:
         cols.update(p.airbag.columns())
     return cols
@@ -329,7 +335,8 @@ def load_crash_source(
         unit_ref = (_bind(person_pos, (unit_column,),
                           lambda cells: _unit_ref(spec, cells[unit_column]))
                     if unit_column else None)
-        person_kabco = (_bind_kabco(person_pos, person_schema.kabco)
+        person_kabco = (_bind_kabco(person_pos, person_schema.kabco_column,
+                                    person_schema.kabco)
                         if person_schema.kabco is not None else None)
         airbag_rule = person_schema.airbag
         person_airbag_of = (_bind(person_pos, airbag_rule.columns(), airbag_rule.eval)
@@ -401,7 +408,7 @@ def load_crash_source(
     road_class_of = _bind(crash_pos, _rule_columns(crash_schema.road.surface,
                                                    crash_schema.road.excluded),
                           crash_schema.road.classify)
-    crash_kabco = (_bind_kabco(crash_pos, crash_schema.kabco)
+    crash_kabco = (_bind_kabco(crash_pos, crash_schema.kabco_column, crash_schema.kabco)
                    if spec.kabco_from == "crash" else None)
     crash_towed_of = (_bind(crash_pos, crash_schema.towed.columns(), crash_schema.towed.eval)
                       if crash_schema.towed is not None else None)
@@ -594,12 +601,18 @@ def load_mileage(
             vmt = float(vmt_text)
         except ValueError:
             raise ValidationError(f"{context}: unreadable mileage {vmt_text!r}")
+        functional_class = schema.class_codes.get(row[class_at])
+        if functional_class is None:
+            raise SchemaError(f"{context}: unmapped functional class code {row[class_at]!r}")
+        area = row[area_at] if area_at is not None else None
+        area_type = schema.area_codes.get(area) if area and area.strip() else schema.area_default
+        if area_type is None:
+            raise SchemaError(f"{context}: unmapped area code {area!r}")
         cells.append(MileageCell(
             region=region,
             year=year,
-            functional_class=schema.class_of(row[class_at] or "", context),
-            area_type=schema.area_of(row[area_at] if area_at is not None else None,
-                                     context),
+            functional_class=functional_class,
+            area_type=area_type,
             vmt_millions=schema.to_millions(vmt),
         ))
     return cells, diagnostics
@@ -616,22 +629,18 @@ def load_passenger_share(spec: SchemaSpec, file: str | Path) -> PassengerShareTa
         positions[c] for c in (schema.state_column, schema.area_column,
                                schema.group_column, schema.share_column)
     )
-    area_index = dict(schema.area_codes) if schema.area_codes else {
-        a.value: a for a in AreaType
-    }
-    group_index = dict(schema.group_codes)
     mapping: dict = {}
     for i, row in enumerate(rows, start=2):
         context = f"{spec.tag} shares row {i}"
         state = (row[state_at] or "").strip()
         if not state:
             raise ValidationError(f"{context}: empty state")
-        area_key = _normalize_code(row[area_at] or "")
-        if area_key not in area_index:
-            raise SchemaError(f"{context}: unmapped area code {area_key!r}")
-        group_key = _normalize_code(row[group_at] or "")
-        if group_key not in group_index:
-            raise SchemaError(f"{context}: unmapped class group {group_key!r}")
+        area = schema.area_codes.get(row[area_at])
+        if area is None:
+            raise SchemaError(f"{context}: unmapped area code {row[area_at]!r}")
+        group = schema.group_codes.get(row[group_at])
+        if group is None:
+            raise SchemaError(f"{context}: unmapped class group {row[group_at]!r}")
         share_text = (row[share_at] or "").strip()
         try:
             share = float(share_text)
@@ -643,7 +652,7 @@ def load_passenger_share(spec: SchemaSpec, file: str | Path) -> PassengerShareTa
             share /= 100.0
         elif not 0.0 <= share <= 1.0:
             raise ValidationError(f"{context}: share {share!r} outside [0, 1]")
-        key = (state, area_index[area_key], group_index[group_key])
+        key = (state, area, group)
         if key in mapping:
             raise ValidationError(f"{context}: duplicate share for {key}")
         mapping[key] = share
@@ -667,6 +676,22 @@ class DatasetRecords:
     source_audits: list[dict]
 
 
+def _read_unique(read: Callable, path: Path, key: Callable, label: str) -> list:
+    """``read(path)``; a record whose key an earlier line holds is an error
+    naming ``path:line``.  A file in strictly increasing key order, as the
+    canonical writer leaves it, passes on neighbour comparisons alone."""
+    records = read(path)
+    if all(a < b for a, b in pairwise(map(key, records))):
+        return records
+    seen = set()
+    for line, record in enumerate(records, start=2):
+        value = key(record)
+        if value in seen:
+            raise ValidationError(f"{path}:{line}: repeated {label} {value!r}")
+        seen.add(value)
+    return records
+
+
 def _load_canonical_source(ref: interchange.CrashSourceRef, region: Region,
                            year: int) -> LoadResult:
     if ref.region_filter:
@@ -675,7 +700,8 @@ def _load_canonical_source(ref: interchange.CrashSourceRef, region: Region,
         )
     diagnostics: Counter = Counter()
     crashes = []
-    for c in interchange.read_crashes(ref.crash_file):
+    for c in _read_unique(interchange.read_crashes, ref.crash_file,
+                          attrgetter("crash_id"), "crash_id"):
         if c.region != region:
             diagnostics["region_filtered"] += 1
         elif c.year != year:
@@ -683,9 +709,13 @@ def _load_canonical_source(ref: interchange.CrashSourceRef, region: Region,
         else:
             crashes.append(c)
     ids = {c.crash_id for c in crashes}
-    vehicles = [v for v in interchange.read_vehicles(ref.vehicle_file)
+    vehicles = [v for v in _read_unique(interchange.read_vehicles, ref.vehicle_file,
+                                        attrgetter("crash_id", "unit_id"),
+                                        "(crash_id, unit_id)")
                 if v.crash_id in ids] if ref.vehicle_file else []
-    persons = [p for p in interchange.read_persons(ref.person_file)
+    persons = [p for p in _read_unique(interchange.read_persons, ref.person_file,
+                                       attrgetter("crash_id", "unit_id", "person_id"),
+                                       "(crash_id, unit_id, person_id)")
                if p.crash_id in ids] if ref.person_file else []
     return LoadResult(
         tag=CANONICAL_SPEC, crashes=crashes, vehicles=vehicles, persons=persons,

@@ -272,28 +272,21 @@ def _parse_clause(text: str, context: str) -> Clause:
 
 
 @dataclass(frozen=True)
-class KabcoMap:
-    column: str
-    mapping: tuple[tuple[str, Kabco], ...]   # normalized raw code -> canonical
-    _index: dict = field(init=False, repr=False, compare=False, hash=False)
+class CodeMap:
+    """One spec code table: normalized raw code -> canonical value.
 
-    def __post_init__(self) -> None:
-        index = {}
-        for raw, canon in self.mapping:
-            if raw in index:
-                raise SchemaError(f"kabco code {raw!r} mapped twice")
-            index[raw] = canon
-        object.__setattr__(self, "_index", index)
+    Every table a spec declares (KABCO, functional class, area type, share
+    group) is one of these, built by ``_code_map``, which rejects a raw
+    code mapped twice.
+    """
 
-    def lookup(self, cell: str | None) -> tuple[Kabco, bool]:
-        """(canonical, known).  Unmapped or missing cells yield (UNK, False)."""
+    codes: dict
+
+    def get(self, cell: str | None):
+        """The canonical value of a raw cell; None when it is empty or unmapped."""
         if _is_null(cell):
-            return Kabco.UNK, False
-        key = _normalize_code(cell)
-        canon = self._index.get(key)
-        if canon is None:
-            return Kabco.UNK, False
-        return canon, True
+            return None
+        return self.codes.get(_normalize_code(cell))
 
 
 def _normalize_code(cell: str) -> str:
@@ -328,7 +321,8 @@ class CrashSchema:
     id_column: str
     year_column: str | None
     weight_column: str | None
-    kabco: KabcoMap | None        # None when severity is folded from persons
+    kabco_column: str | None      # None when severity is folded from persons
+    kabco: CodeMap | None
     road: RoadRules
     towed: Rule | None            # crash-level tow flag, where the source has one
 
@@ -351,7 +345,8 @@ class PersonSchema:
     crash_column: str
     unit_column: str | None
     unit_null_codes: CodeSet | None   # unit refs meaning "not an occupant"
-    kabco: KabcoMap | None
+    kabco_column: str | None
+    kabco: CodeMap | None
     airbag: Rule | None
 
 
@@ -359,28 +354,12 @@ class PersonSchema:
 class MileageSchema:
     class_column: str
     vmt_column: str
-    class_codes: tuple[tuple[str, FunctionalClass], ...]
+    class_codes: CodeMap
     area_column: str | None
-    area_codes: tuple[tuple[str, AreaType], ...]
+    area_codes: CodeMap
     area_default: AreaType
     year_column: str | None
     vmt_unit: str                 # millions | thousands | miles
-
-    def class_of(self, cell: str, context: str) -> FunctionalClass:
-        key = _normalize_code(cell)
-        for raw, canon in self.class_codes:
-            if raw == key:
-                return canon
-        raise SchemaError(f"{context}: unmapped functional class code {cell!r}")
-
-    def area_of(self, cell: str | None, context: str) -> AreaType:
-        if self.area_column is None or _is_null(cell):
-            return self.area_default
-        key = _normalize_code(cell)
-        for raw, canon in self.area_codes:
-            if raw == key:
-                return canon
-        raise SchemaError(f"{context}: unmapped area code {cell!r}")
 
     def to_millions(self, value: float) -> float:
         if self.vmt_unit == "millions":
@@ -397,8 +376,8 @@ class ShareSchema:
     group_column: str
     share_column: str
     values: str                   # percent | fraction
-    group_codes: tuple[tuple[str, ShareGroup], ...]
-    area_codes: tuple[tuple[str, AreaType], ...]
+    group_codes: CodeMap
+    area_codes: CodeMap
 
 
 @dataclass(frozen=True)
@@ -470,6 +449,8 @@ _CANONICAL_KABCO = {k.value: k for k in Kabco}
 _CANONICAL_CLASS = {c.value: c for c in FunctionalClass}
 _CANONICAL_AREA = {a.value: a for a in AreaType}
 _CANONICAL_GROUP = {g.value: g for g in ShareGroup}
+# Area cells may hold the canonical names when a spec declares no area table.
+_CANONICAL_AREA_CODES = CodeMap(dict(_CANONICAL_AREA))
 
 
 def _parse_bool_key(value: str, context: str) -> bool:
@@ -481,17 +462,24 @@ def _parse_bool_key(value: str, context: str) -> bool:
     raise SchemaError(f"{context}: expected a boolean, got {value!r}")
 
 
-def _code_map(section, canon_index: dict, context: str):
-    out = []
-    for canon_name, raw_codes in section.items():
+def _code_map(parser, section: str, canon_index: dict, name: str) -> CodeMap:
+    """The code table in ``[section]`` of spec ``name``."""
+    context = f"spec {name} [{section}]"
+    if section not in parser:
+        raise SchemaError(f"spec {name}: [{section}] missing")
+    codes: dict = {}
+    for canon_name, raw_codes in parser[section].items():
         canon = canon_index.get(canon_name)
         if canon is None:
             raise SchemaError(f"{context}: unknown canonical value {canon_name!r}")
         for raw in _split_codes(raw_codes, context):
-            out.append((_normalize_code(raw), canon))
-    if not out:
+            key = _normalize_code(raw)
+            if key in codes:
+                raise SchemaError(f"{context}: code {raw!r} mapped twice")
+            codes[key] = canon
+    if not codes:
         raise SchemaError(f"{context}: empty code map")
-    return tuple(out)
+    return CodeMap(codes)
 
 
 def _get(section, key, context, required=False) -> str | None:
@@ -540,16 +528,7 @@ def parse_spec(text: str, name: str) -> SchemaSpec:
         if "crash" not in parser:
             raise SchemaError(f"{ctx}: section missing")
         crash_section = parser["crash"]
-        kabco_map = None
         kabco_column = _get(crash_section, "kabco_column", ctx)
-        if kabco_column is not None:
-            if "crash.kabco_codes" not in parser:
-                raise SchemaError(f"spec {name}: [crash.kabco_codes] missing")
-            kabco_map = KabcoMap(
-                column=kabco_column,
-                mapping=_code_map(parser["crash.kabco_codes"], _CANONICAL_KABCO,
-                                  f"spec {name} [crash.kabco_codes]"),
-            )
         if "crash.road" not in parser:
             raise SchemaError(f"spec {name}: [crash.road] missing")
         road_section = parser["crash.road"]
@@ -574,7 +553,9 @@ def parse_spec(text: str, name: str) -> SchemaSpec:
             id_column=_get(crash_section, "id", ctx, required=True),
             year_column=_get(crash_section, "year", ctx),
             weight_column=_get(crash_section, "weight", ctx),
-            kabco=kabco_map,
+            kabco_column=kabco_column,
+            kabco=(_code_map(parser, "crash.kabco_codes", _CANONICAL_KABCO, name)
+                   if kabco_column is not None else None),
             road=road,
             towed=crash_tow,
         )
@@ -599,15 +580,6 @@ def parse_spec(text: str, name: str) -> SchemaSpec:
             psec = parser["person"]
             prules = parser["person.rules"] if "person.rules" in parser else {}
             pk_column = _get(psec, "kabco_column", pctx)
-            pk_map = None
-            if pk_column is not None:
-                if "person.kabco_codes" not in parser:
-                    raise SchemaError(f"spec {name}: [person.kabco_codes] missing")
-                pk_map = KabcoMap(
-                    column=pk_column,
-                    mapping=_code_map(parser["person.kabco_codes"], _CANONICAL_KABCO,
-                                      f"spec {name} [person.kabco_codes]"),
-                )
             null_codes_text = _get(psec, "unit_null_codes", pctx)
             person = PersonSchema(
                 id_column=_get(psec, "id", pctx, required=True),
@@ -615,7 +587,9 @@ def parse_spec(text: str, name: str) -> SchemaSpec:
                 unit_column=_get(psec, "unit_id", pctx),
                 unit_null_codes=(CodeSet.parse(null_codes_text, pctx)
                                  if null_codes_text else None),
-                kabco=pk_map,
+                kabco_column=pk_column,
+                kabco=(_code_map(parser, "person.kabco_codes", _CANONICAL_KABCO, name)
+                       if pk_column is not None else None),
                 airbag=_rule(prules, "airbag", pctx) if prules else None,
             )
 
@@ -638,12 +612,10 @@ def parse_spec(text: str, name: str) -> SchemaSpec:
         mileage = MileageSchema(
             class_column=_get(msec, "class_column", ctx, required=True),
             vmt_column=_get(msec, "vmt_column", ctx, required=True),
-            class_codes=_code_map(parser["mileage.class_codes"], _CANONICAL_CLASS,
-                                  f"spec {name} [mileage.class_codes]"),
+            class_codes=_code_map(parser, "mileage.class_codes", _CANONICAL_CLASS, name),
             area_column=_get(msec, "area_column", ctx),
-            area_codes=(_code_map(parser["mileage.area_codes"], _CANONICAL_AREA,
-                                  f"spec {name} [mileage.area_codes]")
-                        if "mileage.area_codes" in parser else ()),
+            area_codes=(_code_map(parser, "mileage.area_codes", _CANONICAL_AREA, name)
+                        if "mileage.area_codes" in parser else _CANONICAL_AREA_CODES),
             area_default=_CANONICAL_AREA[area_default_name],
             year_column=_get(msec, "year_column", ctx),
             vmt_unit=unit,
@@ -663,11 +635,9 @@ def parse_spec(text: str, name: str) -> SchemaSpec:
             group_column=_get(ssec, "group_column", ctx, required=True),
             share_column=_get(ssec, "share_column", ctx, required=True),
             values=values,
-            group_codes=_code_map(parser["shares.group_codes"], _CANONICAL_GROUP,
-                                  f"spec {name} [shares.group_codes]"),
-            area_codes=(_code_map(parser["shares.area_codes"], _CANONICAL_AREA,
-                                  f"spec {name} [shares.area_codes]")
-                        if "shares.area_codes" in parser else ()),
+            group_codes=_code_map(parser, "shares.group_codes", _CANONICAL_GROUP, name),
+            area_codes=(_code_map(parser, "shares.area_codes", _CANONICAL_AREA, name)
+                        if "shares.area_codes" in parser else _CANONICAL_AREA_CODES),
         )
 
     else:

@@ -188,6 +188,53 @@ class TestExitCodes:
         assert f"town_{table}.csv:{len(rows)}:" in err
         assert column in err and repr(value) in err
 
+    @pytest.mark.parametrize("table, key", [
+        ("crashes", "'S002'"),
+        ("vehicles", "('S001', '2')"),
+        ("persons", "('S003', '1', '1')"),
+    ])
+    def test_repeated_canonical_key_names_the_file_line_and_key(
+            self, capsys, tmp_path, fixtures, table, key):
+        for name in CANONICAL_FILES:
+            shutil.copy(fixtures / "golden" / "sf_2022" / name, tmp_path)
+        path = tmp_path / f"{table}.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(3, lines[2])
+        path.write_text("".join(lines))
+        manifest = {
+            "region": {"kind": "county", "name": "San Francisco", "state": "CA"},
+            "year": 2022, "road_rule": "all_roads",
+            "crash_sources": [{"spec": "canonical", "crash_file": "crashes.csv",
+                               "vehicle_file": "vehicles.csv",
+                               "person_file": "persons.csv"}],
+            "mileage": [{"spec": "canonical", "file": "mileage.csv"}],
+        }
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "benchmark", "--manifest", str(tmp_path / "manifest.json"),
+                           "--out", str(tmp_path / "out"), "--quiet")
+        assert code == 2, err
+        assert f"{table}.csv:4: repeated" in err and key in err
+
+    def test_spec_code_mapped_twice_names_the_spec_and_section(self, capsys, tmp_path,
+                                                                fixtures):
+        shipped = Path(crashbench.__file__).parent / "specs" / "fhwa_vm2.spec"
+        spec = tmp_path / "vm2_dup.spec"
+        spec.write_text(shipped.read_text().replace("local = 7", "local = 7, 1"))
+        manifest = json.loads(
+            (fixtures / "manifests" / "national_2022.json").read_text())
+        for entry in manifest["crash_sources"]:
+            for key in ("crash_file", "vehicle_file", "person_file"):
+                entry[key] = str(fixtures / "manifests" / entry[key])
+        for entry in manifest["mileage"] + manifest["shares"]:
+            entry["file"] = str(fixtures / "manifests" / entry["file"])
+        manifest["mileage"][0]["spec"] = str(spec)
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "benchmark", "--manifest", str(path),
+                           "--out", str(tmp_path / "out"), "--quiet")
+        assert code == 2, err
+        assert "vm2_dup.spec [mileage.class_codes]: code '1' mapped twice" in err
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

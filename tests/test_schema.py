@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 from crashbench.errors import SchemaError
 from crashbench.model import Kabco, RoadClass
 from crashbench.schema import (
+    CodeMap,
     CodeSet,
-    KabcoMap,
     RoadRules,
     Rule,
     _normalize_code,
@@ -116,22 +116,18 @@ class TestNormalize:
 
 
 class TestKabcoMap:
-    MAP = KabcoMap(column="SEV", mapping=(
-        ("0", Kabco.O),
-        ("4", Kabco.K),
-        ("9", Kabco.UNK),
-    ))
+    MAP = CodeMap({"0": Kabco.O, "4": Kabco.K, "9": Kabco.UNK})
 
     def test_mapped_codes_are_known(self):
-        assert self.MAP.lookup("0") == (Kabco.O, True)
-        assert self.MAP.lookup("4") == (Kabco.K, True)
+        assert self.MAP.get("0") is Kabco.O
+        assert self.MAP.get(" 04 ") is Kabco.K
         # An explicit unknown code is a known answer of "unknown".
-        assert self.MAP.lookup("9") == (Kabco.UNK, True)
+        assert self.MAP.get("9") is Kabco.UNK
 
     def test_gaps_are_not_known(self):
-        assert self.MAP.lookup("7") == (Kabco.UNK, False)
-        assert self.MAP.lookup("") == (Kabco.UNK, False)
-        assert self.MAP.lookup(None) == (Kabco.UNK, False)
+        assert self.MAP.get("7") is None
+        assert self.MAP.get("") is None
+        assert self.MAP.get(None) is None
 
 
 class TestRoadRules:
@@ -186,6 +182,43 @@ in_transport = UT in 1
 """
 
 
+MILEAGE_SPEC = """
+[source]
+tag = miles
+kind = mileage
+
+[mileage]
+class_column = FC
+area_column = AREA
+vmt_column = VMT
+
+[mileage.class_codes]
+interstate = 1
+local = 7
+
+[mileage.area_codes]
+urban = u
+rural = r
+"""
+
+SHARES_SPEC = """
+[source]
+tag = shares
+kind = shares
+
+[shares]
+state_column = ST
+area_column = AREA
+group_column = GROUP
+share_column = SHARE
+
+[shares.group_codes]
+interstate = i
+other_arterial = a
+other = o
+"""
+
+
 class TestParseSpec:
     def test_minimal_spec(self):
         spec = parse_spec(MINIMAL_SPEC, "mini")
@@ -193,7 +226,7 @@ class TestParseSpec:
         assert spec.kind == "crash"
         assert spec.tow_level == "none"
         assert spec.person is None
-        assert spec.crash.kabco.lookup("4") == (Kabco.K, True)
+        assert spec.crash.kabco.get("4") is Kabco.K
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SchemaError, match="kind"):
@@ -203,6 +236,17 @@ class TestParseSpec:
         overlapping = MINIMAL_SPEC + "vehicle_nfs = BT in 5, 9\n"
         with pytest.raises(SchemaError, match="overlap"):
             parse_spec(overlapping, "mini")
+
+    @pytest.mark.parametrize("text, section", [
+        (MINIMAL_SPEC.replace("K = 4", "K = 4, 00"), "crash.kabco_codes"),
+        (MILEAGE_SPEC.replace("local = 7", "local = 7, 1"), "mileage.class_codes"),
+        (MILEAGE_SPEC.replace("rural = r", "rural = r, U"), "mileage.area_codes"),
+        (SHARES_SPEC.replace("other = o", "other = o, A"), "shares.group_codes"),
+        (SHARES_SPEC + "[shares.area_codes]\nurban = 1\nrural = 1\n", "shares.area_codes"),
+    ], ids=["kabco", "class", "mileage_area", "group", "share_area"])
+    def test_code_mapped_twice_names_the_section(self, text, section):
+        with pytest.raises(SchemaError, match=rf"\[{section}\]: code .* mapped twice"):
+            parse_spec(text, "dup")
 
     def test_missing_section_rejected(self):
         broken = MINIMAL_SPEC.replace("[vehicle]", "[misc]").replace(
