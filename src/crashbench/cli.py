@@ -31,7 +31,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -207,15 +206,6 @@ def _manifest_inputs(path: Path, manifests: list[DatasetManifest]) -> list[Path]
 # Serialization helpers
 
 
-def _num(value):
-    """JSON-safe number: NaN and infinities become null."""
-    if value is None:
-        return None
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def _region_dict(region) -> dict:
     return {"kind": region.kind, "name": region.name, "state": region.state}
 
@@ -223,18 +213,18 @@ def _region_dict(region) -> dict:
 def _counts_dict(counts) -> dict | None:
     if counts is None:
         return None
-    return {level.value: _num(counts.get(level)) for level in _OBSERVED_LEVELS}
+    return {level.value: counts.get(level) for level in _OBSERVED_LEVELS}
 
 
 def _rate_dict(rate) -> dict:
     return {
         "severity": rate.severity.value,
         "adjustment": rate.adjustment,
-        "numerator": _num(rate.numerator),
-        "vmt_millions": _num(rate.vmt_millions),
-        "rate_ipmm": _num(rate.rate_ipmm),
-        "ci_low_ipmm": _num(rate.ci_low_ipmm),
-        "ci_high_ipmm": _num(rate.ci_high_ipmm),
+        "numerator": rate.numerator,
+        "vmt_millions": rate.vmt_millions,
+        "rate_ipmm": rate.rate_ipmm,
+        "ci_low_ipmm": rate.ci_low_ipmm,
+        "ci_high_ipmm": rate.ci_high_ipmm,
         "display": rate.display,
     }
 
@@ -245,15 +235,15 @@ def _report_dict(report: BenchmarkReport) -> dict:
         "year": report.year,
         "road_rule": report.road_rule,
         "weighted": report.weighted,
-        "mileage": {k: _num(v) for k, v in report.mileage.items()},
-        "intermediates": {k: _num(v) for k, v in report.intermediates.items()},
+        "mileage": report.mileage,
+        "intermediates": report.intermediates,
         "vehicle_counts": _counts_dict(report.vehicle_counts),
         "crash_counts": _counts_dict(report.crash_counts),
-        "imputation_w": _num(report.imputation_w),
-        "vehicles_per_crash": _num(report.vehicles_per_crash),
+        "imputation_w": report.imputation_w,
+        "vehicles_per_crash": report.vehicles_per_crash,
         "rows": [_rate_dict(r) for r in report.rows],
-        "pdo_share_vehicle": _num(report.pdo_share_vehicle),
-        "pdo_share_crash": _num(report.pdo_share_crash),
+        "pdo_share_vehicle": report.pdo_share_vehicle,
+        "pdo_share_crash": report.pdo_share_crash,
         "caveats": list(report.caveats),
         "audit": report.audit,
     }
@@ -269,11 +259,7 @@ def _write_json(path: Path, payload: dict, verbosity: int) -> None:
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return "" if not math.isfinite(value) else repr(value)
-    return str(value)
+    return "" if value is None else repr(value)
 
 
 _BENCH_HEADER = (
@@ -344,7 +330,7 @@ def _power_payload(table: PowerTable, provenance: dict) -> dict:
                 "cells": [
                     {
                         "relative_rate": cell.relative_rate,
-                        "required_vmt_mmi": _num(cell.vmt_millions),
+                        "required_vmt_mmi": cell.vmt_millions,
                         "note": cell.note,
                     }
                     for cell in cells
