@@ -166,9 +166,9 @@ def power_table(
     Two cells have no finite answer and are left empty with a note rather
     than raising: a relative rate of exactly 1 ("diverges": no exposure
     distinguishes identical rates) and a benchmark rate of exactly 0 ("zero
-    rate": no events were observed to compare against).  A row whose rate
-    or settings are otherwise rejected raises ValidationError naming its
-    label.
+    rate": no events were observed to compare against).  Their settings are
+    still checked.  A row whose rate or settings are rejected raises
+    ValidationError naming its label.
     """
     if not rates or not relative_rates:
         raise ValidationError("power table needs at least one rate and one column")
@@ -176,16 +176,18 @@ def power_table(
     for label, lam in rates:
         cells = []
         for r in relative_rates:
+            try:
+                # An empty cell's settings are checked too: a zero rate
+                # stands in as 1 for that check alone.
+                q = PowerQuery(lam or 1.0, r, alpha=alpha, target_power=target_power)
+            except ValidationError as exc:
+                raise ValidationError(f"power row {label}: {exc}") from None
             if r == 1.0:
                 cells.append(PowerCell(r, None, note="diverges"))
             elif lam == 0.0:
                 cells.append(PowerCell(r, None, note="zero rate"))
             else:
-                try:
-                    q = PowerQuery(lam, r, alpha=alpha, target_power=target_power)
-                    cells.append(PowerCell(r, required_vmt(q)))
-                except ValidationError as exc:
-                    raise ValidationError(f"power row {label}: {exc}") from None
+                cells.append(PowerCell(r, required_vmt(q)))
         rows.append((label, lam, tuple(cells)))
     return PowerTable(
         alpha=alpha,

@@ -164,6 +164,11 @@ class TestPowerTable:
         with pytest.raises(ValidationError, match="power row serious: benchmark_rate"):
             power_table([("serious", lam)], [0.5])
 
+    @pytest.mark.parametrize("lam, r", [(0.0, 0.5), (LAM_FATAL, 1.0)])
+    def test_empty_cells_still_check_the_settings(self, lam, r):
+        with pytest.raises(ValidationError, match="power row x: alpha"):
+            power_table([("x", lam)], [r], alpha=1.5)
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValidationError, match="at least one"):
             power_table([], [0.5])

@@ -511,6 +511,13 @@ class TestAggregates:
         assert (SeverityLevel.AIRBAG_DEPLOYED, "unadjusted") not in kinds
         assert (SeverityLevel.POLICE_REPORTED, "unadjusted") in kinds
 
+    def test_unpublished_surface_mileage_drops_every_row(self):
+        national = next(r for r in load_aggregates("2022") if r.region.kind == "national")
+        report = benchmark_from_aggregates(
+            dataclasses.replace(national, mileage_surface_passenger_mmi=None))
+        assert report.rows == []
+        assert report.mileage["surface_passenger_mmi"] is None
+
     def test_unknown_year_rejected(self):
         with pytest.raises(ValidationError, match="no shipped aggregate"):
             load_aggregates("1999")
