@@ -41,6 +41,32 @@ def read_bench_csv(path):
     return comments, list(csv.reader(data))
 
 
+def national_manifest(fixtures):
+    """The national fixture manifest with absolute file paths, to edit and
+    write elsewhere."""
+    manifest = json.loads((fixtures / "manifests" / "national_2022.json").read_text())
+    for entry in manifest["crash_sources"]:
+        for key in ("crash_file", "vehicle_file", "person_file"):
+            entry[key] = str(fixtures / "manifests" / entry[key])
+    for entry in manifest["mileage"] + manifest["shares"]:
+        entry["file"] = str(fixtures / "manifests" / entry["file"])
+    return manifest
+
+
+def maricopa_edited(tmp_path, year, cells):
+    """(path, row number) of a copy of a shipped aggregate table whose
+    Maricopa row has ``cells`` replaced."""
+    text = (Path(crashbench.__file__).parent / "data" / f"aggregates_{year}.csv").read_text()
+    header, *rows = list(csv.reader(text.splitlines()))
+    maricopa = next(r for r in rows if r[0] == "Maricopa")
+    for column, value in cells.items():
+        maricopa[header.index(column)] = value
+    path = tmp_path / "aggregates.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    return path, rows.index(maricopa) + 2
+
+
 class TestExitCodes:
     def test_no_inputs_is_an_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "benchmark", "--out", str(tmp_path))
@@ -79,14 +105,8 @@ class TestExitCodes:
 
     def test_unknown_manifest_road_rule_names_the_file(self, capsys, tmp_path,
                                                        fixtures):
-        manifest = json.loads(
-            (fixtures / "manifests" / "national_2022.json").read_text())
+        manifest = national_manifest(fixtures)
         manifest["road_rule"] = "by_vibes"
-        for entry in manifest["crash_sources"]:
-            for key in ("crash_file", "vehicle_file", "person_file"):
-                entry[key] = str(fixtures / "manifests" / entry[key])
-        for entry in manifest["mileage"] + manifest["shares"]:
-            entry["file"] = str(fixtures / "manifests" / entry["file"])
         path = tmp_path / "vibes.json"
         path.write_text(json.dumps(manifest))
         code, _, err = run(capsys, "ingest", "--manifest", str(path),
@@ -103,33 +123,21 @@ class TestExitCodes:
     ])
     def test_bad_aggregate_cell_names_the_row_and_column(self, capsys, tmp_path,
                                                          column, value):
-        text = (Path(crashbench.__file__).parent / "data" / "aggregates_2022.csv").read_text()
-        header, *rows = list(csv.reader(text.splitlines()))
-        maricopa = next(r for r in rows if r[0] == "Maricopa")
-        maricopa[header.index(column)] = value
-        path = tmp_path / "aggregates.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        path, row = maricopa_edited(tmp_path, "2022", {column: value})
         code, _, err = run(capsys, "benchmark", "--aggregates", str(path),
                            "--out", str(tmp_path / "out"), "--quiet")
         assert code == 2, err
-        assert f"row {rows.index(maricopa) + 2}" in err and column in err
+        assert f"row {row}" in err and column in err
 
     def test_unpublished_level_keeps_containment_checked(self, capsys, tmp_path):
         # An empty any_injury_reported cell must not let fatal exceed
         # police_reported.
-        text = (Path(crashbench.__file__).parent / "data" / "aggregates_2021.csv").read_text()
-        header, *rows = list(csv.reader(text.splitlines()))
-        maricopa = next(r for r in rows if r[0] == "Maricopa")
-        maricopa[header.index("any_injury_reported")] = ""
-        maricopa[header.index("fatal")] = "999999"
-        path = tmp_path / "aggregates.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        path, row = maricopa_edited(tmp_path, "2021",
+                                    {"any_injury_reported": "", "fatal": "999999"})
         code, _, err = run(capsys, "report", "--aggregates", str(path),
                            "--out", str(tmp_path / "out"), "--quiet")
         assert code == 2, err
-        assert f"row {rows.index(maricopa) + 2}" in err and "containment" in err
+        assert f"row {row}" in err and "containment" in err
 
     @pytest.mark.parametrize("file_key, old, new, column", [
         ("crash_file", "C002,2022,80.25,1,0", "C002,20x2,80.25,1,0", "YEAR"),
@@ -140,13 +148,7 @@ class TestExitCodes:
     ], ids=["year", "weight", "crash_id", "unit_id", "person_id"])
     def test_malformed_raw_row_names_the_file_and_column(
             self, capsys, tmp_path, fixtures, file_key, old, new, column):
-        manifest = json.loads(
-            (fixtures / "manifests" / "national_2022.json").read_text())
-        for entry in manifest["crash_sources"]:
-            for key in ("crash_file", "vehicle_file", "person_file"):
-                entry[key] = str(fixtures / "manifests" / entry[key])
-        for entry in manifest["mileage"] + manifest["shares"]:
-            entry["file"] = str(fixtures / "manifests" / entry["file"])
+        manifest = national_manifest(fixtures)
         crss, = (e for e in manifest["crash_sources"] if e["spec"] == "crss")
         text = Path(crss[file_key]).read_text()
         assert text.count(old) == 1
@@ -220,13 +222,7 @@ class TestExitCodes:
         shipped = Path(crashbench.__file__).parent / "specs" / "fhwa_vm2.spec"
         spec = tmp_path / "vm2_dup.spec"
         spec.write_text(shipped.read_text().replace("local = 7", "local = 7, 1"))
-        manifest = json.loads(
-            (fixtures / "manifests" / "national_2022.json").read_text())
-        for entry in manifest["crash_sources"]:
-            for key in ("crash_file", "vehicle_file", "person_file"):
-                entry[key] = str(fixtures / "manifests" / entry[key])
-        for entry in manifest["mileage"] + manifest["shares"]:
-            entry["file"] = str(fixtures / "manifests" / entry["file"])
+        manifest = national_manifest(fixtures)
         manifest["mileage"][0]["spec"] = str(spec)
         path = tmp_path / "dup.json"
         path.write_text(json.dumps(manifest))
