@@ -34,9 +34,8 @@ from .model import (
     SEVERITY_CHAIN,
     SeverityLevel,
     VehicleInvolvement,
-    severity_chain_contains,
 )
-from .filters import SeverityFlags, classify_severity, select_subset
+from .filters import classify_severity, select_subset
 from .rates import (
     DEFAULT_ROWS,
     BenchmarkReport,
@@ -87,7 +86,6 @@ __all__ = [
     "SchemaError",
     "SchemaSpec",
     "SeverityCounts",
-    "SeverityFlags",
     "SeverityLevel",
     "SplitMix64",
     "UndefinedStatistic",
@@ -116,7 +114,6 @@ __all__ = [
     "power_table",
     "required_vmt",
     "select_subset",
-    "severity_chain_contains",
     "shipped_specs",
     "simulate_power",
     "__version__",

@@ -51,7 +51,6 @@ from .rates import (
     DEFAULT_ROWS,
     BenchmarkReport,
     ROAD_RULES,
-    _OBSERVED_LEVELS,
     benchmark_from_aggregates,
     build_benchmark,
     load_aggregates,
@@ -86,6 +85,7 @@ def _load_config(path: Path | None) -> configparser.ConfigParser:
         if not Path(path).is_file():
             raise ValidationError(f"config file not found: {path}")
         parser.read(path)
+    parser.path = path  # type: ignore[attr-defined]  # named in value errors
     return parser
 
 
@@ -97,6 +97,20 @@ def _opt(flag_value, cfg: configparser.ConfigParser, section: str, key: str,
     if cfg.has_option(section, key):
         return cfg.get(section, key)
     return default
+
+
+def _opt_number(flag_value, cfg: configparser.ConfigParser, section: str, key: str,
+                default, convert):
+    """``_opt`` passed through ``convert``.  Flags arrive typed, so only a
+    config value can be unreadable: an input error naming the file, the
+    section, the key and the value."""
+    value = _opt(flag_value, cfg, section, key, default)
+    try:
+        return convert(value)
+    except ValueError:
+        raise ValidationError(
+            f"config file {cfg.path}: [{section}] {key}: unreadable value {value!r}"
+        ) from None
 
 
 def _parse_rows(text: str) -> tuple[tuple[SeverityLevel, str], ...]:
@@ -211,9 +225,7 @@ def _region_dict(region) -> dict:
 
 
 def _counts_dict(counts) -> dict | None:
-    if counts is None:
-        return None
-    return {level.value: counts.get(level) for level in _OBSERVED_LEVELS}
+    return None if counts is None else dataclasses.asdict(counts)
 
 
 def _rate_dict(rate) -> dict:
@@ -354,7 +366,7 @@ def _out_dir(args, cfg) -> Path:
 def _verbosity(args, cfg) -> int:
     if args.quiet:
         return 0
-    return int(_opt(None, cfg, "run", "verbosity", 1))
+    return _opt_number(None, cfg, "run", "verbosity", 1, int)
 
 
 def _formats(args, cfg) -> tuple[str, ...]:
@@ -549,14 +561,20 @@ def _power_rates(args, cfg) -> tuple[list[tuple[str, float]], list[Path]]:
     return rates, inputs
 
 
-def _emit_power(args, cfg, rates, inputs, effective, out, formats, verbosity) -> None:
-    """The power table over ``rates`` at the power settings, as power.csv/json."""
+def _power_settings(args, cfg) -> tuple[tuple[float, ...], float, float]:
+    """(relative rates, alpha, target power) from flags, config and defaults."""
     relative_text = _opt(args.relative_rates, cfg, "power", "relative_rates")
     relative = (
         _parse_floats(relative_text) if relative_text else _DEFAULT_RELATIVE_RATES
     )
-    alpha = float(_opt(args.alpha, cfg, "power", "alpha", 0.05))
-    target = float(_opt(args.target_power, cfg, "power", "target_power", 0.80))
+    alpha = _opt_number(args.alpha, cfg, "power", "alpha", 0.05, float)
+    target = _opt_number(args.target_power, cfg, "power", "target_power", 0.80, float)
+    return relative, alpha, target
+
+
+def _emit_power(settings, rates, inputs, effective, out, formats, verbosity) -> None:
+    """The power table over ``rates`` at the power settings, as power.csv/json."""
+    relative, alpha, target = settings
     table = power_table(rates, list(relative), alpha=alpha, target_power=target)
     effective = {
         **effective,
@@ -576,6 +594,7 @@ def cmd_power(args) -> int:
     out = _out_dir(args, cfg)
     verbosity = _verbosity(args, cfg)
     formats = _formats(args, cfg)
+    settings = _power_settings(args, cfg)
     rates, inputs = _power_rates(args, cfg)
     if args.config:
         inputs.append(Path(args.config))
@@ -583,7 +602,7 @@ def cmd_power(args) -> int:
         "command": "power",
         "rates": [[label, value] for label, value in rates],
     }
-    _emit_power(args, cfg, rates, inputs, effective, out, formats, verbosity)
+    _emit_power(settings, rates, inputs, effective, out, formats, verbosity)
     return 0
 
 
@@ -633,6 +652,7 @@ def cmd_report(args) -> int:
     out = _out_dir(args, cfg)
     verbosity = _verbosity(args, cfg)
     formats = _formats(args, cfg)
+    settings = _power_settings(args, cfg)
     reports, inputs, effective = _select_reports(args, cfg)
     effective = {**effective, "command": "report"}
     if args.config:
@@ -650,9 +670,17 @@ def cmd_report(args) -> int:
                 rates.append((f"{severity.value}:{scheme}", rate.rate_ipmm))
                 break
     if not rates:
-        raise ValidationError("no benchmark rows available for the power table")
+        wanted = [f"{severity.value}:{scheme}" for severity, scheme in POWER_ROWS]
+        reason = (
+            f"the requested rows include none of {', '.join(wanted)}"
+            if set(wanted).isdisjoint(effective["rows"])
+            else "its headline rows need totals that were not published"
+        )
+        raise ValidationError(
+            f"benchmark for {chosen.region.name}: no rows for the power table: {reason}"
+        )
     try:
-        _emit_power(args, cfg, rates, inputs, effective, out, formats, verbosity)
+        _emit_power(settings, rates, inputs, effective, out, formats, verbosity)
     except ValidationError as exc:
         raise ValidationError(f"benchmark for {chosen.region.name}: {exc}") from None
     return 0

@@ -2,70 +2,41 @@
 
 The comparable-driving subset is defined on two axes: road type (surface
 streets only) and vehicle type (in-transport passenger vehicles, with
-not-further-specified vehicles assigned fractionally via an imputation
-weight).  Severity is a property of the crash, classified once, after
-unit filtering so the tow and airbag tests only consider eligible units;
-each crash becomes one ``CrashRow`` that every tally reads.  The surface
-subset keeps the all-roads rows on surface streets, sharing the objects.
+not-further-specified vehicles kept apart for the imputation weight that
+``rates.resolve_imputation`` decides).  Severity is a property of the
+crash, classified once, after unit filtering so the tow and airbag tests
+only consider eligible units, into a bit mask over
+``model.OBSERVED_LEVELS``; each crash becomes one ``CrashRow`` that every
+tally reads.  The surface subset keeps the all-roads rows on surface
+streets, sharing the objects.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .errors import UndefinedStatistic
 from .model import (
     BodyClass,
     CrashEvent,
     Kabco,
-    Region,
+    OBSERVED_LEVELS,
     RoadClass,
     SeverityLevel,
     VehicleInvolvement,
 )
 
 
-@dataclass(frozen=True)
-class SeverityFlags:
-    """Observed severity thresholds for one crash.
-
-    Any-property-damage-or-injury is absent by design: it is an estimate
-    produced by underreporting adjustment, never observed on a report.
-    """
-
-    police_reported: bool
-    any_injury_reported: bool
-    tow_away: bool
-    airbag_deployed: bool
-    suspected_serious_injury_plus: bool
-    fatal: bool
-
-    def __post_init__(self) -> None:
-        chain = (self.police_reported, self.any_injury_reported,
-                 self.suspected_serious_injury_plus, self.fatal)
-        for outer, inner in zip(chain, chain[1:]):
-            if inner and not outer:
-                raise ValueError(f"severity flags break containment: {self}")
-
-    def has(self, level: SeverityLevel) -> bool:
-        if level is SeverityLevel.ANY_PROPERTY_DAMAGE_OR_INJURY:
-            raise ValueError(
-                "any_property_damage_or_injury is adjustment-derived, not observed"
-            )
-        return getattr(self, level.value)
-
-
-# Bit i of a severity mask stands for SeverityFlags field i.
-_BIT = {f.name: 1 << i for i, f in enumerate(fields(SeverityFlags))}
+# Bit i of a severity mask stands for OBSERVED_LEVELS[i].
+_BIT = {level: 1 << i for i, level in enumerate(OBSERVED_LEVELS)}
 # The injury chain's bits for each max KABCO; tow and airbag are added per crash.
 _KABCO_BITS = {
-    kabco: (_BIT["police_reported"]
-            | (_BIT["any_injury_reported"] if kabco.is_injury else 0)
-            | (_BIT["suspected_serious_injury_plus"] if kabco.is_suspected_serious_plus else 0)
-            | (_BIT["fatal"] if kabco is Kabco.K else 0))
+    kabco: (_BIT[SeverityLevel.POLICE_REPORTED]
+            | (_BIT[SeverityLevel.ANY_INJURY_REPORTED] if kabco.is_injury else 0)
+            | (_BIT[SeverityLevel.SUSPECTED_SERIOUS_INJURY_PLUS]
+               if kabco.is_suspected_serious_plus else 0)
+            | (_BIT[SeverityLevel.FATAL] if kabco is Kabco.K else 0))
     for kabco in Kabco
 }
 
@@ -77,14 +48,10 @@ def _severity_bits(crash: CrashEvent, unit_towed: bool, unit_airbag: bool,
     where the source has unit-level data, the crash-level folds otherwise."""
     bits = _KABCO_BITS[crash.max_kabco]
     if unit_towed if tow_from_units else crash.tow_away:
-        bits |= _BIT["tow_away"]
+        bits |= _BIT[SeverityLevel.TOW_AWAY]
     if unit_airbag if airbag_from_units else crash.airbag_deployed:
-        bits |= _BIT["airbag_deployed"]
+        bits |= _BIT[SeverityLevel.AIRBAG_DEPLOYED]
     return bits
-
-
-def _flags_from_bits(bits: int) -> SeverityFlags:
-    return SeverityFlags(**{name: bool(bits & bit) for name, bit in _BIT.items()})
 
 
 def classify_severity(
@@ -93,32 +60,29 @@ def classify_severity(
     *,
     tow_from_units: bool = True,
     airbag_from_units: bool = True,
-) -> SeverityFlags:
-    """Severity flags for one crash given its eligible units.
+) -> frozenset[SeverityLevel]:
+    """The observed severity levels of one crash given its eligible units.
 
     ``units`` are the crash's subset-eligible vehicles.  Where the source
     lacks unit-level tow or airbag data the crash-level folded flag is
     used instead (``*_from_units=False``).  Unknown injury codes classify
     as non-injury; the loader already counted them.
     """
-    return _flags_from_bits(_severity_bits(
+    bits = _severity_bits(
         crash, any(u.towed for u in units), any(u.airbag_deployed for u in units),
         tow_from_units, airbag_from_units,
-    ))
+    )
+    return frozenset(level for level, bit in _BIT.items() if bits & bit)
 
 
 @dataclass(frozen=True)
 class ImputationWeight:
-    """Passenger fraction among classified vehicles in a subset."""
+    """Passenger fraction among classified vehicles in a subset, as
+    ``rates.resolve_imputation`` decides it."""
 
-    region: Region
     w: float
     passenger: float          # weighted classified passenger vehicles
     other: float              # weighted classified non-passenger vehicles
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.w <= 1.0:
-            raise UndefinedStatistic(f"imputation weight {self.w!r} outside [0, 1]")
 
 
 class CrashRow(NamedTuple):
@@ -128,14 +92,10 @@ class CrashRow(NamedTuple):
     passenger: int                          # retained passenger units
     nfs: int                                # retained not-further-specified units
     other: int                              # in-transport classified non-passenger
-    severity: int                           # bit i set when SeverityFlags field i holds
+    severity: int                           # bit i set when OBSERVED_LEVELS[i] holds
     road_class: RoadClass
     non_vehicle: int                        # excluded non-vehicle units
     not_in_transport: int                   # excluded units not in transport
-
-    @property
-    def flags(self) -> SeverityFlags:
-        return _flags_from_bits(self.severity)
 
 
 @dataclass
@@ -234,31 +194,6 @@ def select_subset(
         caveats=caveats,
     )
     return subset.surface() if road == "surface" else subset
-
-
-def compute_imputation_weight(subset: Subset, region: Region) -> ImputationWeight:
-    """Weighted passenger share among classified vehicles in the subset.
-
-    Weight invariance: scaling every sample weight by a constant leaves
-    the ratio unchanged.
-    """
-    rows = subset.rows.values()
-    passenger = math.fsum(row.passenger * row.weight for row in rows)
-    other = math.fsum(row.other * row.weight for row in rows)
-    total = passenger + other
-    if total <= 0.0:
-        raise UndefinedStatistic(
-            f"imputation weight undefined for {region.name}: no classified vehicles"
-        )
-    return ImputationWeight(region=region, w=passenger / total,
-                            passenger=passenger, other=other)
-
-
-def effective_passenger_count(passenger: float, nfs: float, w: float) -> float:
-    """Passenger vehicles plus the imputed fraction of NFS vehicles."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"imputation weight {w!r} outside [0, 1]")
-    return passenger + w * nfs
 
 
 def audit_subset(subset: Subset, imputation: ImputationWeight | None) -> dict:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import pairwise
+from itertools import islice, pairwise
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
@@ -92,6 +92,20 @@ def _read_table(path: Path, required: set[str],
                 row += [None] * (width - len(row))
             rows.append(row)
     return positions, rows
+
+
+def _locator(label: str, path: str | Path, rows: list[list]) -> Callable[[list], str]:
+    """``row -> "LABEL file PATH:LINE"`` for errors about one of the ``rows``
+    ``_read_table`` read from ``path``.  Only an error reads the file again."""
+    def locate(row: list) -> str:
+        index = next(i for i, r in enumerate(rows) if r is row)
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            next(reader, None)
+            lines = (reader.line_num for r in reader if r)
+            return f"{label} file {path}:{next(islice(lines, index, None))}"
+
+    return locate
 
 
 def _bind(positions: dict[str, int], columns: Iterable[str],
@@ -226,22 +240,22 @@ def load_crash_source(
         if region_filter else None
     )
 
-    crash_where = f"{spec.tag} crash file {crash_file}"
     crash_pos, crash_rows = _read_table(
         Path(crash_file),
         _crash_columns(spec) | (filter_rule.columns() if filter_rule else set()),
         f"{spec.tag} crash",
     )
-    vehicle_where = f"{spec.tag} vehicle file {vehicle_file}"
     vehicle_pos, vehicle_rows = (
         _read_table(Path(vehicle_file), _vehicle_columns(spec), f"{spec.tag} vehicle")
         if vehicle_file is not None else ({}, [])
     )
-    person_where = f"{spec.tag} person file {person_file}"
     person_pos, person_rows = (
         _read_table(Path(person_file), _person_columns(spec), f"{spec.tag} person")
         if person_file is not None and spec.person is not None else ({}, [])
     )
+    locate_crash = _locator(f"{spec.tag} crash", crash_file, crash_rows)
+    locate_vehicle = _locator(f"{spec.tag} vehicle", vehicle_file, vehicle_rows)
+    locate_person = _locator(f"{spec.tag} person", person_file, person_rows)
     rows_in = {
         "crashes": len(crash_rows),
         "vehicles": len(vehicle_rows),
@@ -259,10 +273,10 @@ def load_crash_source(
         crash_id = (row[id_at] or "").strip()
         if not crash_id:
             raise ValidationError(
-                f"{crash_where}: crash row with empty id column {crash_schema.id_column}"
+                f"{locate_crash(row)}: crash row with empty id column {crash_schema.id_column}"
             )
         if crash_id in kept or crash_id in dropped:
-            raise ValidationError(f"{spec.tag}: duplicate crash id {crash_id}")
+            raise ValidationError(f"{locate_crash(row)}: duplicate crash id {crash_id}")
         if region_match is not None:
             match = region_match(row)
             if match is not True:
@@ -276,7 +290,7 @@ def load_crash_source(
                 row_year = int(cell)
             except ValueError:
                 raise ValidationError(
-                    f"{crash_where}: crash {crash_id} has unreadable year {cell!r} "
+                    f"{locate_crash(row)}: crash {crash_id} has unreadable year {cell!r} "
                     f"in column {year_column}"
                 )
             if row_year != year:
@@ -303,16 +317,16 @@ def load_crash_source(
             continue
         if crash_id not in kept:
             raise ReferentialError(
-                f"{spec.tag}: vehicle row references unknown crash {crash_id!r}"
+                f"{locate_vehicle(row)}: vehicle row references unknown crash {crash_id!r}"
             )
         unit_id = (row[unit_at] or "").strip()
         if not unit_id:
             raise ValidationError(
-                f"{vehicle_where}: crash {crash_id} has a unit with no id "
+                f"{locate_vehicle(row)}: crash {crash_id} has a unit with no id "
                 f"in column {vehicle_schema.id_column}"
             )
         if (crash_id, unit_id) in unit_info:
-            raise ValidationError(f"{spec.tag}: duplicate unit {crash_id}/{unit_id}")
+            raise ValidationError(f"{locate_vehicle(row)}: duplicate unit {crash_id}/{unit_id}")
         info = unit_info[(crash_id, unit_id)] = classify_unit(row)
         _, _, towed, airbag, warnings = info
         if warnings:
@@ -348,23 +362,23 @@ def load_crash_source(
             continue
         if crash_id not in kept:
             raise ReferentialError(
-                f"{spec.tag}: person row references unknown crash {crash_id!r}"
+                f"{locate_person(row)}: person row references unknown crash {crash_id!r}"
             )
         unit_id = unit_ref(row) if unit_ref is not None else ""
         if unit_id and (crash_id, unit_id) not in unit_info:
             raise ReferentialError(
-                f"{spec.tag}: person row references unknown unit "
+                f"{locate_person(row)}: person row references unknown unit "
                 f"{crash_id}/{unit_id}"
             )
         person_id = (row[person_at] or "").strip()
         if not person_id:
             raise ValidationError(
-                f"{person_where}: crash {crash_id} has a person with no id "
+                f"{locate_person(row)}: crash {crash_id} has a person with no id "
                 f"in column {person_schema.id_column}"
             )
         if (crash_id, unit_id, person_id) in person_seen:
             raise ValidationError(
-                f"{spec.tag}: duplicate person {crash_id}/{unit_id}/{person_id}"
+                f"{locate_person(row)}: duplicate person {crash_id}/{unit_id}/{person_id}"
             )
         person_seen.add((crash_id, unit_id, person_id))
         if person_kabco is not None:
@@ -431,7 +445,7 @@ def load_crash_source(
                 weight = float(cell)
             except ValueError:
                 raise ValidationError(
-                    f"{crash_where}: crash {crash_id} has unreadable weight {cell!r} "
+                    f"{locate_crash(row)}: crash {crash_id} has unreadable weight {cell!r} "
                     f"in column {weight_column}"
                 )
         else:
@@ -442,17 +456,20 @@ def load_crash_source(
             if towed is None:
                 diagnostics["unknown_towed"] += 1
                 towed = False
-        crashes.append(CrashEvent(
-            crash_id=crash_id,
-            source=spec.tag,
-            region=region,
-            year=year,
-            road_class=road_class,
-            sample_weight=weight,
-            max_kabco=kabco,
-            tow_away=towed,
-            airbag_deployed=crash_id in crash_airbag,
-        ))
+        try:
+            crashes.append(CrashEvent(
+                crash_id=crash_id,
+                source=spec.tag,
+                region=region,
+                year=year,
+                road_class=road_class,
+                sample_weight=weight,
+                max_kabco=kabco,
+                tow_away=towed,
+                airbag_deployed=crash_id in crash_airbag,
+            ))
+        except ValidationError as exc:
+            raise ValidationError(f"{locate_crash(row)}: {exc}") from None
 
     airbag_units = vehicle_schema.airbag is not None or (
         spec.person is not None and spec.person.airbag is not None
@@ -576,14 +593,14 @@ def load_mileage(
     if filter_rule is not None:
         required.update(filter_rule.columns())
     positions, rows = _read_table(Path(file), required, f"{spec.tag} mileage")
+    locate = _locator(f"{spec.tag} mileage", file, rows)
     region_match = (_bind(positions, filter_rule.columns(), filter_rule.eval)
                     if filter_rule is not None else None)
     class_at = positions[schema.class_column]
     vmt_at = positions[schema.vmt_column]
     area_at = positions[schema.area_column] if schema.area_column else None
     cells: list[MileageCell] = []
-    for i, row in enumerate(rows, start=2):
-        context = f"{spec.tag} mileage row {i}"
+    for row in rows:
         if region_match is not None and region_match(row) is not True:
             diagnostics["region_filtered"] += 1
             continue
@@ -592,7 +609,7 @@ def load_mileage(
             try:
                 row_year = int(cell_text)
             except ValueError:
-                raise ValidationError(f"{context}: unreadable year {cell_text!r}")
+                raise ValidationError(f"{locate(row)}: unreadable year {cell_text!r}")
             if row_year != year:
                 diagnostics["year_mismatch"] += 1
                 continue
@@ -600,21 +617,24 @@ def load_mileage(
         try:
             vmt = float(vmt_text)
         except ValueError:
-            raise ValidationError(f"{context}: unreadable mileage {vmt_text!r}")
+            raise ValidationError(f"{locate(row)}: unreadable mileage {vmt_text!r}")
         functional_class = schema.class_codes.get(row[class_at])
         if functional_class is None:
-            raise SchemaError(f"{context}: unmapped functional class code {row[class_at]!r}")
+            raise SchemaError(f"{locate(row)}: unmapped functional class code {row[class_at]!r}")
         area = row[area_at] if area_at is not None else None
         area_type = schema.area_codes.get(area) if area and area.strip() else schema.area_default
         if area_type is None:
-            raise SchemaError(f"{context}: unmapped area code {area!r}")
-        cells.append(MileageCell(
-            region=region,
-            year=year,
-            functional_class=functional_class,
-            area_type=area_type,
-            vmt_millions=schema.to_millions(vmt),
-        ))
+            raise SchemaError(f"{locate(row)}: unmapped area code {area!r}")
+        try:
+            cells.append(MileageCell(
+                region=region,
+                year=year,
+                functional_class=functional_class,
+                area_type=area_type,
+                vmt_millions=schema.to_millions(vmt),
+            ))
+        except ValidationError as exc:
+            raise ValidationError(f"{locate(row)}: {exc}") from None
     return cells, diagnostics
 
 
@@ -625,36 +645,36 @@ def load_passenger_share(spec: SchemaSpec, file: str | Path) -> PassengerShareTa
     required = {schema.state_column, schema.area_column, schema.group_column,
                 schema.share_column}
     positions, rows = _read_table(Path(file), required, f"{spec.tag} shares")
+    locate = _locator(f"{spec.tag} shares", file, rows)
     state_at, area_at, group_at, share_at = (
         positions[c] for c in (schema.state_column, schema.area_column,
                                schema.group_column, schema.share_column)
     )
     mapping: dict = {}
-    for i, row in enumerate(rows, start=2):
-        context = f"{spec.tag} shares row {i}"
+    for row in rows:
         state = (row[state_at] or "").strip()
         if not state:
-            raise ValidationError(f"{context}: empty state")
+            raise ValidationError(f"{locate(row)}: empty state")
         area = schema.area_codes.get(row[area_at])
         if area is None:
-            raise SchemaError(f"{context}: unmapped area code {row[area_at]!r}")
+            raise SchemaError(f"{locate(row)}: unmapped area code {row[area_at]!r}")
         group = schema.group_codes.get(row[group_at])
         if group is None:
-            raise SchemaError(f"{context}: unmapped class group {row[group_at]!r}")
+            raise SchemaError(f"{locate(row)}: unmapped class group {row[group_at]!r}")
         share_text = (row[share_at] or "").strip()
         try:
             share = float(share_text)
         except ValueError:
-            raise ValidationError(f"{context}: unreadable share {share_text!r}")
+            raise ValidationError(f"{locate(row)}: unreadable share {share_text!r}")
         if schema.values == "percent":
             if not 0.0 <= share <= 100.0:
-                raise ValidationError(f"{context}: share {share!r} outside [0, 100]")
+                raise ValidationError(f"{locate(row)}: share {share!r} outside [0, 100]")
             share /= 100.0
         elif not 0.0 <= share <= 1.0:
-            raise ValidationError(f"{context}: share {share!r} outside [0, 1]")
+            raise ValidationError(f"{locate(row)}: share {share!r} outside [0, 1]")
         key = (state, area, group)
         if key in mapping:
-            raise ValidationError(f"{context}: duplicate share for {key}")
+            raise ValidationError(f"{locate(row)}: duplicate share for {key}")
         mapping[key] = share
     return PassengerShareTable.from_mapping(mapping)
 

@@ -5,6 +5,8 @@ contains police-reported, which contains any-injury-reported, which
 contains suspected-serious-injury-plus, which contains fatal.  Tow-away
 and airbag-deployment are real severity thresholds but sit outside the
 chain; they are neither subsets nor supersets of the injury levels.
+``SEVERITY_CHAIN`` states the nesting and ``OBSERVED_LEVELS`` the six
+levels a police report can show; every counting module reads them here.
 
 All record types are immutable value objects.  Counting code never
 mutates them, so one record can be shared by every subset and tally
@@ -39,19 +41,18 @@ SEVERITY_CHAIN: tuple[SeverityLevel, ...] = (
     SeverityLevel.FATAL,
 )
 
-_CHAIN_RANK = {level: i for i, level in enumerate(SEVERITY_CHAIN)}
-
-
-def severity_chain_contains(outer: SeverityLevel, inner: SeverityLevel) -> bool:
-    """True when every crash at ``inner`` severity also qualifies at ``outer``.
-
-    Both arguments must be chain members; TOW_AWAY and AIRBAG_DEPLOYED
-    have no containment relation with the rest and raise ValueError.
-    """
-    for level in (outer, inner):
-        if level not in _CHAIN_RANK:
-            raise ValueError(f"{level.value} is not on the severity chain")
-    return _CHAIN_RANK[outer] <= _CHAIN_RANK[inner]
+# The levels a police report can show, in severity-mask bit order: bit i
+# of a crash's mask is set when the crash qualifies at OBSERVED_LEVELS[i].
+# ANY_PROPERTY_DAMAGE_OR_INJURY is absent: only underreporting adjustment
+# estimates it.
+OBSERVED_LEVELS: tuple[SeverityLevel, ...] = (
+    SeverityLevel.POLICE_REPORTED,
+    SeverityLevel.ANY_INJURY_REPORTED,
+    SeverityLevel.TOW_AWAY,
+    SeverityLevel.AIRBAG_DEPLOYED,
+    SeverityLevel.SUSPECTED_SERIOUS_INJURY_PLUS,
+    SeverityLevel.FATAL,
+)
 
 
 class Kabco(str, enum.Enum):

@@ -2,10 +2,13 @@
 
 Counting is vehicle-level throughout: the numerator for a severity is
 the weighted number of qualifying vehicle involvements in crashes at
-that severity, not the number of crashes.  Crash-level tallies are kept
-alongside for the reporting-share diagnostics and the vehicles-per-crash
-ratio.  Every weighted total is an exactly rounded sum (``math.fsum``), so
-no count depends on the order of the input records.
+that severity, not the number of crashes; a vehicle of unknown type
+(NFS) counts as the passenger share that ``resolve_imputation`` alone
+decides.  Counts are kept per ``model.OBSERVED_LEVELS`` level.
+Crash-level tallies are kept alongside for the reporting-share
+diagnostics and the vehicles-per-crash ratio.  Every weighted total is
+an exactly rounded sum (``math.fsum``), so no count depends on the order
+of the input records.
 
 A benchmark table rests on a handful of intermediate totals per region
 and year (``AggregateInputs``): mileage, all-roads crashes and vehicles,
@@ -18,23 +21,17 @@ the report.  A total that was not published is None, never a number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .errors import UndefinedStatistic, ValidationError
-from .filters import (
-    ImputationWeight,
-    SeverityFlags,
-    Subset,
-    audit_subset,
-    compute_imputation_weight,
-    effective_passenger_count,
-)
+from .filters import ImputationWeight, Subset, audit_subset
 from .model import (
     AdjustmentScheme,
     AreaType,
     BenchmarkRate,
     FunctionalClass,
     MileageCell,
+    OBSERVED_LEVELS,
     PassengerShareTable,
     Region,
     SCHEMES,
@@ -44,9 +41,6 @@ from .model import (
     ShareGroup,
 )
 
-# In SeverityFlags field order, which is also the bit order of a crash's
-# severity mask (bit i set means the crash qualifies at _OBSERVED_LEVELS[i]).
-_OBSERVED_LEVELS = tuple(SeverityLevel(f.name) for f in fields(SeverityFlags))
 # The chain's levels that have observed counts, outermost first.
 _NESTED_LEVELS = SEVERITY_CHAIN[1:]
 
@@ -75,23 +69,16 @@ class SeverityCounts:
     fatal: float | None
 
     def __post_init__(self) -> None:
-        for level in _OBSERVED_LEVELS:
+        for level in OBSERVED_LEVELS:
             value = self.get(level)
             if value is not None and not 0.0 <= value < math.inf:
                 raise ValidationError(
                     f"negative or non-finite count at {level.value}: {value!r}")
-        published = [level for level in _NESTED_LEVELS if self.get(level) is not None]
-        for outer, inner in zip(published, published[1:]):
-            if self.get(inner) > self.get(outer) * (1.0 + 1e-12):
-                raise ValidationError(
-                    f"severity counts break containment: {inner.value} "
-                    f"{self.get(inner)!r} exceeds {outer.value} {self.get(outer)!r}"
-                )
-        if self.police_reported is not None:
-            for name in ("tow_away", "airbag_deployed"):
-                value = getattr(self, name)
-                if value is not None and value > self.police_reported * (1.0 + 1e-12):
-                    raise ValidationError(f"{name} count exceeds police_reported")
+        _check_nested("severity counts",
+                      [(level.value, self.get(level)) for level in _NESTED_LEVELS])
+        for name in ("tow_away", "airbag_deployed"):
+            _check_nested("severity counts", [("police_reported", self.police_reported),
+                                              (name, getattr(self, name))])
 
     def get(self, level: SeverityLevel) -> float | None:
         if level is SeverityLevel.ANY_PROPERTY_DAMAGE_OR_INJURY:
@@ -110,6 +97,17 @@ class SeverityCounts:
         return self.any_injury_reported - self.fatal
 
 
+def _check_nested(what: str, totals: list[tuple[str, float | None]]) -> None:
+    """Each published total of ``totals`` (name, value pairs, outermost
+    first; None is unpublished) is at most the nearest published total
+    before it, with 1e-12 relative slack for rounding."""
+    published = [(name, value) for name, value in totals if value is not None]
+    for (outer, bound), (inner, value) in zip(published, published[1:]):
+        if value > bound * (1.0 + 1e-12):
+            raise ValidationError(
+                f"{what} break containment: {inner} {value!r} exceeds {outer} {bound!r}")
+
+
 def _level_sums(masked_amounts) -> SeverityCounts:
     """Counts from (severity mask, amount) pairs: each level sums, exactly
     rounded, the amounts whose mask has that level's bit."""
@@ -121,14 +119,17 @@ def _level_sums(masked_amounts) -> SeverityCounts:
             amount for mask, amounts in by_mask.items() if mask >> i & 1
             for amount in amounts
         )
-        for i, level in enumerate(_OBSERVED_LEVELS)
+        for i, level in enumerate(OBSERVED_LEVELS)
     })
 
 
 def tally_vehicle_counts(subset: Subset, w: float) -> SeverityCounts:
-    """Weighted crashed-vehicle counts per severity, with NFS imputation."""
+    """Weighted crashed-vehicle counts per severity: each crash counts its
+    passenger vehicles plus the share ``w`` of its NFS vehicles."""
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"imputation weight {w!r} outside [0, 1]")
     return _level_sums(
-        (row.severity, effective_passenger_count(row.passenger, row.nfs, w) * row.weight)
+        (row.severity, (row.passenger + w * row.nfs) * row.weight)
         for row in subset.rows.values()
     )
 
@@ -139,16 +140,23 @@ def tally_crash_counts(subset: Subset) -> SeverityCounts:
 
 
 def resolve_imputation(subset: Subset, region: Region) -> ImputationWeight | None:
-    """The subset's imputation weight, or None when nothing needs imputing."""
+    """The weight NFS vehicles are imputed with: the weighted passenger share
+    among the subset's classified vehicles.  None when no vehicle is
+    classified and none needs imputing; undefined when only NFS vehicles
+    are.  Scaling every sample weight by a constant leaves it unchanged.
+    """
     rows = subset.rows.values()
-    if not any(row.passenger or row.other for row in rows):
+    passenger = math.fsum(row.passenger * row.weight for row in rows)
+    other = math.fsum(row.other * row.weight for row in rows)
+    total = passenger + other
+    if total <= 0.0:
         if any(row.nfs for row in rows):
             raise UndefinedStatistic(
                 f"imputation weight undefined for {region.name}: "
                 "NFS vehicles present but no classified vehicles"
             )
         return None
-    return compute_imputation_weight(subset, region)
+    return ImputationWeight(w=passenger / total, passenger=passenger, other=other)
 
 
 def count_crashed_vehicles(subset: Subset, severity: SeverityLevel, w: float) -> float:
@@ -411,7 +419,10 @@ class AggregateInputs:
     ``benchmark_from_aggregates``.  A total that was not published is
     None: an empty cell of a published table, or the all-roads passenger
     mileage of a dataset without passenger shares.  Rate rows that need
-    an unpublished total are skipped rather than invented.
+    an unpublished total are skipped rather than invented.  Published
+    totals nest: surface passenger mileage is at most all-roads passenger
+    mileage, which is at most all-roads mileage, and passenger vehicles
+    are at most all vehicles.
     """
 
     region: Region
@@ -424,6 +435,17 @@ class AggregateInputs:
     vehicles_all_roads_passenger: float | None
     mileage_surface_passenger_mmi: float | None
     counts: SeverityCounts           # surface-street passenger, vehicle-level
+
+    def __post_init__(self) -> None:
+        _check_nested("intermediate totals", [
+            ("mileage_all_roads_mmi", self.mileage_all_roads_mmi),
+            ("mileage_all_roads_passenger_mmi", self.mileage_all_roads_passenger_mmi),
+            ("mileage_surface_passenger_mmi", self.mileage_surface_passenger_mmi),
+        ])
+        _check_nested("intermediate totals", [
+            ("vehicles_all_roads", self.vehicles_all_roads),
+            ("vehicles_all_roads_passenger", self.vehicles_all_roads_passenger),
+        ])
 
 
 def _row_published(agg: AggregateInputs, severity: SeverityLevel,
@@ -597,8 +619,9 @@ def load_aggregates(source: str) -> list[AggregateInputs]:
     ``source`` is a path, or a bare year like "2022" naming a table
     shipped with the package.  An empty cell means the source did not
     publish that total, and reads as None.  A negative or non-finite
-    number, an unreadable year, a ``weighted`` other than 0 or 1 or
-    severity counts that break containment is an error naming the row.
+    number, an unreadable year, a ``weighted`` other than 0 or 1, or
+    severity counts or totals that break containment is an error naming
+    the row.
     """
     import csv
     import re
@@ -654,11 +677,11 @@ def load_aggregates(source: str) -> list[AggregateInputs]:
         try:
             region = Region.national() if name == "national" else Region.county(name, state)
             counts = SeverityCounts(
-                **{level.value: totals.pop(level.value) for level in _OBSERVED_LEVELS})
+                **{level.value: totals.pop(level.value) for level in OBSERVED_LEVELS})
+            out.append(AggregateInputs(region=region, year=int(year),
+                                       weighted=weighted == "1", counts=counts, **totals))
         except ValidationError as exc:
             raise ValidationError(f"{context}: {exc}") from None
-        out.append(AggregateInputs(region=region, year=int(year), weighted=weighted == "1",
-                                   counts=counts, **totals))
     if not out:
         raise ValidationError(f"aggregate table {source}: no rows")
     return out

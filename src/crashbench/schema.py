@@ -397,24 +397,17 @@ class SchemaSpec:
     tow_level: str                # vehicle | crash | none
 
     def validate(self) -> None:
-        if self.kind == "crash":
-            if self.crash is None or self.vehicle is None:
-                raise SchemaError(f"spec {self.tag}: crash specs need [crash] and [vehicle]")
-            if self.kabco_from == "crash" and self.crash.kabco is None:
-                raise SchemaError(f"spec {self.tag}: kabco_from=crash needs a crash kabco column")
-            if self.kabco_from == "person" and (
-                self.person is None or self.person.kabco is None
-            ):
-                raise SchemaError(f"spec {self.tag}: kabco_from=person needs a person kabco column")
-            _check_disjoint(self.tag, self.vehicle)
-        elif self.kind == "mileage":
-            if self.mileage is None:
-                raise SchemaError(f"spec {self.tag}: mileage specs need [mileage]")
-        elif self.kind == "shares":
-            if self.shares is None:
-                raise SchemaError(f"spec {self.tag}: share specs need [shares]")
-        else:
-            raise SchemaError(f"spec {self.tag}: unknown kind {self.kind!r}")
+        """Cross-section checks of a crash spec.  ``parse_spec`` has already
+        rejected an unknown kind and a missing section."""
+        if self.kind != "crash":
+            return
+        if self.kabco_from == "crash" and self.crash.kabco is None:
+            raise SchemaError(f"spec {self.tag}: kabco_from=crash needs a crash kabco column")
+        if self.kabco_from == "person" and (
+            self.person is None or self.person.kabco is None
+        ):
+            raise SchemaError(f"spec {self.tag}: kabco_from=person needs a person kabco column")
+        _check_disjoint(self.tag, self.vehicle)
 
 
 def _check_disjoint(tag: str, vehicle: VehicleSchema) -> None:
@@ -660,15 +653,13 @@ def parse_spec(text: str, name: str) -> SchemaSpec:
     return spec
 
 
-def load_schema(ref: str, base_dir: str | Path | None = None) -> SchemaSpec:
+def load_schema(ref: str) -> SchemaSpec:
     """Load a spec by shipped name ("crss") or by path ("specs/custom.spec")."""
     if re.fullmatch(r"[\w-]+", ref):
         resource = resources.files("crashbench").joinpath("specs", f"{ref}.spec")
         if resource.is_file():
             return parse_spec(resource.read_text(encoding="utf-8"), ref)
     path = Path(ref)
-    if base_dir is not None and not path.is_absolute():
-        path = Path(base_dir) / path
     if not path.is_file():
         raise SchemaError(f"no shipped spec or spec file named {ref!r}")
     return parse_spec(path.read_text(encoding="utf-8"), str(path))

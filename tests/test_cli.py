@@ -53,18 +53,22 @@ def national_manifest(fixtures):
     return manifest
 
 
-def maricopa_edited(tmp_path, year, cells):
+def aggregates_edited(tmp_path, year, region, cells):
     """(path, row number) of a copy of a shipped aggregate table whose
-    Maricopa row has ``cells`` replaced."""
+    row for ``region`` has ``cells`` replaced."""
     text = (Path(crashbench.__file__).parent / "data" / f"aggregates_{year}.csv").read_text()
     header, *rows = list(csv.reader(text.splitlines()))
-    maricopa = next(r for r in rows if r[0] == "Maricopa")
+    edited = next(r for r in rows if r[0] == region)
     for column, value in cells.items():
-        maricopa[header.index(column)] = value
+        edited[header.index(column)] = value
     path = tmp_path / "aggregates.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
-    return path, rows.index(maricopa) + 2
+    return path, rows.index(edited) + 2
+
+
+def maricopa_edited(tmp_path, year, cells):
+    return aggregates_edited(tmp_path, year, "Maricopa", cells)
 
 
 class TestExitCodes:
@@ -138,6 +142,38 @@ class TestExitCodes:
                            "--out", str(tmp_path / "out"), "--quiet")
         assert code == 2, err
         assert f"row {row}" in err and "containment" in err
+
+    @pytest.mark.parametrize("cells, inner, outer", [
+        ({"mileage_surface_passenger_mmi": "99999"},
+         "mileage_surface_passenger_mmi", "mileage_all_roads_passenger_mmi"),
+        ({"mileage_all_roads_passenger_mmi": "99999"},
+         "mileage_all_roads_passenger_mmi", "mileage_all_roads_mmi"),
+        ({"mileage_all_roads_passenger_mmi": "", "mileage_surface_passenger_mmi": "99999"},
+         "mileage_surface_passenger_mmi", "mileage_all_roads_mmi"),
+        ({"vehicles_all_roads_passenger": "999999"},
+         "vehicles_all_roads_passenger", "vehicles_all_roads"),
+    ], ids=["surface_passenger", "all_roads_passenger", "surface_total", "vehicles"])
+    def test_intermediate_totals_must_nest(self, capsys, tmp_path, cells, inner, outer):
+        path, row = maricopa_edited(tmp_path, "2022", cells)
+        code, _, err = run(capsys, "benchmark", "--aggregates", str(path),
+                           "--out", str(tmp_path / "out"), "--quiet")
+        assert code == 2, err
+        assert f"{path} row {row}" in err
+        assert f"{inner} 99999" in err and f"exceeds {outer} " in err
+
+    @pytest.mark.parametrize("edit, rows, reason", [
+        ({"mileage_surface_passenger_mmi": ""}, None, "totals that were not published"),
+        ({}, "tow_away", "include none of"),
+    ], ids=["unpublished", "not_requested"])
+    def test_report_without_power_rows_names_the_region(self, capsys, tmp_path,
+                                                       edit, rows, reason):
+        path, _ = aggregates_edited(tmp_path, "2022", "national", edit)
+        extra = ("--rows", rows) if rows else ()
+        code, _, err = run(capsys, "report", "--aggregates", str(path), *extra,
+                           "--out", str(tmp_path / "out"), "--quiet")
+        assert code == 2, err
+        assert "benchmark for national: no rows for the power table" in err
+        assert reason in err
 
     @pytest.mark.parametrize("file_key, old, new, column", [
         ("crash_file", "C002,2022,80.25,1,0", "C002,20x2,80.25,1,0", "YEAR"),
@@ -604,6 +640,22 @@ class TestConfigFile:
         payload = json.loads((tmp_path / "power.json").read_text())
         assert payload["relative_rates"] == [0.5]
         assert payload["alpha"] == 0.01
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("power", "alpha", "abc"),
+        ("power", "target_power", "high"),
+        ("run", "verbosity", "loud"),
+    ])
+    def test_unreadable_value_names_the_file_section_and_key(self, capsys, tmp_path,
+                                                           section, key, value):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "report", "--aggregates", "2022",
+                           "--config", str(cfg), "--out", str(out))
+        assert code == 2, err
+        assert f"config file {cfg}: [{section}] {key}: unreadable value {value!r}" in err
+        assert not list(out.glob("benchmark.*"))
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "benchmark", "--aggregates", "2022",

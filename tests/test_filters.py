@@ -1,30 +1,25 @@
-"""Subset selection and severity flag derivation."""
+"""Subset selection, severity classification and the imputation weight."""
 
 import pathlib
 from collections import Counter
 
 import pytest
 
-from crashbench.errors import UndefinedStatistic
-from crashbench.filters import (
-    SeverityFlags,
-    audit_subset,
-    classify_severity,
-    compute_imputation_weight,
-    effective_passenger_count,
-    select_subset,
-)
+from crashbench.filters import audit_subset, classify_severity, select_subset
 from crashbench.ingest import combine_sources, load_crash_source, load_dataset
 from crashbench.interchange import load_manifest
 from crashbench.model import (
     BodyClass,
     CrashEvent,
     Kabco,
+    OBSERVED_LEVELS,
     Region,
     RoadClass,
+    SEVERITY_CHAIN,
     SeverityLevel,
     VehicleInvolvement,
 )
+from crashbench.rates import resolve_imputation, tally_vehicle_counts
 from crashbench.schema import load_schema
 
 NATIONAL = Region.national()
@@ -38,6 +33,11 @@ DATASETS = [
 def crash(cid="X1", kabco=Kabco.O, road=RoadClass.SURFACE_STREET,
           weight=1.0, towed=False, airbag=False):
     return CrashEvent(cid, "t", NATIONAL, 2022, road, weight, kabco, towed, airbag)
+
+
+def levels(row):
+    """The observed levels a crash row's severity mask holds."""
+    return {level for i, level in enumerate(OBSERVED_LEVELS) if row.severity >> i & 1}
 
 
 def unit(cid="X1", uid="1", body=BodyClass.PASSENGER, in_transport=True,
@@ -63,25 +63,28 @@ def national(fixtures):
 
 
 class TestSeverityFlags:
-    def test_containment_enforced(self):
-        with pytest.raises(ValueError, match="containment"):
-            SeverityFlags(
-                police_reported=True, any_injury_reported=False,
-                tow_away=False, airbag_deployed=False,
-                suspected_serious_injury_plus=True, fatal=False)
+    EVERY_CRASH = [crash(kabco=k, towed=t, airbag=a)
+                   for k in Kabco for t in (False, True) for a in (False, True)]
 
-    def test_adjustment_only_level_is_not_queryable(self):
-        flags = classify_severity(crash())
-        with pytest.raises(ValueError, match="adjustment-derived"):
-            flags.has(SeverityLevel.ANY_PROPERTY_DAMAGE_OR_INJURY)
+    def test_containment_enforced(self):
+        # Each classified set nests along the chain, whatever the inputs.
+        for c in self.EVERY_CRASH:
+            flags = classify_severity(c, tow_from_units=False, airbag_from_units=False)
+            for outer, inner in zip(SEVERITY_CHAIN[1:], SEVERITY_CHAIN[2:]):
+                assert outer in flags or inner not in flags, (c, flags)
+
+    def test_adjustment_only_level_is_never_observed(self):
+        for c in self.EVERY_CRASH:
+            flags = classify_severity(c, tow_from_units=False, airbag_from_units=False)
+            assert SeverityLevel.ANY_PROPERTY_DAMAGE_OR_INJURY not in flags
 
     def test_has_by_level(self):
         flags = classify_severity(crash(kabco=Kabco.A))
-        assert flags.has(SeverityLevel.POLICE_REPORTED)
-        assert flags.has(SeverityLevel.ANY_INJURY_REPORTED)
-        assert flags.has(SeverityLevel.SUSPECTED_SERIOUS_INJURY_PLUS)
-        assert not flags.has(SeverityLevel.FATAL)
-        assert not flags.has(SeverityLevel.TOW_AWAY)
+        assert SeverityLevel.POLICE_REPORTED in flags
+        assert SeverityLevel.ANY_INJURY_REPORTED in flags
+        assert SeverityLevel.SUSPECTED_SERIOUS_INJURY_PLUS in flags
+        assert SeverityLevel.FATAL not in flags
+        assert SeverityLevel.TOW_AWAY not in flags
 
 
 class TestClassifySeverity:
@@ -96,23 +99,24 @@ class TestClassifySeverity:
     ])
     def test_injury_chain_from_kabco(self, kabco, injury, serious, fatal):
         flags = classify_severity(crash(kabco=kabco))
-        assert flags.police_reported is True
-        assert flags.any_injury_reported is injury
-        assert flags.suspected_serious_injury_plus is serious
-        assert flags.fatal is fatal
+        assert SeverityLevel.POLICE_REPORTED in flags
+        assert (SeverityLevel.ANY_INJURY_REPORTED in flags) is injury
+        assert (SeverityLevel.SUSPECTED_SERIOUS_INJURY_PLUS in flags) is serious
+        assert (SeverityLevel.FATAL in flags) is fatal
 
     def test_tow_from_eligible_units(self):
         c = crash(towed=True)   # crash-level fold says towed
         units = (unit(towed=False), unit(uid="2", towed=False))
         # With unit data the crash fold is ignored.
-        assert classify_severity(c, units).tow_away is False
-        assert classify_severity(c, units, tow_from_units=False).tow_away is True
+        assert SeverityLevel.TOW_AWAY not in classify_severity(c, units)
+        assert SeverityLevel.TOW_AWAY in classify_severity(c, units, tow_from_units=False)
 
     def test_airbag_from_eligible_units(self):
         c = crash(airbag=False)
         units = (unit(airbag=True),)
-        assert classify_severity(c, units).airbag_deployed is True
-        assert classify_severity(c, (), airbag_from_units=False).airbag_deployed is False
+        assert SeverityLevel.AIRBAG_DEPLOYED in classify_severity(c, units)
+        assert SeverityLevel.AIRBAG_DEPLOYED not in classify_severity(
+            c, (), airbag_from_units=False)
 
 
 class TestSelectSubset:
@@ -149,19 +153,19 @@ class TestSelectSubset:
         subset = select_subset(national.crashes, national.vehicles)
         row = subset.rows["C010"]
         assert (row.passenger, row.nfs, row.other) == (0, 0, 0)
-        assert row.flags.tow_away is False
+        assert SeverityLevel.TOW_AWAY not in levels(row)
 
     def test_flags_on_fixture_crashes(self, national):
         subset = select_subset(national.crashes, national.vehicles,
                                weighted=national.weighted)
-        c001 = subset.rows["C001"].flags
-        assert (c001.tow_away, c001.airbag_deployed) == (True, True)
-        assert not c001.any_injury_reported
-        c006 = subset.rows["C006"].flags
-        assert c006.any_injury_reported
-        assert not c006.suspected_serious_injury_plus
-        f001 = subset.rows["F001"].flags
-        assert f001.fatal and f001.suspected_serious_injury_plus
+        c001 = levels(subset.rows["C001"])
+        assert {SeverityLevel.TOW_AWAY, SeverityLevel.AIRBAG_DEPLOYED} <= c001
+        assert SeverityLevel.ANY_INJURY_REPORTED not in c001
+        c006 = levels(subset.rows["C006"])
+        assert SeverityLevel.ANY_INJURY_REPORTED in c006
+        assert SeverityLevel.SUSPECTED_SERIOUS_INJURY_PLUS not in c006
+        f001 = levels(subset.rows["F001"])
+        assert {SeverityLevel.FATAL, SeverityLevel.SUSPECTED_SERIOUS_INJURY_PLUS} <= f001
 
     def test_non_vehicle_excluded_before_transport_check(self):
         crashes = [crash()]
@@ -224,30 +228,29 @@ class TestImputation:
     def test_weighted_passenger_share(self, national):
         subset = select_subset(national.crashes, national.vehicles,
                                weighted=national.weighted)
-        imp = compute_imputation_weight(subset, NATIONAL)
+        imp = resolve_imputation(subset, NATIONAL)
         # Classified passenger: C001 2x120.5, C004 1x200, C007 1x30,
         # F001/F003/F006 1 each.  Classified other: C002 1x80.25, F001 1.
         assert imp.passenger == pytest.approx(474.0)
         assert imp.other == pytest.approx(81.25)
         assert imp.w == pytest.approx(474.0 / 555.25)
 
-    def test_undefined_without_classified_vehicles(self):
-        subset = select_subset([crash()], [])
-        with pytest.raises(UndefinedStatistic, match="no classified vehicles"):
-            compute_imputation_weight(subset, NATIONAL)
-
     def test_effective_count(self):
-        assert effective_passenger_count(3.0, 2.0, 0.5) == 4.0
-        assert effective_passenger_count(3.0, 2.0, 1.0) == 5.0
+        # Three passenger and two NFS vehicles count as 3 + 2w.
+        units = [unit(uid=str(i)) for i in range(3)] + [
+            unit(uid=str(i), body=BodyClass.VEHICLE_NFS) for i in (3, 4)]
+        subset = select_subset([crash()], units)
+        assert tally_vehicle_counts(subset, 0.5).police_reported == 4.0
+        assert tally_vehicle_counts(subset, 1.0).police_reported == 5.0
         with pytest.raises(ValueError):
-            effective_passenger_count(1.0, 1.0, 1.5)
+            tally_vehicle_counts(subset, 1.5)
 
 
 class TestAudit:
     def test_payload_shape(self, national):
         subset = select_subset(national.crashes, national.vehicles,
                                weighted=national.weighted)
-        imp = compute_imputation_weight(subset, NATIONAL)
+        imp = resolve_imputation(subset, NATIONAL)
         audit = audit_subset(subset, imp)
         assert audit["road"] == "surface"
         assert audit["crashes_retained"] == 9

@@ -528,6 +528,66 @@ class TestStructuralErrors:
                               region=NATIONAL, year=2022)
 
 
+class TestRowLines:
+    """An error about a raw row names its file and true line; blank lines
+    count, as they do in an editor."""
+
+    CRASHES = "CASENUM,YEAR,WEIGHT,MAXSEV_IM,INT_HWY\nX1,2022,1.0,0,0\n"
+
+    def load(self, tmp_path, vehicles="", persons=""):
+        for name, text in (("v.csv", "VEH_NO,CASENUM,BODY_TYP,UNITTYPE,TOWED\n" + vehicles),
+                           ("p.csv", "PER_NO,CASENUM,VEH_NO,INJ_SEV,AIR_BAG\n" + persons)):
+            (tmp_path / name).write_text(text)
+        return load_crash_source(load_schema("crss"), tmp_path / "c.csv",
+                                 tmp_path / "v.csv", tmp_path / "p.csv",
+                                 region=NATIONAL, year=2022)
+
+    def test_repeated_crash_row(self, tmp_path):
+        # The repeat equals the first row; the line is the repeat's.
+        (tmp_path / "c.csv").write_text(self.CRASHES + "\nX1,2022,1.0,0,0\n")
+        with pytest.raises(ValidationError, match=rf"c\.csv:4: duplicate crash id X1"):
+            self.load(tmp_path)
+
+    @pytest.mark.parametrize("weight, message", [
+        ("lots", "crash X2 has unreadable weight"),
+        ("-2", "crash X2: sample_weight must be positive"),
+    ])
+    def test_bad_crash_weight(self, tmp_path, weight, message):
+        (tmp_path / "c.csv").write_text(self.CRASHES + f"\n\nX2,2022,{weight},0,0\n")
+        with pytest.raises(ValidationError, match=rf"c\.csv:5: {message}"):
+            self.load(tmp_path)
+
+    def test_orphan_vehicle_row(self, tmp_path):
+        (tmp_path / "c.csv").write_text(self.CRASHES)
+        with pytest.raises(ReferentialError, match=rf"v\.csv:4: vehicle row references"):
+            self.load(tmp_path, vehicles="1,X1,4,1,0\n\n2,X9,4,1,0\n")
+
+    def test_person_row_without_id(self, tmp_path):
+        (tmp_path / "c.csv").write_text(self.CRASHES)
+        with pytest.raises(ValidationError, match=rf"p\.csv:3: crash X1 has a person with no id"):
+            self.load(tmp_path, vehicles="1,X1,4,1,0\n", persons="\n,X1,1,0,0\n")
+
+    @pytest.mark.parametrize("vmt, message", [
+        ("lots", "unreadable mileage"),
+        ("-5", "mileage cell national/local: vmt_millions must be positive"),
+    ])
+    def test_mileage_row(self, tmp_path, vmt, message):
+        path = tmp_path / "m.csv"
+        path.write_text("YEAR,FUNC_SYSTEM,AREA,ANNUAL_VMT_MILLIONS\n"
+                        f"2022,1,urban,10\n\n2022,3,urban,5\n2022,7,urban,{vmt}\n")
+        with pytest.raises(ValidationError,
+                           match=rf"fhwa_vm2 mileage file .*m\.csv:5: {message}"):
+            load_mileage(load_schema("fhwa_vm2"), path, region=NATIONAL, year=2022)
+
+    def test_share_row(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("STATE,AREA,CLASS_GROUP,PASSENGER_PCT\n"
+                        "US,urban,interstate,80\n\n\nUS,urban,other,920\n")
+        with pytest.raises(ValidationError,
+                           match=rf"fhwa_vm4 shares file .*s\.csv:5: share 920.0 outside"):
+            load_passenger_share(load_schema("fhwa_vm4"), path)
+
+
 class TestReaderSemantics:
     """Raw files read as csv.DictReader read them (values recorded from the
     DictReader-based loader)."""

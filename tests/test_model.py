@@ -8,6 +8,7 @@ from crashbench.model import (
     BLINCOE,
     Kabco,
     KABCO_FOLD_RANK,
+    OBSERVED_LEVELS,
     PassengerShareTable,
     Region,
     SCHEMES,
@@ -15,7 +16,6 @@ from crashbench.model import (
     SeverityLevel,
     ShareGroup,
     UNADJUSTED,
-    severity_chain_contains,
 )
 
 
@@ -33,22 +33,10 @@ class TestSeverity:
         outside = set(SeverityLevel) - set(SEVERITY_CHAIN)
         assert outside == {SeverityLevel.TOW_AWAY, SeverityLevel.AIRBAG_DEPLOYED}
 
-    def test_chain_containment_runs_outer_to_inner(self):
-        for i, outer in enumerate(SEVERITY_CHAIN):
-            for j, inner in enumerate(SEVERITY_CHAIN):
-                assert severity_chain_contains(outer, inner) is (i <= j)
-        assert severity_chain_contains(SeverityLevel.POLICE_REPORTED,
-                                       SeverityLevel.FATAL)
-        assert not severity_chain_contains(SeverityLevel.FATAL,
-                                           SeverityLevel.POLICE_REPORTED)
-
-    @pytest.mark.parametrize("level", [SeverityLevel.TOW_AWAY,
-                                       SeverityLevel.AIRBAG_DEPLOYED])
-    def test_off_chain_levels_have_no_containment(self, level):
-        with pytest.raises(ValueError, match="not on the severity chain"):
-            severity_chain_contains(level, SeverityLevel.FATAL)
-        with pytest.raises(ValueError, match="not on the severity chain"):
-            severity_chain_contains(SeverityLevel.POLICE_REPORTED, level)
+    def test_observed_levels_leave_out_the_adjustment_level(self):
+        assert set(OBSERVED_LEVELS) == (
+            set(SeverityLevel) - {SeverityLevel.ANY_PROPERTY_DAMAGE_OR_INJURY})
+        assert len(OBSERVED_LEVELS) == 6
 
 
 class TestKabco:

@@ -16,6 +16,7 @@ from crashbench.model import (
     BodyClass,
     CrashEvent,
     Kabco,
+    OBSERVED_LEVELS,
     Region,
     RoadClass,
     SeverityLevel,
@@ -218,7 +219,8 @@ class TestTallies:
         # though the crash-level fold says towed.
         c002, = (c for c in national.crashes if c.crash_id == "C002")
         assert c002.tow_away is True
-        assert surface.rows["C002"].flags.tow_away is False
+        tow_bit = 1 << OBSERVED_LEVELS.index(SeverityLevel.TOW_AWAY)
+        assert not surface.rows["C002"].severity & tow_bit
 
     def test_crash_counts_on_national_surface(self, surface):
         got = tally_crash_counts(surface)
