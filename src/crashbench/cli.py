@@ -14,10 +14,11 @@ varies between identical runs.  Canonical interchange CSVs carry no
 provenance at all so they compare byte-for-byte across runs and
 implementations; the audit file written next to them carries it instead.
 
-Configuration lives in an INI file (see ``--config``); every key has a
-matching flag, and flags win.  Sections: [run] out_dir, formats,
-verbosity; [benchmark] manifest, aggregates, region, road_rule, rows;
-[power] relative_rates, alpha, target_power.
+Configuration lives in an INI file (see ``--config``).  ``_SETTINGS``
+declares every setting once: its [section] key, its flag, its default
+and its parser.  A flag wins over the config file, which wins over the
+default.  A section or key outside the table, or a value that does not
+parse, is an input error naming the flag or the file, section and key.
 
 Exit codes: 0 success, 2 input or validation problem, 1 unexpected
 internal error.  Warnings never change the exit code.
@@ -32,6 +33,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from . import __version__
@@ -73,91 +75,160 @@ _INPUT_ERRORS = (ValidationError, UndefinedStatistic, FileNotFoundError,
 
 
 # ---------------------------------------------------------------------------
-# Configuration plumbing
+# Settings: each is declared once, in _SETTINGS
+
+
+def _readable(convert: Callable[[str], object]) -> Callable[[str], object]:
+    """``convert``, failing with a message that quotes the text."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ValueError(f"unreadable value {text!r}") from None
+    return parse
+
+
+def _listed(parse_item: Callable[[str], object], what: str) -> Callable[[str], tuple]:
+    """A parser of comma lists whose items ``parse_item`` reads."""
+    def parse(text: str) -> tuple:
+        items = tuple(parse_item(p.strip()) for p in text.split(",") if p.strip())
+        if not items:
+            raise ValueError(f"{what} list is empty")
+        return items
+    return parse
+
+
+def _row(text: str) -> tuple[SeverityLevel, str]:
+    severity_name, _, scheme = text.partition(":")
+    scheme = scheme.strip() or "unadjusted"
+    try:
+        severity = SeverityLevel(severity_name.strip())
+    except ValueError:
+        raise ValueError(f"unknown severity level {severity_name.strip()!r}") from None
+    if scheme not in SCHEMES:
+        raise ValueError(
+            f"unknown adjustment scheme {scheme!r}; expected one of {sorted(SCHEMES)}"
+        )
+    return severity, scheme
+
+
+def _format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError(f"unknown output format {text!r}")
+    return text
+
+
+def _road_rule(text: str) -> str:
+    if text not in ROAD_RULES:
+        raise ValueError(
+            f"unknown road rule {text!r}; expected one of {sorted(ROAD_RULES)}"
+        )
+    return text
+
+
+@dataclasses.dataclass(frozen=True)
+class _Setting:
+    """A setting's flag, default and parser.  The flag's value and the
+    config value are text for ``parse``; the default is already parsed.
+    A flag with a ``const`` takes no value and stands for that text."""
+
+    flag: str
+    default: object
+    parse: Callable[[str], object]
+    help: str
+    const: str | None = None
+
+
+# Keyed by (config section, config key); the key is also the flag's dest.
+_SETTINGS: dict[tuple[str, str], _Setting] = {
+    ("run", "out_dir"): _Setting(
+        "--out", Path("out"), Path, "output directory (default out)"),
+    ("run", "formats"): _Setting(
+        "--format", ("csv", "json"), _listed(_format, "format"),
+        "comma list of csv,json (default both)"),
+    ("run", "verbosity"): _Setting(
+        "--quiet", 1, _readable(int), "suppress progress lines", const="0"),
+    ("benchmark", "manifest"): _Setting(
+        "--manifest", None, Path, "dataset manifest JSON"),
+    ("benchmark", "aggregates"): _Setting(
+        "--aggregates", None, str,
+        "published-aggregate CSV path, or a shipped year like 2022"),
+    ("benchmark", "region"): _Setting(
+        "--region", None, str, "only benchmark the dataset with this region name"),
+    ("benchmark", "road_rule"): _Setting(
+        "--road-rule", None, _road_rule, "override the manifest's road rule"),
+    ("benchmark", "rows"): _Setting(
+        "--rows", DEFAULT_ROWS, _listed(_row, "row"),
+        "severity:scheme pairs, comma separated"),
+    ("power", "relative_rates"): _Setting(
+        "--r", _DEFAULT_RELATIVE_RATES, _listed(_readable(float), "number"),
+        "comma list of relative rates (default 0.01,0.1,0.25,0.5,0.75,1.25,1.5)"),
+    ("power", "alpha"): _Setting(
+        "--alpha", 0.05, _readable(float),
+        "two-sided significance level (default 0.05)"),
+    ("power", "target_power"): _Setting(
+        "--power", 0.80, _readable(float), "target power (default 0.80)"),
+}
 
 
 def _load_config(path: Path | None) -> configparser.ConfigParser:
+    # No default section: a [DEFAULT] header is an unknown section, not
+    # keys copied into every other section.
     parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#",)
+        interpolation=None, inline_comment_prefixes=("#",), default_section=""
     )
     parser.optionxform = str  # type: ignore[method-assign]
-    if path is not None:
-        if not Path(path).is_file():
-            raise ValidationError(f"config file not found: {path}")
-        parser.read(path)
     parser.path = path  # type: ignore[attr-defined]  # named in value errors
+    if path is None:
+        return parser
+    if not path.is_file():
+        raise ValidationError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ValidationError(f"config file {path}: {exc}") from None
+    sections = {section for section, _ in _SETTINGS}
+    for section in parser.sections():
+        if section not in sections:
+            raise ValidationError(
+                f"config file {path}: unknown section [{section}]; "
+                f"expected one of {sorted(sections)}"
+            )
+        for key in parser.options(section):
+            if (section, key) not in _SETTINGS:
+                keys = sorted(k for s, k in _SETTINGS if s == section)
+                raise ValidationError(
+                    f"config file {path}: [{section}] {key}: unknown key; "
+                    f"expected one of {keys}"
+                )
     return parser
 
 
-def _opt(flag_value, cfg: configparser.ConfigParser, section: str, key: str,
-         default=None):
-    """Flag wins over config file wins over default."""
-    if flag_value is not None:
-        return flag_value
-    if cfg.has_option(section, key):
-        return cfg.get(section, key)
-    return default
-
-
-def _opt_number(flag_value, cfg: configparser.ConfigParser, section: str, key: str,
-                default, convert):
-    """``_opt`` passed through ``convert``.  Flags arrive typed, so only a
-    config value can be unreadable: an input error naming the file, the
-    section, the key and the value."""
-    value = _opt(flag_value, cfg, section, key, default)
+def _setting(args, cfg: configparser.ConfigParser, section: str, key: str):
+    """The flag's value, else the config file's, else the default; a value
+    that does not parse is an input error naming where it came from."""
+    setting = _SETTINGS[section, key]
+    text, origin = getattr(args, key), setting.flag
+    if text is None and cfg.has_option(section, key):
+        text = cfg.get(section, key)
+        origin = f"config file {cfg.path}: [{section}] {key}"
+    if text is None:
+        return setting.default
     try:
-        return convert(value)
-    except ValueError:
-        raise ValidationError(
-            f"config file {cfg.path}: [{section}] {key}: unreadable value {value!r}"
-        ) from None
+        return setting.parse(text)
+    except ValueError as exc:
+        raise ValidationError(f"{origin}: {exc}") from None
 
 
-def _parse_rows(text: str) -> tuple[tuple[SeverityLevel, str], ...]:
-    rows = []
-    for part in str(text).split(","):
-        part = part.strip()
-        if not part:
-            continue
-        severity_name, _, scheme = part.partition(":")
-        scheme = scheme.strip() or "unadjusted"
-        try:
-            severity = SeverityLevel(severity_name.strip())
-        except ValueError:
-            raise ValidationError(f"unknown severity level {severity_name.strip()!r}")
-        if scheme not in SCHEMES:
-            raise ValidationError(
-                f"unknown adjustment scheme {scheme!r}; expected one of {sorted(SCHEMES)}"
-            )
-        rows.append((severity, scheme))
-    if not rows:
-        raise ValidationError("row list is empty")
-    return tuple(rows)
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    values = []
-    for part in str(text).split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            values.append(float(part))
-        except ValueError:
-            raise ValidationError(f"unreadable number {part!r}")
-    if not values:
-        raise ValidationError("number list is empty")
-    return tuple(values)
-
-
-def _parse_formats(text: str) -> tuple[str, ...]:
-    formats = tuple(p.strip() for p in str(text).split(",") if p.strip())
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise ValidationError(f"unknown output format {fmt!r}")
-    if not formats:
-        raise ValidationError("format list is empty")
-    return formats
+def _configure(args) -> tuple[dict, list[Path]]:
+    """Every setting the subcommand offers, by key, and the config file as
+    a provenance input list.  Creates the output directory, so nothing is
+    written before every setting has parsed."""
+    cfg = _load_config(args.config)
+    opts = {key: _setting(args, cfg, section, key) for section, key in args.settings}
+    opts["out_dir"].mkdir(parents=True, exist_ok=True)
+    return opts, [args.config] if args.config else []
 
 
 # ---------------------------------------------------------------------------
@@ -197,22 +268,13 @@ def _provenance_lines(provenance: dict) -> list[str]:
 def _manifest_inputs(path: Path, manifests: list[DatasetManifest]) -> list[Path]:
     inputs = [path]
     for ds in manifests:
-        for ref in ds.crash_sources:
-            inputs.append(ref.crash_file)
-            if ref.vehicle_file:
-                inputs.append(ref.vehicle_file)
-            if ref.person_file:
-                inputs.append(ref.person_file)
-            if Path(ref.spec).is_file():
-                inputs.append(Path(ref.spec))
-        for mref in ds.mileage:
-            inputs.append(mref.file)
-            if Path(mref.spec).is_file():
-                inputs.append(Path(mref.spec))
-        for sref in ds.shares:
-            inputs.append(sref.file)
-            if Path(sref.spec).is_file():
-                inputs.append(Path(sref.spec))
+        refs = (*ds.crash_sources, *ds.mileage, *ds.shares)
+        inputs += [Path(ref.spec) for ref in refs if Path(ref.spec).is_file()]
+        inputs += [ref.file for ref in (*ds.mileage, *ds.shares)]
+        inputs += [
+            file for ref in ds.crash_sources
+            for file in (ref.crash_file, ref.vehicle_file, ref.person_file) if file
+        ]
     return inputs
 
 
@@ -220,45 +282,12 @@ def _manifest_inputs(path: Path, manifests: list[DatasetManifest]) -> list[Path]
 # Serialization helpers
 
 
-def _region_dict(region) -> dict:
-    return {"kind": region.kind, "name": region.name, "state": region.state}
-
-
-def _counts_dict(counts) -> dict | None:
-    return None if counts is None else dataclasses.asdict(counts)
-
-
-def _rate_dict(rate) -> dict:
-    return {
-        "severity": rate.severity.value,
-        "adjustment": rate.adjustment,
-        "numerator": rate.numerator,
-        "vmt_millions": rate.vmt_millions,
-        "rate_ipmm": rate.rate_ipmm,
-        "ci_low_ipmm": rate.ci_low_ipmm,
-        "ci_high_ipmm": rate.ci_high_ipmm,
-        "display": rate.display,
-    }
-
-
 def _report_dict(report: BenchmarkReport) -> dict:
-    return {
-        "region": _region_dict(report.region),
-        "year": report.year,
-        "road_rule": report.road_rule,
-        "weighted": report.weighted,
-        "mileage": report.mileage,
-        "intermediates": report.intermediates,
-        "vehicle_counts": _counts_dict(report.vehicle_counts),
-        "crash_counts": _counts_dict(report.crash_counts),
-        "imputation_w": report.imputation_w,
-        "vehicles_per_crash": report.vehicles_per_crash,
-        "rows": [_rate_dict(r) for r in report.rows],
-        "pdo_share_vehicle": report.pdo_share_vehicle,
-        "pdo_share_crash": report.pdo_share_crash,
-        "caveats": list(report.caveats),
-        "audit": report.audit,
-    }
+    payload = dataclasses.asdict(report)
+    for rate, row in zip(report.rows, payload["rows"]):
+        del row["region"], row["year"]
+        row["display"] = rate.display
+    return payload
 
 
 def _write_json(path: Path, payload: dict, verbosity: int) -> None:
@@ -357,34 +386,15 @@ def _power_payload(table: PowerTable, provenance: dict) -> dict:
 # Subcommands
 
 
-def _out_dir(args, cfg) -> Path:
-    out = Path(_opt(args.out, cfg, "run", "out_dir", "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _verbosity(args, cfg) -> int:
-    if args.quiet:
-        return 0
-    return _opt_number(None, cfg, "run", "verbosity", 1, int)
-
-
-def _formats(args, cfg) -> tuple[str, ...]:
-    return _parse_formats(_opt(args.formats, cfg, "run", "formats", "csv,json"))
-
-
 def _region_slug(region) -> str:
     return region.name.lower().replace(" ", "_")
 
 
 def cmd_ingest(args) -> int:
-    cfg = _load_config(args.config)
-    manifest_path = _opt(args.manifest, cfg, "benchmark", "manifest")
+    opts, inputs = _configure(args)
+    manifest_path, out = opts["manifest"], opts["out_dir"]
     if manifest_path is None:
         raise ValidationError("ingest needs a manifest (--manifest or config)")
-    manifest_path = Path(manifest_path)
-    out = _out_dir(args, cfg)
-    verbosity = _verbosity(args, cfg)
     manifests = load_manifest(manifest_path)
     effective = {
         "command": "ingest",
@@ -399,11 +409,12 @@ def cmd_ingest(args) -> int:
         write_vehicles(target / "vehicles.csv", dataset.records.vehicles)
         write_persons(target / "persons.csv", dataset.records.persons)
         write_mileage(target / "mileage.csv", dataset.mileage)
-        provenance = _provenance(effective, _manifest_inputs(manifest_path, [ds]))
+        provenance = _provenance(
+            effective, inputs + _manifest_inputs(manifest_path, [ds]))
         audit = {
             "provenance": provenance,
             "dataset": {
-                "region": _region_dict(ds.region),
+                "region": dataclasses.asdict(ds.region),
                 "year": ds.year,
                 "road_rule": ds.road_rule,
             },
@@ -418,25 +429,17 @@ def cmd_ingest(args) -> int:
             "caveats": list(dataset.records.caveats),
         }
         _write_json(target / "audit.json", audit, 0)
-        if verbosity:
+        if opts["verbosity"]:
             for name in ("crashes.csv", "vehicles.csv", "persons.csv",
                          "mileage.csv", "audit.json"):
                 print(f"wrote {target / name}")
     return 0
 
 
-def _select_reports(args, cfg) -> tuple[list[BenchmarkReport], list[Path], dict]:
+def _select_reports(opts: dict) -> tuple[list[BenchmarkReport], list[Path], dict]:
     """Shared benchmark assembly for `benchmark` and `report`."""
-    manifest_path = _opt(args.manifest, cfg, "benchmark", "manifest")
-    aggregates = _opt(args.aggregates, cfg, "benchmark", "aggregates")
-    region_filter = _opt(args.region, cfg, "benchmark", "region")
-    rows_text = _opt(args.rows, cfg, "benchmark", "rows")
-    rows = _parse_rows(rows_text) if rows_text else DEFAULT_ROWS
-    road_rule = _opt(getattr(args, "road_rule", None), cfg, "benchmark", "road_rule")
-    if road_rule is not None and road_rule not in ROAD_RULES:
-        raise ValidationError(
-            f"unknown road rule {road_rule!r}; expected one of {sorted(ROAD_RULES)}"
-        )
+    manifest_path, aggregates = opts["manifest"], opts["aggregates"]
+    region_filter, road_rule, rows = opts["region"], opts["road_rule"], opts["rows"]
     if manifest_path is None and aggregates is None:
         raise ValidationError(
             "benchmark needs a manifest or an aggregate table "
@@ -448,27 +451,25 @@ def _select_reports(args, cfg) -> tuple[list[BenchmarkReport], list[Path], dict]
     def keep(region) -> bool:
         if region_filter is None:
             return True
-        return region.name.casefold() == str(region_filter).casefold()
+        return region.name.casefold() == region_filter.casefold()
 
     reports: list[BenchmarkReport] = []
     inputs: list[Path] = []
     effective = {
         "command": "benchmark",
         "manifest": str(manifest_path) if manifest_path else None,
-        "aggregates": str(aggregates) if aggregates else None,
+        "aggregates": aggregates,
         "region": region_filter,
         "road_rule": road_rule,
         "rows": [f"{severity.value}:{scheme}" for severity, scheme in rows],
     }
     if aggregates is not None:
-        source = str(aggregates)
-        if Path(source).is_file():
-            inputs.append(Path(source))
-        for agg in load_aggregates(source):
+        if Path(aggregates).is_file():
+            inputs.append(Path(aggregates))
+        for agg in load_aggregates(aggregates):
             if keep(agg.region):
                 reports.append(benchmark_from_aggregates(agg, rows))
     else:
-        manifest_path = Path(manifest_path)
         manifests = [
             ds for ds in load_manifest(manifest_path) if keep(ds.region)
         ]
@@ -487,11 +488,12 @@ def _select_reports(args, cfg) -> tuple[list[BenchmarkReport], list[Path], dict]
     return reports, inputs, effective
 
 
-def _emit_benchmark(reports, inputs, effective, out, formats, verbosity) -> None:
+def _emit_benchmark(reports, inputs, effective, opts) -> None:
+    out, verbosity = opts["out_dir"], opts["verbosity"]
     provenance = _provenance(effective, inputs)
-    if "csv" in formats:
+    if "csv" in opts["formats"]:
         _write_benchmark_csv(out / "benchmark.csv", reports, provenance, verbosity)
-    if "json" in formats:
+    if "json" in opts["formats"]:
         payload = {
             "provenance": provenance,
             "reports": [_report_dict(r) for r in reports],
@@ -500,18 +502,13 @@ def _emit_benchmark(reports, inputs, effective, out, formats, verbosity) -> None
 
 
 def cmd_benchmark(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(args, cfg)
-    verbosity = _verbosity(args, cfg)
-    formats = _formats(args, cfg)
-    reports, inputs, effective = _select_reports(args, cfg)
-    if args.config:
-        inputs.append(Path(args.config))
-    _emit_benchmark(reports, inputs, effective, out, formats, verbosity)
+    opts, inputs = _configure(args)
+    reports, report_inputs, effective = _select_reports(opts)
+    _emit_benchmark(reports, inputs + report_inputs, effective, opts)
     return 0
 
 
-def _power_rates(args, cfg) -> tuple[list[tuple[str, float]], list[Path]]:
+def _power_rates(args) -> tuple[list[tuple[str, float]], list[Path]]:
     """Benchmark rates for the power table, from flags or a benchmark file."""
     inputs: list[Path] = []
     rates: list[tuple[str, float]] = []
@@ -523,9 +520,8 @@ def _power_rates(args, cfg) -> tuple[list[tuple[str, float]], list[Path]]:
             rates.append((label.strip(), float(value)))
         except ValueError:
             raise ValidationError(f"--rate {item!r}: unreadable value")
-    table_path = getattr(args, "benchmark_table", None)
+    table_path = args.benchmark_table
     if table_path is not None:
-        table_path = Path(table_path)
         if not table_path.is_file():
             raise ValidationError(f"benchmark table not found: {table_path}")
         inputs.append(table_path)
@@ -561,20 +557,9 @@ def _power_rates(args, cfg) -> tuple[list[tuple[str, float]], list[Path]]:
     return rates, inputs
 
 
-def _power_settings(args, cfg) -> tuple[tuple[float, ...], float, float]:
-    """(relative rates, alpha, target power) from flags, config and defaults."""
-    relative_text = _opt(args.relative_rates, cfg, "power", "relative_rates")
-    relative = (
-        _parse_floats(relative_text) if relative_text else _DEFAULT_RELATIVE_RATES
-    )
-    alpha = _opt_number(args.alpha, cfg, "power", "alpha", 0.05, float)
-    target = _opt_number(args.target_power, cfg, "power", "target_power", 0.80, float)
-    return relative, alpha, target
-
-
-def _emit_power(settings, rates, inputs, effective, out, formats, verbosity) -> None:
+def _emit_power(rates, inputs, effective, opts) -> None:
     """The power table over ``rates`` at the power settings, as power.csv/json."""
-    relative, alpha, target = settings
+    relative, alpha, target = opts["relative_rates"], opts["alpha"], opts["target_power"]
     table = power_table(rates, list(relative), alpha=alpha, target_power=target)
     effective = {
         **effective,
@@ -583,33 +568,27 @@ def _emit_power(settings, rates, inputs, effective, out, formats, verbosity) -> 
         "target_power": target,
     }
     provenance = _provenance(effective, inputs)
-    if "csv" in formats:
+    out, verbosity = opts["out_dir"], opts["verbosity"]
+    if "csv" in opts["formats"]:
         _write_power_csv(out / "power.csv", table, provenance, verbosity)
-    if "json" in formats:
+    if "json" in opts["formats"]:
         _write_json(out / "power.json", _power_payload(table, provenance), verbosity)
 
 
 def cmd_power(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(args, cfg)
-    verbosity = _verbosity(args, cfg)
-    formats = _formats(args, cfg)
-    settings = _power_settings(args, cfg)
-    rates, inputs = _power_rates(args, cfg)
-    if args.config:
-        inputs.append(Path(args.config))
+    opts, inputs = _configure(args)
+    rates, table_inputs = _power_rates(args)
     effective = {
         "command": "power",
         "rates": [[label, value] for label, value in rates],
     }
-    _emit_power(settings, rates, inputs, effective, out, formats, verbosity)
+    _emit_power(rates, inputs + table_inputs, effective, opts)
     return 0
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(args, cfg)
-    verbosity = _verbosity(args, cfg)
+    opts, inputs = _configure(args)
+    out = opts["out_dir"]
     spec_path = Path(args.spec)
     if not spec_path.is_file():
         raise ValidationError(f"population spec not found: {spec_path}")
@@ -619,11 +598,11 @@ def cmd_synth(args) -> int:
     write_vehicles(out / "vehicles.csv", vehicles)
     effective = {"command": "synth", "spec": str(spec_path), "seed": spec.seed}
     payload = {
-        "provenance": _provenance(effective, [spec_path]),
+        "provenance": _provenance(effective, inputs + [spec_path]),
         "population": {
             "n_crashes": spec.n_crashes,
             "seed": spec.seed,
-            "region": _region_dict(spec.region),
+            "region": dataclasses.asdict(spec.region),
             "year": spec.year,
             "weights": spec.weights,
         },
@@ -641,23 +620,18 @@ def cmd_synth(args) -> int:
         },
     }
     _write_json(out / "truth.json", payload, 0)
-    if verbosity:
+    if opts["verbosity"]:
         for name in ("crashes.csv", "vehicles.csv", "truth.json"):
             print(f"wrote {out / name}")
     return 0
 
 
 def cmd_report(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(args, cfg)
-    verbosity = _verbosity(args, cfg)
-    formats = _formats(args, cfg)
-    settings = _power_settings(args, cfg)
-    reports, inputs, effective = _select_reports(args, cfg)
+    opts, inputs = _configure(args)
+    reports, report_inputs, effective = _select_reports(opts)
+    inputs += report_inputs
     effective = {**effective, "command": "report"}
-    if args.config:
-        inputs.append(Path(args.config))
-    _emit_benchmark(reports, inputs, effective, out, formats, verbosity)
+    _emit_benchmark(reports, inputs, effective, opts)
 
     # Power rows come from the national report when present, else the first.
     chosen = next(
@@ -680,7 +654,7 @@ def cmd_report(args) -> int:
             f"benchmark for {chosen.region.name}: no rows for the power table: {reason}"
         )
     try:
-        _emit_power(settings, rates, inputs, effective, out, formats, verbosity)
+        _emit_power(rates, inputs, effective, opts)
     except ValidationError as exc:
         raise ValidationError(f"benchmark for {chosen.region.name}: {exc}") from None
     return 0
@@ -700,49 +674,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, default=None,
-                        help="INI run configuration; flags override it")
-    common.add_argument("--out", type=Path, default=None,
-                        help="output directory (default out)")
-    common.add_argument("--quiet", action="store_true",
-                        help="suppress progress lines")
-    common.add_argument("--format", dest="formats", default=None,
-                        help="comma list of csv,json (default both)")
+    run = [("run", "out_dir"), ("run", "verbosity")]
+    formats = [("run", "formats")]
+    bench = [("benchmark", key)
+             for key in ("manifest", "aggregates", "region", "road_rule", "rows")]
+    power = [("power", key) for key in ("relative_rates", "alpha", "target_power")]
+    commands = {
+        "ingest": (cmd_ingest, "normalize raw sources to canonical CSVs plus audit",
+                   run + [("benchmark", "manifest")]),
+        "benchmark": (cmd_benchmark, "compute the benchmark rate table",
+                      run + formats + bench),
+        "power": (cmd_power, "required-mileage table for benchmark rates",
+                  run + formats + power),
+        "synth": (cmd_synth, "generate a synthetic population fixture", run),
+        "report": (cmd_report, "benchmark plus power in one run",
+                   run + formats + bench + power),
+    }
+    subparsers = {}
+    for name, (func, help_text, settings) in commands.items():
+        p = subparsers[name] = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", type=Path, default=None,
+                       help="INI run configuration; flags override it")
+        for section, key in settings:
+            setting = _SETTINGS[section, key]
+            if setting.const is None:
+                p.add_argument(setting.flag, dest=key, help=setting.help)
+            else:
+                p.add_argument(setting.flag, dest=key, action="store_const",
+                               const=setting.const, help=setting.help)
+        p.set_defaults(func=func, settings=settings)
 
-    p = sub.add_parser("ingest", parents=[common],
-                       help="normalize raw sources to canonical CSVs plus audit")
-    p.add_argument("--manifest", type=Path, default=None,
-                   help="dataset manifest JSON")
-    p.set_defaults(func=cmd_ingest)
-
-    bench = argparse.ArgumentParser(add_help=False)
-    bench.add_argument("--manifest", type=Path, default=None,
-                       help="dataset manifest JSON")
-    bench.add_argument("--aggregates", default=None,
-                       help="published-aggregate CSV path, or a shipped year like 2022")
-    bench.add_argument("--region", default=None,
-                       help="only benchmark the dataset with this region name")
-    bench.add_argument("--road-rule", dest="road_rule", default=None,
-                       help="override the manifest's road rule")
-    bench.add_argument("--rows", default=None,
-                       help="severity:scheme pairs, comma separated")
-
-    p = sub.add_parser("benchmark", parents=[common, bench],
-                       help="compute the benchmark rate table")
-    p.set_defaults(func=cmd_benchmark)
-
-    powargs = argparse.ArgumentParser(add_help=False)
-    powargs.add_argument("--r", dest="relative_rates", default=None,
-                         help="comma list of relative rates "
-                              "(default 0.01,0.1,0.25,0.5,0.75,1.25,1.5)")
-    powargs.add_argument("--alpha", type=float, default=None,
-                         help="two-sided significance level (default 0.05)")
-    powargs.add_argument("--power", dest="target_power", type=float, default=None,
-                         help="target power (default 0.80)")
-
-    p = sub.add_parser("power", parents=[common, powargs],
-                       help="required-mileage table for benchmark rates")
+    p = subparsers["power"]
     p.add_argument("--rate", action="append", dest="rates", metavar="LABEL=VALUE",
                    help="benchmark rate in events per million miles; repeatable")
     p.add_argument("--benchmark-table", type=Path, default=None,
@@ -750,17 +712,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--row", action="append", dest="power_rows",
                    metavar="REGION:SEVERITY:SCHEME",
                    help="row to pull from --benchmark-table; repeatable")
-    p.set_defaults(func=cmd_power)
-
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a synthetic population fixture")
-    p.add_argument("--spec", required=True, help="population spec INI")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("report", parents=[common, bench, powargs],
-                       help="benchmark plus power in one run")
-    p.set_defaults(func=cmd_report)
-
+    subparsers["synth"].add_argument("--spec", required=True,
+                                     help="population spec INI")
     return parser
 
 

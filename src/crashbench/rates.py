@@ -290,7 +290,7 @@ def merge_mileage(
     if scope not in ("surface", "all"):
         raise ValidationError(f"scope must be 'surface' or 'all', got {scope!r}")
     rule = ROAD_RULES[road_rule]
-    total = 0.0
+    parts: list[float] = []
     matched = 0
     for cell in cells:
         if cell.region != region:
@@ -301,7 +301,9 @@ def merge_mileage(
         vmt = cell.vmt_millions
         if shares is not None:
             vmt *= _cell_share(cell, shares, region, rule.share_mode)
-        total += vmt
+        parts.append(vmt)
+    # fsum is exact, so the total does not depend on the order of the cells.
+    total = math.fsum(parts)
     if matched == 0:
         raise ValidationError(f"no mileage cells for region {region.name}")
     if total <= 0.0:

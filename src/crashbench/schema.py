@@ -228,7 +228,7 @@ class Rule:
 
 def _split_keyword(text: str, keyword: str, context: str) -> list[str]:
     """Split on a bare keyword outside quotes."""
-    parts, buf, in_quote = [], [], False
+    parts = []
     tokens = re.split(r'(".*?"|\s+)', text)
     current = []
     for token in tokens:

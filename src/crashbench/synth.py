@@ -31,6 +31,7 @@ from .model import (
     BodyClass,
     CrashEvent,
     Kabco,
+    OBSERVED_LEVELS,
     Region,
     RoadClass,
     SeverityLevel,
@@ -341,16 +342,6 @@ def _naive_has(crash: CrashEvent, units: tuple[VehicleInvolvement, ...],
     raise ValidationError(f"severity {level.value} is not observable")
 
 
-_OBSERVABLE = (
-    SeverityLevel.POLICE_REPORTED,
-    SeverityLevel.ANY_INJURY_REPORTED,
-    SeverityLevel.TOW_AWAY,
-    SeverityLevel.AIRBAG_DEPLOYED,
-    SeverityLevel.SUSPECTED_SERIOUS_INJURY_PLUS,
-    SeverityLevel.FATAL,
-)
-
-
 def generate(
     spec: PopulationSpec,
 ) -> tuple[tuple[CrashEvent, ...], tuple[VehicleInvolvement, ...], GroundTruth]:
@@ -362,7 +353,7 @@ def generate(
     rng = SplitMix64(spec.seed)
     crashes: list[CrashEvent] = []
     vehicles: list[VehicleInvolvement] = []
-    sev_tally = {level: 0.0 for level in _OBSERVABLE}
+    sev_tally = {level: 0.0 for level in OBSERVED_LEVELS}
     body_tally = {body: 0.0 for body, _ in spec.body}
     weighted_crashes = 0.0
     weighted_vehicles = 0.0
@@ -407,7 +398,7 @@ def generate(
         for unit in units:
             body_tally[unit.body_class] += weight
         unit_tuple = tuple(units)
-        for level in _OBSERVABLE:
+        for level in OBSERVED_LEVELS:
             if _naive_has(crash, unit_tuple, level):
                 sev_tally[level] += weight
     truth = GroundTruth(

@@ -1,6 +1,7 @@
 """End-to-end command behavior, exit codes, and byte-stable outputs."""
 
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -277,6 +278,19 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, flags", [
+        ("ingest", ("--manifest", "manifests/town_2022.json")),
+        ("synth", ("--spec", "synth/mixed_population.ini")),
+    ])
+    def test_format_is_not_offered_where_nothing_reads_it(self, capsys, tmp_path,
+                                                          fixtures, command, flags):
+        option, path = flags
+        with pytest.raises(SystemExit) as exc:
+            main([command, option, str(fixtures / path), "--format", "yaml",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
 
 class TestIngestGoldens:
@@ -656,6 +670,85 @@ class TestConfigFile:
         assert code == 2, err
         assert f"config file {cfg}: [{section}] {key}: unreadable value {value!r}" in err
         assert not list(out.glob("benchmark.*"))
+
+    @pytest.mark.parametrize("section, key, value, item", [
+        ("power", "relative_rates", "0.5,abc", "abc"),
+        ("benchmark", "rows", "fatal:nope", "nope"),
+        ("run", "formats", "yaml", "yaml"),
+        ("benchmark", "road_rule", "scenic", "scenic"),
+    ])
+    def test_rejected_value_names_the_file_section_key_and_item(
+            self, capsys, tmp_path, section, key, value, item):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "report", "--aggregates", "2022",
+                           "--config", str(cfg), "--out", str(out))
+        assert code == 2, err
+        assert f"error: config file {cfg}: [{section}] {key}: " in err
+        assert repr(item) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, item", [
+        ("--r", "0.5,abc", "abc"),
+        ("--rows", "fatal:nope", "nope"),
+        ("--format", "yaml", "yaml"),
+        ("--road-rule", "scenic", "scenic"),
+        ("--alpha", "abc", "abc"),
+        ("--power", "high", "high"),
+    ])
+    def test_rejected_flag_value_names_the_flag(self, capsys, tmp_path, flag,
+                                                value, item):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "report", "--aggregates", "2022",
+                           flag, value, "--out", str(out))
+        assert code == 2, err
+        assert f"error: {flag}: " in err and repr(item) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, named", [
+        ("[power]\nalpah = 0.01\n", "[power] alpah: unknown key"),
+        ("[powr]\nalpha = 0.01\n", "unknown section [powr]"),
+        ("[DEFAULT]\nalpha = 0.01\n", "unknown section [DEFAULT]"),
+        ("alpha = 0.01\n", "no section headers"),
+    ])
+    def test_unknown_section_or_key_is_rejected(self, capsys, tmp_path, text, named):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "report", "--aggregates", "2022",
+                           "--config", str(cfg), "--out", str(out))
+        assert code == 2, err
+        assert f"config file {cfg}: " in err and named in err
+        assert not out.exists()
+
+    def test_readme_configuration_example_runs(self, capsys, tmp_path,
+                                               monkeypatch):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1]
+        example = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(example)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "report", "--aggregates", "2022",
+                           "--config", str(cfg))
+        assert code == 0, err
+
+    @pytest.mark.parametrize("command, flags, written", [
+        ("ingest", ("--manifest", "manifests/town_2022.json"), "audit.json"),
+        ("synth", ("--spec", "synth/mixed_population.ini"), "truth.json"),
+    ])
+    def test_config_file_is_a_provenance_input(self, capsys, tmp_path, fixtures,
+                                               command, flags, written):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nverbosity = 0\n")
+        out = tmp_path / "out"
+        option, path = flags
+        code, _, err = run(capsys, command, option, str(fixtures / path),
+                           "--config", str(cfg), "--out", str(out))
+        assert code == 0, err
+        inputs = json.loads((out / written).read_text())["provenance"]["inputs"]
+        assert inputs["run.ini"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "benchmark", "--aggregates", "2022",

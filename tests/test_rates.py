@@ -320,6 +320,22 @@ class TestMileageMerge:
         assert merge_mileage(cells, None, region, "county_functional",
                              scope="all") == pytest.approx(45210.0, **APPROX)
 
+    @pytest.mark.parametrize("scope", ["surface", "all"])
+    def test_total_does_not_depend_on_cell_order(self, fixtures, shares, scope):
+        # The raw CPM rows and the canonical mileage.csv that ingest writes
+        # hold the same Maricopa cells in different orders.
+        from crashbench.ingest import load_mileage
+        from crashbench.interchange import read_mileage
+        region = Region.county("Maricopa", "AZ")
+        raw, _ = load_mileage(
+            load_schema("adot_cpm"), fixtures / "mileage" / "cpm_2022.csv",
+            region=region, year=2022)
+        canonical = read_mileage(fixtures / "golden" / "maricopa_2022" / "mileage.csv")
+        assert raw != canonical and sorted(raw, key=repr) == sorted(canonical, key=repr)
+        totals = {merge_mileage(cells, shares, region, "county_functional", scope=scope)
+                  for cells in (raw, canonical, raw[::-1])}
+        assert len(totals) == 1, totals
+
     def test_county_jurisdiction_uses_mean_share(self, fixtures, shares):
         from crashbench.ingest import load_mileage
         sf = Region.county("San Francisco", "CA")
