@@ -38,7 +38,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import UndefinedStatistic, ValidationError
-from .ingest import load_dataset
+from .ingest import dataset_records, load_dataset
 from .interchange import (
     DatasetManifest,
     load_manifest,
@@ -48,7 +48,7 @@ from .interchange import (
     write_vehicles,
 )
 from .model import SCHEMES, SeverityLevel
-from .power import PowerTable, power_table
+from .power import PowerTable, check_setting, power_table
 from .rates import (
     DEFAULT_ROWS,
     BenchmarkReport,
@@ -96,6 +96,13 @@ def _listed(parse_item: Callable[[str], object], what: str) -> Callable[[str], t
             raise ValueError(f"{what} list is empty")
         return items
     return parse
+
+
+def _power_setting(name: str) -> Callable[[str], float]:
+    """A parser of numbers that must lie in the range ``PowerQuery`` gives
+    its field ``name``."""
+    read = _readable(float)
+    return lambda text: check_setting(name, read(text))
 
 
 def _row(text: str) -> tuple[SeverityLevel, str]:
@@ -161,13 +168,13 @@ _SETTINGS: dict[tuple[str, str], _Setting] = {
         "--rows", DEFAULT_ROWS, _listed(_row, "row"),
         "severity:scheme pairs, comma separated"),
     ("power", "relative_rates"): _Setting(
-        "--r", _DEFAULT_RELATIVE_RATES, _listed(_readable(float), "number"),
+        "--r", _DEFAULT_RELATIVE_RATES, _listed(_power_setting("relative_rate"), "number"),
         "comma list of relative rates (default 0.01,0.1,0.25,0.5,0.75,1.25,1.5)"),
     ("power", "alpha"): _Setting(
-        "--alpha", 0.05, _readable(float),
+        "--alpha", 0.05, _power_setting("alpha"),
         "two-sided significance level (default 0.05)"),
     ("power", "target_power"): _Setting(
-        "--power", 0.80, _readable(float), "target power (default 0.80)"),
+        "--power", 0.80, _power_setting("target_power"), "target power (default 0.80)"),
 }
 
 
@@ -405,9 +412,10 @@ def cmd_ingest(args) -> int:
         target = out if len(manifests) == 1 else out / _region_slug(ds.region)
         target.mkdir(parents=True, exist_ok=True)
         dataset = load_dataset(ds)
-        write_crashes(target / "crashes.csv", dataset.records.crashes)
-        write_vehicles(target / "vehicles.csv", dataset.records.vehicles)
-        write_persons(target / "persons.csv", dataset.records.persons)
+        crashes, vehicles, persons = dataset_records(dataset)
+        write_crashes(target / "crashes.csv", crashes)
+        write_vehicles(target / "vehicles.csv", vehicles)
+        write_persons(target / "persons.csv", persons)
         write_mileage(target / "mileage.csv", dataset.mileage)
         provenance = _provenance(
             effective, inputs + _manifest_inputs(manifest_path, [ds]))
@@ -421,9 +429,9 @@ def cmd_ingest(args) -> int:
             "sources": dataset.source_audits,
             "diagnostics": dict(sorted(dataset.records.diagnostics.items())),
             "records": {
-                "crashes": len(dataset.records.crashes),
-                "vehicles": len(dataset.records.vehicles),
-                "persons": len(dataset.records.persons),
+                "crashes": len(crashes),
+                "vehicles": len(vehicles),
+                "persons": len(persons),
                 "mileage_cells": len(dataset.mileage),
             },
             "caveats": list(dataset.records.caveats),
@@ -653,10 +661,7 @@ def cmd_report(args) -> int:
         raise ValidationError(
             f"benchmark for {chosen.region.name}: no rows for the power table: {reason}"
         )
-    try:
-        _emit_power(rates, inputs, effective, opts)
-    except ValidationError as exc:
-        raise ValidationError(f"benchmark for {chosen.region.name}: {exc}") from None
+    _emit_power(rates, inputs, effective, opts)
     return 0
 
 

@@ -15,6 +15,15 @@ positions of the cells it reads and memoized on those cells: rows that
 hold equal cells share one ``Rule.eval`` (or code-table lookup) call,
 made on a dict of just those cells.  Warnings are still counted once per
 row, never once per evaluation.
+
+Canonical sources are not normalized again: their crash, vehicle and
+person tables are folded into per-crash columns as they are read
+(``interchange.read_crashes``), with the same accounting.  A crash row
+of another region or year, and a vehicle or person row of such a crash
+or of a crash the crash table does not hold, is counted under a
+diagnostic, and ``rows_in`` counts every row read.  So ``load_dataset``
+gives records only for raw sources; ``dataset_records`` reads a canonical
+source again as records where ``ingest`` writes it out.
 """
 
 from __future__ import annotations
@@ -22,13 +31,14 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice, pairwise
-from operator import attrgetter, itemgetter
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
 from .errors import ReferentialError, SchemaError, ValidationError
 from . import interchange
+from .filters import CrashColumns, Subset, fold_records
 from .model import (
     BodyClass,
     CrashEvent,
@@ -45,8 +55,10 @@ from .schema import CodeMap, Rule, SchemaSpec, load_schema
 
 @dataclass
 class LoadResult:
-    """Canonical records from one raw source, plus row accounting.
+    """Records from one crash source, plus row accounting.
 
+    A raw source gives canonical records; a canonical source is folded
+    into per-crash columns as it is read (``folded``) and gives none.
     The flags mirror what the source can support downstream: whether tow
     status is known per unit or only per crash, whether airbag flags are
     populated on units, and whether sample weights are meaningful.
@@ -58,10 +70,12 @@ class LoadResult:
     persons: list[PersonOutcome]
     diagnostics: Counter = field(default_factory=Counter)
     rows_in: dict = field(default_factory=dict)
+    records: dict = field(default_factory=dict)   # rows kept per table
     weighted: bool = False
     tow_level: str = "none"           # vehicle | crash | none
     airbag_units: bool = False
     caveats: tuple[str, ...] = ()
+    folded: CrashColumns = field(default_factory=CrashColumns)
 
 
 def _read_table(path: Path, required: set[str],
@@ -477,7 +491,10 @@ def load_crash_source(
     )
     return LoadResult(
         tag=spec.tag, crashes=crashes, vehicles=vehicles, persons=persons,
-        diagnostics=diagnostics, rows_in=rows_in, weighted=spec.weighted,
+        diagnostics=diagnostics, rows_in=rows_in,
+        records={"crashes": len(crashes), "vehicles": len(vehicles),
+                 "persons": len(persons)},
+        weighted=spec.weighted,
         tow_level=spec.tow_level, airbag_units=airbag_units,
         caveats=spec.caveats,
     )
@@ -503,7 +520,8 @@ def _classify_body(spec: SchemaSpec, row: dict, diagnostics: Counter) -> BodyCla
 
 @dataclass
 class CombinedRecords:
-    """Crash/vehicle/person records merged across a dataset's sources, in input order."""
+    """Records merged across a dataset's sources, in input order, and the
+    canonical sources' crashes, folded into columns as they were read."""
 
     crashes: list[CrashEvent]
     vehicles: list[VehicleInvolvement]
@@ -513,6 +531,16 @@ class CombinedRecords:
     unit_airbag_flags: bool
     weighted: bool
     caveats: tuple[str, ...]
+    folded: CrashColumns = field(default_factory=CrashColumns)
+
+    def classify(self) -> Subset:
+        """The all-roads subset of every crash: the canonical sources'
+        columns and the raw records, folded by the one adapter."""
+        return Subset.classify(
+            CrashColumns.concat([self.folded, fold_records(self.crashes, self.vehicles)]),
+            tow_from_units=self.unit_tow_flags, airbag_from_units=self.unit_airbag_flags,
+            weighted=self.weighted, caveats=self.caveats,
+        )
 
 
 def combine_sources(loads: list[tuple[str, LoadResult]]) -> CombinedRecords:
@@ -520,11 +548,13 @@ def combine_sources(loads: list[tuple[str, LoadResult]]) -> CombinedRecords:
 
     A nonfatal-role source contributes only its non-fatal crashes and a
     fatal-role source only its fatal ones, so a sampled non-fatal database
-    and a fatal census can cover one region without double counting.
+    and a fatal census can cover one region without double counting.  A
+    crash id may appear in one source only.
     """
     crashes: list[CrashEvent] = []
     vehicles: list[VehicleInvolvement] = []
     persons: list[PersonOutcome] = []
+    folded: list[CrashColumns] = []
     diagnostics: Counter = Counter()
     caveats: list[str] = []
     seen_ids: dict[str, str] = {}
@@ -542,31 +572,35 @@ def combine_sources(loads: list[tuple[str, LoadResult]]) -> CombinedRecords:
             unit_airbag = False
         if load.weighted:
             weighted = True
-        drop: set[str] = set()
-        for crash in load.crashes:
-            is_fatal = crash.max_kabco is Kabco.K
-            if (role == "nonfatal" and is_fatal) or (role == "fatal" and not is_fatal):
-                drop.add(crash.crash_id)
-                diagnostics["role_excluded"] += 1
-                continue
-            if crash.crash_id in seen_ids:
+        kept, units, people, columns = load.crashes, load.vehicles, load.persons, load.folded
+        if role != "all":
+            wanted = role == "fatal"
+            drop = {c.crash_id for c in kept if (c.max_kabco is Kabco.K) is not wanted}
+            if drop:
+                kept = [c for c in kept if c.crash_id not in drop]
+                units = [v for v in units if v.crash_id not in drop]
+                people = [p for p in people if p.crash_id not in drop]
+            columns = columns.select([fatal is wanted for fatal in columns.fatal()])
+            excluded = len(drop) + len(load.folded.crash_id) - len(columns.crash_id)
+            if excluded:
+                diagnostics["role_excluded"] += excluded
+        if len(loads) > 1:
+            ids = [c.crash_id for c in kept] + columns.crash_id
+            clash = next((cid for cid in ids if cid in seen_ids), None)
+            if clash is not None:
                 raise ValidationError(
-                    f"crash id {crash.crash_id} appears in both "
-                    f"{seen_ids[crash.crash_id]} and {load.tag}"
+                    f"crash id {clash} appears in both {seen_ids[clash]} and {load.tag}"
                 )
-            seen_ids[crash.crash_id] = load.tag
-            crashes.append(crash)
-        if drop:
-            vehicles.extend(v for v in load.vehicles if v.crash_id not in drop)
-            persons.extend(p for p in load.persons if p.crash_id not in drop)
-        else:
-            vehicles.extend(load.vehicles)
-            persons.extend(load.persons)
+            seen_ids.update(dict.fromkeys(ids, load.tag))
+        crashes.extend(kept)
+        vehicles.extend(units)
+        persons.extend(people)
+        folded.append(columns)
     return CombinedRecords(
         crashes=crashes, vehicles=vehicles, persons=persons,
         diagnostics=diagnostics, unit_tow_flags=unit_tow,
         unit_airbag_flags=unit_airbag, weighted=weighted,
-        caveats=tuple(caveats),
+        caveats=tuple(caveats), folded=CrashColumns.concat(folded),
     )
 
 
@@ -696,55 +730,27 @@ class DatasetRecords:
     source_audits: list[dict]
 
 
-def _read_unique(read: Callable, path: Path, key: Callable, label: str) -> list:
-    """``read(path)``; a record whose key an earlier line holds is an error
-    naming ``path:line``.  A file in strictly increasing key order, as the
-    canonical writer leaves it, passes on neighbour comparisons alone."""
-    records = read(path)
-    if all(a < b for a, b in pairwise(map(key, records))):
-        return records
-    seen = set()
-    for line, record in enumerate(records, start=2):
-        value = key(record)
-        if value in seen:
-            raise ValidationError(f"{path}:{line}: repeated {label} {value!r}")
-        seen.add(value)
-    return records
-
-
 def _load_canonical_source(ref: interchange.CrashSourceRef, region: Region,
                            year: int) -> LoadResult:
+    """Fold one canonical source's tables into per-crash columns as they
+    are read; no record is built."""
     if ref.region_filter:
         raise ValidationError(
             "canonical sources are filtered by their region column, not region_filter"
         )
-    diagnostics: Counter = Counter()
-    crashes = []
-    for c in _read_unique(interchange.read_crashes, ref.crash_file,
-                          attrgetter("crash_id"), "crash_id"):
-        if c.region != region:
-            diagnostics["region_filtered"] += 1
-        elif c.year != year:
-            diagnostics["year_mismatch"] += 1
-        else:
-            crashes.append(c)
-    ids = {c.crash_id for c in crashes}
-    vehicles = [v for v in _read_unique(interchange.read_vehicles, ref.vehicle_file,
-                                        attrgetter("crash_id", "unit_id"),
-                                        "(crash_id, unit_id)")
-                if v.crash_id in ids] if ref.vehicle_file else []
-    persons = [p for p in _read_unique(interchange.read_persons, ref.person_file,
-                                       attrgetter("crash_id", "unit_id", "person_id"),
-                                       "(crash_id, unit_id, person_id)")
-               if p.crash_id in ids] if ref.person_file else []
+    fold = interchange.read_crashes(ref.crash_file, region, year)
+    if ref.vehicle_file:
+        interchange.read_vehicles(ref.vehicle_file, fold)
+    if ref.person_file:
+        interchange.read_persons(ref.person_file, fold)
+    units = fold.records["vehicles"]
     return LoadResult(
-        tag=CANONICAL_SPEC, crashes=crashes, vehicles=vehicles, persons=persons,
-        diagnostics=diagnostics,
-        rows_in={"crashes": len(crashes) + diagnostics.total(),
-                 "vehicles": len(vehicles), "persons": len(persons)},
-        weighted=any(c.sample_weight != 1.0 for c in crashes),
-        tow_level="vehicle" if vehicles else "crash",
-        airbag_units=bool(vehicles),
+        tag=CANONICAL_SPEC, crashes=[], vehicles=[], persons=[],
+        diagnostics=fold.diagnostics, rows_in=fold.rows_in, records=fold.records,
+        weighted=any(w != 1.0 for w in fold.columns.weight),
+        tow_level="vehicle" if units else "crash",
+        airbag_units=bool(units),
+        folded=fold.columns,
     )
 
 
@@ -769,8 +775,7 @@ def load_dataset(manifest: interchange.DatasetManifest) -> DatasetRecords:
             "spec": ref.spec,
             "role": role,
             "rows_in": load.rows_in,
-            "records": {"crashes": len(load.crashes), "vehicles": len(load.vehicles),
-                        "persons": len(load.persons)},
+            "records": load.records,
             "diagnostics": dict(sorted(load.diagnostics.items())),
             "caveats": list(load.caveats),
         })
@@ -804,3 +809,41 @@ def load_dataset(manifest: interchange.DatasetManifest) -> DatasetRecords:
         manifest=manifest, records=records, mileage=cells, shares=shares,
         source_audits=audits,
     )
+
+
+def _canonical_records(ref: interchange.CrashSourceRef, region: Region,
+                       year: int) -> LoadResult:
+    """One canonical source's records of ``region`` and ``year``, each built
+    through its constructor."""
+    crashes = [c for c in interchange.read_records(ref.crash_file, "crashes")
+               if c.region == region and c.year == year]
+    ids = {c.crash_id for c in crashes}
+
+    def of_kept_crashes(path: Path | None, table: str) -> list:
+        if path is None:
+            return []
+        return [r for r in interchange.read_records(path, table) if r.crash_id in ids]
+
+    return LoadResult(
+        tag=CANONICAL_SPEC, crashes=crashes,
+        vehicles=of_kept_crashes(ref.vehicle_file, "vehicles"),
+        persons=of_kept_crashes(ref.person_file, "persons"),
+    )
+
+
+def dataset_records(dataset: DatasetRecords) -> tuple[list[CrashEvent],
+                                                      list[VehicleInvolvement],
+                                                      list[PersonOutcome]]:
+    """Every crash, vehicle and person record of ``dataset``, as ``ingest``
+    writes them.  ``load_dataset`` has checked, filtered and counted every
+    source, but folds a canonical source into columns without records; so
+    the canonical sources are read again here as records, kept by region,
+    year and role as before, and added to the raw sources' records."""
+    manifest = dataset.manifest
+    canonical = combine_sources([
+        (ref.role, _canonical_records(ref, manifest.region, manifest.year))
+        for ref in manifest.crash_sources if ref.spec == CANONICAL_SPEC
+    ])
+    raw = dataset.records
+    return (raw.crashes + canonical.crashes, raw.vehicles + canonical.vehicles,
+            raw.persons + canonical.persons)

@@ -6,19 +6,29 @@ and floats with repr so that a write/read/write cycle is byte-identical.
 
 Each table is declared once: header, natural sort key, one encoder from a
 record to a row, and one decoder per record field.  The writer sorts rows
-on the key, so the same records always give the same bytes.  The reader
-streams rows and builds each record through its constructor, so the
-record types' own checks run; cells other than ids and floats come from
-small domains and are parsed once per distinct text per file.  A cell
-that does not parse raises ValidationError naming ``path:line``, the
-column and the bad value; a record its constructor rejects names
-``path:line`` and the reason.
+on the key, so the same records always give the same bytes.
+
+Two readers stream rows.  ``read_records`` builds each record through its
+constructor, so the record types' own checks run.  The benchmark path
+builds no record: ``read_crashes`` folds the crash table into per-crash
+columns (``filters.CrashColumns``), keeping one region and year, and
+``read_vehicles`` and ``read_persons`` fold their tables into those
+crashes, so the canonical files of a county are counted in one pass
+each.  The folds decode every cell with the table's own decoders and run
+the records' checks (``model.check_crash``, ``model.check_unit``) on
+every row, kept or not.  Either way, cells other than ids and floats come
+from small domains and are parsed once per distinct text per file.  A
+cell that does not parse raises ValidationError naming ``path:line``, the
+column and the bad value; a row a check rejects names ``path:line`` and
+the reason; a repeated key names ``path:line`` and the key.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from operator import attrgetter, itemgetter
@@ -26,6 +36,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import ValidationError
+from .filters import CrashColumns, crash_evidence, unit_effect
 from .model import (
     AreaType,
     BodyClass,
@@ -37,6 +48,8 @@ from .model import (
     Region,
     RoadClass,
     VehicleInvolvement,
+    check_crash,
+    check_unit,
 )
 from .rates import ROAD_RULES
 
@@ -120,8 +133,9 @@ def _write_table(path: str | Path, table: _Table, records: Iterable) -> None:
         writer.writerows(map(table.encode, sorted(records, key=table.key)))
 
 
-def _read_table(path: str | Path, table: _Table) -> list:
-    header = table.header
+@contextmanager
+def _rows(path: str | Path, header: tuple[str, ...]):
+    """A csv reader over a canonical file, past its checked header."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         found = next(reader, None)
@@ -131,21 +145,29 @@ def _read_table(path: str | Path, table: _Table) -> list:
             raise ValidationError(
                 f"{path}: header {found!r} does not match canonical header {list(header)!r}"
             )
-        # Per field: (row -> its cell or cells, cell text -> value).
-        plan = [
-            (itemgetter(*map(header.index, columns.split(","))),
-             parse if parse in _UNMEMOIZED else cache(parse))
-            for columns, parse in table.fields.items()
-        ]
-        width, make = len(header), table.make
-        records = []
+        yield reader
+
+
+def _plan(table: _Table) -> list:
+    """Per field: (row -> its cell or cells, cell text -> value)."""
+    return [
+        (_cells(table, *columns.split(",")), parse if parse in _UNMEMOIZED else cache(parse))
+        for columns, parse in table.fields.items()
+    ]
+
+
+def _read_table(path: str | Path, table: _Table) -> list:
+    plan = _plan(table)
+    width, make = len(table.header), table.make
+    records = []
+    with _rows(path, table.header) as reader:
         for line, row in enumerate(reader, start=2):
             if len(row) != width:
-                raise ValidationError(f"{path}:{line}: expected {width} cells, got {len(row)}")
+                raise _row_error(f"{path}:{line}", table, row)
             try:
                 values = [decode(cells(row)) for cells, decode in plan]
             except (KeyError, ValueError):
-                raise _cell_error(f"{path}:{line}", table, plan, row) from None
+                raise _row_error(f"{path}:{line}", table, row) from None
             try:
                 records.append(make(*values))
             except ValidationError as exc:
@@ -153,37 +175,243 @@ def _read_table(path: str | Path, table: _Table) -> list:
     return records
 
 
-def _cell_error(where: str, table: _Table, plan: list, row: list) -> ValidationError:
-    """The error naming the first cell of ``row`` that does not decode."""
-    for columns, (cells, decode) in zip(table.fields, plan):
+def _row_error(where: str, table: _Table, row: list) -> ValidationError:
+    """The error naming what is wrong with ``row``: its width, or the first
+    of its cells that does not decode."""
+    if len(row) != len(table.header):
+        return ValidationError(f"{where}: expected {len(table.header)} cells, got {len(row)}")
+    for columns, (cells, decode) in zip(table.fields, _plan(table)):
         try:
             decode(cells(row))
         except (KeyError, ValueError):
             return ValidationError(f"{where}: unreadable {columns} {cells(row)!r}")
 
 
+def _cells(table: _Table, *columns: str) -> Callable:
+    """Row -> its cells in ``columns`` (one cell for one column), located by
+    the table's header."""
+    return itemgetter(*map(table.header.index, columns))
+
+
+def _fold_fields(table: _Table, *names: str) -> tuple[Callable, Callable]:
+    """For the table fields ``names`` (two or more columns in all): row ->
+    their cells, as one tuple, and that tuple -> the fields' values, each
+    decoded by the table's own decoder.  The folds memoize the second on
+    the first."""
+    columns = [column for name in names for column in name.split(",")]
+    getters = [itemgetter(*name.split(",")) for name in names]
+
+    def decode(cells: tuple[str, ...]) -> list:
+        by_column = dict(zip(columns, cells))
+        return [table.fields[name](get(by_column)) for name, get in zip(names, getters)]
+
+    return _cells(table, *columns), decode
+
+
+def _check_unique(path: str | Path, table: _Table, *columns: str) -> None:
+    """A row whose key (its cells in ``columns``) an earlier line holds is
+    an error naming ``path:line``.  The folds notice a possible repeat as
+    they read (crash ids by count and by overlap of kept and dropped ids,
+    unit and person keys by file order); only then is the file read a
+    second time, here."""
+    label = columns[0] if len(columns) == 1 else f"({', '.join(columns)})"
+    key = _cells(table, *columns)
+    seen = set()
+    with _rows(path, table.header) as reader:
+        for line, row in enumerate(reader, start=2):
+            value = key(row)
+            if value in seen:
+                raise ValidationError(f"{path}:{line}: repeated {label} {value!r}")
+            seen.add(value)
+
+
+class _Memo(dict):
+    """Cell texts decoded once per file: a missing key is decoded, and a key
+    that does not decode raises KeyError or ValueError."""
+
+    def __init__(self, decode: Callable) -> None:
+        super().__init__()
+        self.decode = decode
+
+    def __missing__(self, key):
+        value = self[key] = self.decode(key)
+        return value
+
+
+@dataclass
+class CanonicalFold:
+    """Canonical crash, vehicle and person tables folded into per-crash
+    columns as they are read, with every row accounted for.
+
+    Crashes of other regions and years are dropped as they are read and
+    counted under ``region_filtered`` and ``year_mismatch``.  A vehicle or
+    person row of a dropped crash counts as ``parent_dropped``, one whose
+    crash is absent from the crash table as ``parent_unknown``.
+    """
+
+    columns: CrashColumns
+    index: dict[str, int]            # kept crash id -> its position in the columns
+    dropped: set[str]                # crash ids of other regions or years
+    rows_in: dict[str, int]          # data rows read per table
+    records: dict[str, int]          # rows kept per table
+    diagnostics: Counter
+
+    def count_orphan(self, crash_id: str) -> None:
+        """Count a vehicle or person row whose crash is not kept."""
+        self.diagnostics["parent_dropped" if crash_id in self.dropped
+                         else "parent_unknown"] += 1
+
+
+def read_crashes(path: str | Path, region: Region, year: int) -> CanonicalFold:
+    """Fold ``crashes.csv`` into per-crash columns, keeping ``region`` and
+    ``year``; every row's cells and crash checks are read either way."""
+    id_and_weight = _cells(_CRASHES, "crash_id", "sample_weight")
+    parse_weight = _CRASHES.fields["sample_weight"]
+    cells, decode_cells = _fold_fields(
+        _CRASHES, "region,region_state", "year", "road_class", "max_kabco", "tow_away",
+        "airbag_deployed")
+
+    def decode(key: tuple[str, ...]) -> tuple[int, str, RoadClass, int]:
+        """Year, fate ("" when kept, else the diagnostic), road class and
+        severity evidence of a row's cells other than its id and weight."""
+        found, year_value, road, kabco, tow, airbag = decode_cells(key)
+        fate = ("region_filtered" if found != region
+                else "year_mismatch" if year_value != year else "")
+        return year_value, fate, road, crash_evidence(kabco, tow, airbag)
+
+    decoded = _Memo(decode)
+    width = len(CRASH_HEADER)
+    ids, weights, road_class, evidence = [], [], [], []
+    index: dict[str, int] = {}
+    dropped: set[str] = set()
+    diagnostics: Counter = Counter()
+    line = 1
+    with _rows(path, CRASH_HEADER) as reader:
+        for line, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise _row_error(f"{path}:{line}", _CRASHES, row)
+            try:
+                crash_id, weight = id_and_weight(row)
+                year_value, fate, road, bits = decoded[cells(row)]
+                weight = parse_weight(weight)
+            except (KeyError, ValueError):
+                raise _row_error(f"{path}:{line}", _CRASHES, row) from None
+            try:
+                check_crash(crash_id, weight, year_value)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{line}: {exc}") from None
+            if fate:
+                diagnostics[fate] += 1
+                dropped.add(crash_id)
+                continue
+            index[crash_id] = len(ids)
+            ids.append(crash_id)
+            weights.append(weight)
+            road_class.append(road)
+            evidence.append(bits)
+    # Each row adds its id to ``index`` or ``dropped``: the ids are distinct
+    # when neither holds a repeat and no id is in both.
+    if len(index) + len(dropped) < line - 1 or not index.keys().isdisjoint(dropped):
+        _check_unique(path, _CRASHES, "crash_id")
+    return CanonicalFold(
+        columns=CrashColumns.of_crashes(ids, weights, road_class, evidence),
+        index=index, dropped=dropped,
+        rows_in={"crashes": line - 1, "vehicles": 0, "persons": 0},
+        records={"crashes": len(ids), "vehicles": 0, "persons": 0},
+        diagnostics=diagnostics,
+    )
+
+
+def read_vehicles(path: str | Path, fold: CanonicalFold) -> None:
+    """Fold ``vehicles.csv`` into the unit tallies and severity evidence of
+    ``fold``'s crashes (``filters.unit_effect``); no record is built."""
+    columns = fold.columns
+    unit_key = _cells(_VEHICLES, "crash_id", "unit_id")
+    cells, decode = _fold_fields(
+        _VEHICLES, "body_class", "in_transport", "towed", "airbag_deployed")
+    effects = _Memo(lambda key: _effect(columns, *decode(key)))
+    index, evidence = fold.index, columns.evidence
+    width = len(VEHICLE_HEADER)
+    orphans, in_order, last_crash, last_unit, i = 0, True, "", "", None
+    line = 1
+    with _rows(path, VEHICLE_HEADER) as reader:
+        for line, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise _row_error(f"{path}:{line}", _VEHICLES, row)
+            try:
+                tally, bits = effects[cells(row)]
+            except (KeyError, ValueError):
+                raise _row_error(f"{path}:{line}", _VEHICLES, row) from None
+            crash_id, unit_id = unit_key(row)
+            try:
+                check_unit(crash_id, unit_id)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{line}: {exc}") from None
+            # Key order is checked as rows pass; a crash's units sit together
+            # in a canonical file, so its position is looked up once.
+            if crash_id == last_crash:
+                in_order = in_order and unit_id > last_unit
+            else:
+                in_order = in_order and crash_id > last_crash
+                last_crash, i = crash_id, index.get(crash_id)
+            last_unit = unit_id
+            if i is None:
+                fold.count_orphan(crash_id)
+                orphans += 1
+                continue
+            tally[i] += 1
+            evidence[i] |= bits
+    if not in_order:
+        _check_unique(path, _VEHICLES, "crash_id", "unit_id")
+    fold.rows_in["vehicles"] = line - 1
+    fold.records["vehicles"] = line - 1 - orphans
+
+
+def _effect(columns: CrashColumns, *unit) -> tuple[list[int], int]:
+    tally, bits = unit_effect(*unit)
+    return getattr(columns, tally), bits
+
+
+def read_persons(path: str | Path, fold: CanonicalFold) -> None:
+    """Count ``persons.csv``'s rows against ``fold``'s crashes; persons are
+    checked and counted for the audit, not kept."""
+    person_key = _cells(_PERSONS, "crash_id", "unit_id", "person_id")
+    cells, decode = _fold_fields(_PERSONS, "kabco", "airbag_deployed")
+    decoded = _Memo(decode)
+    index = fold.index
+    width = len(PERSON_HEADER)
+    orphans, in_order, last = 0, True, ("", "", "")
+    line = 1
+    with _rows(path, PERSON_HEADER) as reader:
+        for line, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise _row_error(f"{path}:{line}", _PERSONS, row)
+            try:
+                decoded[cells(row)]
+            except (KeyError, ValueError):
+                raise _row_error(f"{path}:{line}", _PERSONS, row) from None
+            key = person_key(row)
+            in_order = in_order and key > last
+            last = key
+            if key[0] not in index:
+                fold.count_orphan(key[0])
+                orphans += 1
+    if not in_order:
+        _check_unique(path, _PERSONS, "crash_id", "unit_id", "person_id")
+    fold.rows_in["persons"] = line - 1
+    fold.records["persons"] = line - 1 - orphans
+
+
 def write_crashes(path: str | Path, crashes: Iterable[CrashEvent]) -> None:
     _write_table(path, _CRASHES, crashes)
-
-
-def read_crashes(path: str | Path) -> list[CrashEvent]:
-    return _read_table(path, _CRASHES)
 
 
 def write_vehicles(path: str | Path, vehicles: Iterable[VehicleInvolvement]) -> None:
     _write_table(path, _VEHICLES, vehicles)
 
 
-def read_vehicles(path: str | Path) -> list[VehicleInvolvement]:
-    return _read_table(path, _VEHICLES)
-
-
 def write_persons(path: str | Path, persons: Iterable[PersonOutcome]) -> None:
     _write_table(path, _PERSONS, persons)
-
-
-def read_persons(path: str | Path) -> list[PersonOutcome]:
-    return _read_table(path, _PERSONS)
 
 
 def write_mileage(path: str | Path, cells: Iterable[MileageCell]) -> None:
@@ -192,6 +420,17 @@ def write_mileage(path: str | Path, cells: Iterable[MileageCell]) -> None:
 
 def read_mileage(path: str | Path) -> list[MileageCell]:
     return _read_table(path, _MILEAGE)
+
+
+_TABLES = {"crashes": _CRASHES, "vehicles": _VEHICLES, "persons": _PERSONS,
+           "mileage": _MILEAGE}
+
+
+def read_records(path: str | Path, table: str) -> list:
+    """Every record of one canonical table (crashes, vehicles, persons or
+    mileage), each built through its constructor.  The benchmark path
+    folds crash tables instead (``read_crashes``)."""
+    return _read_table(path, _TABLES[table])
 
 
 # ---------------------------------------------------------------------------

@@ -192,14 +192,20 @@ class CrashEvent:
     airbag_deployed: bool
 
     def __post_init__(self) -> None:
-        if not self.crash_id:
-            raise ValidationError("crash_id is empty")
-        if not (self.sample_weight > 0.0) or not math.isfinite(self.sample_weight):
-            raise ValidationError(
-                f"crash {self.crash_id}: sample_weight must be positive, got {self.sample_weight!r}"
-            )
-        if not 1900 <= self.year <= 2100:
-            raise ValidationError(f"crash {self.crash_id}: implausible year {self.year}")
+        check_crash(self.crash_id, self.sample_weight, self.year)
+
+
+def check_crash(crash_id: str, sample_weight: float, year: int) -> None:
+    """The checks every crash passes, whether it becomes a ``CrashEvent``
+    or is folded into columns as it is read."""
+    if not crash_id:
+        raise ValidationError("crash_id is empty")
+    if not 0.0 < sample_weight < math.inf:
+        raise ValidationError(
+            f"crash {crash_id}: sample_weight must be positive, got {sample_weight!r}"
+        )
+    if not 1900 <= year <= 2100:
+        raise ValidationError(f"crash {crash_id}: implausible year {year}")
 
 
 @dataclass(frozen=True)
@@ -214,10 +220,15 @@ class VehicleInvolvement:
     airbag_deployed: bool
 
     def __post_init__(self) -> None:
-        if not self.crash_id:
-            raise ValidationError("vehicle crash_id is empty")
-        if not self.unit_id:
-            raise ValidationError(f"crash {self.crash_id}: vehicle unit_id is empty")
+        check_unit(self.crash_id, self.unit_id)
+
+
+def check_unit(crash_id: str, unit_id: str) -> None:
+    """The checks every unit passes, as a record or folded into its crash."""
+    if not crash_id:
+        raise ValidationError("vehicle crash_id is empty")
+    if not unit_id:
+        raise ValidationError(f"crash {crash_id}: vehicle unit_id is empty")
 
 
 @dataclass(frozen=True)

@@ -69,12 +69,32 @@ def normal_quantile(p: float) -> float:
     return x - u / (1.0 + x * u / 2.0)
 
 
+# The open interval each setting of a power query lies in.
+_RANGES = {
+    "benchmark_rate": (0.0, math.inf),
+    "relative_rate": (0.0, math.inf),
+    "alpha": (0.0, 1.0),
+    "target_power": (0.0, 1.0),
+}
+
+
+def check_setting(name: str, value: float) -> float:
+    """``value`` if it lies in the range of the ``PowerQuery`` field
+    ``name``; otherwise a ValidationError naming the field."""
+    low, high = _RANGES[name]
+    if not low < value < high:
+        bound = "be positive" if high == math.inf else f"lie in ({low:g}, {high:g})"
+        raise ValidationError(f"{name} must {bound}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PowerQuery:
     """One sample-size question against a benchmark rate.
 
     benchmark_rate is in events per million miles; relative_rate r means
-    the fictive fleet crashes at r times the benchmark.
+    the fictive fleet crashes at r times the benchmark.  Every field is
+    checked against its range (``check_setting``).
     """
 
     benchmark_rate: float
@@ -83,20 +103,8 @@ class PowerQuery:
     target_power: float = 0.80
 
     def __post_init__(self) -> None:
-        if not self.benchmark_rate > 0.0 or not math.isfinite(self.benchmark_rate):
-            raise ValidationError(
-                f"benchmark_rate must be positive, got {self.benchmark_rate!r}"
-            )
-        if not self.relative_rate > 0.0 or not math.isfinite(self.relative_rate):
-            raise ValidationError(
-                f"relative_rate must be positive, got {self.relative_rate!r}"
-            )
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not 0.0 < self.target_power < 1.0:
-            raise ValidationError(
-                f"target_power must lie in (0, 1), got {self.target_power!r}"
-            )
+        for name in _RANGES:
+            check_setting(name, getattr(self, name))
 
 
 def required_vmt(query: PowerQuery) -> float:

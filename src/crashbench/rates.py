@@ -1,4 +1,4 @@
-"""Aggregation of filtered records and mileage into benchmark rates.
+"""Aggregation of a subset's per-crash columns and mileage into benchmark rates.
 
 Counting is vehicle-level throughout: the numerator for a severity is
 the weighted number of qualifying vehicle involvements in crashes at
@@ -6,9 +6,11 @@ that severity, not the number of crashes; a vehicle of unknown type
 (NFS) counts as the passenger share that ``resolve_imputation`` alone
 decides.  Counts are kept per ``model.OBSERVED_LEVELS`` level.
 Crash-level tallies are kept alongside for the reporting-share
-diagnostics and the vehicles-per-crash ratio.  Every weighted total is
-an exactly rounded sum (``math.fsum``), so no count depends on the order
-of the input records.
+diagnostics and the vehicles-per-crash ratio.  Every tally reads the
+columns of a ``filters.Subset``: one amount per crash, summed over one
+selection of crashes per level on the severity-mask column.  Every
+weighted total is an exactly rounded sum (``math.fsum``), so no count
+depends on the order of the input records.
 
 A benchmark table rests on a handful of intermediate totals per region
 and year (``AggregateInputs``): mileage, all-roads crashes and vehicles,
@@ -22,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress, repeat
+from operator import and_, mul
 
 from .errors import UndefinedStatistic, ValidationError
 from .filters import ImputationWeight, Subset, audit_subset
@@ -81,11 +85,7 @@ class SeverityCounts:
                                               (name, getattr(self, name))])
 
     def get(self, level: SeverityLevel) -> float | None:
-        if level is SeverityLevel.ANY_PROPERTY_DAMAGE_OR_INJURY:
-            raise ValidationError(
-                "any_property_damage_or_injury has no observed count; "
-                "apply an adjustment scheme"
-            )
+        _observed_bit(level)
         return getattr(self, level.value)
 
     @property
@@ -108,35 +108,47 @@ def _check_nested(what: str, totals: list[tuple[str, float | None]]) -> None:
                 f"{what} break containment: {inner} {value!r} exceeds {outer} {bound!r}")
 
 
-def _level_sums(masked_amounts) -> SeverityCounts:
-    """Counts from (severity mask, amount) pairs: each level sums, exactly
-    rounded, the amounts whose mask has that level's bit."""
-    by_mask: dict[int, list[float]] = {}
-    for mask, amount in masked_amounts:
-        by_mask.setdefault(mask, []).append(amount)
-    return SeverityCounts(**{
-        level.value: math.fsum(
-            amount for mask, amounts in by_mask.items() if mask >> i & 1
-            for amount in amounts
+def _observed_bit(level: SeverityLevel) -> int:
+    """The severity-mask bit of an observed level."""
+    if level is SeverityLevel.ANY_PROPERTY_DAMAGE_OR_INJURY:
+        raise ValidationError(
+            "any_property_damage_or_injury has no observed count; "
+            "apply an adjustment scheme"
         )
-        for i, level in enumerate(OBSERVED_LEVELS)
-    })
+    return 1 << OBSERVED_LEVELS.index(level)
+
+
+def _level_sum(severity: list[int], amounts: list[float], level: SeverityLevel) -> float:
+    """The amounts of the crashes whose mask has the level's bit, summed
+    exactly rounded: the one selection a level's count sums over."""
+    return math.fsum(compress(amounts, map(and_, severity, repeat(_observed_bit(level)))))
+
+
+def _level_sums(severity: list[int], amounts: list[float]) -> SeverityCounts:
+    """Counts at every observed level from one amount per crash."""
+    return SeverityCounts(**{level.value: _level_sum(severity, amounts, level)
+                             for level in OBSERVED_LEVELS})
+
+
+def _vehicle_amounts(subset: Subset, w: float) -> list[float]:
+    """Each crash's passenger vehicles plus the share ``w`` of its NFS
+    vehicles, times its sample weight."""
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"imputation weight {w!r} outside [0, 1]")
+    c = subset.columns
+    return [(passenger + w * nfs) * weight
+            for passenger, nfs, weight in zip(c.passenger, c.nfs, c.weight)]
 
 
 def tally_vehicle_counts(subset: Subset, w: float) -> SeverityCounts:
     """Weighted crashed-vehicle counts per severity: each crash counts its
     passenger vehicles plus the share ``w`` of its NFS vehicles."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"imputation weight {w!r} outside [0, 1]")
-    return _level_sums(
-        (row.severity, (row.passenger + w * row.nfs) * row.weight)
-        for row in subset.rows.values()
-    )
+    return _level_sums(subset.severity, _vehicle_amounts(subset, w))
 
 
 def tally_crash_counts(subset: Subset) -> SeverityCounts:
     """Weighted crash counts per severity (diagnostic, not the benchmark)."""
-    return _level_sums((row.severity, row.weight) for row in subset.rows.values())
+    return _level_sums(subset.severity, subset.columns.weight)
 
 
 def resolve_imputation(subset: Subset, region: Region) -> ImputationWeight | None:
@@ -145,12 +157,12 @@ def resolve_imputation(subset: Subset, region: Region) -> ImputationWeight | Non
     classified and none needs imputing; undefined when only NFS vehicles
     are.  Scaling every sample weight by a constant leaves it unchanged.
     """
-    rows = subset.rows.values()
-    passenger = math.fsum(row.passenger * row.weight for row in rows)
-    other = math.fsum(row.other * row.weight for row in rows)
+    c = subset.columns
+    passenger = math.fsum(map(mul, c.passenger, c.weight))
+    other = math.fsum(map(mul, c.other, c.weight))
     total = passenger + other
     if total <= 0.0:
-        if any(row.nfs for row in rows):
+        if any(c.nfs):
             raise UndefinedStatistic(
                 f"imputation weight undefined for {region.name}: "
                 "NFS vehicles present but no classified vehicles"
@@ -161,14 +173,15 @@ def resolve_imputation(subset: Subset, region: Region) -> ImputationWeight | Non
 
 def count_crashed_vehicles(subset: Subset, severity: SeverityLevel, w: float) -> float:
     """Weighted qualifying vehicle involvements in crashes at a severity."""
-    return tally_vehicle_counts(subset, w).get(severity)
+    return _level_sum(subset.severity, _vehicle_amounts(subset, w), severity)
 
 
 def _weighted_totals(subset: Subset) -> tuple[float, float]:
     """Weighted crashes and weighted vehicle involvements of any type."""
-    rows = subset.rows.values()
-    return (math.fsum(row.weight for row in rows),
-            math.fsum((row.passenger + row.nfs + row.other) * row.weight for row in rows))
+    c = subset.columns
+    return (math.fsum(c.weight),
+            math.fsum((passenger + nfs + other) * weight for passenger, nfs, other, weight
+                      in zip(c.passenger, c.nfs, c.other, c.weight)))
 
 
 def crash_vs_vehicle_ratio(subset: Subset) -> float:
@@ -537,23 +550,18 @@ def build_benchmark(dataset, rows: tuple[tuple[SeverityLevel, str], ...] = DEFAU
                     ) -> BenchmarkReport:
     """Compute the full benchmark report from loaded microdata.
 
-    The records reduce to the same intermediate totals a published table
-    gives; the report adds what only microdata has: the road rule, crash
-    counts, the imputation weight, the crash PDO share, caveats and the
-    filter audit.
+    Canonical sources arrive folded into columns and raw records are
+    folded into the same columns (``CombinedRecords.classify``), so every
+    crash is counted by the one path.  The columns reduce to the same
+    intermediate totals a published table gives; the report adds what
+    only microdata has: the road rule, crash counts, the imputation
+    weight, the crash PDO share, caveats and the filter audit.
     """
-    from .filters import select_subset
-
     manifest = dataset.manifest
     records = dataset.records
     region, road_rule = manifest.region, manifest.road_rule
 
-    all_subset = select_subset(
-        records.crashes, records.vehicles, road="all",
-        unit_tow_flags=records.unit_tow_flags,
-        unit_airbag_flags=records.unit_airbag_flags,
-        weighted=records.weighted, caveats=records.caveats,
-    )
+    all_subset = records.classify()
     surface = all_subset.surface()
 
     surface_imp = resolve_imputation(surface, region)

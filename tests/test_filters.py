@@ -2,12 +2,14 @@
 
 import pathlib
 from collections import Counter
+from dataclasses import fields
+from types import SimpleNamespace
 
 import pytest
 
 from crashbench.filters import audit_subset, classify_severity, select_subset
 from crashbench.ingest import combine_sources, load_crash_source, load_dataset
-from crashbench.interchange import load_manifest
+from crashbench.interchange import load_manifest, read_records
 from crashbench.model import (
     BodyClass,
     CrashEvent,
@@ -38,6 +40,31 @@ def crash(cid="X1", kabco=Kabco.O, road=RoadClass.SURFACE_STREET,
 def levels(row):
     """The observed levels a crash row's severity mask holds."""
     return {level for i, level in enumerate(OBSERVED_LEVELS) if row.severity >> i & 1}
+
+
+def row_of(subset, crash_id):
+    """One crash's entries in a subset's columns, with its severity mask."""
+    i = subset.columns.crash_id.index(crash_id)
+    return SimpleNamespace(severity=subset.severity[i], **{
+        f.name: getattr(subset.columns, f.name)[i] for f in fields(subset.columns)})
+
+
+def dataset_records(dataset):
+    """A dataset's crash and vehicle records; canonical sources, which load
+    as columns, are read back as records of the dataset's region and year."""
+    manifest, records = dataset.manifest, dataset.records
+    crashes, vehicles = list(records.crashes), list(records.vehicles)
+    for ref in manifest.crash_sources:
+        if ref.spec != "canonical":
+            continue
+        kept = [c for c in read_records(ref.crash_file, "crashes")
+                if c.region == manifest.region and c.year == manifest.year]
+        ids = {c.crash_id for c in kept}
+        crashes += kept
+        if ref.vehicle_file:
+            vehicles += [v for v in read_records(ref.vehicle_file, "vehicles")
+                         if v.crash_id in ids]
+    return crashes, vehicles
 
 
 def unit(cid="X1", uid="1", body=BodyClass.PASSENGER, in_transport=True,
@@ -123,7 +150,7 @@ class TestSelectSubset:
     def test_surface_subset_of_national_fixture(self, national):
         subset = select_subset(national.crashes, national.vehicles,
                                weighted=national.weighted)
-        assert sorted(subset.rows) == [
+        assert sorted(subset.columns.crash_id) == [
             "C001", "C002", "C004", "C006", "C007", "C010",
             "F001", "F003", "F006"]
         assert audit_subset(subset, None)["vehicles_retained"] == 10
@@ -137,34 +164,34 @@ class TestSelectSubset:
     def test_all_roads_subset_keeps_everything(self, national):
         subset = select_subset(national.crashes, national.vehicles, road="all",
                                weighted=national.weighted)
-        assert len(subset.rows) == 13
+        assert len(subset.columns.crash_id) == 13
         assert "crash_road_excluded" not in subset.exclusions
         assert "crash_road_unknown" not in subset.exclusions
 
     def test_unit_tallies(self, national):
         subset = select_subset(national.crashes, national.vehicles,
                                weighted=national.weighted)
-        row = subset.rows["C002"]
+        row = row_of(subset, "C002")
         assert (row.passenger, row.nfs, row.other) == (0, 1, 1)
-        row = subset.rows["C001"]
+        row = row_of(subset, "C001")
         assert (row.passenger, row.nfs, row.other) == (2, 0, 0)
 
     def test_zero_unit_crash_stays(self, national):
         subset = select_subset(national.crashes, national.vehicles)
-        row = subset.rows["C010"]
+        row = row_of(subset, "C010")
         assert (row.passenger, row.nfs, row.other) == (0, 0, 0)
         assert SeverityLevel.TOW_AWAY not in levels(row)
 
     def test_flags_on_fixture_crashes(self, national):
         subset = select_subset(national.crashes, national.vehicles,
                                weighted=national.weighted)
-        c001 = levels(subset.rows["C001"])
+        c001 = levels(row_of(subset, "C001"))
         assert {SeverityLevel.TOW_AWAY, SeverityLevel.AIRBAG_DEPLOYED} <= c001
         assert SeverityLevel.ANY_INJURY_REPORTED not in c001
-        c006 = levels(subset.rows["C006"])
+        c006 = levels(row_of(subset, "C006"))
         assert SeverityLevel.ANY_INJURY_REPORTED in c006
         assert SeverityLevel.SUSPECTED_SERIOUS_INJURY_PLUS not in c006
-        f001 = levels(subset.rows["F001"])
+        f001 = levels(row_of(subset, "F001"))
         assert {SeverityLevel.FATAL, SeverityLevel.SUSPECTED_SERIOUS_INJURY_PLUS} <= f001
 
     def test_non_vehicle_excluded_before_transport_check(self):
@@ -177,8 +204,8 @@ class TestSelectSubset:
         crashes = [crash()]
         units = [unit(body=BodyClass.OTHER_VEHICLE), unit(uid="2")]
         subset = select_subset(crashes, units)
-        assert subset.rows["X1"].passenger == 1
-        assert subset.rows["X1"].other == 1
+        assert row_of(subset, "X1").passenger == 1
+        assert row_of(subset, "X1").other == 1
 
     def test_bad_road_scope_rejected(self, national):
         with pytest.raises(ValueError, match="road"):
@@ -190,26 +217,24 @@ class TestSelectSubset:
 class TestSurfaceFromAllRoads:
     @pytest.mark.parametrize("manifest, index", DATASETS)
     def test_rows_shared_and_exclusions_conserved(self, manifest, index):
-        records = load_dataset(load_manifest(manifest)[index]).records
-        all_subset = select_subset(
-            records.crashes, records.vehicles, road="all",
-            unit_tow_flags=records.unit_tow_flags,
-            unit_airbag_flags=records.unit_airbag_flags, weighted=records.weighted)
+        dataset = load_dataset(load_manifest(manifest)[index])
+        all_subset = dataset.records.classify()
         surface = all_subset.surface()
-        assert surface.road == "surface" and surface.rows
-        for cid, row in surface.rows.items():
-            assert row is all_subset.rows[cid]
+        assert surface.road == "surface" and surface.columns.crash_id
+        for cid in surface.columns.crash_id:
+            assert row_of(surface, cid) == row_of(all_subset, cid)
 
+        crashes, vehicles = dataset_records(dataset)
         expected = Counter()
         surface_ids = set()
-        for c in records.crashes:
+        for c in crashes:
             if c.road_class is RoadClass.EXCLUDED_HIGHWAY:
                 expected["crash_road_excluded"] += 1
             elif c.road_class is RoadClass.UNKNOWN:
                 expected["crash_road_unknown"] += 1
             else:
                 surface_ids.add(c.crash_id)
-        for v in records.vehicles:
+        for v in vehicles:
             if v.crash_id not in surface_ids:
                 continue
             if v.body_class is BodyClass.NON_VEHICLE:
@@ -219,9 +244,9 @@ class TestSurfaceFromAllRoads:
             elif v.body_class is BodyClass.OTHER_VEHICLE:
                 expected["unit_other_vehicle"] += 1
         assert dict(surface.exclusions) == dict(expected)
-        assert sorted(surface.rows) == sorted(surface_ids)
-        assert (len(surface.rows) + surface.exclusions["crash_road_excluded"]
-                + surface.exclusions["crash_road_unknown"]) == len(records.crashes)
+        assert sorted(surface.columns.crash_id) == sorted(surface_ids)
+        assert (len(surface.columns.crash_id) + surface.exclusions["crash_road_excluded"]
+                + surface.exclusions["crash_road_unknown"]) == len(crashes)
 
 
 class TestImputation:

@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import json
 import random
+import shutil
 from importlib import resources
 
 import pytest
@@ -428,13 +429,42 @@ class TestDatasets:
     def test_town_manifest(self, fixtures):
         manifest, = load_manifest(fixtures / "manifests" / "town_2022.json")
         data = load_dataset(manifest)
-        assert [c.crash_id for c in data.records.crashes] == ["T001", "T002"]
-        assert len(data.records.vehicles) == 3
+        assert data.records.folded.crash_id == ["T001", "T002"]
+        assert data.source_audits[0]["records"]["vehicles"] == 3
         assert data.records.weighted is False
         assert data.records.unit_tow_flags is True
         assert [m.vmt_millions for m in data.mileage] == [0.012]
         assert data.shares is None
         assert data.source_audits[0]["spec"] == "canonical"
+
+    def test_canonical_rows_of_dropped_or_absent_crashes_are_counted(self, fixtures,
+                                                                     tmp_path):
+        canonical = fixtures / "canonical"
+        (tmp_path / "crashes.csv").write_text(
+            (canonical / "town_crashes.csv").read_text()
+            + "X001,town,Shelbyville,IL,2022,surface_street,1.0,O,0,0\n")
+        (tmp_path / "vehicles.csv").write_text(
+            (canonical / "town_vehicles.csv").read_text()
+            + "X001,1,passenger,1,0,0\n"     # its crash is in another region
+            + "Z999,1,passenger,1,0,0\n")    # its crash is absent
+        (tmp_path / "persons.csv").write_text(
+            "crash_id,unit_id,person_id,kabco,airbag_deployed\n"
+            "T002,1,1,C,0\nX001,1,1,O,0\nZ999,1,1,O,0\n")
+        shutil.copy(canonical / "town_mileage.csv", tmp_path / "mileage.csv")
+        manifest = json.loads((fixtures / "manifests" / "town_2022.json").read_text())
+        manifest["crash_sources"][0].update(
+            crash_file="crashes.csv", vehicle_file="vehicles.csv", person_file="persons.csv")
+        manifest["mileage"][0]["file"] = "mileage.csv"
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        data = load_dataset(load_manifest(tmp_path / "manifest.json")[0])
+        audit, = data.source_audits
+        assert audit["rows_in"] == {"crashes": 3, "vehicles": 5, "persons": 3}
+        assert audit["records"] == {"crashes": 2, "vehicles": 3, "persons": 1}
+        assert audit["diagnostics"] == {
+            "region_filtered": 1, "parent_dropped": 2, "parent_unknown": 2}
+        assert (sum(audit["rows_in"].values())
+                == sum(audit["records"].values()) + sum(audit["diagnostics"].values()))
+        assert dict(data.records.diagnostics) == audit["diagnostics"]
 
     def test_canonical_source_rejects_region_filter(self, fixtures):
         manifest, = load_manifest(fixtures / "manifests" / "town_2022.json")

@@ -220,7 +220,7 @@ class TestTallies:
         c002, = (c for c in national.crashes if c.crash_id == "C002")
         assert c002.tow_away is True
         tow_bit = 1 << OBSERVED_LEVELS.index(SeverityLevel.TOW_AWAY)
-        assert not surface.rows["C002"].severity & tow_bit
+        assert not surface.severity[surface.columns.crash_id.index("C002")] & tow_bit
 
     def test_crash_counts_on_national_surface(self, surface):
         got = tally_crash_counts(surface)

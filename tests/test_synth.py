@@ -363,6 +363,84 @@ class TestOracleAgreement:
             brute_force_tally(crashes, vehicles, "vibes")
 
 
+class TestColumnPathOracle:
+    """The canonical reader's columns, the raw-record adapter and the naive
+    oracle count the same population to the same bits.
+
+    Each population mixes integer weights from 1 to 5, every body class,
+    units not in transport, and crashes of another county and another
+    year that the canonical reader must drop.  Integer weights and at most
+    two units per crash keep the oracle's running sums exact, so the three
+    must agree with ==.
+    """
+
+    REGION = Region.county("Maricopa", "AZ")
+
+    def populations(self, seed):
+        spec = replace(population(seed, n_crashes=300), region=self.REGION)
+        crashes, vehicles, _ = generate(spec)
+        rng = SplitMix64(seed)
+        vehicles = [replace(v, in_transport=rng.random() >= 0.1) for v in vehicles]
+        others = []
+        for prefix, other in (("R", replace(spec, region=Region.county("Pima", "AZ"))),
+                              ("Y", replace(spec, year=2021))):
+            more, units, _ = generate(replace(other, n_crashes=40, seed=seed + 1))
+            others.append(([replace(c, crash_id=prefix + c.crash_id) for c in more],
+                           [replace(v, crash_id=prefix + v.crash_id) for v in units]))
+        return list(crashes), vehicles, others
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_columns_adapter_and_oracle_agree(self, seed, tmp_path):
+        from crashbench import interchange
+        from crashbench.ingest import CombinedRecords, load_dataset
+        from crashbench.model import AreaType, FunctionalClass, MileageCell
+        from crashbench.rates import build_benchmark
+
+        crashes, vehicles, others = self.populations(seed)
+        interchange.write_crashes(tmp_path / "crashes.csv",
+                                  crashes + [c for more, _ in others for c in more])
+        interchange.write_vehicles(tmp_path / "vehicles.csv",
+                                   vehicles + [v for _, units in others for v in units])
+        interchange.write_mileage(tmp_path / "mileage.csv", [MileageCell(
+            self.REGION, 2022, FunctionalClass.LOCAL, AreaType.ALL, 1000.0)])
+        (tmp_path / "manifest.json").write_text(
+            '{"region": {"kind": "county", "name": "Maricopa", "state": "AZ"},'
+            ' "year": 2022, "road_rule": "all_roads",'
+            ' "crash_sources": [{"spec": "canonical", "crash_file": "crashes.csv",'
+            ' "vehicle_file": "vehicles.csv"}],'
+            ' "mileage": [{"spec": "canonical", "file": "mileage.csv"}]}')
+        dataset = load_dataset(interchange.load_manifest(tmp_path / "manifest.json")[0])
+        assert dataset.records.diagnostics == {"region_filtered": 40, "year_mismatch": 40,
+                                               "parent_dropped": sum(
+                                                   len(units) for _, units in others)}
+        from_columns = build_benchmark(dataset)
+        records = CombinedRecords(
+            crashes=crashes, vehicles=vehicles, persons=[],
+            diagnostics=dataset.records.diagnostics, unit_tow_flags=True,
+            unit_airbag_flags=True, weighted=True, caveats=())
+        from_records = build_benchmark(replace(dataset, records=records))
+
+        w = brute_force_tally(crashes, vehicles, "imputation_weight", road="surface")
+        w_all = brute_force_tally(crashes, vehicles, "imputation_weight", road="all")
+        for report in (from_columns, from_records):
+            assert report.imputation_w == w
+            for level in OBSERVABLE:
+                assert report.crash_counts.get(level) == brute_force_tally(
+                    crashes, vehicles, "crash_count", severity=level, road="surface")
+                assert report.vehicle_counts.get(level) == brute_force_tally(
+                    crashes, vehicles, "vehicle_count", severity=level, road="surface",
+                    w=w)
+            totals = report.intermediates
+            assert totals["crashes"] == brute_force_tally(crashes, vehicles,
+                                                          "weighted_crashes")
+            assert totals["passenger_vehicles_all_roads"] == brute_force_tally(
+                crashes, vehicles, "vehicle_count", w=w_all)
+            assert report.vehicles_per_crash == brute_force_tally(crashes, vehicles, "ratio")
+        assert from_columns.intermediates == from_records.intermediates
+        assert from_columns.audit["surface"] == from_records.audit["surface"]
+        assert from_columns.audit["all_roads"] == from_records.audit["all_roads"]
+
+
 class TestSmallTownByConstruction:
     def test_three_vehicles_on_four_thousandths_mmi(self):
         # Two crashes, one single-vehicle and one two-vehicle, all

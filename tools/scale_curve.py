@@ -1,0 +1,141 @@
+"""Scale curve of ``crashbench report`` on canonical inputs.
+
+    python3 tools/scale_curve.py --label change
+    python3 tools/scale_curve.py --label parent --src ../parent/src
+
+Runs ``crashbench report --manifest M`` in a child process on perfbench's
+canonical_report population (``perfbench/inputs.py``) at 10^4, 10^5 and
+10^6 crashes, and appends one entry to ``BENCH_scale.json``: each run's
+wall time and the child's peak RSS, with the Python version, CPU count
+and git SHA of the measured source tree.  ``--src`` measures another
+checkout's ``src`` directory against the same inputs.  Each size runs
+three times, on the seed-1 population.
+
+It is not a gate and sets no bound; it records a trajectory that later
+changes append to.  The inputs are built once per seed and size and kept
+under ``.scale_work/`` (building 10^6 crashes takes about a minute and
+0.75 GiB); the same seed gives the same bytes.  Run it from the root of a
+source checkout on an otherwise idle host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import multiprocessing
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORK_DIR = ROOT / ".scale_work"
+OUT = ROOT / "BENCH_scale.json"
+SIZES = (10_000, 100_000, 1_000_000)
+SEED = 1
+REPEATS = 3          # runs per size; the entry keeps each run and the median
+
+
+def build_inputs(seed: int, n_crashes: int) -> Path:
+    """The canonical_report inputs at ``n_crashes``, built on first use in a
+    fresh process: a child's peak RSS counts the resident size of the
+    process that starts it, so this one must stay small."""
+    out = WORK_DIR / f"canonical-seed{seed}-n{n_crashes}"
+    if not (out / "manifest.json").is_file():
+        proc = multiprocessing.get_context("spawn").Process(
+            target=_build, args=(seed, n_crashes, out))
+        proc.start()
+        proc.join()
+        if proc.exitcode != 0:
+            raise SystemExit(f"building {out.name} failed")
+    return out
+
+
+def _build(seed: int, n_crashes: int, out: Path) -> None:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import inputs
+    from spans import NullRecorder
+
+    size = f"n{n_crashes}"
+    inputs.SIZES[size] = {**inputs.SIZES["full"], "n_crashes": n_crashes}
+    partial = out.with_name(out.name + ".partial")
+    shutil.rmtree(partial, ignore_errors=True)
+    partial.mkdir(parents=True)
+    inputs.build_canonical_report(partial, seed, size, NullRecorder())
+    partial.rename(out)
+
+
+def run_report(src: Path, manifest: Path, out: Path) -> tuple[float, float]:
+    """Wall seconds and peak RSS (MiB) of one ``report`` child."""
+    shutil.rmtree(out, ignore_errors=True)
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
+    started = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "crashbench.cli", "report", "--manifest", str(manifest),
+         "--out", str(out), "--quiet"], env=env, stderr=subprocess.PIPE)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - started
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise SystemExit(f"report failed on {manifest}: {proc.stderr.read().decode()}")
+    proc.stderr.close()
+    return wall, usage.ru_maxrss / 1024.0
+
+
+def git_sha(src: Path) -> str | None:
+    """The commit checked out where ``src`` lies, if it is a git checkout,
+    marked ``+dirty`` when files under ``src`` differ from it."""
+    head = subprocess.run(["git", "-C", str(src), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    if head.returncode != 0:
+        return None
+    status = subprocess.run(["git", "-C", str(src), "status", "--porcelain", "--", "."],
+                            capture_output=True, text=True)
+    return head.stdout.strip() + ("+dirty" if status.stdout.strip() else "")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="name of this entry")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="source tree to measure (default this checkout's src)")
+    args = parser.parse_args(argv)
+
+    src = args.src.resolve()
+    runs = []
+    for n_crashes in SIZES:
+        inputs_dir = build_inputs(SEED, n_crashes)
+        samples = [run_report(src, inputs_dir / "manifest.json", WORK_DIR / "out")
+                   for _ in range(REPEATS)]
+        runs.append({
+            "n_crashes": n_crashes,
+            "wall_s": [round(wall, 3) for wall, _ in samples],
+            "peak_rss_mib": [round(rss, 1) for _, rss in samples],
+            "median_wall_s": round(statistics.median(w for w, _ in samples), 3),
+            "median_peak_rss_mib": round(statistics.median(r for _, r in samples), 1),
+        })
+        print(f"{args.label}: {n_crashes} crashes: {runs[-1]['median_wall_s']} s, "
+              f"{runs[-1]['median_peak_rss_mib']} MiB", file=sys.stderr)
+    shutil.rmtree(WORK_DIR / "out", ignore_errors=True)
+
+    entry = {
+        "label": args.label,
+        "git_sha": git_sha(src),
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "seed": SEED,
+        "command": "crashbench report --manifest M --quiet",
+        "runs": runs,
+    }
+    record = (json.loads(OUT.read_text(encoding="utf-8")) if OUT.is_file()
+              else {"entries": []})
+    record["entries"].append(entry)
+    OUT.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
