@@ -38,13 +38,13 @@ from pathlib import Path
 
 from . import __version__
 from .errors import UndefinedStatistic, ValidationError
-from .ingest import dataset_records, load_dataset
+from .ingest import dataset_rows, load_dataset
 from .interchange import (
     DatasetManifest,
     load_manifest,
     write_crashes,
     write_mileage,
-    write_persons,
+    write_rows,
     write_vehicles,
 )
 from .model import SCHEMES, SeverityLevel
@@ -246,7 +246,9 @@ def _digest_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _provenance(effective: dict, inputs: list[Path]) -> dict:
+def _digests(inputs: list[Path]) -> dict[str, str]:
+    """The content digest of every input file, named by file name (or
+    parent/name where two names clash); each file is read once."""
     entries: dict[str, str] = {}
     for path in sorted({str(p) for p in inputs}):
         p = Path(path)
@@ -254,11 +256,15 @@ def _provenance(effective: dict, inputs: list[Path]) -> dict:
         if key in entries:
             key = f"{p.parent.name}/{p.name}"
         entries[key] = _digest_bytes(p.read_bytes())
+    return entries
+
+
+def _provenance(effective: dict, digests: dict[str, str]) -> dict:
     config_blob = json.dumps(effective, sort_keys=True).encode("utf-8")
     return {
         "tool": f"crashbench {__version__}",
         "config_digest": _digest_bytes(config_blob),
-        "inputs": entries,
+        "inputs": digests,
     }
 
 
@@ -412,13 +418,12 @@ def cmd_ingest(args) -> int:
         target = out if len(manifests) == 1 else out / _region_slug(ds.region)
         target.mkdir(parents=True, exist_ok=True)
         dataset = load_dataset(ds)
-        crashes, vehicles, persons = dataset_records(dataset)
-        write_crashes(target / "crashes.csv", crashes)
-        write_vehicles(target / "vehicles.csv", vehicles)
-        write_persons(target / "persons.csv", persons)
+        rows = dataset_rows(dataset)
+        for table, table_rows in rows.items():
+            write_rows(target / f"{table}.csv", table, table_rows)
         write_mileage(target / "mileage.csv", dataset.mileage)
         provenance = _provenance(
-            effective, inputs + _manifest_inputs(manifest_path, [ds]))
+            effective, _digests(inputs + _manifest_inputs(manifest_path, [ds])))
         audit = {
             "provenance": provenance,
             "dataset": {
@@ -429,9 +434,7 @@ def cmd_ingest(args) -> int:
             "sources": dataset.source_audits,
             "diagnostics": dict(sorted(dataset.records.diagnostics.items())),
             "records": {
-                "crashes": len(crashes),
-                "vehicles": len(vehicles),
-                "persons": len(persons),
+                **{table: len(table_rows) for table, table_rows in rows.items()},
                 "mileage_cells": len(dataset.mileage),
             },
             "caveats": list(dataset.records.caveats),
@@ -496,9 +499,9 @@ def _select_reports(opts: dict) -> tuple[list[BenchmarkReport], list[Path], dict
     return reports, inputs, effective
 
 
-def _emit_benchmark(reports, inputs, effective, opts) -> None:
+def _emit_benchmark(reports, digests, effective, opts) -> None:
     out, verbosity = opts["out_dir"], opts["verbosity"]
-    provenance = _provenance(effective, inputs)
+    provenance = _provenance(effective, digests)
     if "csv" in opts["formats"]:
         _write_benchmark_csv(out / "benchmark.csv", reports, provenance, verbosity)
     if "json" in opts["formats"]:
@@ -512,7 +515,7 @@ def _emit_benchmark(reports, inputs, effective, opts) -> None:
 def cmd_benchmark(args) -> int:
     opts, inputs = _configure(args)
     reports, report_inputs, effective = _select_reports(opts)
-    _emit_benchmark(reports, inputs + report_inputs, effective, opts)
+    _emit_benchmark(reports, _digests(inputs + report_inputs), effective, opts)
     return 0
 
 
@@ -565,7 +568,7 @@ def _power_rates(args) -> tuple[list[tuple[str, float]], list[Path]]:
     return rates, inputs
 
 
-def _emit_power(rates, inputs, effective, opts) -> None:
+def _emit_power(rates, digests, effective, opts) -> None:
     """The power table over ``rates`` at the power settings, as power.csv/json."""
     relative, alpha, target = opts["relative_rates"], opts["alpha"], opts["target_power"]
     table = power_table(rates, list(relative), alpha=alpha, target_power=target)
@@ -575,7 +578,7 @@ def _emit_power(rates, inputs, effective, opts) -> None:
         "alpha": alpha,
         "target_power": target,
     }
-    provenance = _provenance(effective, inputs)
+    provenance = _provenance(effective, digests)
     out, verbosity = opts["out_dir"], opts["verbosity"]
     if "csv" in opts["formats"]:
         _write_power_csv(out / "power.csv", table, provenance, verbosity)
@@ -590,7 +593,7 @@ def cmd_power(args) -> int:
         "command": "power",
         "rates": [[label, value] for label, value in rates],
     }
-    _emit_power(rates, inputs + table_inputs, effective, opts)
+    _emit_power(rates, _digests(inputs + table_inputs), effective, opts)
     return 0
 
 
@@ -606,7 +609,7 @@ def cmd_synth(args) -> int:
     write_vehicles(out / "vehicles.csv", vehicles)
     effective = {"command": "synth", "spec": str(spec_path), "seed": spec.seed}
     payload = {
-        "provenance": _provenance(effective, inputs + [spec_path]),
+        "provenance": _provenance(effective, _digests(inputs + [spec_path])),
         "population": {
             "n_crashes": spec.n_crashes,
             "seed": spec.seed,
@@ -637,9 +640,9 @@ def cmd_synth(args) -> int:
 def cmd_report(args) -> int:
     opts, inputs = _configure(args)
     reports, report_inputs, effective = _select_reports(opts)
-    inputs += report_inputs
+    digests = _digests(inputs + report_inputs)
     effective = {**effective, "command": "report"}
-    _emit_benchmark(reports, inputs, effective, opts)
+    _emit_benchmark(reports, digests, effective, opts)
 
     # Power rows come from the national report when present, else the first.
     chosen = next(
@@ -661,7 +664,7 @@ def cmd_report(args) -> int:
         raise ValidationError(
             f"benchmark for {chosen.region.name}: no rows for the power table: {reason}"
         )
-    _emit_power(rates, inputs, effective, opts)
+    _emit_power(rates, digests, effective, opts)
     return 0
 
 

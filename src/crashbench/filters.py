@@ -9,8 +9,9 @@ Crashes are counted from columns.  A fold turns each crash into one entry
 of parallel per-crash lists (``CrashColumns``): its weight and road class,
 its units tallied by where they count (``unit_effect``), and its severity
 evidence (``crash_evidence`` plus what its eligible units add).  The
-canonical reader folds CSV rows straight into those lists, and
-``fold_records`` is the one adapter that folds crash and vehicle records.
+canonical reader folds canonical rows, of a CSV file or of a raw source
+held in memory, straight into those lists, and ``fold_records`` is the
+one adapter that folds crash and vehicle records (``select_subset``).
 Severity is a property of the crash, classified once per crash into a bit
 mask over ``model.OBSERVED_LEVELS`` when a ``Subset`` is classified,
 because whether tow and airbag come from units or from crash flags is

@@ -1,9 +1,12 @@
-"""Raw file loading: spec-driven adapters to the canonical record model.
+"""Raw file loading: spec-driven adapters to canonical rows.
 
-Every raw row either becomes exactly one canonical record or is counted
+Every raw row either becomes exactly one canonical row or is counted
 under exactly one diagnostic reason, so row counts are conserved and the
-filter audit can account for every exclusion.  Unknown codes never drop a
-record silently: they classify to an explicit unknown bucket and bump a
+filter audit can account for every exclusion.  A canonical row holds the
+cells ``interchange`` writes for its table, in header order, and has
+passed the checks of its record type (``model.check_crash``,
+``model.check_unit``); no record is built.  Unknown codes never drop a
+row silently: they classify to an explicit unknown bucket and bump a
 warning counter.
 
 Raw tables are read into positional rows with the semantics of
@@ -13,17 +16,21 @@ extra cells are ignored, and a header name that appears twice resolves
 to its last column.  Each spec rule is bound once per file to the
 positions of the cells it reads and memoized on those cells: rows that
 hold equal cells share one ``Rule.eval`` (or code-table lookup) call,
-made on a dict of just those cells.  Warnings are still counted once per
-row, never once per evaluation.
+made on a dict of just those cells, and the memo holds the canonical
+cells the call gives.  Warnings are still counted once per row, never
+once per evaluation.
 
 Canonical sources are not normalized again: their crash, vehicle and
 person tables are folded into per-crash columns as they are read
 (``interchange.read_crashes``), with the same accounting.  A crash row
 of another region or year, and a vehicle or person row of such a crash
 or of a crash the crash table does not hold, is counted under a
-diagnostic, and ``rows_in`` counts every row read.  So ``load_dataset``
-gives records only for raw sources; ``dataset_records`` reads a canonical
-source again as records where ``ingest`` writes it out.
+diagnostic, and ``rows_in`` counts every row read.  A raw source's rows
+go through that same fold when a benchmark counts them
+(``CombinedRecords.classify``), and ``ingest`` writes them as they are;
+``dataset_rows`` reads a canonical source again as rows where ``ingest``
+writes it out.  Records (``.crashes``, ``.vehicles``, ``.persons``) are
+decoded from the rows only when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ from typing import Callable, Iterable
 
 from .errors import ReferentialError, SchemaError, ValidationError
 from . import interchange
-from .filters import CrashColumns, Subset, fold_records
+from .filters import CrashColumns, Subset
+from .interchange import FLAG
 from .model import (
     BodyClass,
     CrashEvent,
@@ -49,25 +57,63 @@ from .model import (
     PersonOutcome,
     Region,
     VehicleInvolvement,
+    check_crash,
+    check_unit,
 )
-from .schema import CodeMap, Rule, SchemaSpec, load_schema
+from .schema import CodeMap, RoadRules, Rule, SchemaSpec, load_schema
+
+
+_TABLES = ("crashes", "vehicles", "persons")    # each row starts with its crash id
+_KABCO_AT = interchange.CRASH_HEADER.index("max_kabco")
+_PLACE = itemgetter(*map(interchange.CRASH_HEADER.index, ("region", "region_state", "year")))
+_RANK = {kabco.value: rank for kabco, rank in KABCO_FOLD_RANK.items()}
+_UNK, _FATAL = Kabco.UNK.value, Kabco.K.value
+
+
+def _no_rows() -> dict[str, list]:
+    return {table: [] for table in _TABLES}
+
+
+def _in_memory(rows: dict[str, list], table: str) -> interchange.Rows:
+    return interchange.Rows(f"canonical {table} rows", rows[table])
+
+
+class _RowRecords:
+    """Records decoded from canonical ``rows`` when a caller asks for them,
+    through each table's decoders and record constructors."""
+
+    rows: dict[str, list]
+
+    def _records(self, table: str) -> list:
+        return interchange.read_records(_in_memory(self.rows, table), table)
+
+    @property
+    def crashes(self) -> list[CrashEvent]:
+        return self._records("crashes")
+
+    @property
+    def vehicles(self) -> list[VehicleInvolvement]:
+        return self._records("vehicles")
+
+    @property
+    def persons(self) -> list[PersonOutcome]:
+        return self._records("persons")
 
 
 @dataclass
-class LoadResult:
-    """Records from one crash source, plus row accounting.
+class LoadResult(_RowRecords):
+    """Canonical rows from one crash source, plus row accounting.
 
-    A raw source gives canonical records; a canonical source is folded
-    into per-crash columns as it is read (``folded``) and gives none.
-    The flags mirror what the source can support downstream: whether tow
+    A raw source gives canonical rows per table (``interchange``'s
+    header order, in input order); a canonical source is folded into
+    per-crash columns as it is read (``folded``) and gives none.  The
+    flags mirror what the source can support downstream: whether tow
     status is known per unit or only per crash, whether airbag flags are
     populated on units, and whether sample weights are meaningful.
     """
 
     tag: str
-    crashes: list[CrashEvent]
-    vehicles: list[VehicleInvolvement]
-    persons: list[PersonOutcome]
+    rows: dict[str, list] = field(default_factory=_no_rows)
     diagnostics: Counter = field(default_factory=Counter)
     rows_in: dict = field(default_factory=dict)
     records: dict = field(default_factory=dict)   # rows kept per table
@@ -147,11 +193,11 @@ def _bind(positions: dict[str, int], columns: Iterable[str],
 
 
 def _bind_kabco(positions: dict[str, int], column: str,
-                codes: CodeMap) -> Callable[[list], tuple[Kabco, bool]]:
-    """(KABCO, known) of a row; an empty or unmapped cell is (UNK, False)."""
-    def lookup(cells: dict) -> tuple[Kabco, bool]:
+                codes: CodeMap) -> Callable[[list], tuple[str, bool]]:
+    """(KABCO cell, known) of a row; an empty or unmapped cell is UNK."""
+    def lookup(cells: dict) -> tuple[str, bool]:
         kabco = codes.get(cells[column])
-        return (Kabco.UNK, False) if kabco is None else (kabco, True)
+        return (_UNK, False) if kabco is None else (kabco.value, True)
 
     return _bind(positions, (column,), lookup)
 
@@ -206,16 +252,22 @@ def _eval_flag(rule: Rule | None, row: dict, diagnostics: Counter, warn_key: str
 
 
 def _classify_unit(spec: SchemaSpec, cells: dict) -> tuple:
-    """(body class, in transport, towed, airbag, warning keys) of one unit."""
+    """(body class cell, in-transport cell, towed cell, towed, airbag,
+    warning keys) of one unit; its airbag cell waits for its persons."""
     v = spec.vehicle
     warnings: Counter = Counter()
-    return (
-        _classify_body(spec, cells, warnings),
-        _eval_flag(v.in_transport, cells, warnings, "unknown_in_transport"),
-        _eval_flag(v.towed, cells, warnings, "unknown_towed"),
-        _eval_flag(v.airbag, cells, warnings, "unknown_airbag"),
-        tuple(warnings.elements()),
-    )
+    body = _classify_body(spec, cells, warnings)
+    in_transport = _eval_flag(v.in_transport, cells, warnings, "unknown_in_transport")
+    towed = _eval_flag(v.towed, cells, warnings, "unknown_towed")
+    airbag = _eval_flag(v.airbag, cells, warnings, "unknown_airbag")
+    return (body.value, FLAG[in_transport], FLAG[towed], towed, airbag,
+            tuple(warnings.elements()))
+
+
+def _classify_road(road: RoadRules, cells: dict) -> tuple[str, bool]:
+    """(road class cell, known) of one crash."""
+    road_class, known = road.classify(cells)
+    return road_class.value, known
 
 
 def _unit_ref(spec: SchemaSpec, cell: str | None) -> str:
@@ -237,14 +289,16 @@ def load_crash_source(
     year: int,
     region_filter: str | None = None,
 ) -> LoadResult:
-    """Normalize one raw crash database extract.
+    """Normalize one raw crash database extract to canonical rows.
 
-    Produces one CrashEvent per retained crash row, one VehicleInvolvement
-    per unit row, and one PersonOutcome per person row.  Person airbag
-    flags fold into their unit and crash; person injury codes fold into
-    the crash-level maximum when the spec says severity lives on the
-    person table.  A child row pointing at a crash id that never appeared
-    raises; a child of a deliberately dropped crash is counted instead.
+    Produces one crash row per retained crash row, one vehicle row per
+    unit row, and one person row per person row, each holding the cells
+    ``interchange`` writes; the crash and unit checks of the record types
+    run on every row.  Person airbag flags fold into their unit and crash;
+    person injury codes fold into the crash-level maximum when the spec
+    says severity lives on the person table.  A child row pointing at a
+    crash id that never appeared raises; a child of a deliberately dropped
+    crash is counted instead.
     """
     if spec.kind != "crash":
         raise SchemaError(f"spec {spec.tag} is a {spec.kind} spec, not a crash spec")
@@ -341,8 +395,9 @@ def load_crash_source(
             )
         if (crash_id, unit_id) in unit_info:
             raise ValidationError(f"{locate_vehicle(row)}: duplicate unit {crash_id}/{unit_id}")
+        check_unit(crash_id, unit_id)
         info = unit_info[(crash_id, unit_id)] = classify_unit(row)
-        _, _, towed, airbag, warnings = info
+        _, _, _, towed, airbag, warnings = info
         if warnings:
             diagnostics.update(warnings)
         if towed:
@@ -352,10 +407,10 @@ def load_crash_source(
 
     # Persons.
     person_schema = spec.person
-    persons: list[PersonOutcome] = []
+    persons: list[tuple[str, ...]] = []
     person_seen: set[tuple[str, str, str]] = set()
     person_airbag: set[tuple[str, str]] = set()
-    crash_person_kabco: dict[str, Kabco] = {}
+    crash_person_kabco: dict[str, str] = {}
     if person_rows:
         pcrash_at = person_pos[person_schema.crash_column]
         person_at = person_pos[person_schema.id_column]
@@ -400,47 +455,39 @@ def load_crash_source(
             if not known:
                 diagnostics["unknown_person_kabco"] += 1
         else:
-            kabco = Kabco.UNK
+            kabco = _UNK
         airbag = False
         if person_airbag_of is not None:
             airbag = person_airbag_of(row)
             if airbag is None:
                 diagnostics["unknown_airbag"] += 1
                 airbag = False
-        persons.append(PersonOutcome(
-            crash_id=crash_id, unit_id=unit_id, person_id=person_id,
-            kabco=kabco, airbag_deployed=airbag,
-        ))
+        persons.append((crash_id, unit_id, person_id, kabco, FLAG[airbag]))
         if airbag:
             if unit_id:
                 person_airbag.add((crash_id, unit_id))
             crash_airbag.add(crash_id)
         prev = crash_person_kabco.get(crash_id)
-        if prev is None or KABCO_FOLD_RANK[kabco] > KABCO_FOLD_RANK[prev]:
+        if prev is None or _RANK[kabco] > _RANK[prev]:
             crash_person_kabco[crash_id] = kabco
 
     vehicles = [
-        VehicleInvolvement(
-            crash_id=crash_id,
-            unit_id=unit_id,
-            body_class=body,
-            in_transport=in_transport,
-            towed=towed,
-            airbag_deployed=airbag or (crash_id, unit_id) in person_airbag,
-        )
-        for (crash_id, unit_id), (body, in_transport, towed, airbag, _)
+        (crash_id, unit_id, body, in_transport, towed,
+         FLAG[airbag or (crash_id, unit_id) in person_airbag])
+        for (crash_id, unit_id), (body, in_transport, towed, _, airbag, _)
         in unit_info.items()
     ]
 
-    crashes: list[CrashEvent] = []
+    crashes: list[tuple[str, ...]] = []
     road_class_of = _bind(crash_pos, _rule_columns(crash_schema.road.surface,
                                                    crash_schema.road.excluded),
-                          crash_schema.road.classify)
+                          lambda cells: _classify_road(crash_schema.road, cells))
     crash_kabco = (_bind_kabco(crash_pos, crash_schema.kabco_column, crash_schema.kabco)
                    if spec.kabco_from == "crash" else None)
     crash_towed_of = (_bind(crash_pos, crash_schema.towed.columns(), crash_schema.towed.eval)
                       if crash_schema.towed is not None else None)
     weight_column = crash_schema.weight_column
+    source, year_cell = spec.tag, str(year)
     for crash_id, row in kept.items():
         road_class, known = road_class_of(row)
         if not known:
@@ -450,8 +497,8 @@ def load_crash_source(
             if not kabco_known:
                 diagnostics["unknown_kabco"] += 1
         else:
-            kabco = crash_person_kabco.get(crash_id, Kabco.UNK)
-            if kabco is Kabco.UNK:
+            kabco = crash_person_kabco.get(crash_id, _UNK)
+            if kabco == _UNK:
                 diagnostics["unknown_kabco"] += 1
         if weight_column:
             cell = (row[crash_pos[weight_column]] or "").strip()
@@ -471,26 +518,18 @@ def load_crash_source(
                 diagnostics["unknown_towed"] += 1
                 towed = False
         try:
-            crashes.append(CrashEvent(
-                crash_id=crash_id,
-                source=spec.tag,
-                region=region,
-                year=year,
-                road_class=road_class,
-                sample_weight=weight,
-                max_kabco=kabco,
-                tow_away=towed,
-                airbag_deployed=crash_id in crash_airbag,
-            ))
+            check_crash(crash_id, weight, year)
         except ValidationError as exc:
             raise ValidationError(f"{locate_crash(row)}: {exc}") from None
+        crashes.append((crash_id, source, region.name, region.state, year_cell, road_class,
+                        repr(weight), kabco, FLAG[towed], FLAG[crash_id in crash_airbag]))
 
     airbag_units = vehicle_schema.airbag is not None or (
         spec.person is not None and spec.person.airbag is not None
         and spec.person.unit_column is not None
     )
     return LoadResult(
-        tag=spec.tag, crashes=crashes, vehicles=vehicles, persons=persons,
+        tag=spec.tag, rows={"crashes": crashes, "vehicles": vehicles, "persons": persons},
         diagnostics=diagnostics, rows_in=rows_in,
         records={"crashes": len(crashes), "vehicles": len(vehicles),
                  "persons": len(persons)},
@@ -519,13 +558,12 @@ def _classify_body(spec: SchemaSpec, row: dict, diagnostics: Counter) -> BodyCla
 
 
 @dataclass
-class CombinedRecords:
-    """Records merged across a dataset's sources, in input order, and the
-    canonical sources' crashes, folded into columns as they were read."""
+class CombinedRecords(_RowRecords):
+    """The raw sources' canonical rows merged across a dataset, in input
+    order, and the canonical sources' crashes, folded into columns as
+    they were read."""
 
-    crashes: list[CrashEvent]
-    vehicles: list[VehicleInvolvement]
-    persons: list[PersonOutcome]
+    rows: dict[str, list]
     diagnostics: Counter
     unit_tow_flags: bool
     unit_airbag_flags: bool
@@ -533,11 +571,17 @@ class CombinedRecords:
     caveats: tuple[str, ...]
     folded: CrashColumns = field(default_factory=CrashColumns)
 
-    def classify(self) -> Subset:
-        """The all-roads subset of every crash: the canonical sources'
-        columns and the raw records, folded by the one adapter."""
+    def classify(self, region: Region, year: int) -> Subset:
+        """The all-roads subset of every crash of ``region`` and ``year``:
+        the canonical sources' columns, and the raw sources' rows folded
+        by the fold that reads canonical files."""
+        parts = [self.folded]
+        if self.rows["crashes"]:
+            fold = interchange.read_crashes(_in_memory(self.rows, "crashes"), region, year)
+            interchange.read_vehicles(_in_memory(self.rows, "vehicles"), fold)
+            parts.append(fold.columns)
         return Subset.classify(
-            CrashColumns.concat([self.folded, fold_records(self.crashes, self.vehicles)]),
+            CrashColumns.concat(parts),
             tow_from_units=self.unit_tow_flags, airbag_from_units=self.unit_airbag_flags,
             weighted=self.weighted, caveats=self.caveats,
         )
@@ -547,13 +591,12 @@ def combine_sources(loads: list[tuple[str, LoadResult]]) -> CombinedRecords:
     """Merge per-source loads under their dataset roles.
 
     A nonfatal-role source contributes only its non-fatal crashes and a
-    fatal-role source only its fatal ones, so a sampled non-fatal database
-    and a fatal census can cover one region without double counting.  A
-    crash id may appear in one source only.
+    fatal-role source only its fatal ones, read from the ``max_kabco``
+    cell of its crash rows or its folded columns, so a sampled non-fatal
+    database and a fatal census can cover one region without double
+    counting.  A crash id may appear in one source only.
     """
-    crashes: list[CrashEvent] = []
-    vehicles: list[VehicleInvolvement] = []
-    persons: list[PersonOutcome] = []
+    rows = _no_rows()
     folded: list[CrashColumns] = []
     diagnostics: Counter = Counter()
     caveats: list[str] = []
@@ -572,33 +615,31 @@ def combine_sources(loads: list[tuple[str, LoadResult]]) -> CombinedRecords:
             unit_airbag = False
         if load.weighted:
             weighted = True
-        kept, units, people, columns = load.crashes, load.vehicles, load.persons, load.folded
+        kept, columns = load.rows, load.folded
         if role != "all":
             wanted = role == "fatal"
-            drop = {c.crash_id for c in kept if (c.max_kabco is Kabco.K) is not wanted}
+            drop = {row[0] for row in kept["crashes"]
+                    if (row[_KABCO_AT] == _FATAL) is not wanted}
             if drop:
-                kept = [c for c in kept if c.crash_id not in drop]
-                units = [v for v in units if v.crash_id not in drop]
-                people = [p for p in people if p.crash_id not in drop]
+                kept = {table: [row for row in kept[table] if row[0] not in drop]
+                        for table in _TABLES}
             columns = columns.select([fatal is wanted for fatal in columns.fatal()])
             excluded = len(drop) + len(load.folded.crash_id) - len(columns.crash_id)
             if excluded:
                 diagnostics["role_excluded"] += excluded
         if len(loads) > 1:
-            ids = [c.crash_id for c in kept] + columns.crash_id
+            ids = [row[0] for row in kept["crashes"]] + columns.crash_id
             clash = next((cid for cid in ids if cid in seen_ids), None)
             if clash is not None:
                 raise ValidationError(
                     f"crash id {clash} appears in both {seen_ids[clash]} and {load.tag}"
                 )
             seen_ids.update(dict.fromkeys(ids, load.tag))
-        crashes.extend(kept)
-        vehicles.extend(units)
-        persons.extend(people)
+        for table in _TABLES:
+            rows[table].extend(kept[table])
         folded.append(columns)
     return CombinedRecords(
-        crashes=crashes, vehicles=vehicles, persons=persons,
-        diagnostics=diagnostics, unit_tow_flags=unit_tow,
+        rows=rows, diagnostics=diagnostics, unit_tow_flags=unit_tow,
         unit_airbag_flags=unit_airbag, weighted=weighted,
         caveats=tuple(caveats), folded=CrashColumns.concat(folded),
     )
@@ -745,8 +786,8 @@ def _load_canonical_source(ref: interchange.CrashSourceRef, region: Region,
         interchange.read_persons(ref.person_file, fold)
     units = fold.records["vehicles"]
     return LoadResult(
-        tag=CANONICAL_SPEC, crashes=[], vehicles=[], persons=[],
-        diagnostics=fold.diagnostics, rows_in=fold.rows_in, records=fold.records,
+        tag=CANONICAL_SPEC, diagnostics=fold.diagnostics, rows_in=fold.rows_in,
+        records=fold.records,
         weighted=any(w != 1.0 for w in fold.columns.weight),
         tow_level="vehicle" if units else "crash",
         airbag_units=bool(units),
@@ -811,39 +852,37 @@ def load_dataset(manifest: interchange.DatasetManifest) -> DatasetRecords:
     )
 
 
-def _canonical_records(ref: interchange.CrashSourceRef, region: Region,
-                       year: int) -> LoadResult:
-    """One canonical source's records of ``region`` and ``year``, each built
-    through its constructor."""
-    crashes = [c for c in interchange.read_records(ref.crash_file, "crashes")
-               if c.region == region and c.year == year]
-    ids = {c.crash_id for c in crashes}
+def _canonical_rows(ref: interchange.CrashSourceRef, region: Region,
+                    year: int) -> LoadResult:
+    """One canonical source's rows of ``region`` and ``year``."""
+    place = (region.name, region.state, str(year))
+    crashes = [row for row in interchange.read_rows(ref.crash_file, "crashes")
+               if _PLACE(row) == place]
+    ids = {row[0] for row in crashes}
 
     def of_kept_crashes(path: Path | None, table: str) -> list:
         if path is None:
             return []
-        return [r for r in interchange.read_records(path, table) if r.crash_id in ids]
+        return [row for row in interchange.read_rows(path, table) if row[0] in ids]
 
-    return LoadResult(
-        tag=CANONICAL_SPEC, crashes=crashes,
-        vehicles=of_kept_crashes(ref.vehicle_file, "vehicles"),
-        persons=of_kept_crashes(ref.person_file, "persons"),
-    )
+    return LoadResult(tag=CANONICAL_SPEC, rows={
+        "crashes": crashes,
+        "vehicles": of_kept_crashes(ref.vehicle_file, "vehicles"),
+        "persons": of_kept_crashes(ref.person_file, "persons"),
+    })
 
 
-def dataset_records(dataset: DatasetRecords) -> tuple[list[CrashEvent],
-                                                      list[VehicleInvolvement],
-                                                      list[PersonOutcome]]:
-    """Every crash, vehicle and person record of ``dataset``, as ``ingest``
-    writes them.  ``load_dataset`` has checked, filtered and counted every
-    source, but folds a canonical source into columns without records; so
-    the canonical sources are read again here as records, kept by region,
-    year and role as before, and added to the raw sources' records."""
+def dataset_rows(dataset: DatasetRecords) -> dict[str, list]:
+    """Every crash, vehicle and person row of ``dataset`` by table, as
+    ``ingest`` writes them.  ``load_dataset`` has checked, filtered and
+    counted every source, but folds a canonical source into columns
+    without rows; so the canonical sources are read again here as rows,
+    kept by region, year and role as before, and added to the raw
+    sources' rows."""
     manifest = dataset.manifest
     canonical = combine_sources([
-        (ref.role, _canonical_records(ref, manifest.region, manifest.year))
+        (ref.role, _canonical_rows(ref, manifest.region, manifest.year))
         for ref in manifest.crash_sources if ref.spec == CANONICAL_SPEC
     ])
     raw = dataset.records
-    return (raw.crashes + canonical.crashes, raw.vehicles + canonical.vehicles,
-            raw.persons + canonical.persons)
+    return {table: raw.rows[table] + canonical.rows[table] for table in _TABLES}

@@ -550,9 +550,10 @@ def build_benchmark(dataset, rows: tuple[tuple[SeverityLevel, str], ...] = DEFAU
                     ) -> BenchmarkReport:
     """Compute the full benchmark report from loaded microdata.
 
-    Canonical sources arrive folded into columns and raw records are
-    folded into the same columns (``CombinedRecords.classify``), so every
-    crash is counted by the one path.  The columns reduce to the same
+    Canonical sources arrive folded into columns and raw sources' rows
+    are folded into the same columns by the same fold
+    (``CombinedRecords.classify``), so every crash is counted by the one
+    path.  The columns reduce to the same
     intermediate totals a published table gives; the report adds what
     only microdata has: the road rule, crash counts, the imputation
     weight, the crash PDO share, caveats and the filter audit.
@@ -561,7 +562,7 @@ def build_benchmark(dataset, rows: tuple[tuple[SeverityLevel, str], ...] = DEFAU
     records = dataset.records
     region, road_rule = manifest.region, manifest.road_rule
 
-    all_subset = records.classify()
+    all_subset = records.classify(region, manifest.year)
     surface = all_subset.surface()
 
     surface_imp = resolve_imputation(surface, region)

@@ -4,9 +4,11 @@ import csv
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -119,6 +121,27 @@ class TestExitCodes:
         assert audit["records"] == {"crashes": crashes, "vehicles": vehicles,
                                     "persons": 0, "mileage_cells": 1}
         assert audit["diagnostics"] == excluded
+
+    def test_ingest_writes_a_canonical_number_from_its_value(self, capsys, tmp_path,
+                                                             fixtures):
+        # A canonical source is written out as rows, and a year or weight
+        # cell is written again from its value, as a record's would be.
+        canonical = fixtures / "canonical"
+        lines = (canonical / "town_crashes.csv").read_text().splitlines(keepends=True)
+        header, first = lines[0], lines[1]
+        assert ",2022,surface_street,1.0," in first
+        (tmp_path / "crashes.csv").write_text(
+            header + first.replace(",2022,surface_street,1.0,", ", 2022,surface_street,1,"))
+        manifest = json.loads((fixtures / "manifests" / "town_2022.json").read_text())
+        manifest["crash_sources"][0].update(crash_file=str(tmp_path / "crashes.csv"),
+                                            vehicle_file=None)
+        manifest["mileage"][0]["file"] = str(canonical / "town_mileage.csv")
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "ingest", "--manifest", str(tmp_path / "manifest.json"),
+                           "--out", str(out), "--quiet")
+        assert code == 0, err
+        assert (out / "crashes.csv").read_text() == header + first
 
     def test_unexpected_failure_is_exit_one(self, capsys, tmp_path, fixtures,
                                             monkeypatch):
@@ -370,6 +393,26 @@ class TestIngestGoldens:
             records = interchange.read_records(golden, table)
             getattr(interchange, f"write_{table}")(tmp_path / golden.name, records)
             assert (tmp_path / golden.name).read_bytes() == golden.read_bytes(), table
+
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in (Path(__file__).parent / "fixtures" / "golden").iterdir()))
+    def test_records_and_their_rows_write_the_same_bytes(self, tmp_path, fixtures, name):
+        # One writer serves records and their rows alike.  Crash, vehicle and
+        # person keys are unique, so their files do not depend on the order
+        # given; two mileage cells may share a key (Los Angeles has two
+        # local/all cells) and then keep the order given.
+        rng = random.Random(name)
+        for table in ("crashes", "vehicles", "persons", "mileage"):
+            golden = fixtures / "golden" / name / f"{table}.csv"
+            records = interchange.read_records(golden, table)
+            rng.shuffle(records)
+            getattr(interchange, f"write_{table}")(tmp_path / "records.csv", records)
+            interchange.write_rows(tmp_path / "rows.csv", table,
+                                   interchange.encode(table, records))
+            written = (tmp_path / "records.csv").read_bytes()
+            assert (tmp_path / "rows.csv").read_bytes() == written, table
+            if table != "mileage":
+                assert written == golden.read_bytes(), table
 
     def test_audit_sits_next_to_the_csvs(self, capsys, tmp_path, fixtures):
         run(capsys, "ingest",
@@ -647,6 +690,31 @@ def without_provenance(path):
 
 
 class TestReportGoldens:
+    def test_report_digests_each_input_once(self, capsys, tmp_path, fixtures,
+                                            monkeypatch):
+        # benchmark.* and power.* carry one provenance block, from one read
+        # of each input file.
+        reads = Counter()
+        read_bytes = Path.read_bytes
+
+        def counted(path):
+            reads[path.resolve()] += 1
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        manifest = fixtures / "manifests" / "national_2022.json"
+        code, _, err = run(capsys, "report", "--manifest", str(manifest),
+                           "--out", str(tmp_path), "--quiet")
+        assert code == 0, err
+        ds, = interchange.load_manifest(manifest)
+        inputs = {manifest.resolve()} | {
+            path.resolve() for ref in ds.crash_sources
+            for path in (ref.crash_file, ref.vehicle_file, ref.person_file)
+        } | {ref.file.resolve() for ref in (*ds.mileage, *ds.shares)}
+        assert set(reads) == inputs
+        assert set(reads.values()) == {1}
+
+
     @pytest.mark.parametrize("name", sorted(p.name for p in REPORT_GOLDENS.iterdir()))
     def test_report_matches_goldens(self, capsys, tmp_path, fixtures, name):
         if name.startswith("aggregates_"):
@@ -855,6 +923,39 @@ class TestImportHygiene:
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("name", ["national_2022", "sf_2022"])
+    def test_raw_ingest_and_report_build_no_record(self, tmp_path, fixtures, name):
+        # Raw sources load to canonical rows, which ingest writes and report
+        # folds as they are: a record constructor that raises is never called.
+        probe = (
+            "import sys\n"
+            "from crashbench import model\n"
+            "def refuse(self, *args, **kwargs):\n"
+            "    raise AssertionError(f'built a {type(self).__name__}')\n"
+            "for record in (model.CrashEvent, model.VehicleInvolvement,"
+            " model.PersonOutcome):\n"
+            "    record.__init__ = refuse\n"
+            "from crashbench.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(crashbench.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        manifest = str(fixtures / "manifests" / f"{name}.json")
+        for command in ("ingest", "report"):
+            out = tmp_path / command
+            result = subprocess.run(
+                [sys.executable, "-c", probe, command, "--manifest", manifest,
+                 "--out", str(out), "--quiet"],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert result.returncode == 0, result.stderr
+        for file_name in CANONICAL_FILES:
+            golden = fixtures / "golden" / name / file_name
+            assert (tmp_path / "ingest" / file_name).read_bytes() == golden.read_bytes()
+        for expected in (REPORT_GOLDENS / name).iterdir():
+            assert (without_provenance(tmp_path / "report" / expected.name)
+                    == without_provenance(expected)), expected.name
 
     def test_cli_start_loads_neither_numpy_nor_scipy_stats(self):
         # Every command pays for what the package imports at start-up:

@@ -218,7 +218,8 @@ class TestSurfaceFromAllRoads:
     @pytest.mark.parametrize("manifest, index", DATASETS)
     def test_rows_shared_and_exclusions_conserved(self, manifest, index):
         dataset = load_dataset(load_manifest(manifest)[index])
-        all_subset = dataset.records.classify()
+        all_subset = dataset.records.classify(dataset.manifest.region,
+                                              dataset.manifest.year)
         surface = all_subset.surface()
         assert surface.road == "surface" and surface.columns.crash_id
         for cid in surface.columns.crash_id:

@@ -11,10 +11,11 @@ import json
 import random
 import shutil
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from crashbench.cli import main
+from crashbench.cli import _region_slug, main
 from crashbench.errors import ReferentialError, SchemaError, ValidationError
 from crashbench.ingest import (
     combine_sources,
@@ -23,7 +24,7 @@ from crashbench.ingest import (
     load_mileage,
     load_passenger_share,
 )
-from crashbench.interchange import CrashSourceRef, load_manifest
+from crashbench.interchange import CrashSourceRef, load_manifest, read_records
 from crashbench.model import (
     AreaType,
     BodyClass,
@@ -38,6 +39,7 @@ NATIONAL = Region.national()
 MARICOPA = Region.county("Maricopa", "AZ")
 SF = Region.county("San Francisco", "CA")
 LA = Region.county("Los Angeles", "CA")
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _load(fixtures, spec, stem_triplet, region, year=2022, region_filter=None):
@@ -825,3 +827,33 @@ class TestInputOrder:
         for name in ("crashes.csv", "vehicles.csv", "persons.csv", "mileage.csv"):
             golden = fixtures / "golden" / "national_2022" / name
             assert (out / name).read_bytes() == golden.read_bytes(), name
+
+
+class TestOneWriter:
+    """Raw sources load to canonical rows; their records, decoded on
+    request, are the records of the canonical files ``ingest`` writes."""
+
+    @pytest.mark.parametrize("name", sorted(
+        p.stem for p in (FIXTURES / "manifests").iterdir() if p.stem != "town_2022"))
+    def test_decoded_records_are_the_written_records(self, fixtures, tmp_path, name):
+        path = fixtures / "manifests" / f"{name}.json"
+        manifests = load_manifest(path)
+        assert main(["ingest", "--manifest", str(path), "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        for ds in manifests:
+            out = tmp_path if len(manifests) == 1 else tmp_path / _region_slug(ds.region)
+            kept = {"crashes": [], "vehicles": [], "persons": []}
+            for ref in ds.crash_sources:
+                assert ref.spec != "canonical"
+                load = load_crash_source(
+                    load_schema(ref.spec), ref.crash_file, ref.vehicle_file,
+                    ref.person_file, region=ds.region, year=ds.year,
+                    region_filter=ref.region_filter)
+                ids = {c.crash_id for c in load.crashes if ref.role == "all"
+                       or (c.max_kabco is Kabco.K) is (ref.role == "fatal")}
+                for table in kept:
+                    kept[table] += [r for r in getattr(load, table) if r.crash_id in ids]
+            assert kept["crashes"]
+            for table, records in kept.items():
+                written = read_records(out / f"{table}.csv", table)
+                assert sorted(records, key=repr) == sorted(written, key=repr), table

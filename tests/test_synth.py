@@ -364,8 +364,9 @@ class TestOracleAgreement:
 
 
 class TestColumnPathOracle:
-    """The canonical reader's columns, the raw-record adapter and the naive
-    oracle count the same population to the same bits.
+    """The canonical reader's columns, the same fold over rows held in
+    memory (the raw-source path) and the naive oracle count the same
+    population to the same bits.
 
     Each population mixes integer weights from 1 to 5, every body class,
     units not in transport, and crashes of another county and another
@@ -415,7 +416,8 @@ class TestColumnPathOracle:
                                                    len(units) for _, units in others)}
         from_columns = build_benchmark(dataset)
         records = CombinedRecords(
-            crashes=crashes, vehicles=vehicles, persons=[],
+            rows={"crashes": interchange.encode("crashes", crashes),
+                  "vehicles": interchange.encode("vehicles", vehicles), "persons": []},
             diagnostics=dataset.records.diagnostics, unit_tow_flags=True,
             unit_airbag_flags=True, weighted=True, caveats=())
         from_records = build_benchmark(replace(dataset, records=records))
