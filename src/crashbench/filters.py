@@ -9,9 +9,10 @@ Crashes are counted from columns.  A fold turns each crash into one entry
 of parallel per-crash lists (``CrashColumns``): its weight and road class,
 its units tallied by where they count (``unit_effect``), and its severity
 evidence (``crash_evidence`` plus what its eligible units add).  The
-canonical reader folds canonical rows, of a CSV file or of a raw source
-held in memory, straight into those lists, and ``fold_records`` is the
-one adapter that folds crash and vehicle records (``select_subset``).
+canonical reader (``interchange.read_crashes``, ``read_vehicles``) folds
+canonical rows, of a CSV file or of a raw source held in memory, straight
+into those lists; ``select_subset`` encodes crash and vehicle records to
+rows and folds them the same way.
 Severity is a property of the crash, classified once per crash into a bit
 mask over ``model.OBSERVED_LEVELS`` when a ``Subset`` is classified,
 because whether tow and airbag come from units or from crash flags is
@@ -29,11 +30,13 @@ from itertools import chain, compress, repeat
 from operator import is_
 from typing import Iterable
 
+from .errors import ValidationError
 from .model import (
     BodyClass,
     CrashEvent,
     Kabco,
     OBSERVED_LEVELS,
+    Region,
     RoadClass,
     SeverityLevel,
     VehicleInvolvement,
@@ -169,28 +172,6 @@ class CrashColumns:
                               for f in fields(self)))
 
 
-def fold_records(crashes: Iterable[CrashEvent],
-                 vehicles: Iterable[VehicleInvolvement]) -> CrashColumns:
-    """The adapter from records to columns: one entry per crash, each with
-    its vehicles folded in.  A vehicle of a crash not given is not counted."""
-    crashes = list(crashes)
-    columns = CrashColumns.of_crashes(
-        [c.crash_id for c in crashes], [c.sample_weight for c in crashes],
-        [c.road_class for c in crashes],
-        [crash_evidence(c.max_kabco, c.tow_away, c.airbag_deployed) for c in crashes],
-    )
-    index = {crash_id: i for i, crash_id in enumerate(columns.crash_id)}
-    evidence = columns.evidence
-    for v in vehicles:
-        i = index.get(v.crash_id)
-        if i is None:
-            continue
-        tally, bits = unit_effect(v.body_class, v.in_transport, v.towed, v.airbag_deployed)
-        getattr(columns, tally)[i] += 1
-        evidence[i] |= bits
-    return columns
-
-
 @dataclass
 class Subset:
     """Classified crash columns plus selection bookkeeping."""
@@ -260,18 +241,33 @@ def select_subset(
     """Classify every crash of a record list once and filter units to the
     comparable subset.
 
-    The records are folded by ``fold_records``; every crash is kept, which
-    is the all-roads subset (``road="all"``), and ``road="surface"``
-    derives the surface-street subset from it (``Subset.surface``).
-    Vehicle filtering keeps in-transport passenger and NFS units;
-    classified non-passenger units are tallied per crash for the
-    imputation weight but are not retained.  Crashes with no retained
-    units keep empty unit tallies.
+    The records are encoded to canonical rows and folded by the fold that
+    ``report`` runs (``interchange.read_crashes``, ``read_vehicles``), so
+    they must be of one region and year and their crash ids distinct;
+    otherwise ValidationError.  Every crash is kept, which is the
+    all-roads subset (``road="all"``), and ``road="surface"`` derives the
+    surface-street subset from it (``Subset.surface``).  Vehicle filtering
+    keeps in-transport passenger and NFS units; classified non-passenger
+    units are tallied per crash for the imputation weight but are not
+    retained.  Crashes with no retained units keep empty unit tallies; a
+    vehicle of a crash not given is not counted.
     """
+    from . import interchange       # imported here: interchange imports this module
+
     if road not in ("surface", "all"):
         raise ValueError(f"road must be 'surface' or 'all', got {road!r}")
+    places = {(c.region, c.year) for c in crashes}
+    if len(places) > 1:
+        raise ValidationError("crash records of more than one region and year: " + ", ".join(
+            sorted(f"{region.name} {year}" for region, year in places)))
+    region, year = next(iter(places), (Region.national(), 0))
+    fold = interchange.read_crashes(
+        interchange.Rows("crash records", interchange.encode("crashes", crashes)),
+        region, year)
+    interchange.read_vehicles(
+        interchange.Rows("vehicle records", interchange.encode("vehicles", vehicles)), fold)
     subset = Subset.classify(
-        fold_records(crashes, vehicles), tow_from_units=unit_tow_flags,
+        fold.columns, tow_from_units=unit_tow_flags,
         airbag_from_units=unit_airbag_flags, weighted=weighted, caveats=caveats,
     )
     return subset.surface() if road == "surface" else subset

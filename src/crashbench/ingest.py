@@ -9,11 +9,14 @@ passed the checks of its record type (``model.check_crash``,
 row silently: they classify to an explicit unknown bucket and bump a
 warning counter.
 
-Raw tables are read into positional rows with the semantics of
+Raw tables are streamed as positional rows with the semantics of
 ``csv.DictReader``: blank lines are skipped, a short row is padded with
 nulls (a missing cell is null, so rules over it evaluate to unknown),
 extra cells are ignored, and a header name that appears twice resolves
-to its last column.  Each spec rule is bound once per file to the
+to its last column.  Every header of a source is checked before its
+first row is read.  Each row comes with the physical line it ends on,
+which errors name; of a crash file only the rows of kept crashes are
+held, until their canonical rows are built.  Each spec rule is bound once per file to the
 positions of the cells it reads and memoized on those cells: rows that
 hold equal cells share one ``Rule.eval`` (or code-table lookup) call,
 made on a dict of just those cells, and the memo holds the canonical
@@ -28,9 +31,11 @@ or of a crash the crash table does not hold, is counted under a
 diagnostic, and ``rows_in`` counts every row read.  A raw source's rows
 go through that same fold when a benchmark counts them
 (``CombinedRecords.classify``), and ``ingest`` writes them as they are;
-``dataset_rows`` reads a canonical source again as rows where ``ingest``
-writes it out.  Records (``.crashes``, ``.vehicles``, ``.persons``) are
-decoded from the rows only when a caller asks for them.
+``dataset_rows`` reads a canonical source again as records, encoded to
+rows (``interchange.read_records``, ``interchange.encode``), where
+``ingest`` writes it out.  Records (``.crashes``, ``.vehicles``,
+``.persons``) are decoded from the rows only when a caller asks for
+them.
 """
 
 from __future__ import annotations
@@ -38,10 +43,9 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import ReferentialError, SchemaError, ValidationError
 from . import interchange
@@ -125,13 +129,25 @@ class LoadResult(_RowRecords):
 
 
 def _read_table(path: Path, required: set[str],
-                label: str) -> tuple[dict[str, int], list[list]]:
-    """(column name -> position, rows) of one raw CSV file.
+                label: str) -> tuple[dict[str, int], Iterator[tuple[int, list]]]:
+    """(column name -> position, (line, row) pairs) of one raw CSV file.
 
-    A duplicated header name maps to its last column, blank lines are
-    skipped and short rows are padded with None, as ``csv.DictReader``
-    would read them.
+    The header is read and checked for the ``required`` columns at once;
+    the rows are read as the pairs are walked, each with the line it ends
+    on (``csv.reader.line_num``).  A duplicated header name maps to its
+    last column, blank lines are skipped and short rows are padded with
+    None, as ``csv.DictReader`` would read them.
     """
+    lines = _lines(path, label)
+    positions = {name: i for i, name in enumerate(next(lines))}
+    missing = sorted(required - positions.keys())
+    if missing:
+        raise SchemaError(f"{label} file {path}: missing column(s) {', '.join(missing)}")
+    return positions, lines
+
+
+def _lines(path: Path, label: str) -> Iterator:
+    """A raw CSV file's header, then (line, row) per row that is not blank."""
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -139,33 +155,14 @@ def _read_table(path: Path, required: set[str],
     with handle:
         reader = csv.reader(handle)
         header = next(reader, [])
-        positions = {name: i for i, name in enumerate(header)}
-        missing = sorted(required - positions.keys())
-        if missing:
-            raise SchemaError(f"{label} file {path}: missing column(s) {', '.join(missing)}")
+        yield header
         width = len(header)
-        rows = []
         for row in reader:
             if len(row) < width:
                 if not row:
                     continue
                 row += [None] * (width - len(row))
-            rows.append(row)
-    return positions, rows
-
-
-def _locator(label: str, path: str | Path, rows: list[list]) -> Callable[[list], str]:
-    """``row -> "LABEL file PATH:LINE"`` for errors about one of the ``rows``
-    ``_read_table`` read from ``path``.  Only an error reads the file again."""
-    def locate(row: list) -> str:
-        index = next(i for i, r in enumerate(rows) if r is row)
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            next(reader, None)
-            lines = (reader.line_num for r in reader if r)
-            return f"{label} file {path}:{next(islice(lines, index, None))}"
-
-    return locate
+            yield reader.line_num, row
 
 
 def _bind(positions: dict[str, int], columns: Iterable[str],
@@ -313,38 +310,36 @@ def load_crash_source(
         _crash_columns(spec) | (filter_rule.columns() if filter_rule else set()),
         f"{spec.tag} crash",
     )
+    has_vehicles = vehicle_file is not None
+    has_persons = person_file is not None and spec.person is not None
     vehicle_pos, vehicle_rows = (
         _read_table(Path(vehicle_file), _vehicle_columns(spec), f"{spec.tag} vehicle")
-        if vehicle_file is not None else ({}, [])
+        if has_vehicles else ({}, ())
     )
     person_pos, person_rows = (
         _read_table(Path(person_file), _person_columns(spec), f"{spec.tag} person")
-        if person_file is not None and spec.person is not None else ({}, [])
+        if has_persons else ({}, ())
     )
-    locate_crash = _locator(f"{spec.tag} crash", crash_file, crash_rows)
-    locate_vehicle = _locator(f"{spec.tag} vehicle", vehicle_file, vehicle_rows)
-    locate_person = _locator(f"{spec.tag} person", person_file, person_rows)
-    rows_in = {
-        "crashes": len(crash_rows),
-        "vehicles": len(vehicle_rows),
-        "persons": len(person_rows),
-    }
+    at_crash = f"{spec.tag} crash file {crash_file}"
+    at_vehicle = f"{spec.tag} vehicle file {vehicle_file}"
+    at_person = f"{spec.tag} person file {person_file}"
+    rows_in = dict.fromkeys(_TABLES, 0)     # each table's loop counts its rows here
 
     crash_schema = spec.crash
     id_at = crash_pos[crash_schema.id_column]
     year_column = crash_schema.year_column
     region_match = (_bind(crash_pos, filter_rule.columns(), filter_rule.eval)
                     if filter_rule is not None else None)
-    kept: dict[str, list] = {}       # crash_id -> raw row
+    kept: dict[str, tuple[int, list]] = {}       # crash_id -> (line, raw row)
     dropped: set[str] = set()
-    for row in crash_rows:
+    for rows_in["crashes"], (line, row) in enumerate(crash_rows, 1):
         crash_id = (row[id_at] or "").strip()
         if not crash_id:
             raise ValidationError(
-                f"{locate_crash(row)}: crash row with empty id column {crash_schema.id_column}"
+                f"{at_crash}:{line}: crash row with empty id column {crash_schema.id_column}"
             )
         if crash_id in kept or crash_id in dropped:
-            raise ValidationError(f"{locate_crash(row)}: duplicate crash id {crash_id}")
+            raise ValidationError(f"{at_crash}:{line}: duplicate crash id {crash_id}")
         if region_match is not None:
             match = region_match(row)
             if match is not True:
@@ -358,14 +353,14 @@ def load_crash_source(
                 row_year = int(cell)
             except ValueError:
                 raise ValidationError(
-                    f"{locate_crash(row)}: crash {crash_id} has unreadable year {cell!r} "
+                    f"{at_crash}:{line}: crash {crash_id} has unreadable year {cell!r} "
                     f"in column {year_column}"
                 )
             if row_year != year:
                 diagnostics["year_mismatch"] += 1
                 dropped.add(crash_id)
                 continue
-        kept[crash_id] = row
+        kept[crash_id] = line, row
 
     # Units, with folds accumulated per crash.  A unit's memo entry is
     # shared by every unit whose classifier cells are equal.
@@ -373,28 +368,28 @@ def load_crash_source(
     unit_info: dict[tuple[str, str], tuple] = {}
     crash_towed: set[str] = set()
     crash_airbag: set[str] = set()
-    if vehicle_rows:
+    if has_vehicles:
         vcrash_at = vehicle_pos[vehicle_schema.crash_column]
         unit_at = vehicle_pos[vehicle_schema.id_column]
         classify_unit = _bind(vehicle_pos, _rule_columns(*_unit_rules(spec)),
                               lambda cells: _classify_unit(spec, cells))
-    for row in vehicle_rows:
+    for rows_in["vehicles"], (line, row) in enumerate(vehicle_rows, 1):
         crash_id = (row[vcrash_at] or "").strip()
         if crash_id in dropped:
             diagnostics["parent_dropped"] += 1
             continue
         if crash_id not in kept:
             raise ReferentialError(
-                f"{locate_vehicle(row)}: vehicle row references unknown crash {crash_id!r}"
+                f"{at_vehicle}:{line}: vehicle row references unknown crash {crash_id!r}"
             )
         unit_id = (row[unit_at] or "").strip()
         if not unit_id:
             raise ValidationError(
-                f"{locate_vehicle(row)}: crash {crash_id} has a unit with no id "
+                f"{at_vehicle}:{line}: crash {crash_id} has a unit with no id "
                 f"in column {vehicle_schema.id_column}"
             )
         if (crash_id, unit_id) in unit_info:
-            raise ValidationError(f"{locate_vehicle(row)}: duplicate unit {crash_id}/{unit_id}")
+            raise ValidationError(f"{at_vehicle}:{line}: duplicate unit {crash_id}/{unit_id}")
         check_unit(crash_id, unit_id)
         info = unit_info[(crash_id, unit_id)] = classify_unit(row)
         _, _, _, towed, airbag, warnings = info
@@ -411,7 +406,7 @@ def load_crash_source(
     person_seen: set[tuple[str, str, str]] = set()
     person_airbag: set[tuple[str, str]] = set()
     crash_person_kabco: dict[str, str] = {}
-    if person_rows:
+    if has_persons:
         pcrash_at = person_pos[person_schema.crash_column]
         person_at = person_pos[person_schema.id_column]
         unit_column = person_schema.unit_column
@@ -424,30 +419,30 @@ def load_crash_source(
         airbag_rule = person_schema.airbag
         person_airbag_of = (_bind(person_pos, airbag_rule.columns(), airbag_rule.eval)
                             if airbag_rule is not None else None)
-    for row in person_rows:
+    for rows_in["persons"], (line, row) in enumerate(person_rows, 1):
         crash_id = (row[pcrash_at] or "").strip()
         if crash_id in dropped:
             diagnostics["parent_dropped"] += 1
             continue
         if crash_id not in kept:
             raise ReferentialError(
-                f"{locate_person(row)}: person row references unknown crash {crash_id!r}"
+                f"{at_person}:{line}: person row references unknown crash {crash_id!r}"
             )
         unit_id = unit_ref(row) if unit_ref is not None else ""
         if unit_id and (crash_id, unit_id) not in unit_info:
             raise ReferentialError(
-                f"{locate_person(row)}: person row references unknown unit "
+                f"{at_person}:{line}: person row references unknown unit "
                 f"{crash_id}/{unit_id}"
             )
         person_id = (row[person_at] or "").strip()
         if not person_id:
             raise ValidationError(
-                f"{locate_person(row)}: crash {crash_id} has a person with no id "
+                f"{at_person}:{line}: crash {crash_id} has a person with no id "
                 f"in column {person_schema.id_column}"
             )
         if (crash_id, unit_id, person_id) in person_seen:
             raise ValidationError(
-                f"{locate_person(row)}: duplicate person {crash_id}/{unit_id}/{person_id}"
+                f"{at_person}:{line}: duplicate person {crash_id}/{unit_id}/{person_id}"
             )
         person_seen.add((crash_id, unit_id, person_id))
         if person_kabco is not None:
@@ -488,7 +483,7 @@ def load_crash_source(
                       if crash_schema.towed is not None else None)
     weight_column = crash_schema.weight_column
     source, year_cell = spec.tag, str(year)
-    for crash_id, row in kept.items():
+    for crash_id, (line, row) in kept.items():
         road_class, known = road_class_of(row)
         if not known:
             diagnostics["unknown_road"] += 1
@@ -506,7 +501,7 @@ def load_crash_source(
                 weight = float(cell)
             except ValueError:
                 raise ValidationError(
-                    f"{locate_crash(row)}: crash {crash_id} has unreadable weight {cell!r} "
+                    f"{at_crash}:{line}: crash {crash_id} has unreadable weight {cell!r} "
                     f"in column {weight_column}"
                 )
         else:
@@ -520,7 +515,7 @@ def load_crash_source(
         try:
             check_crash(crash_id, weight, year)
         except ValidationError as exc:
-            raise ValidationError(f"{locate_crash(row)}: {exc}") from None
+            raise ValidationError(f"{at_crash}:{line}: {exc}") from None
         crashes.append((crash_id, source, region.name, region.state, year_cell, road_class,
                         repr(weight), kabco, FLAG[towed], FLAG[crash_id in crash_airbag]))
 
@@ -668,14 +663,14 @@ def load_mileage(
     if filter_rule is not None:
         required.update(filter_rule.columns())
     positions, rows = _read_table(Path(file), required, f"{spec.tag} mileage")
-    locate = _locator(f"{spec.tag} mileage", file, rows)
+    at = f"{spec.tag} mileage file {file}"
     region_match = (_bind(positions, filter_rule.columns(), filter_rule.eval)
                     if filter_rule is not None else None)
     class_at = positions[schema.class_column]
     vmt_at = positions[schema.vmt_column]
     area_at = positions[schema.area_column] if schema.area_column else None
     cells: list[MileageCell] = []
-    for row in rows:
+    for line, row in rows:
         if region_match is not None and region_match(row) is not True:
             diagnostics["region_filtered"] += 1
             continue
@@ -684,7 +679,7 @@ def load_mileage(
             try:
                 row_year = int(cell_text)
             except ValueError:
-                raise ValidationError(f"{locate(row)}: unreadable year {cell_text!r}")
+                raise ValidationError(f"{at}:{line}: unreadable year {cell_text!r}")
             if row_year != year:
                 diagnostics["year_mismatch"] += 1
                 continue
@@ -692,14 +687,14 @@ def load_mileage(
         try:
             vmt = float(vmt_text)
         except ValueError:
-            raise ValidationError(f"{locate(row)}: unreadable mileage {vmt_text!r}")
+            raise ValidationError(f"{at}:{line}: unreadable mileage {vmt_text!r}")
         functional_class = schema.class_codes.get(row[class_at])
         if functional_class is None:
-            raise SchemaError(f"{locate(row)}: unmapped functional class code {row[class_at]!r}")
+            raise SchemaError(f"{at}:{line}: unmapped functional class code {row[class_at]!r}")
         area = row[area_at] if area_at is not None else None
         area_type = schema.area_codes.get(area) if area and area.strip() else schema.area_default
         if area_type is None:
-            raise SchemaError(f"{locate(row)}: unmapped area code {area!r}")
+            raise SchemaError(f"{at}:{line}: unmapped area code {area!r}")
         try:
             cells.append(MileageCell(
                 region=region,
@@ -709,7 +704,7 @@ def load_mileage(
                 vmt_millions=schema.to_millions(vmt),
             ))
         except ValidationError as exc:
-            raise ValidationError(f"{locate(row)}: {exc}") from None
+            raise ValidationError(f"{at}:{line}: {exc}") from None
     return cells, diagnostics
 
 
@@ -720,36 +715,36 @@ def load_passenger_share(spec: SchemaSpec, file: str | Path) -> PassengerShareTa
     required = {schema.state_column, schema.area_column, schema.group_column,
                 schema.share_column}
     positions, rows = _read_table(Path(file), required, f"{spec.tag} shares")
-    locate = _locator(f"{spec.tag} shares", file, rows)
+    at = f"{spec.tag} shares file {file}"
     state_at, area_at, group_at, share_at = (
         positions[c] for c in (schema.state_column, schema.area_column,
                                schema.group_column, schema.share_column)
     )
     mapping: dict = {}
-    for row in rows:
+    for line, row in rows:
         state = (row[state_at] or "").strip()
         if not state:
-            raise ValidationError(f"{locate(row)}: empty state")
+            raise ValidationError(f"{at}:{line}: empty state")
         area = schema.area_codes.get(row[area_at])
         if area is None:
-            raise SchemaError(f"{locate(row)}: unmapped area code {row[area_at]!r}")
+            raise SchemaError(f"{at}:{line}: unmapped area code {row[area_at]!r}")
         group = schema.group_codes.get(row[group_at])
         if group is None:
-            raise SchemaError(f"{locate(row)}: unmapped class group {row[group_at]!r}")
+            raise SchemaError(f"{at}:{line}: unmapped class group {row[group_at]!r}")
         share_text = (row[share_at] or "").strip()
         try:
             share = float(share_text)
         except ValueError:
-            raise ValidationError(f"{locate(row)}: unreadable share {share_text!r}")
+            raise ValidationError(f"{at}:{line}: unreadable share {share_text!r}")
         if schema.values == "percent":
             if not 0.0 <= share <= 100.0:
-                raise ValidationError(f"{locate(row)}: share {share!r} outside [0, 100]")
+                raise ValidationError(f"{at}:{line}: share {share!r} outside [0, 100]")
             share /= 100.0
         elif not 0.0 <= share <= 1.0:
-            raise ValidationError(f"{locate(row)}: share {share!r} outside [0, 1]")
+            raise ValidationError(f"{at}:{line}: share {share!r} outside [0, 1]")
         key = (state, area, group)
         if key in mapping:
-            raise ValidationError(f"{locate(row)}: duplicate share for {key}")
+            raise ValidationError(f"{at}:{line}: duplicate share for {key}")
         mapping[key] = share
     return PassengerShareTable.from_mapping(mapping)
 
@@ -854,16 +849,20 @@ def load_dataset(manifest: interchange.DatasetManifest) -> DatasetRecords:
 
 def _canonical_rows(ref: interchange.CrashSourceRef, region: Region,
                     year: int) -> LoadResult:
-    """One canonical source's rows of ``region`` and ``year``."""
+    """One canonical source's rows of ``region`` and ``year``, encoded from
+    its records."""
     place = (region.name, region.state, str(year))
-    crashes = [row for row in interchange.read_rows(ref.crash_file, "crashes")
-               if _PLACE(row) == place]
+
+    def rows(path: Path | None, table: str) -> list:
+        if path is None:
+            return []
+        return interchange.encode(table, interchange.read_records(path, table))
+
+    crashes = [row for row in rows(ref.crash_file, "crashes") if _PLACE(row) == place]
     ids = {row[0] for row in crashes}
 
     def of_kept_crashes(path: Path | None, table: str) -> list:
-        if path is None:
-            return []
-        return [row for row in interchange.read_rows(path, table) if row[0] in ids]
+        return [row for row in rows(path, table) if row[0] in ids]
 
     return LoadResult(tag=CANONICAL_SPEC, rows={
         "crashes": crashes,
@@ -876,9 +875,9 @@ def dataset_rows(dataset: DatasetRecords) -> dict[str, list]:
     """Every crash, vehicle and person row of ``dataset`` by table, as
     ``ingest`` writes them.  ``load_dataset`` has checked, filtered and
     counted every source, but folds a canonical source into columns
-    without rows; so the canonical sources are read again here as rows,
-    kept by region, year and role as before, and added to the raw
-    sources' rows."""
+    without rows; so the canonical sources are read again here as
+    records, encoded to rows, kept by region, year and role as before,
+    and added to the raw sources' rows."""
     manifest = dataset.manifest
     canonical = combine_sources([
         (ref.role, _canonical_rows(ref, manifest.region, manifest.year))

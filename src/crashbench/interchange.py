@@ -5,14 +5,14 @@ minimal RFC-4180 quoting, LF line endings.  Booleans are written as 1/0
 and floats with repr so that a write/read/write cycle is byte-identical.
 
 A canonical row is a tuple of the cells a table's file holds, in header
-order, as text.  Each table is declared once: header, the key cells it
+order, as text.  Each table is declared once: header, the columns it
 sorts on, one encoder from a record to its row, and one decoder per
 record field.  There is one writer, ``write_rows``: it sorts rows on the
-key cells, stably.  Raw sources load straight to rows
+table's sort columns.  Raw sources load straight to rows
 (``ingest.load_crash_source``); ``write_crashes`` and the other record
 writers encode, then call it.  Crash, vehicle and person keys are
-unique, so the order of their rows does not show in the file; two
-mileage cells may share a key and then keep the order given.
+unique, and mileage rows, whose key cells two rows may share, sort on
+all their cells, so no file shows the order its rows were given in.
 
 Rows are read from a file or taken from memory (``Rows``) alike.
 ``read_records`` builds each record through its constructor, so the
@@ -20,15 +20,18 @@ record types' own checks run.  The benchmark path builds no record:
 ``read_crashes`` folds a crash table into per-crash columns
 (``filters.CrashColumns``), keeping one region and year, and
 ``read_vehicles`` and ``read_persons`` fold their tables into those
-crashes, so the canonical files of a county, or a raw source's rows,
-are counted in one pass each.  The folds decode every cell with the
-table's own decoders and run the records' checks (``model.check_crash``,
-``model.check_unit``) on every row, kept or not.  Either way, cells
-other than ids and floats come from small domains and are parsed once
-per distinct text per table.  A cell that does not parse raises
-ValidationError naming ``path:line``, the column and the bad value; a
-row a check rejects names ``path:line`` and the reason; a repeated key
-names ``path:line`` and the key.
+crashes through one child-table loop, so the canonical files of a
+county, a raw source's rows, or records encoded to rows
+(``filters.select_subset``) are counted in one pass each.  The folds
+decode every cell with the table's own decoders and run the records'
+checks (``model.check_crash``, ``model.check_unit``) on every row, kept
+or not.  Either way, cells other than ids and floats come from small
+domains and are parsed once per distinct text per table.  A cell that
+does not parse raises ValidationError naming ``path:line``, the column
+and the bad value; a row a check rejects names ``path:line`` and the
+reason; a repeated key names ``path:line`` and the key.  The line is the
+physical line the row ends on, so a quoted cell that spans lines does
+not shift the lines named after it.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ MILEAGE_HEADER = (
 
 class _Table(NamedTuple):
     header: tuple[str, ...]
-    key: Callable          # canonical row -> its natural sort key
+    key: tuple[str, ...]   # the columns rows sort on
     encode: Callable       # record -> canonical row
     make: Callable         # record constructor
     fields: dict           # "column[,column]" -> parse, in constructor order
@@ -101,7 +104,7 @@ def _cells(header: tuple[str, ...], *columns: str) -> Callable:
 
 
 _CRASHES = _Table(
-    CRASH_HEADER, _cells(CRASH_HEADER, "source", "crash_id"),
+    CRASH_HEADER, ("source", "crash_id"),
     lambda c: (
         c.crash_id, c.source, c.region.name, c.region.state, str(c.year),
         c.road_class.value, repr(c.sample_weight), c.max_kabco.value,
@@ -113,7 +116,7 @@ _CRASHES = _Table(
      "tow_away": _BOOL, "airbag_deployed": _BOOL},
 )
 _VEHICLES = _Table(
-    VEHICLE_HEADER, _cells(VEHICLE_HEADER, "crash_id", "unit_id"),
+    VEHICLE_HEADER, ("crash_id", "unit_id"),
     lambda v: (
         v.crash_id, v.unit_id, v.body_class.value, FLAG[v.in_transport], FLAG[v.towed],
         FLAG[v.airbag_deployed],
@@ -123,14 +126,14 @@ _VEHICLES = _Table(
      "towed": _BOOL, "airbag_deployed": _BOOL},
 )
 _PERSONS = _Table(
-    PERSON_HEADER, _cells(PERSON_HEADER, "crash_id", "unit_id", "person_id"),
+    PERSON_HEADER, ("crash_id", "unit_id", "person_id"),
     lambda p: (p.crash_id, p.unit_id, p.person_id, p.kabco.value, FLAG[p.airbag_deployed]),
     PersonOutcome,
     {"crash_id": str, "unit_id": str, "person_id": str, "kabco": Kabco,
      "airbag_deployed": _BOOL},
 )
 _MILEAGE = _Table(
-    MILEAGE_HEADER, _cells(MILEAGE_HEADER, "region", "year", "functional_class", "area_type"),
+    MILEAGE_HEADER, MILEAGE_HEADER,
     lambda m: (
         m.region.name, m.region.state, str(m.year), m.functional_class.value,
         m.area_type.value, repr(m.vmt_millions),
@@ -145,12 +148,12 @@ _TABLES = {"crashes": _CRASHES, "vehicles": _VEHICLES, "persons": _PERSONS,
 
 def write_rows(path: str | Path, table: str, rows: Iterable[Sequence[str]]) -> None:
     """The one canonical writer: ``rows`` of ``table`` (crashes, vehicles,
-    persons or mileage) sorted on the table's key cells."""
+    persons or mileage) sorted on the table's sort columns."""
     table = _TABLES[table]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(table.header)
-        writer.writerows(sorted(rows, key=table.key))
+        writer.writerows(sorted(rows, key=_cells(table.header, *table.key)))
 
 
 def encode(table: str, records: Iterable) -> list[tuple[str, ...]]:
@@ -167,11 +170,14 @@ class Rows(NamedTuple):
 
 
 @contextmanager
-def _lines(source: str | Path | Rows, header: tuple[str, ...]):
-    """(where, (line, row) pairs) of a canonical table: a file's rows past
-    its checked header, or rows in memory numbered as if below a header."""
+def _open(source: str | Path | Rows, header: tuple[str, ...]):
+    """(rows, at) of a canonical table: a file's rows past its checked
+    header, or rows in memory.  ``at(n)``, called while the n-th row
+    (from 1) is the last one read, names it ``path:line``: the physical
+    line a file's row ends on, as ``csv.reader`` counts it, or for rows in
+    memory the line it would hold below a header."""
     if isinstance(source, Rows):
-        yield source.label, enumerate(source.rows, start=2)
+        yield source.rows, lambda n: f"{source.label}:{n + 1}"
         return
     with open(source, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -182,7 +188,7 @@ def _lines(source: str | Path | Rows, header: tuple[str, ...]):
             raise ValidationError(
                 f"{source}: header {found!r} does not match canonical header {list(header)!r}"
             )
-        yield source, enumerate(reader, start=2)
+        yield reader, lambda n: f"{source}:{reader.line_num}"
 
 
 def _plan(table: _Table) -> list:
@@ -198,18 +204,18 @@ def _records(source: str | Path | Rows, table: _Table) -> list:
     plan = _plan(table)
     width, make = len(table.header), table.make
     records = []
-    with _lines(source, table.header) as (where, lines):
-        for line, row in lines:
+    with _open(source, table.header) as (rows, at):
+        for n, row in enumerate(rows, 1):
             if len(row) != width:
-                raise _row_error(f"{where}:{line}", table, row)
+                raise _row_error(at(n), table, row)
             try:
                 values = [decode(cells(row)) for cells, decode in plan]
             except (KeyError, ValueError):
-                raise _row_error(f"{where}:{line}", table, row) from None
+                raise _row_error(at(n), table, row) from None
             try:
                 records.append(make(*values))
             except ValidationError as exc:
-                raise ValidationError(f"{where}:{line}: {exc}") from None
+                raise ValidationError(f"{at(n)}: {exc}") from None
     return records
 
 
@@ -249,11 +255,11 @@ def _check_unique(source: str | Path | Rows, table: _Table, *columns: str) -> No
     label = columns[0] if len(columns) == 1 else f"({', '.join(columns)})"
     key = _cells(table.header, *columns)
     seen = set()
-    with _lines(source, table.header) as (where, lines):
-        for line, row in lines:
+    with _open(source, table.header) as (rows, at):
+        for n, row in enumerate(rows, 1):
             value = key(row)
             if value in seen:
-                raise ValidationError(f"{where}:{line}: repeated {label} {value!r}")
+                raise ValidationError(f"{at(n)}: repeated {label} {value!r}")
             seen.add(value)
 
 
@@ -318,21 +324,21 @@ def read_crashes(source: str | Path | Rows, region: Region, year: int) -> Canoni
     index: dict[str, int] = {}
     dropped: set[str] = set()
     diagnostics: Counter = Counter()
-    line = 1
-    with _lines(source, CRASH_HEADER) as (where, lines):
-        for line, row in lines:
+    n = 0
+    with _open(source, CRASH_HEADER) as (rows, at):
+        for n, row in enumerate(rows, 1):
             if len(row) != width:
-                raise _row_error(f"{where}:{line}", _CRASHES, row)
+                raise _row_error(at(n), _CRASHES, row)
             try:
                 crash_id, weight = id_and_weight(row)
                 year_value, fate, road, bits = decoded[cells(row)]
                 weight = parse_weight(weight)
             except (KeyError, ValueError):
-                raise _row_error(f"{where}:{line}", _CRASHES, row) from None
+                raise _row_error(at(n), _CRASHES, row) from None
             try:
                 check_crash(crash_id, weight, year_value)
             except ValidationError as exc:
-                raise ValidationError(f"{where}:{line}: {exc}") from None
+                raise ValidationError(f"{at(n)}: {exc}") from None
             if fate:
                 diagnostics[fate] += 1
                 dropped.add(crash_id)
@@ -344,15 +350,66 @@ def read_crashes(source: str | Path | Rows, region: Region, year: int) -> Canoni
             evidence.append(bits)
     # Each row adds its id to ``index`` or ``dropped``: the ids are distinct
     # when neither holds a repeat and no id is in both.
-    if len(index) + len(dropped) < line - 1 or not index.keys().isdisjoint(dropped):
+    if len(index) + len(dropped) < n or not index.keys().isdisjoint(dropped):
         _check_unique(source, _CRASHES, "crash_id")
     return CanonicalFold(
         columns=CrashColumns.of_crashes(ids, weights, road_class, evidence),
         index=index, dropped=dropped,
-        rows_in={"crashes": line - 1, "vehicles": 0, "persons": 0},
+        rows_in={"crashes": n, "vehicles": 0, "persons": 0},
         records={"crashes": len(ids), "vehicles": 0, "persons": 0},
         diagnostics=diagnostics,
     )
+
+
+def _fold_children(source: str | Path | Rows, table: str, fold: CanonicalFold,
+                   cells: Callable, effect: Callable, check: Callable | None = None) -> None:
+    """Fold a child table (vehicles or persons) into ``fold``'s crashes.
+
+    Every row is decoded and checked: ``effect`` of its ``cells``, memoized
+    on them, gives the (tally, evidence bits) the row adds to its crash, or
+    None for a row that adds nothing, and ``check`` runs on its key.  A row
+    of a crash not kept is counted (``CanonicalFold.count_orphan``); rows
+    read and kept are set in ``fold``.
+    """
+    spec = _TABLES[table]
+    key_of = _cells(spec.header, *spec.key)
+    effects = _Memo(effect)
+    index, evidence = fold.index, fold.columns.evidence
+    width = len(spec.header)
+    n = orphans = 0
+    in_order, last, last_crash, i = True, (), None, None
+    with _open(source, spec.header) as (rows, at):
+        for n, row in enumerate(rows, 1):
+            if len(row) != width:
+                raise _row_error(at(n), spec, row)
+            try:
+                adds = effects[cells(row)]
+            except (KeyError, ValueError):
+                raise _row_error(at(n), spec, row) from None
+            key = key_of(row)
+            if check is not None:
+                try:
+                    check(*key)
+                except ValidationError as exc:
+                    raise ValidationError(f"{at(n)}: {exc}") from None
+            # Key order is checked as rows pass; a crash's rows sit together
+            # in a canonical file and in a raw source's rows, so its position
+            # is looked up once.
+            in_order = in_order and key > last
+            last = key
+            if key[0] != last_crash:
+                last_crash, i = key[0], index.get(key[0])
+            if i is None:
+                fold.count_orphan(last_crash)
+                orphans += 1
+            elif adds is not None:
+                tally, bits = adds
+                tally[i] += 1
+                evidence[i] |= bits
+    if not in_order:
+        _check_unique(source, spec, *spec.key)
+    fold.rows_in[table] = n
+    fold.records[table] = n - orphans
 
 
 def read_vehicles(source: str | Path | Rows, fold: CanonicalFold) -> None:
@@ -360,46 +417,10 @@ def read_vehicles(source: str | Path | Rows, fold: CanonicalFold) -> None:
     unit tallies and severity evidence of ``fold``'s crashes
     (``filters.unit_effect``); no record is built."""
     columns = fold.columns
-    unit_key = _cells(VEHICLE_HEADER, "crash_id", "unit_id")
     cells, decode = _fold_fields(
         _VEHICLES, "body_class", "in_transport", "towed", "airbag_deployed")
-    effects = _Memo(lambda key: _effect(columns, *decode(key)))
-    index, evidence = fold.index, columns.evidence
-    width = len(VEHICLE_HEADER)
-    orphans, in_order, last_crash, last_unit, i = 0, True, "", "", None
-    line = 1
-    with _lines(source, VEHICLE_HEADER) as (where, lines):
-        for line, row in lines:
-            if len(row) != width:
-                raise _row_error(f"{where}:{line}", _VEHICLES, row)
-            try:
-                tally, bits = effects[cells(row)]
-            except (KeyError, ValueError):
-                raise _row_error(f"{where}:{line}", _VEHICLES, row) from None
-            crash_id, unit_id = unit_key(row)
-            try:
-                check_unit(crash_id, unit_id)
-            except ValidationError as exc:
-                raise ValidationError(f"{where}:{line}: {exc}") from None
-            # Key order is checked as rows pass; a crash's units sit together
-            # in a canonical file and in a raw source's rows, so its position
-            # is looked up once.
-            if crash_id == last_crash:
-                in_order = in_order and unit_id > last_unit
-            else:
-                in_order = in_order and crash_id > last_crash
-                last_crash, i = crash_id, index.get(crash_id)
-            last_unit = unit_id
-            if i is None:
-                fold.count_orphan(crash_id)
-                orphans += 1
-                continue
-            tally[i] += 1
-            evidence[i] |= bits
-    if not in_order:
-        _check_unique(source, _VEHICLES, "crash_id", "unit_id")
-    fold.rows_in["vehicles"] = line - 1
-    fold.records["vehicles"] = line - 1 - orphans
+    _fold_children(source, "vehicles", fold, cells,
+                   lambda key: _effect(columns, *decode(key)), check_unit)
 
 
 def _effect(columns: CrashColumns, *unit) -> tuple[list[int], int]:
@@ -407,34 +428,15 @@ def _effect(columns: CrashColumns, *unit) -> tuple[list[int], int]:
     return getattr(columns, tally), bits
 
 
-def read_persons(path: str | Path, fold: CanonicalFold) -> None:
-    """Count ``persons.csv``'s rows against ``fold``'s crashes; persons are
+def read_persons(source: str | Path | Rows, fold: CanonicalFold) -> None:
+    """Count a person table's rows against ``fold``'s crashes; persons are
     checked and counted for the audit, not kept."""
-    person_key = _cells(PERSON_HEADER, "crash_id", "unit_id", "person_id")
     cells, decode = _fold_fields(_PERSONS, "kabco", "airbag_deployed")
-    decoded = _Memo(decode)
-    index = fold.index
-    width = len(PERSON_HEADER)
-    orphans, in_order, last = 0, True, ("", "", "")
-    line = 1
-    with _lines(path, PERSON_HEADER) as (where, lines):
-        for line, row in lines:
-            if len(row) != width:
-                raise _row_error(f"{where}:{line}", _PERSONS, row)
-            try:
-                decoded[cells(row)]
-            except (KeyError, ValueError):
-                raise _row_error(f"{where}:{line}", _PERSONS, row) from None
-            key = person_key(row)
-            in_order = in_order and key > last
-            last = key
-            if key[0] not in index:
-                fold.count_orphan(key[0])
-                orphans += 1
-    if not in_order:
-        _check_unique(path, _PERSONS, "crash_id", "unit_id", "person_id")
-    fold.rows_in["persons"] = line - 1
-    fold.records["persons"] = line - 1 - orphans
+
+    def no_effect(key: tuple[str, ...]) -> None:
+        decode(key)         # the cells must decode; a person adds nothing to its crash
+
+    _fold_children(source, "persons", fold, cells, no_effect)
 
 
 def write_crashes(path: str | Path, crashes: Iterable[CrashEvent]) -> None:
@@ -463,30 +465,6 @@ def read_records(source: str | Path | Rows, table: str) -> list:
     constructor.  The benchmark path folds crash tables instead
     (``read_crashes``)."""
     return _records(source, _TABLES[table])
-
-
-def read_rows(path: str | Path, table: str) -> list[list[str]]:
-    """Every row of one canonical file as the writer gives it back: a number
-    cell (a year, a weight, a mileage) is written again from its value, so
-    ``" 2022"`` reads ``"2022"`` and ``"1"`` reads ``"1.0"``.  The other
-    cells are kept as read, unchecked; ``ingest`` reads only files that the
-    folds have checked."""
-    table = _TABLES[table]
-    numbers = [(table.header.index(column), cache(lambda text, parse=parse: repr(parse(text))))
-               for column, parse in table.fields.items() if parse in (int, float)]
-    width = len(table.header)
-    rows = []
-    with _lines(path, table.header) as (where, lines):
-        for line, row in lines:
-            try:
-                if len(row) != width:
-                    raise ValueError
-                for at, normal in numbers:
-                    row[at] = normal(row[at])
-            except ValueError:
-                raise _row_error(f"{where}:{line}", table, row) from None
-            rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------

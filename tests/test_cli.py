@@ -398,9 +398,9 @@ class TestIngestGoldens:
         p.name for p in (Path(__file__).parent / "fixtures" / "golden").iterdir()))
     def test_records_and_their_rows_write_the_same_bytes(self, tmp_path, fixtures, name):
         # One writer serves records and their rows alike.  Crash, vehicle and
-        # person keys are unique, so their files do not depend on the order
-        # given; two mileage cells may share a key (Los Angeles has two
-        # local/all cells) and then keep the order given.
+        # person keys are unique and mileage rows sort on all their cells
+        # (Los Angeles has two local/all cells), so no file depends on the
+        # order given.
         rng = random.Random(name)
         for table in ("crashes", "vehicles", "persons", "mileage"):
             golden = fixtures / "golden" / name / f"{table}.csv"
@@ -411,8 +411,7 @@ class TestIngestGoldens:
                                    interchange.encode(table, records))
             written = (tmp_path / "records.csv").read_bytes()
             assert (tmp_path / "rows.csv").read_bytes() == written, table
-            if table != "mileage":
-                assert written == golden.read_bytes(), table
+            assert written == golden.read_bytes(), table
 
     def test_audit_sits_next_to_the_csvs(self, capsys, tmp_path, fixtures):
         run(capsys, "ingest",

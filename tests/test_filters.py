@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from crashbench.errors import ValidationError
 from crashbench.filters import audit_subset, classify_severity, select_subset
 from crashbench.ingest import combine_sources, load_crash_source, load_dataset
 from crashbench.interchange import load_manifest, read_records
@@ -212,6 +213,23 @@ class TestSelectSubset:
             select_subset(national.crashes, national.vehicles, road="rural")
         with pytest.raises(ValueError, match="all-roads"):
             select_subset(national.crashes, national.vehicles).surface()
+
+
+    def test_repeated_crash_id_is_rejected(self):
+        # Folded as report folds a crash table: a repeat is an error, not a
+        # second crash.
+        with pytest.raises(ValidationError, match="repeated crash_id 'X1'"):
+            select_subset([crash(), crash()], [unit()])
+
+    @pytest.mark.parametrize("other", [
+        CrashEvent("X2", "t", Region.county("Maricopa", "AZ"), 2022,
+                   RoadClass.SURFACE_STREET, 1.0, Kabco.O, False, False),
+        CrashEvent("X2", "t", NATIONAL, 2021, RoadClass.SURFACE_STREET, 1.0, Kabco.O,
+                   False, False),
+    ], ids=["region", "year"])
+    def test_records_of_two_region_years_are_rejected(self, other):
+        with pytest.raises(ValidationError, match="more than one region and year"):
+            select_subset([crash(), other], [unit()], road="all")
 
 
 class TestSurfaceFromAllRoads:

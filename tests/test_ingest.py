@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from crashbench import interchange
 from crashbench.cli import _region_slug, main
 from crashbench.errors import ReferentialError, SchemaError, ValidationError
 from crashbench.ingest import (
@@ -618,6 +619,34 @@ class TestRowLines:
         with pytest.raises(ValidationError,
                            match=rf"fhwa_vm4 shares file .*s\.csv:5: share 920.0 outside"):
             load_passenger_share(load_schema("fhwa_vm4"), path)
+
+
+class TestCanonicalLines:
+    """An error about a canonical row names the physical line it ends on,
+    as raw errors do, and ``rows_in`` counts rows, not lines."""
+
+    HEADER = ("crash_id,source,region,region_state,year,road_class,sample_weight,"
+              "max_kabco,tow_away,airbag_deployed\n")
+    TOWN = Region.county("Springfield", "IL")
+
+    def test_cell_spanning_two_lines_shifts_later_lines(self, tmp_path):
+        path = tmp_path / "ml_crashes.csv"
+        path.write_text(self.HEADER
+                        + '"X\n1",town,Springfield,IL,2022,surface_street,1.0,O,0,0\n'
+                        + "X2,town,Springfield,IL,2022,surface_street,abc,O,0,0\n")
+        with pytest.raises(ValidationError,
+                           match=r"ml_crashes\.csv:4: unreadable sample_weight 'abc'"):
+            interchange.read_crashes(path, self.TOWN, 2022)
+
+    def test_rows_in_counts_rows(self, tmp_path):
+        path = tmp_path / "ml_crashes.csv"
+        path.write_text(self.HEADER
+                        + '"X\n1",town,Springfield,IL,2022,surface_street,1.0,O,0,0\n'
+                        + "X2,town,Springfield,IL,2021,surface_street,1.0,O,0,0\n")
+        fold = interchange.read_crashes(path, self.TOWN, 2022)
+        assert fold.rows_in["crashes"] == 2
+        assert fold.columns.crash_id == ["X\n1"]
+        assert fold.diagnostics == {"year_mismatch": 1}
 
 
 class TestReaderSemantics:
