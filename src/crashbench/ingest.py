@@ -30,12 +30,14 @@ of another region or year, and a vehicle or person row of such a crash
 or of a crash the crash table does not hold, is counted under a
 diagnostic, and ``rows_in`` counts every row read.  A raw source's rows
 go through that same fold when a benchmark counts them
-(``CombinedRecords.classify``), and ``ingest`` writes them as they are;
-``dataset_rows`` reads a canonical source again as records, encoded to
-rows (``interchange.read_records``, ``interchange.encode``), where
-``ingest`` writes it out.  Records (``.crashes``, ``.vehicles``,
-``.persons``) are decoded from the rows only when a caller asks for
-them.
+(``CombinedRecords.classify``), and ``ingest`` writes them as they are.
+Where ``ingest`` writes a canonical source out, ``dataset_rows`` reads it
+again as records encoded to rows (``interchange.read_records``,
+``interchange.encode``) and folds those crash rows in memory: the rows it
+keeps are those of the crashes the fold keeps, so which rows belong to a
+dataset is decided by ``read_crashes`` alone.  Records (``.crashes``,
+``.vehicles``, ``.persons``) are decoded from the rows only when a caller
+asks for them.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ from .schema import CodeMap, RoadRules, Rule, SchemaSpec, load_schema
 
 _TABLES = ("crashes", "vehicles", "persons")    # each row starts with its crash id
 _KABCO_AT = interchange.CRASH_HEADER.index("max_kabco")
-_PLACE = itemgetter(*map(interchange.CRASH_HEADER.index, ("region", "region_state", "year")))
 _RANK = {kabco.value: rank for kabco, rank in KABCO_FOLD_RANK.items()}
 _UNK, _FATAL = Kabco.UNK.value, Kabco.K.value
 
@@ -170,23 +171,15 @@ def _bind(positions: dict[str, int], columns: Iterable[str],
     """``evaluate`` of a row's cells at ``columns``, memoized on those cells.
 
     ``evaluate`` sees a dict of just those cells, so spec rules keep their
-    one evaluator; rows holding equal cells share one call.  The cache
-    lives as long as the returned function.
+    one evaluator; rows holding equal cells share one call.  The memo
+    (``interchange.Memo``) lives as long as the returned function.
     """
     columns = sorted(columns)
     getter = itemgetter(*(positions[c] for c in columns))
-    cache: dict = {}
-
-    def classify(row: list):
-        key = getter(row)
-        try:
-            return cache[key]
-        except KeyError:
-            cells = dict(zip(columns, key)) if len(columns) > 1 else {columns[0]: key}
-            value = cache[key] = evaluate(cells)
-            return value
-
-    return classify
+    memo = interchange.Memo(
+        (lambda key: evaluate(dict(zip(columns, key)))) if len(columns) > 1
+        else lambda key: evaluate({columns[0]: key}))
+    return lambda row: memo[getter(row)]
 
 
 def _bind_kabco(positions: dict[str, int], column: str,
@@ -849,26 +842,14 @@ def load_dataset(manifest: interchange.DatasetManifest) -> DatasetRecords:
 
 def _canonical_rows(ref: interchange.CrashSourceRef, region: Region,
                     year: int) -> LoadResult:
-    """One canonical source's rows of ``region`` and ``year``, encoded from
-    its records."""
-    place = (region.name, region.state, str(year))
-
-    def rows(path: Path | None, table: str) -> list:
-        if path is None:
-            return []
-        return interchange.encode(table, interchange.read_records(path, table))
-
-    crashes = [row for row in rows(ref.crash_file, "crashes") if _PLACE(row) == place]
-    ids = {row[0] for row in crashes}
-
-    def of_kept_crashes(path: Path | None, table: str) -> list:
-        return [row for row in rows(path, table) if row[0] in ids]
-
+    """One canonical source's rows, encoded from its records, of the crashes
+    its crash rows' fold keeps (``interchange.read_crashes``)."""
+    files = zip(_TABLES, (ref.crash_file, ref.vehicle_file, ref.person_file))
+    rows = {table: interchange.encode(table, interchange.read_records(path, table))
+            for table, path in files if path is not None}
+    kept = interchange.read_crashes(_in_memory(rows, "crashes"), region, year).index
     return LoadResult(tag=CANONICAL_SPEC, rows={
-        "crashes": crashes,
-        "vehicles": of_kept_crashes(ref.vehicle_file, "vehicles"),
-        "persons": of_kept_crashes(ref.person_file, "persons"),
-    })
+        table: [row for row in rows.get(table, ()) if row[0] in kept] for table in _TABLES})
 
 
 def dataset_rows(dataset: DatasetRecords) -> dict[str, list]:
@@ -876,8 +857,9 @@ def dataset_rows(dataset: DatasetRecords) -> dict[str, list]:
     ``ingest`` writes them.  ``load_dataset`` has checked, filtered and
     counted every source, but folds a canonical source into columns
     without rows; so the canonical sources are read again here as
-    records, encoded to rows, kept by region, year and role as before,
-    and added to the raw sources' rows."""
+    records and encoded to rows.  Each source keeps the rows of the
+    crashes that the fold of its own crash rows keeps, and its role's
+    crashes, and they are added to the raw sources' rows."""
     manifest = dataset.manifest
     canonical = combine_sources([
         (ref.role, _canonical_rows(ref, manifest.region, manifest.year))

@@ -24,14 +24,16 @@ crashes through one child-table loop, so the canonical files of a
 county, a raw source's rows, or records encoded to rows
 (``filters.select_subset``) are counted in one pass each.  The folds
 decode every cell with the table's own decoders and run the records'
-checks (``model.check_crash``, ``model.check_unit``) on every row, kept
-or not.  Either way, cells other than ids and floats come from small
-domains and are parsed once per distinct text per table.  A cell that
-does not parse raises ValidationError naming ``path:line``, the column
-and the bad value; a row a check rejects names ``path:line`` and the
-reason; a repeated key names ``path:line`` and the key.  The line is the
-physical line the row ends on, so a quoted cell that spans lines does
-not shift the lines named after it.
+checks (``model.check_crash``, ``check_unit``, ``check_person``) on every
+row, kept or not.  Either way, a cell other than an id or a float comes
+from a small domain and is parsed once per distinct text per table (a
+``Memo``).  A cell that does not parse raises ValidationError naming
+``path:line``, the column and the bad value; a row a check rejects names
+``path:line`` and the reason; a repeated key names ``path:line`` and the
+key: a crash id as its row passes, a vehicle or person key, when the
+table's keys are out of order, by reading the table again.  The line is
+the physical line the row ends on, so a quoted cell that spans lines
+does not shift the lines named after it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import json
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -60,6 +61,7 @@ from .model import (
     RoadClass,
     VehicleInvolvement,
     check_crash,
+    check_person,
     check_unit,
 )
 from .rates import ROAD_RULES
@@ -191,11 +193,24 @@ def _open(source: str | Path | Rows, header: tuple[str, ...]):
         yield reader, lambda n: f"{source}:{reader.line_num}"
 
 
+class Memo(dict):
+    """``decode`` of each distinct key (cells), made once: a missing key is
+    decoded and kept; one that does not decode raises and is not kept."""
+
+    def __init__(self, decode: Callable) -> None:
+        super().__init__()
+        self.decode = decode
+
+    def __missing__(self, key):
+        value = self[key] = self.decode(key)
+        return value
+
+
 def _plan(table: _Table) -> list:
     """Per field: (row -> its cell or cells, cell text -> value)."""
     return [
         (_cells(table.header, *columns.split(",")),
-         parse if parse in _UNMEMOIZED else cache(parse))
+         parse if parse in _UNMEMOIZED else Memo(parse).__getitem__)
         for columns, parse in table.fields.items()
     ]
 
@@ -248,10 +263,8 @@ def _fold_fields(table: _Table, *names: str) -> tuple[Callable, Callable]:
 
 def _check_unique(source: str | Path | Rows, table: _Table, *columns: str) -> None:
     """A row whose key (its cells in ``columns``) an earlier line holds is
-    an error naming ``path:line``.  The folds notice a possible repeat as
-    they read (crash ids by count and by overlap of kept and dropped ids,
-    unit and person keys by key order); only then are the rows read a
-    second time, here."""
+    an error naming ``path:line``.  A child table's fold reads its rows a
+    second time, here, only when their keys are out of order."""
     label = columns[0] if len(columns) == 1 else f"({', '.join(columns)})"
     key = _cells(table.header, *columns)
     seen = set()
@@ -261,19 +274,6 @@ def _check_unique(source: str | Path | Rows, table: _Table, *columns: str) -> No
             if value in seen:
                 raise ValidationError(f"{at(n)}: repeated {label} {value!r}")
             seen.add(value)
-
-
-class _Memo(dict):
-    """Cell texts decoded once per file: a missing key is decoded, and a key
-    that does not decode raises KeyError or ValueError."""
-
-    def __init__(self, decode: Callable) -> None:
-        super().__init__()
-        self.decode = decode
-
-    def __missing__(self, key):
-        value = self[key] = self.decode(key)
-        return value
 
 
 @dataclass
@@ -302,8 +302,9 @@ class CanonicalFold:
 
 def read_crashes(source: str | Path | Rows, region: Region, year: int) -> CanonicalFold:
     """Fold a crash table (``crashes.csv`` or rows in memory) into per-crash
-    columns, keeping ``region`` and ``year``; every row's cells and crash
-    checks are read either way."""
+    columns, keeping ``region`` and ``year``, the one rule for which crashes
+    a canonical source holds.  Every row's cells and checks are read either
+    way; a crash id read before, kept or not, is an error at its row."""
     id_and_weight = _cells(CRASH_HEADER, "crash_id", "sample_weight")
     parse_weight = _CRASHES.fields["sample_weight"]
     cells, decode_cells = _fold_fields(
@@ -318,7 +319,7 @@ def read_crashes(source: str | Path | Rows, region: Region, year: int) -> Canoni
                 else "year_mismatch" if year_value != year else "")
         return year_value, fate, road, crash_evidence(kabco, tow, airbag)
 
-    decoded = _Memo(decode)
+    decoded = Memo(decode)
     width = len(CRASH_HEADER)
     ids, weights, road_class, evidence = [], [], [], []
     index: dict[str, int] = {}
@@ -339,6 +340,8 @@ def read_crashes(source: str | Path | Rows, region: Region, year: int) -> Canoni
                 check_crash(crash_id, weight, year_value)
             except ValidationError as exc:
                 raise ValidationError(f"{at(n)}: {exc}") from None
+            if crash_id in index or crash_id in dropped:
+                raise ValidationError(f"{at(n)}: repeated crash_id {crash_id!r}")
             if fate:
                 diagnostics[fate] += 1
                 dropped.add(crash_id)
@@ -348,10 +351,6 @@ def read_crashes(source: str | Path | Rows, region: Region, year: int) -> Canoni
             weights.append(weight)
             road_class.append(road)
             evidence.append(bits)
-    # Each row adds its id to ``index`` or ``dropped``: the ids are distinct
-    # when neither holds a repeat and no id is in both.
-    if len(index) + len(dropped) < n or not index.keys().isdisjoint(dropped):
-        _check_unique(source, _CRASHES, "crash_id")
     return CanonicalFold(
         columns=CrashColumns.of_crashes(ids, weights, road_class, evidence),
         index=index, dropped=dropped,
@@ -362,7 +361,7 @@ def read_crashes(source: str | Path | Rows, region: Region, year: int) -> Canoni
 
 
 def _fold_children(source: str | Path | Rows, table: str, fold: CanonicalFold,
-                   cells: Callable, effect: Callable, check: Callable | None = None) -> None:
+                   cells: Callable, effect: Callable, check: Callable) -> None:
     """Fold a child table (vehicles or persons) into ``fold``'s crashes.
 
     Every row is decoded and checked: ``effect`` of its ``cells``, memoized
@@ -373,7 +372,7 @@ def _fold_children(source: str | Path | Rows, table: str, fold: CanonicalFold,
     """
     spec = _TABLES[table]
     key_of = _cells(spec.header, *spec.key)
-    effects = _Memo(effect)
+    effects = Memo(effect)
     index, evidence = fold.index, fold.columns.evidence
     width = len(spec.header)
     n = orphans = 0
@@ -387,11 +386,10 @@ def _fold_children(source: str | Path | Rows, table: str, fold: CanonicalFold,
             except (KeyError, ValueError):
                 raise _row_error(at(n), spec, row) from None
             key = key_of(row)
-            if check is not None:
-                try:
-                    check(*key)
-                except ValidationError as exc:
-                    raise ValidationError(f"{at(n)}: {exc}") from None
+            try:
+                check(*key)
+            except ValidationError as exc:
+                raise ValidationError(f"{at(n)}: {exc}") from None
             # Key order is checked as rows pass; a crash's rows sit together
             # in a canonical file and in a raw source's rows, so its position
             # is looked up once.
@@ -436,7 +434,7 @@ def read_persons(source: str | Path | Rows, fold: CanonicalFold) -> None:
     def no_effect(key: tuple[str, ...]) -> None:
         decode(key)         # the cells must decode; a person adds nothing to its crash
 
-    _fold_children(source, "persons", fold, cells, no_effect)
+    _fold_children(source, "persons", fold, cells, no_effect, check_person)
 
 
 def write_crashes(path: str | Path, crashes: Iterable[CrashEvent]) -> None:

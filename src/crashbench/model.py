@@ -241,6 +241,18 @@ class PersonOutcome:
     kabco: Kabco
     airbag_deployed: bool
 
+    def __post_init__(self) -> None:
+        check_person(self.crash_id, self.unit_id, self.person_id)
+
+
+def check_person(crash_id: str, unit_id: str, person_id: str) -> None:
+    """The checks every person passes, as a record or counted against its
+    crash; ``unit_id`` may be empty."""
+    if not crash_id:
+        raise ValidationError("person crash_id is empty")
+    if not person_id:
+        raise ValidationError(f"crash {crash_id}: person_id is empty")
+
 
 @dataclass(frozen=True)
 class MileageCell:

@@ -632,9 +632,10 @@ def load_aggregates(source: str) -> list[AggregateInputs]:
     publish that total, and reads as None.  A negative or non-finite
     number, an unreadable year, a ``weighted`` other than 0 or 1, or
     severity counts or totals that break containment is an error naming
-    the row.
+    the row by its line in the file.
     """
     import csv
+    import io
     import re
     from importlib import resources
     from pathlib import Path
@@ -652,7 +653,7 @@ def load_aggregates(source: str) -> list[AggregateInputs]:
             raise ValidationError(f"aggregate table {source!r} not found")
         text = path.read_text(encoding="utf-8")
 
-    reader = csv.DictReader(text.splitlines())
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     missing = set(_AGGREGATE_COLUMNS) - set(reader.fieldnames or [])
     if missing:
         raise ValidationError(
@@ -674,8 +675,8 @@ def load_aggregates(source: str) -> list[AggregateInputs]:
         return value
 
     out = []
-    for i, row in enumerate(reader, start=2):
-        context = f"aggregate table {source} row {i}"
+    for row in reader:
+        context = f"aggregate table {source} row {reader.line_num}"
         name = (row.get("region") or "").strip()
         state = (row.get("region_state") or "").strip()
         year = (row.get("year") or "").strip()

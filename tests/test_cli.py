@@ -74,6 +74,24 @@ def maricopa_edited(tmp_path, year, cells):
     return aggregates_edited(tmp_path, year, "Maricopa", cells)
 
 
+def sf_golden_as_canonical(fixtures, tmp_path):
+    """A manifest reading a copy of the sf_2022 golden CSVs, written to
+    ``tmp_path``, as a canonical source."""
+    for name in CANONICAL_FILES:
+        shutil.copy(fixtures / "golden" / "sf_2022" / name, tmp_path)
+    manifest = {
+        "region": {"kind": "county", "name": "San Francisco", "state": "CA"},
+        "year": 2022, "road_rule": "all_roads",
+        "crash_sources": [{"spec": "canonical", "crash_file": "crashes.csv",
+                           "vehicle_file": "vehicles.csv",
+                           "person_file": "persons.csv"}],
+        "mileage": [{"spec": "canonical", "file": "mileage.csv"}],
+    }
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return path
+
+
 class TestExitCodes:
     def test_no_inputs_is_an_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "benchmark", "--out", str(tmp_path))
@@ -184,6 +202,15 @@ class TestExitCodes:
         assert code == 2, err
         assert f"row {row}" in err and column in err
 
+    def test_bad_aggregate_row_after_a_blank_line_names_its_line(self, capsys, tmp_path):
+        path, row = maricopa_edited(tmp_path, "2022", {"year": "20x2"})
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([header, "\n", *rows]))
+        code, _, err = run(capsys, "benchmark", "--aggregates", str(path),
+                           "--out", str(tmp_path / "out"), "--quiet")
+        assert code == 2, err
+        assert f"row {row + 1}: unreadable year '20x2'" in err
+
     def test_unpublished_level_keeps_containment_checked(self, capsys, tmp_path):
         # An empty any_injury_reported cell must not let fatal exceed
         # police_reported.
@@ -284,25 +311,30 @@ class TestExitCodes:
     ])
     def test_repeated_canonical_key_names_the_file_line_and_key(
             self, capsys, tmp_path, fixtures, table, key):
-        for name in CANONICAL_FILES:
-            shutil.copy(fixtures / "golden" / "sf_2022" / name, tmp_path)
+        manifest = sf_golden_as_canonical(fixtures, tmp_path)
         path = tmp_path / f"{table}.csv"
         lines = path.read_text().splitlines(keepends=True)
         lines.insert(3, lines[2])
         path.write_text("".join(lines))
-        manifest = {
-            "region": {"kind": "county", "name": "San Francisco", "state": "CA"},
-            "year": 2022, "road_rule": "all_roads",
-            "crash_sources": [{"spec": "canonical", "crash_file": "crashes.csv",
-                               "vehicle_file": "vehicles.csv",
-                               "person_file": "persons.csv"}],
-            "mileage": [{"spec": "canonical", "file": "mileage.csv"}],
-        }
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        code, _, err = run(capsys, "benchmark", "--manifest", str(tmp_path / "manifest.json"),
+        code, _, err = run(capsys, "benchmark", "--manifest", str(manifest),
                            "--out", str(tmp_path / "out"), "--quiet")
         assert code == 2, err
         assert f"{table}.csv:4: repeated" in err and key in err
+
+    @pytest.mark.parametrize("row, reason", [
+        ("S001,1,,O,0", "crash S001: person_id is empty"),
+        (",1,,O,0", "person crash_id is empty"),
+    ])
+    def test_canonical_person_without_key_names_the_file_and_line(
+            self, capsys, tmp_path, fixtures, row, reason):
+        manifest = sf_golden_as_canonical(fixtures, tmp_path)
+        path = tmp_path / "persons.csv"
+        lines = path.read_text().splitlines(keepends=True) + [row + "\n"]
+        path.write_text("".join(lines))
+        code, _, err = run(capsys, "ingest", "--manifest", str(manifest),
+                           "--out", str(tmp_path / "out"), "--quiet")
+        assert code == 2, err
+        assert f"persons.csv:{len(lines)}: {reason}" in err
 
     @pytest.mark.parametrize("other, at", [
         ("T001,town,Shelbyville,IL,2022,surface_street,1.0,O,0,0", 3),  # after the kept row

@@ -469,6 +469,39 @@ class TestDatasets:
                 == sum(audit["records"].values()) + sum(audit["diagnostics"].values()))
         assert dict(data.records.diagnostics) == audit["diagnostics"]
 
+    def test_each_canonical_source_keeps_the_rows_of_its_own_crashes(
+            self, fixtures, tmp_path, capsys):
+        # Source A drops its crash T002 (another county) and holds a unit of
+        # it; source B keeps its own T002.  The unit is A's, so it is not
+        # written, though B keeps a crash of that id.
+        canonical = fixtures / "canonical"
+        (tmp_path / "a_crashes.csv").write_text(
+            ",".join(interchange.CRASH_HEADER)
+            + "\nT002,town,Shelbyville,IL,2022,surface_street,1.0,O,0,0\n")
+        (tmp_path / "a_vehicles.csv").write_text(
+            ",".join(interchange.VEHICLE_HEADER) + "\nT002,9,passenger,1,1,1\n")
+        manifest = json.loads((fixtures / "manifests" / "town_2022.json").read_text())
+        manifest["crash_sources"] = [
+            {"spec": "canonical", "crash_file": str(tmp_path / "a_crashes.csv"),
+             "vehicle_file": str(tmp_path / "a_vehicles.csv")},
+            {"spec": "canonical", "crash_file": str(canonical / "town_crashes.csv"),
+             "vehicle_file": str(canonical / "town_vehicles.csv")},
+        ]
+        manifest["mileage"][0]["file"] = str(canonical / "town_mileage.csv")
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        code = main(["ingest", "--manifest", str(tmp_path / "manifest.json"),
+                     "--out", str(out), "--quiet"])
+        assert code == 0, capsys.readouterr().err
+        for table in ("crashes", "vehicles"):
+            assert ((out / f"{table}.csv").read_bytes()
+                    == (canonical / f"town_{table}.csv").read_bytes()), table
+        a, b = json.loads((out / "audit.json").read_text())["sources"]
+        assert a["diagnostics"] == {"region_filtered": 1, "parent_dropped": 1}
+        assert a["records"] == {"crashes": 0, "vehicles": 0, "persons": 0}
+        assert b["diagnostics"] == {}
+        assert b["records"] == {"crashes": 2, "vehicles": 3, "persons": 0}
+
     def test_canonical_source_rejects_region_filter(self, fixtures):
         manifest, = load_manifest(fixtures / "manifests" / "town_2022.json")
         ref = manifest.crash_sources[0]
@@ -636,6 +669,16 @@ class TestCanonicalLines:
                         + "X2,town,Springfield,IL,2022,surface_street,abc,O,0,0\n")
         with pytest.raises(ValidationError,
                            match=r"ml_crashes\.csv:4: unreadable sample_weight 'abc'"):
+            interchange.read_crashes(path, self.TOWN, 2022)
+
+    def test_repeated_crash_id_is_met_before_a_later_bad_row(self, tmp_path):
+        # A repeat of a dropped id is found as its row passes.
+        path = tmp_path / "crashes.csv"
+        path.write_text(self.HEADER
+                        + "X1,town,Springfield,IL,2021,surface_street,1.0,O,0,0\n"
+                        + "X1,town,Springfield,IL,2022,surface_street,1.0,O,0,0\n"
+                        + "X2,town,Springfield,IL,2022,surface_street,abc,O,0,0\n")
+        with pytest.raises(ValidationError, match=r"crashes\.csv:3: repeated crash_id 'X1'"):
             interchange.read_crashes(path, self.TOWN, 2022)
 
     def test_rows_in_counts_rows(self, tmp_path):

@@ -10,6 +10,7 @@ from crashbench.model import (
     KABCO_FOLD_RANK,
     OBSERVED_LEVELS,
     PassengerShareTable,
+    PersonOutcome,
     Region,
     SCHEMES,
     SEVERITY_CHAIN,
@@ -64,6 +65,16 @@ class TestRegion:
         assert sf.kind == "county"
         assert sf.share_state == "CA"
         assert sf != Region.county("San Francisco", "IL")
+
+
+class TestPersonOutcome:
+    @pytest.mark.parametrize("crash_id, person_id, reason", [
+        ("C1", "", "crash C1: person_id is empty"),
+        ("", "1", "person crash_id is empty"),
+    ])
+    def test_empty_key_rejected(self, crash_id, person_id, reason):
+        with pytest.raises(ValidationError, match=reason):
+            PersonOutcome(crash_id, "1", person_id, Kabco.O, False)
 
 
 class TestShareTable:

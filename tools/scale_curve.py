@@ -1,8 +1,8 @@
 """Scale curves of ``crashbench report`` and ``crashbench ingest``.
 
-    python3 tools/scale_curve.py --label change
-    python3 tools/scale_curve.py --label parent --src ../parent/src
-    python3 tools/scale_curve.py --label change --curve ingest
+    python3 tools/scale_curve.py
+    python3 tools/scale_curve.py --tree parent=../parent/src --tree change=src
+    python3 tools/scale_curve.py --curve ingest --tree parent=../parent/src --tree change=src
 
 The report curve runs ``crashbench report --manifest M`` in a child
 process on perfbench's canonical_report population
@@ -10,11 +10,14 @@ process on perfbench's canonical_report population
 curve runs ``crashbench ingest --manifest M`` on perfbench's raw_ingest
 inputs (the national CRSS and FARS fixtures replicated with seeded crash
 ids), with the replica count scaled to about 10^4, 10^5 and 10^6 raw
-crash rows.  Each appends one entry to ``BENCH_scale.json``: each run's
-wall time and the child's peak RSS, with the Python version, CPU count
-and git SHA of the measured source tree.  ``--src`` measures another
-checkout's ``src`` directory against the same inputs.  Each size runs
-three times, on seed 1.
+crash rows.  Each ``--tree LABEL=SRC`` names a source tree to measure
+(default ``change=`` this checkout's ``src``).  At each size every tree
+runs once per repeat, three repeats on seed 1, and the tree that goes
+first rotates from one repeat to the next, so a host that drifts slower
+or faster does not read as a difference between trees.  Each tree
+appends one entry to ``BENCH_scale.json``: each run's wall time and the
+child's peak RSS, with the Python version, CPU count and git SHA of the
+measured source tree.
 
 It is not a gate and sets no bound; it records a trajectory that later
 changes append to.  The inputs are built once per curve, seed and size
@@ -119,47 +122,64 @@ def git_sha(src: Path) -> str | None:
     return head.stdout.strip() + ("+dirty" if status.stdout.strip() else "")
 
 
+def tree(value: str) -> tuple[str, Path]:
+    """``LABEL=SRC`` -> (label, resolved source tree)."""
+    label, sep, src = value.partition("=")
+    if not (label and sep and src):
+        raise argparse.ArgumentTypeError(f"expected LABEL=SRC, got {value!r}")
+    return label, Path(src).resolve()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="name of this entry")
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="source tree to measure (default this checkout's src)")
+    parser.add_argument("--tree", type=tree, action="append", metavar="LABEL=SRC",
+                        help="a source tree to measure, named LABEL in its entry; "
+                             "repeat to compare trees (default change=<checkout>/src)")
     parser.add_argument("--curve", choices=sorted(CURVES), default="report",
                         help="the command to time (default report)")
     args = parser.parse_args(argv)
+    pairs = args.tree or [("change", ROOT / "src")]
+    trees = dict(pairs)
+    if len(trees) < len(pairs):
+        parser.error("each --tree needs its own LABEL")
 
-    src = args.src.resolve()
-    runs = []
+    runs: dict[str, list] = {label: [] for label in trees}
     for n_crashes in SIZES:
         inputs_dir = build_inputs(args.curve, SEED, n_crashes)
         summary = json.loads((inputs_dir / "inputs.json").read_text(encoding="utf-8"))
-        samples = [run_cli(src, args.curve, inputs_dir / "manifest.json", WORK_DIR / "out")
-                   for _ in range(REPEATS)]
-        runs.append({
-            "n_crashes": n_crashes,
-            "crash_rows": summary["rows"]["crashes"],
-            "wall_s": [round(wall, 3) for wall, _ in samples],
-            "peak_rss_mib": [round(rss, 1) for _, rss in samples],
-            "median_wall_s": round(statistics.median(w for w, _ in samples), 3),
-            "median_peak_rss_mib": round(statistics.median(r for _, r in samples), 1),
-        })
-        print(f"{args.label}: {n_crashes} crashes: {runs[-1]['median_wall_s']} s, "
-              f"{runs[-1]['median_peak_rss_mib']} MiB", file=sys.stderr)
+        samples: dict[str, list] = {label: [] for label in trees}
+        order = list(trees)
+        for repeat in range(REPEATS):
+            first = repeat % len(order)
+            for label in order[first:] + order[:first]:
+                samples[label].append(run_cli(trees[label], args.curve,
+                                              inputs_dir / "manifest.json", WORK_DIR / "out"))
+        for label, taken in samples.items():
+            runs[label].append({
+                "n_crashes": n_crashes,
+                "crash_rows": summary["rows"]["crashes"],
+                "wall_s": [round(wall, 3) for wall, _ in taken],
+                "peak_rss_mib": [round(rss, 1) for _, rss in taken],
+                "median_wall_s": round(statistics.median(w for w, _ in taken), 3),
+                "median_peak_rss_mib": round(statistics.median(r for _, r in taken), 1),
+            })
+            print(f"{label}: {n_crashes} crashes: {runs[label][-1]['median_wall_s']} s, "
+                  f"{runs[label][-1]['median_peak_rss_mib']} MiB", file=sys.stderr)
     shutil.rmtree(WORK_DIR / "out", ignore_errors=True)
 
-    entry = {
-        "label": args.label,
-        "git_sha": git_sha(src),
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
-        "seed": SEED,
-        "curve": args.curve,
-        "command": f"crashbench {args.curve} --manifest M --quiet",
-        "runs": runs,
-    }
     record = (json.loads(OUT.read_text(encoding="utf-8")) if OUT.is_file()
               else {"entries": []})
-    record["entries"].append(entry)
+    for label, src in trees.items():
+        record["entries"].append({
+            "label": label,
+            "git_sha": git_sha(src),
+            "python": platform.python_version(),
+            "cpus": os.cpu_count(),
+            "seed": SEED,
+            "curve": args.curve,
+            "command": f"crashbench {args.curve} --manifest M --quiet",
+            "runs": runs[label],
+        })
     OUT.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
