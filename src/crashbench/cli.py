@@ -5,7 +5,9 @@ files to the canonical interchange layout, ``benchmark`` computes the
 full rate table from a manifest or from published aggregate totals,
 ``power`` turns benchmark rates into required-mileage tables, ``synth``
 materializes a synthetic population, and ``report`` chains benchmark and
-power.
+power.  Each command imports the layers it runs: ``ingest``,
+``interchange`` and ``synth`` load inside the commands that read or
+write microdata, so ``report --aggregates`` loads none of them.
 
 Runs are reproducible: report outputs start with a provenance block
 (tool version, a digest of the effective configuration, and content
@@ -18,7 +20,9 @@ Configuration lives in an INI file (see ``--config``).  ``_SETTINGS``
 declares every setting once: its [section] key, its flag, its default
 and its parser.  A flag wins over the config file, which wins over the
 default.  A section or key outside the table, or a value that does not
-parse, is an input error naming the flag or the file, section and key.
+parse, is an input error naming the flag or the file, section and key;
+so is a target power that ``PowerQuery`` rejects with the other power
+settings, named by its own flag or key.
 
 Exit codes: 0 success, 2 input or validation problem, 1 unexpected
 internal error.  Warnings never change the exit code.
@@ -35,20 +39,12 @@ import json
 import sys
 from collections.abc import Callable
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import UndefinedStatistic, ValidationError
-from .ingest import dataset_rows, load_dataset
-from .interchange import (
-    DatasetManifest,
-    load_manifest,
-    write_crashes,
-    write_mileage,
-    write_rows,
-    write_vehicles,
-)
 from .model import SCHEMES, SeverityLevel
-from .power import PowerTable, check_setting, power_table
+from .power import PowerQuery, PowerTable, check_setting, power_table
 from .rates import (
     DEFAULT_ROWS,
     BenchmarkReport,
@@ -57,7 +53,9 @@ from .rates import (
     build_benchmark,
     load_aggregates,
 )
-from .synth import PopulationSpec, generate
+
+if TYPE_CHECKING:
+    from .interchange import DatasetManifest
 
 # Benchmark rows fed to the power calculator by `report`, outermost first.
 POWER_ROWS: tuple[tuple[SeverityLevel, str], ...] = (
@@ -212,14 +210,20 @@ def _load_config(path: Path | None) -> configparser.ConfigParser:
     return parser
 
 
+def _source(args, cfg: configparser.ConfigParser, section: str, key: str):
+    """The setting's text, the flag's else the config file's (None if
+    neither gives one), and the flag or config key it came from."""
+    text = getattr(args, key)
+    if text is None and cfg.has_option(section, key):
+        return cfg.get(section, key), f"config file {cfg.path}: [{section}] {key}"
+    return text, _SETTINGS[section, key].flag
+
+
 def _setting(args, cfg: configparser.ConfigParser, section: str, key: str):
     """The flag's value, else the config file's, else the default; a value
     that does not parse is an input error naming where it came from."""
     setting = _SETTINGS[section, key]
-    text, origin = getattr(args, key), setting.flag
-    if text is None and cfg.has_option(section, key):
-        text = cfg.get(section, key)
-        origin = f"config file {cfg.path}: [{section}] {key}"
+    text, origin = _source(args, cfg, section, key)
     if text is None:
         return setting.default
     try:
@@ -231,9 +235,19 @@ def _setting(args, cfg: configparser.ConfigParser, section: str, key: str):
 def _configure(args) -> tuple[dict, list[Path]]:
     """Every setting the subcommand offers, by key, and the config file as
     a provenance input list.  Creates the output directory, so nothing is
-    written before every setting has parsed."""
+    written before every setting has parsed and the power settings have
+    passed ``PowerQuery``'s checks together."""
     cfg = _load_config(args.config)
     opts = {key: _setting(args, cfg, section, key) for section, key in args.settings}
+    if "target_power" in opts:
+        try:
+            # The largest r has the highest floor, so its message names
+            # a target that every column accepts.
+            for r in sorted(opts["relative_rates"], reverse=True):
+                PowerQuery(1.0, r, alpha=opts["alpha"], target_power=opts["target_power"])
+        except ValidationError as exc:
+            origin = _source(args, cfg, "power", "target_power")[1]
+            raise ValidationError(f"{origin}: {exc}") from None
     opts["out_dir"].mkdir(parents=True, exist_ok=True)
     return opts, [args.config] if args.config else []
 
@@ -404,6 +418,9 @@ def _region_slug(region) -> str:
 
 
 def cmd_ingest(args) -> int:
+    from .ingest import dataset_rows, load_dataset
+    from .interchange import load_manifest, write_mileage, write_rows
+
     opts, inputs = _configure(args)
     manifest_path, out = opts["manifest"], opts["out_dir"]
     if manifest_path is None:
@@ -481,6 +498,9 @@ def _select_reports(opts: dict) -> tuple[list[BenchmarkReport], list[Path], dict
             if keep(agg.region):
                 reports.append(benchmark_from_aggregates(agg, rows))
     else:
+        from .ingest import load_dataset
+        from .interchange import load_manifest
+
         manifests = [
             ds for ds in load_manifest(manifest_path) if keep(ds.region)
         ]
@@ -598,6 +618,9 @@ def cmd_power(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .interchange import write_crashes, write_vehicles
+    from .synth import PopulationSpec, generate
+
     opts, inputs = _configure(args)
     out = opts["out_dir"]
     spec_path = Path(args.spec)

@@ -94,7 +94,9 @@ class PowerQuery:
 
     benchmark_rate is in events per million miles; relative_rate r means
     the fictive fleet crashes at r times the benchmark.  Every field is
-    checked against its range (``check_setting``).
+    checked against its range (``check_setting``).  A target power that
+    the test meets at any exposure (``_spread`` not positive) has no
+    required mileage and is rejected too.
     """
 
     benchmark_rate: float
@@ -105,6 +107,23 @@ class PowerQuery:
     def __post_init__(self) -> None:
         for name in _RANGES:
             check_setting(name, getattr(self, name))
+        if not _spread(self) > 0.0:
+            # At exposure t -> 0 the power tends to Phi(-z_a / sqrt(r)).
+            floor = normal_cdf(-normal_quantile(1.0 - self.alpha / 2.0)
+                               / math.sqrt(self.relative_rate))
+            raise ValidationError(
+                f"target_power {self.target_power!r} is met at any exposure at "
+                f"relative_rate {self.relative_rate!r} and alpha {self.alpha!r}; "
+                f"it must exceed {floor:.6g}"
+            )
+
+
+def _spread(query: PowerQuery) -> float:
+    """z_a + z_p * sqrt(r), the square root of the benchmark-expected
+    event count times |1 - r|; see required_vmt."""
+    z_a = normal_quantile(1.0 - query.alpha / 2.0)
+    z_p = normal_quantile(query.target_power)
+    return z_a + z_p * math.sqrt(query.relative_rate)
 
 
 def required_vmt(query: PowerQuery) -> float:
@@ -116,14 +135,13 @@ def required_vmt(query: PowerQuery) -> float:
         t = ((z_a + z_p * sqrt(r)) / |1 - r|)**2 / lambda_B.
 
     The numerator-squared term is the benchmark-expected event count, so
-    scaling lambda_B by k scales t by exactly 1/k.
+    scaling lambda_B by k scales t by exactly 1/k.  ``PowerQuery`` has
+    ruled out z_a + z_p * sqrt(r) <= 0, whose square is the wrong root.
     """
     r = query.relative_rate
     if r == 1.0:
         raise ValidationError("relative_rate 1 needs unbounded exposure")
-    z_a = normal_quantile(1.0 - query.alpha / 2.0)
-    z_p = normal_quantile(query.target_power)
-    events = ((z_a + z_p * math.sqrt(r)) / abs(1.0 - r)) ** 2
+    events = (_spread(query) / abs(1.0 - r)) ** 2
     return events / query.benchmark_rate
 
 

@@ -874,6 +874,28 @@ class TestConfigFile:
         assert named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, args, named", [
+        ("report", ("--power", "0.01"), "--power: target_power 0.01 "),
+        ("report", ("--config", "run.ini"), "[power] target_power: target_power 1e-07 "),
+        ("power", ("--power", "0.01"), "--power: target_power 0.01 "),
+    ])
+    def test_power_target_met_at_any_exposure_is_named_before_any_write(
+            self, capsys, tmp_path, command, args, named):
+        # Under the normal approximation the power at r = 1.5 and alpha 0.05
+        # never falls below Phi(-z_a / sqrt(1.5)), about 0.054, at any
+        # exposure: a lower target has no required mileage.
+        (tmp_path / "run.ini").write_text("[power]\ntarget_power = 1e-7\n")
+        flag, value = args
+        if flag == "--config":
+            value = str(tmp_path / value)
+        source = (("--aggregates", "2022") if command == "report"
+                  else ("--rate", "fatal=0.01"))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, command, *source, flag, value, "--out", str(out))
+        assert code == 2, err
+        assert named + "is met at any exposure at relative_rate 1.5" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, named", [
         ("[power]\nalpah = 0.01\n", "[power] alpah: unknown key"),
         ("[powr]\nalpha = 0.01\n", "unknown section [powr]"),
@@ -986,6 +1008,44 @@ class TestImportHygiene:
             assert (tmp_path / "ingest" / file_name).read_bytes() == golden.read_bytes()
         for expected in (REPORT_GOLDENS / name).iterdir():
             assert (without_provenance(tmp_path / "report" / expected.name)
+                    == without_provenance(expected)), expected.name
+
+    @staticmethod
+    def layers_loaded_by(code: str, *args: str) -> list[str]:
+        """The crashbench modules loaded after running ``code`` with
+        ``args`` in a fresh interpreter."""
+        code += ("\nimport json, sys\n"
+                 "print(json.dumps(sorted(m.removeprefix('crashbench.')"
+                 " for m in sys.modules if m.startswith('crashbench.'))))\n")
+        src = str(Path(crashbench.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        result = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    @pytest.mark.parametrize("statement, layers", [
+        ("import crashbench", []),
+        ("import crashbench.synth", ["errors", "model", "power", "synth"]),
+        ("from crashbench import power_table", ["errors", "power"]),
+    ])
+    def test_each_entry_loads_only_its_layers(self, statement, layers):
+        assert self.layers_loaded_by(statement) == layers
+
+    def test_aggregate_report_loads_no_microdata_layer(self, tmp_path):
+        # Published totals need neither ingest, interchange, schema nor synth.
+        loaded = self.layers_loaded_by(
+            "import sys\n"
+            "from crashbench.cli import main\n"
+            "assert main(sys.argv[1:]) == 0",
+            "report", "--aggregates", "2022", "--out", str(tmp_path), "--quiet")
+        assert loaded == ["cli", "errors", "filters", "model", "power", "rates"]
+        golden = REPORT_GOLDENS / "aggregates_2022"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            p.name for p in golden.iterdir())
+        for expected in golden.iterdir():
+            assert (without_provenance(tmp_path / expected.name)
                     == without_provenance(expected)), expected.name
 
     def test_cli_start_loads_neither_numpy_nor_scipy_stats(self):

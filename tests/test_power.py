@@ -71,6 +71,14 @@ class TestPowerQuery:
         with pytest.raises(ValidationError):
             PowerQuery(**kwargs)
 
+    @pytest.mark.parametrize("target, r", [(0.01, 1.25), (1e-7, 0.25)])
+    def test_rejects_a_target_met_at_any_exposure(self, target, r):
+        # z_a + z_p * sqrt(r) <= 0: the closed form would square a negative
+        # spread and return miles at which the power is far below target.
+        with pytest.raises(ValidationError,
+                           match=f"target_power {target!r} is met at any exposure"):
+            PowerQuery(LAM_FATAL, r, target_power=target)
+
 
 class TestRequiredVmt:
     def test_reference_sample_sizes(self):
@@ -123,6 +131,20 @@ class TestAchievedPower:
     def test_inverts_required_vmt(self, lam, r):
         t = required_vmt(PowerQuery(lam, r))
         assert achieved_power(lam, r, t) == pytest.approx(0.8, abs=1e-9)
+
+    @given(st.floats(min_value=1e-3, max_value=1e3),
+           st.floats(min_value=1e-3, max_value=1e3).filter(lambda r: r != 1.0),
+           st.floats(min_value=1e-6, max_value=0.5),
+           st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
+    def test_every_accepted_query_meets_its_target(self, lam, r, alpha, target):
+        # A rejected query's target is already met as the exposure vanishes.
+        try:
+            q = PowerQuery(lam, r, alpha=alpha, target_power=target)
+        except ValidationError:
+            assert achieved_power(lam, r, 1e-12 / lam, alpha=alpha) >= target - 1e-9
+            return
+        assert achieved_power(lam, r, required_vmt(q), alpha=alpha) == pytest.approx(
+            target, abs=1e-9)
 
     def test_monotone_in_exposure(self):
         t = required_vmt(PowerQuery(LAM_FATAL, 0.5))
