@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import UndefinedStatistic, ValidationError
+from .errors import UndefinedStatistic, ValidationError, _opened
 from .model import SCHEMES, SeverityLevel
 from .power import PowerQuery, PowerTable, check_setting, power_table
 from .rates import (
@@ -68,8 +68,7 @@ POWER_ROWS: tuple[tuple[SeverityLevel, str], ...] = (
 
 _DEFAULT_RELATIVE_RATES = (0.01, 0.10, 0.25, 0.50, 0.75, 1.25, 1.50)
 
-_INPUT_ERRORS = (ValidationError, UndefinedStatistic, FileNotFoundError,
-                 IsADirectoryError, NotADirectoryError, PermissionError)
+_INPUT_ERRORS = (ValidationError, UndefinedStatistic, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +185,8 @@ def _load_config(path: Path | None) -> configparser.ConfigParser:
     parser.path = path  # type: ignore[attr-defined]  # named in value errors
     if path is None:
         return parser
-    if not path.is_file():
-        raise ValidationError(f"config file not found: {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ValidationError(f"config file {path}: {exc}") from None
+    with _opened(path, "config file") as fh:
+        parser.read_file(fh)
     sections = {section for section, _ in _SETTINGS}
     for section in parser.sections():
         if section not in sections:
@@ -539,6 +533,34 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", (int, float): "a number"}
+
+
+def _table_rows(path: Path, payload) -> list[tuple[str, str, str, float]]:
+    """(region name, severity, adjustment, rate_ipmm) of each row of a
+    benchmark.json payload.  A payload of another shape is an input error
+    naming the file and the first value that is out of place."""
+    def check(value, kind, where: str):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValidationError(
+                f"benchmark table {path}: {where} must be {_KIND_NAMES[kind]}")
+        return value
+
+    rows = []
+    reports = check(check(payload, dict, "the top level").get("reports"), list, "reports")
+    for i, report in enumerate(reports):
+        at = f"reports[{i}]"
+        region = check(check(report, dict, at).get("region"), dict, f"{at}.region")
+        name = check(region.get("name"), str, f"{at}.region.name")
+        for j, row in enumerate(check(report.get("rows"), list, f"{at}.rows")):
+            row_at = f"{at}.rows[{j}]"
+            check(row, dict, row_at)
+            rows.append((name, check(row.get("severity"), str, f"{row_at}.severity"),
+                         check(row.get("adjustment"), str, f"{row_at}.adjustment"),
+                         check(row.get("rate_ipmm"), (int, float), f"{row_at}.rate_ipmm")))
+    return rows
+
+
 def _power_rates(args) -> tuple[list[tuple[str, float]], list[Path]]:
     """Benchmark rates for the power table, from flags or a benchmark file."""
     inputs: list[Path] = []
@@ -553,10 +575,9 @@ def _power_rates(args) -> tuple[list[tuple[str, float]], list[Path]]:
             raise ValidationError(f"--rate {item!r}: unreadable value")
     table_path = args.benchmark_table
     if table_path is not None:
-        if not table_path.is_file():
-            raise ValidationError(f"benchmark table not found: {table_path}")
         inputs.append(table_path)
-        payload = json.loads(table_path.read_text(encoding="utf-8"))
+        with _opened(table_path, "benchmark table") as fh:
+            table = _table_rows(table_path, json.loads(fh.read()))
         selectors = args.power_rows or []
         if not selectors:
             raise ValidationError(
@@ -569,18 +590,13 @@ def _power_rates(args) -> tuple[list[tuple[str, float]], list[Path]]:
                     f"--row expects REGION:SEVERITY:SCHEME, got {selector!r}"
                 )
             region_name, severity_name, scheme = (p.strip() for p in parts)
-            found = None
-            for report in payload.get("reports", []):
-                if report["region"]["name"].casefold() != region_name.casefold():
-                    continue
-                for row in report["rows"]:
-                    if (row["severity"] == severity_name
-                            and row["adjustment"] == scheme):
-                        found = row["rate_ipmm"]
-                        break
-            if found is None:
+            # Of reports for one region, the last one listed wins.
+            found = [rate for name, severity, adjustment, rate in table
+                     if name.casefold() == region_name.casefold()
+                     and severity == severity_name and adjustment == scheme]
+            if not found:
                 raise ValidationError(f"no benchmark row matches {selector!r}")
-            rates.append((f"{region_name}:{severity_name}:{scheme}", float(found)))
+            rates.append((f"{region_name}:{severity_name}:{scheme}", float(found[-1])))
     if not rates:
         raise ValidationError(
             "power needs rates: --rate LABEL=VALUE or --benchmark-table with --row"
@@ -624,8 +640,6 @@ def cmd_synth(args) -> int:
     opts, inputs = _configure(args)
     out = opts["out_dir"]
     spec_path = Path(args.spec)
-    if not spec_path.is_file():
-        raise ValidationError(f"population spec not found: {spec_path}")
     spec = PopulationSpec.from_config(str(spec_path))
     crashes, vehicles, truth = generate(spec)
     write_crashes(out / "crashes.csv", crashes)

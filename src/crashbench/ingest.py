@@ -49,7 +49,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .errors import ReferentialError, SchemaError, ValidationError
+from .errors import ReferentialError, SchemaError, ValidationError, _opened
 from . import interchange
 from .filters import CrashColumns, Subset
 from .interchange import FLAG
@@ -149,12 +149,8 @@ def _read_table(path: Path, required: set[str],
 
 def _lines(path: Path, label: str) -> Iterator:
     """A raw CSV file's header, then (line, row) per row that is not blank."""
-    try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ValidationError(f"{label} file {path}: {exc}") from None
-    with handle:
-        reader = csv.reader(handle)
+    with _opened(path, f"{label} file") as handle:
+        reader = csv.reader(handle, strict=True)
         header = next(reader, [])
         yield header
         width = len(header)

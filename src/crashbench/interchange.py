@@ -47,7 +47,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _opened
 from .filters import CrashColumns, crash_evidence, unit_effect
 from .model import (
     AreaType,
@@ -181,8 +181,8 @@ def _open(source: str | Path | Rows, header: tuple[str, ...]):
     if isinstance(source, Rows):
         yield source.rows, lambda n: f"{source.label}:{n + 1}"
         return
-    with open(source, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    with _opened(source, "canonical file") as handle:
+        reader = csv.reader(handle, strict=True)
         found = next(reader, None)
         if found is None:
             raise ValidationError(f"{source}: empty file, expected header {','.join(header)}")
@@ -573,10 +573,8 @@ def _parse_dataset(obj: dict, base: Path) -> DatasetManifest:
 def load_manifest(path: str | Path) -> list[DatasetManifest]:
     """Read a manifest file; paths inside are resolved against its directory."""
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+    with _opened(path, "manifest") as handle:
+        obj = json.loads(handle.read())
     base = path.parent
     if isinstance(obj, dict) and "datasets" in obj:
         datasets = obj["datasets"]

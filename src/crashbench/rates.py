@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from itertools import compress, repeat
 from operator import and_, mul
 
-from .errors import UndefinedStatistic, ValidationError
+from .errors import UndefinedStatistic, ValidationError, _opened
 from .filters import ImputationWeight, Subset, audit_subset
 from .model import (
     AdjustmentScheme,
@@ -629,36 +629,21 @@ def load_aggregates(source: str) -> list[AggregateInputs]:
 
     ``source`` is a path, or a bare year like "2022" naming a table
     shipped with the package.  An empty cell means the source did not
-    publish that total, and reads as None.  A negative or non-finite
-    number, an unreadable year, a ``weighted`` other than 0 or 1, or
-    severity counts or totals that break containment is an error naming
-    the row by its line in the file.
+    publish that total, and reads as None.  A row with more or fewer
+    cells than the header, a negative or non-finite number, an unreadable
+    year, a ``weighted`` other than 0 or 1, or severity counts or totals
+    that break containment is an error naming the row by its line in the
+    file.
     """
     import csv
-    import io
     import re
     from importlib import resources
-    from pathlib import Path
 
+    table = source
     if re.fullmatch(r"\d{4}", source):
-        resource = resources.files("crashbench").joinpath(
-            "data", f"aggregates_{source}.csv"
-        )
-        if not resource.is_file():
+        table = resources.files("crashbench").joinpath("data", f"aggregates_{source}.csv")
+        if not table.is_file():
             raise ValidationError(f"no shipped aggregate table for {source}")
-        text = resource.read_text(encoding="utf-8")
-    else:
-        path = Path(source)
-        if not path.is_file():
-            raise ValidationError(f"aggregate table {source!r} not found")
-        text = path.read_text(encoding="utf-8")
-
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    missing = set(_AGGREGATE_COLUMNS) - set(reader.fieldnames or [])
-    if missing:
-        raise ValidationError(
-            f"aggregate table {source}: missing column(s) {', '.join(sorted(missing))}"
-        )
 
     def cell(row: dict, key: str, context: str) -> float | None:
         raw = (row.get(key) or "").strip()
@@ -675,25 +660,34 @@ def load_aggregates(source: str) -> list[AggregateInputs]:
         return value
 
     out = []
-    for row in reader:
-        context = f"aggregate table {source} row {reader.line_num}"
-        name = (row.get("region") or "").strip()
-        state = (row.get("region_state") or "").strip()
-        year = (row.get("year") or "").strip()
-        if not re.fullmatch(r"[0-9]{4}", year):
-            raise ValidationError(f"{context}: unreadable year {year!r}")
-        weighted = (row.get("weighted") or "").strip()
-        if weighted not in ("0", "1"):
-            raise ValidationError(f"{context}: weighted must be 0 or 1, got {weighted!r}")
-        totals = {key: cell(row, key, context) for key in _AGGREGATE_COLUMNS[4:]}
-        try:
-            region = Region.national() if name == "national" else Region.county(name, state)
-            counts = SeverityCounts(
-                **{level.value: totals.pop(level.value) for level in OBSERVED_LEVELS})
-            out.append(AggregateInputs(region=region, year=int(year),
-                                       weighted=weighted == "1", counts=counts, **totals))
-        except ValidationError as exc:
-            raise ValidationError(f"{context}: {exc}") from None
+    with _opened(table, "aggregate table") as handle:
+        reader = csv.DictReader(handle, strict=True)
+        missing = set(_AGGREGATE_COLUMNS) - set(reader.fieldnames or [])
+        if missing:
+            raise ValidationError(
+                f"aggregate table {source}: missing column(s) {', '.join(sorted(missing))}"
+            )
+        for row in reader:
+            context = f"aggregate table {source} row {reader.line_num}"
+            if None in row or None in row.values():
+                raise ValidationError(f"{context}: not one cell per header column")
+            name = (row.get("region") or "").strip()
+            state = (row.get("region_state") or "").strip()
+            year = (row.get("year") or "").strip()
+            if not re.fullmatch(r"[0-9]{4}", year):
+                raise ValidationError(f"{context}: unreadable year {year!r}")
+            weighted = (row.get("weighted") or "").strip()
+            if weighted not in ("0", "1"):
+                raise ValidationError(f"{context}: weighted must be 0 or 1, got {weighted!r}")
+            totals = {key: cell(row, key, context) for key in _AGGREGATE_COLUMNS[4:]}
+            try:
+                region = Region.national() if name == "national" else Region.county(name, state)
+                counts = SeverityCounts(
+                    **{level.value: totals.pop(level.value) for level in OBSERVED_LEVELS})
+                out.append(AggregateInputs(region=region, year=int(year),
+                                           weighted=weighted == "1", counts=counts, **totals))
+            except ValidationError as exc:
+                raise ValidationError(f"{context}: {exc}") from None
     if not out:
         raise ValidationError(f"aggregate table {source}: no rows")
     return out

@@ -34,12 +34,13 @@ insensitive, so a multi-word code like "Mc 85" matches "W Mc 85".
 from __future__ import annotations
 
 import configparser
+import io
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import SchemaError
+from .errors import SchemaError, _opened
 from .model import (
     AreaType,
     FunctionalClass,
@@ -497,7 +498,8 @@ def parse_spec(text: str, name: str) -> SchemaSpec:
     )
     parser.optionxform = str
     try:
-        parser.read_string(text, source=name)
+        # Lines may end in \n, \r\n or \r (universal newlines).
+        parser.read_file(io.StringIO(text, newline=None), source=name)
     except configparser.Error as exc:
         raise SchemaError(f"spec {name}: {exc}") from None
 
@@ -655,14 +657,15 @@ def parse_spec(text: str, name: str) -> SchemaSpec:
 
 def load_schema(ref: str) -> SchemaSpec:
     """Load a spec by shipped name ("crss") or by path ("specs/custom.spec")."""
+    source = Path(ref)
     if re.fullmatch(r"[\w-]+", ref):
-        resource = resources.files("crashbench").joinpath("specs", f"{ref}.spec")
-        if resource.is_file():
-            return parse_spec(resource.read_text(encoding="utf-8"), ref)
-    path = Path(ref)
-    if not path.is_file():
+        shipped = resources.files("crashbench").joinpath("specs", f"{ref}.spec")
+        if shipped.is_file():
+            source = shipped
+    if not source.is_file():
         raise SchemaError(f"no shipped spec or spec file named {ref!r}")
-    return parse_spec(path.read_text(encoding="utf-8"), str(path))
+    with _opened(source, "spec file") as handle:
+        return parse_spec(handle.read(), ref)
 
 
 def shipped_specs() -> list[str]:

@@ -26,7 +26,7 @@ import configparser
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, _opened
 from .model import (
     BodyClass,
     CrashEvent,
@@ -234,9 +234,8 @@ class PopulationSpec:
             interpolation=None, inline_comment_prefixes=("#",)
         )
         parser.optionxform = str  # type: ignore[method-assign]
-        read = parser.read(path)
-        if not read:
-            raise ValidationError(f"population spec not readable: {path}")
+        with _opened(path, "population spec") as handle:
+            parser.read_file(handle)
         try:
             pop = parser["population"]
             n_crashes = int(pop["n_crashes"])

@@ -105,6 +105,13 @@ class TestExitCodes:
         assert code == 2
         assert "nope.json" in err
 
+    def test_output_directory_that_is_a_file_is_an_input_error(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, _, err = run(capsys, "report", "--aggregates", "2022", "--out", str(taken))
+        assert code == 2
+        assert "File exists" in err and str(taken) in err
+
     def test_both_sources_rejected(self, capsys, tmp_path, fixtures):
         code, _, err = run(
             capsys, "benchmark",

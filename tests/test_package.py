@@ -1,6 +1,9 @@
-"""The package namespace: each public name is its defining module's."""
+"""The package namespace: each public name is its defining module's; and
+every input file is read through one opener."""
 
+import ast
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +39,61 @@ def test_unknown_name_raises_attribute_error_naming_the_package():
 def test_public_name_count():
     # The size of the public surface is tracked (ROADMAP aim 2).
     assert len(crashbench.__all__) == 54
+
+
+# Calls that read a file, but no text input, by (module, function), and why.
+NOT_READERS = {("cli.py", "_digests"): "hashes each input's bytes and decodes nothing"}
+
+
+def _file_reads(source: str):
+    """(function, line, call) of each call in ``source`` that reads a file
+    itself: ``open`` or ``.open`` in a mode that reads, ``.read_text``,
+    ``.read_bytes``, ``json.load``, and ``.read`` given a path (as
+    ``ConfigParser.read`` is); a handle's own ``.read()`` takes none."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            method = func.attr if isinstance(func, ast.Attribute) else None
+            given = [k.value for k in node.keywords if k.arg == "mode"] + node.args
+            mode = next((a.value for a in given if isinstance(a, ast.Constant)
+                         and isinstance(a.value, str)), "r")
+            if (method in ("read_text", "read_bytes")
+                    or ("open" in (method, getattr(func, "id", None))
+                        and not set(mode) & set("wax"))
+                    or (method == "read" and node.args)
+                    or ast.unparse(func) == "json.load"):
+                found.append((function, node.lineno, ast.unparse(func)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_guard_finds_each_way_of_reading_a_file():
+    source = (
+        "def f(p, q, fh, cp):\n"
+        "    open(p); open(p, 'rb'); p.open(); p.open(mode='r', encoding='utf-8')\n"
+        "    p.read_text(); p.read_bytes(); json.load(fh); cp.read(p)\n"
+        "    open(q, 'w'); q.open('a'); fh.read(); json.loads(fh.read()); cp.read_file(fh)\n"
+    )
+    calls = [call for _, _, call in _file_reads(source)]
+    assert calls == ["open", "open", "p.open", "p.open", "p.read_text", "p.read_bytes",
+                     "json.load", "cp.read"]
+
+
+def test_only_the_opener_reads_input_files():
+    # errors._opened opens every input file, so one rule decides how an
+    # unreadable file, a byte that is not UTF-8 or a malformed row is named.
+    package = Path(crashbench.__file__).parent
+    found = [
+        f"{path.name}:{line} {function}: {call}"
+        for path in sorted(package.glob("*.py")) if path.name != "errors.py"
+        for function, line, call in _file_reads(path.read_text(encoding="utf-8"))
+        if (path.name, function) not in NOT_READERS
+    ]
+    assert not found

@@ -68,6 +68,18 @@ class TestRule:
         # Unparseable numbers are unknown, not errors.
         assert rule.eval({"Speed": "n/a"}) is None
 
+    @pytest.mark.parametrize("op, below, at, above", [
+        ("<", True, False, False),
+        (">=", False, True, True),
+        (">", False, False, True),
+    ])
+    def test_other_numeric_comparisons(self, op, below, at, above):
+        rule = Rule.parse(f"Speed {op} 45", "t")
+        assert rule.eval({"Speed": "44.5"}) is below
+        assert rule.eval({"Speed": "45"}) is at
+        assert rule.eval({"Speed": "45.5"}) is above
+        assert rule.eval({"Speed": "n/a"}) is None
+
     def test_token_matching(self):
         rule = Rule.parse('Road contains_token "St", "Mc 85"', "t")
         assert rule.eval({"Road": "N Main St"}) is True
@@ -269,6 +281,12 @@ class TestLoadSchema:
         path.write_text(MINIMAL_SPEC)
         spec = load_schema(str(path))
         assert spec.tag == "mini"
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_spec_file_lines_may_end_in_any_newline(self, tmp_path, ending):
+        path = tmp_path / "mini.spec"
+        path.write_bytes(MINIMAL_SPEC.replace("\n", ending).encode())
+        assert load_schema(str(path)) == parse_spec(MINIMAL_SPEC, str(path))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(SchemaError, match="no shipped spec"):
