@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import UndefinedStatistic, ValidationError, _opened
+from .errors import UndefinedStatistic, ValidationError, _json_check, _opened
 from .model import SCHEMES, SeverityLevel
 from .power import PowerQuery, PowerTable, check_setting, power_table
 from .rates import (
@@ -533,19 +533,11 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", (int, float): "a number"}
-
-
 def _table_rows(path: Path, payload) -> list[tuple[str, str, str, float]]:
     """(region name, severity, adjustment, rate_ipmm) of each row of a
     benchmark.json payload.  A payload of another shape is an input error
     naming the file and the first value that is out of place."""
-    def check(value, kind, where: str):
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValidationError(
-                f"benchmark table {path}: {where} must be {_KIND_NAMES[kind]}")
-        return value
-
+    check = _json_check(f"benchmark table {path}")
     rows = []
     reports = check(check(payload, dict, "the top level").get("reports"), list, "reports")
     for i, report in enumerate(reports):

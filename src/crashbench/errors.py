@@ -48,6 +48,20 @@ def _opened(source, label: str):
             raise ValidationError(f"{label} {source}{_fault(path, exc)}") from None
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", (int, float): "a number"}
+
+
+def _json_check(label: str):
+    """``check(value, kind, where)``: ``value`` when it is JSON of ``kind``,
+    else a ValidationError naming ``label``'s file and ``where`` in it."""
+    def check(value, kind, where: str):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValidationError(f"{label}: {where} must be {_JSON_KINDS[kind]}")
+        return value
+
+    return check
+
+
 def _fault(path, exc: Exception) -> str:
     """':line: what' of ``exc``, met while reading ``path``."""
     if isinstance(exc, json.JSONDecodeError):

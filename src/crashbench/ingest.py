@@ -13,15 +13,16 @@ Raw tables are streamed as positional rows with the semantics of
 ``csv.DictReader``: blank lines are skipped, a short row is padded with
 nulls (a missing cell is null, so rules over it evaluate to unknown),
 extra cells are ignored, and a header name that appears twice resolves
-to its last column.  Every header of a source is checked before its
-first row is read.  Each row comes with the physical line it ends on,
+to its last column.  Each row comes with the physical line it ends on,
 which errors name; of a crash file only the rows of kept crashes are
-held, until their canonical rows are built.  Each spec rule is bound once per file to the
-positions of the cells it reads and memoized on those cells: rows that
-hold equal cells share one ``Rule.eval`` (or code-table lookup) call,
-made on a dict of just those cells, and the memo holds the canonical
-cells the call gives.  Warnings are still counted once per row, never
-once per evaluation.
+held, until their canonical rows are built.  One reader per raw file
+(``_RawFile``) binds each spec rule once per file to the positions of
+the cells it reads, memoized on those cells: rows that hold equal cells
+share one ``Rule.eval`` (or code-table lookup) call on a dict of just
+those cells, and the memo holds the canonical cells it gives.  Warnings
+are still counted once per row.  A column is required because the
+reader reads it: every header of a source is checked for all of them
+before its first row is read.
 
 Canonical sources are not normalized again: their crash, vehicle and
 person tables are folded into per-crash columns as they are read
@@ -129,24 +130,6 @@ class LoadResult(_RowRecords):
     folded: CrashColumns = field(default_factory=CrashColumns)
 
 
-def _read_table(path: Path, required: set[str],
-                label: str) -> tuple[dict[str, int], Iterator[tuple[int, list]]]:
-    """(column name -> position, (line, row) pairs) of one raw CSV file.
-
-    The header is read and checked for the ``required`` columns at once;
-    the rows are read as the pairs are walked, each with the line it ends
-    on (``csv.reader.line_num``).  A duplicated header name maps to its
-    last column, blank lines are skipped and short rows are padded with
-    None, as ``csv.DictReader`` would read them.
-    """
-    lines = _lines(path, label)
-    positions = {name: i for i, name in enumerate(next(lines))}
-    missing = sorted(required - positions.keys())
-    if missing:
-        raise SchemaError(f"{label} file {path}: missing column(s) {', '.join(missing)}")
-    return positions, lines
-
-
 def _lines(path: Path, label: str) -> Iterator:
     """A raw CSV file's header, then (line, row) per row that is not blank."""
     with _opened(path, f"{label} file") as handle:
@@ -162,68 +145,92 @@ def _lines(path: Path, label: str) -> Iterator:
             yield reader.line_num, row
 
 
-def _bind(positions: dict[str, int], columns: Iterable[str],
-          evaluate: Callable[[dict], object]) -> Callable[[list], object]:
-    """``evaluate`` of a row's cells at ``columns``, memoized on those cells.
+class _RawFile:
+    """One raw CSV file of a spec-driven loader: its header's positions,
+    its (line, row) stream (``rows``) and every column the loader reads.
 
-    ``evaluate`` sees a dict of just those cells, so spec rules keep their
-    one evaluator; rows holding equal cells share one call.  The memo
-    (``interchange.Memo``) lives as long as the returned function.
+    ``at`` and the binders record each column they look up; ``check``
+    rejects every recorded column the header lacks, at once.  A loader
+    looks up all it reads, and checks, before it walks ``rows``.
     """
-    columns = sorted(columns)
-    getter = itemgetter(*(positions[c] for c in columns))
-    memo = interchange.Memo(
-        (lambda key: evaluate(dict(zip(columns, key)))) if len(columns) > 1
-        else lambda key: evaluate({columns[0]: key}))
-    return lambda row: memo[getter(row)]
+
+    def __init__(self, file: str | Path, tag: str, kind: str):
+        self.kind, self.label, self.path = kind, f"{tag} {kind}", Path(file)
+        self.where = f"{self.label} file {file}"    # prefix of errors about a row
+        self.rows = _lines(self.path, self.label)
+        self.positions = {name: i for i, name in enumerate(next(self.rows))}
+        self.read: set[str] = set()
+
+    def at(self, column: str) -> int:
+        """The position of ``column``, or -1 until ``check`` rejects its absence."""
+        self.read.add(column)
+        return self.positions.get(column, -1)
+
+    def check(self) -> None:
+        missing = sorted(self.read - self.positions.keys())
+        if missing:
+            raise SchemaError(
+                f"{self.label} file {self.path}: missing column(s) {', '.join(missing)}")
+
+    def bind(self, columns: Iterable[str],
+             evaluate: Callable[[dict], object]) -> Callable[[list], object]:
+        """``evaluate`` of a dict of a row's cells at ``columns``, memoized on
+        those cells (``interchange.Memo``) while the returned function lives."""
+        columns = sorted(columns)
+        getter = itemgetter(*map(self.at, columns))
+        memo = interchange.Memo(
+            (lambda key: evaluate(dict(zip(columns, key)))) if len(columns) > 1
+            else lambda key: evaluate({columns[0]: key}))
+        return lambda row: memo[getter(row)]
+
+    def rule(self, rule: Rule | None) -> Callable[[list], bool | None] | None:
+        """``rule`` of a row, or None where the spec gives no rule."""
+        return self.bind(rule.columns(), rule.eval) if rule is not None else None
+
+    def kabco(self, column: str, codes: CodeMap) -> Callable[[list], tuple[str, bool]]:
+        """(KABCO cell, known) of a row; an empty or unmapped cell is UNK."""
+        def lookup(cells: dict) -> tuple[str, bool]:
+            kabco = codes.get(cells[column])
+            return (_UNK, False) if kabco is None else (kabco.value, True)
+
+        return self.bind((column,), lookup)
+
+    def number(self, column: str, convert: Callable[[str], object],
+               what: str) -> Callable[..., object]:
+        """``read(line, row, crash=None)``: ``convert`` of the row's stripped
+        ``column`` cell.  A cell it cannot read is a ValidationError naming
+        the line, and the crash and column where a crash is given."""
+        at = self.at(column)
+
+        def read(line: int, row: list, crash: str | None = None):
+            text = (row[at] or "").strip()
+            try:
+                return convert(text)
+            except ValueError:
+                fault = (f"crash {crash} has unreadable {what} {text!r} in column {column}"
+                         if crash else f"unreadable {what} {text!r}")
+                raise ValidationError(f"{self.where}:{line}: {fault}") from None
+
+        return read
 
 
-def _bind_kabco(positions: dict[str, int], column: str,
-                codes: CodeMap) -> Callable[[list], tuple[str, bool]]:
-    """(KABCO cell, known) of a row; an empty or unmapped cell is UNK."""
-    def lookup(cells: dict) -> tuple[str, bool]:
-        kabco = codes.get(cells[column])
-        return (_UNK, False) if kabco is None else (kabco.value, True)
-
-    return _bind(positions, (column,), lookup)
-
-
-def _crash_columns(spec: SchemaSpec) -> set[str]:
-    crash = spec.crash
-    cols = {crash.id_column}
-    for col in (crash.year_column, crash.weight_column):
-        if col:
-            cols.add(col)
-    if crash.kabco_column is not None:
-        cols.add(crash.kabco_column)
-    cols.update(_rule_columns(crash.road.surface, crash.road.excluded, crash.towed))
-    return cols
-
-
-def _unit_rules(spec: SchemaSpec) -> tuple[Rule | None, ...]:
-    v = spec.vehicle
-    return (v.passenger, v.vehicle_nfs, v.non_vehicle, v.in_transport, v.towed, v.airbag)
+def _region_rule(spec: SchemaSpec, region_filter: str | None) -> Rule | None:
+    """The region filter of a crash or mileage source, parsed."""
+    return Rule.parse(region_filter, f"{spec.tag} region_filter") if region_filter else None
 
 
 def _rule_columns(*rules: Rule | None) -> set[str]:
     return {col for rule in rules if rule is not None for col in rule.columns()}
 
 
-def _vehicle_columns(spec: SchemaSpec) -> set[str]:
-    v = spec.vehicle
-    return {v.id_column, v.crash_column} | _rule_columns(*_unit_rules(spec))
-
-
-def _person_columns(spec: SchemaSpec) -> set[str]:
-    p = spec.person
-    cols = {p.id_column, p.crash_column}
-    if p.unit_column:
-        cols.add(p.unit_column)
-    if p.kabco_column is not None:
-        cols.add(p.kabco_column)
-    if p.airbag is not None:
-        cols.update(p.airbag.columns())
-    return cols
+def _unkept(crash_id: str, dropped: set[str], diagnostics: Counter,
+            file: _RawFile, line: int) -> None:
+    """Count a vehicle or person row of a crash the source dropped; a row of
+    a crash it never read is a ReferentialError."""
+    if crash_id not in dropped:
+        raise ReferentialError(
+            f"{file.where}:{line}: {file.kind} row references unknown crash {crash_id!r}")
+    diagnostics["parent_dropped"] += 1
 
 
 def _eval_flag(rule: Rule | None, row: dict, diagnostics: Counter, warn_key: str) -> bool:
@@ -289,96 +296,93 @@ def load_crash_source(
     if spec.kind != "crash":
         raise SchemaError(f"spec {spec.tag} is a {spec.kind} spec, not a crash spec")
     diagnostics: Counter = Counter()
-    filter_rule = (
-        Rule.parse(region_filter, f"{spec.tag} region_filter")
-        if region_filter else None
-    )
-
-    crash_pos, crash_rows = _read_table(
-        Path(crash_file),
-        _crash_columns(spec) | (filter_rule.columns() if filter_rule else set()),
-        f"{spec.tag} crash",
-    )
-    has_vehicles = vehicle_file is not None
-    has_persons = person_file is not None and spec.person is not None
-    vehicle_pos, vehicle_rows = (
-        _read_table(Path(vehicle_file), _vehicle_columns(spec), f"{spec.tag} vehicle")
-        if has_vehicles else ({}, ())
-    )
-    person_pos, person_rows = (
-        _read_table(Path(person_file), _person_columns(spec), f"{spec.tag} person")
-        if has_persons else ({}, ())
-    )
-    at_crash = f"{spec.tag} crash file {crash_file}"
-    at_vehicle = f"{spec.tag} vehicle file {vehicle_file}"
-    at_person = f"{spec.tag} person file {person_file}"
+    filter_rule = _region_rule(spec, region_filter)
+    crash_schema, vehicle_schema, person_schema = spec.crash, spec.vehicle, spec.person
     rows_in = dict.fromkeys(_TABLES, 0)     # each table's loop counts its rows here
 
-    crash_schema = spec.crash
-    id_at = crash_pos[crash_schema.id_column]
-    year_column = crash_schema.year_column
-    region_match = (_bind(crash_pos, filter_rule.columns(), filter_rule.eval)
-                    if filter_rule is not None else None)
+    # Every rule of the three files is bound, and every header checked, first.
+    crash_in = _RawFile(crash_file, spec.tag, "crash")
+    id_at = crash_in.at(crash_schema.id_column)
+    region_match = crash_in.rule(filter_rule)
+    year_of = (crash_in.number(crash_schema.year_column, int, "year")
+               if crash_schema.year_column else None)
+    weight_of = (crash_in.number(crash_schema.weight_column, float, "weight")
+                 if crash_schema.weight_column else None)
+    road = crash_schema.road
+    road_class_of = crash_in.bind(_rule_columns(road.surface, road.excluded),
+                                  lambda cells: _classify_road(road, cells))
+    crash_kabco = (crash_in.kabco(crash_schema.kabco_column, crash_schema.kabco)
+                   if crash_schema.kabco_column is not None else None)
+    if spec.kabco_from != "crash":
+        crash_kabco = None      # its column is still required, though unread
+    crash_towed_of = crash_in.rule(crash_schema.towed)
+    crash_in.check()
+
+    vehicle_in = person_in = None
+    if vehicle_file is not None:
+        vehicle_in = _RawFile(vehicle_file, spec.tag, "vehicle")
+        vcrash_at = vehicle_in.at(vehicle_schema.crash_column)
+        unit_at = vehicle_in.at(vehicle_schema.id_column)
+        classify_unit = vehicle_in.bind(
+            _rule_columns(vehicle_schema.passenger, vehicle_schema.vehicle_nfs,
+                          vehicle_schema.non_vehicle, vehicle_schema.in_transport,
+                          vehicle_schema.towed, vehicle_schema.airbag),
+            lambda cells: _classify_unit(spec, cells))
+        vehicle_in.check()
+    if person_file is not None and person_schema is not None:
+        person_in = _RawFile(person_file, spec.tag, "person")
+        pcrash_at = person_in.at(person_schema.crash_column)
+        person_at = person_in.at(person_schema.id_column)
+        unit_column = person_schema.unit_column
+        unit_ref = (person_in.bind((unit_column,),
+                                   lambda cells: _unit_ref(spec, cells[unit_column]))
+                    if unit_column else None)
+        person_kabco = (person_in.kabco(person_schema.kabco_column, person_schema.kabco)
+                        if person_schema.kabco is not None else None)
+        person_airbag_of = person_in.rule(person_schema.airbag)
+        person_in.check()
+
     kept: dict[str, tuple[int, list]] = {}       # crash_id -> (line, raw row)
     dropped: set[str] = set()
-    for rows_in["crashes"], (line, row) in enumerate(crash_rows, 1):
+    for rows_in["crashes"], (line, row) in enumerate(crash_in.rows, 1):
         crash_id = (row[id_at] or "").strip()
         if not crash_id:
             raise ValidationError(
-                f"{at_crash}:{line}: crash row with empty id column {crash_schema.id_column}"
+                f"{crash_in.where}:{line}: crash row with empty id column "
+                f"{crash_schema.id_column}"
             )
         if crash_id in kept or crash_id in dropped:
-            raise ValidationError(f"{at_crash}:{line}: duplicate crash id {crash_id}")
-        if region_match is not None:
-            match = region_match(row)
-            if match is not True:
-                key = "region_filtered" if match is False else "region_filter_unknown"
-                diagnostics[key] += 1
-                dropped.add(crash_id)
-                continue
-        if year_column:
-            cell = (row[crash_pos[year_column]] or "").strip()
-            try:
-                row_year = int(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{at_crash}:{line}: crash {crash_id} has unreadable year {cell!r} "
-                    f"in column {year_column}"
-                )
-            if row_year != year:
-                diagnostics["year_mismatch"] += 1
-                dropped.add(crash_id)
-                continue
-        kept[crash_id] = line, row
+            raise ValidationError(f"{crash_in.where}:{line}: duplicate crash id {crash_id}")
+        match = region_match(row) if region_match is not None else True
+        if match is not True:
+            reason = "region_filtered" if match is False else "region_filter_unknown"
+        elif year_of is not None and year_of(line, row, crash_id) != year:
+            reason = "year_mismatch"
+        else:
+            kept[crash_id] = line, row
+            continue
+        diagnostics[reason] += 1
+        dropped.add(crash_id)
 
     # Units, with folds accumulated per crash.  A unit's memo entry is
     # shared by every unit whose classifier cells are equal.
-    vehicle_schema = spec.vehicle
     unit_info: dict[tuple[str, str], tuple] = {}
     crash_towed: set[str] = set()
     crash_airbag: set[str] = set()
-    if has_vehicles:
-        vcrash_at = vehicle_pos[vehicle_schema.crash_column]
-        unit_at = vehicle_pos[vehicle_schema.id_column]
-        classify_unit = _bind(vehicle_pos, _rule_columns(*_unit_rules(spec)),
-                              lambda cells: _classify_unit(spec, cells))
-    for rows_in["vehicles"], (line, row) in enumerate(vehicle_rows, 1):
+    for rows_in["vehicles"], (line, row) in enumerate(vehicle_in.rows if vehicle_in else (), 1):
         crash_id = (row[vcrash_at] or "").strip()
-        if crash_id in dropped:
-            diagnostics["parent_dropped"] += 1
-            continue
         if crash_id not in kept:
-            raise ReferentialError(
-                f"{at_vehicle}:{line}: vehicle row references unknown crash {crash_id!r}"
-            )
+            _unkept(crash_id, dropped, diagnostics, vehicle_in, line)
+            continue
         unit_id = (row[unit_at] or "").strip()
         if not unit_id:
             raise ValidationError(
-                f"{at_vehicle}:{line}: crash {crash_id} has a unit with no id "
+                f"{vehicle_in.where}:{line}: crash {crash_id} has a unit with no id "
                 f"in column {vehicle_schema.id_column}"
             )
         if (crash_id, unit_id) in unit_info:
-            raise ValidationError(f"{at_vehicle}:{line}: duplicate unit {crash_id}/{unit_id}")
+            raise ValidationError(
+                f"{vehicle_in.where}:{line}: duplicate unit {crash_id}/{unit_id}")
         check_unit(crash_id, unit_id)
         info = unit_info[(crash_id, unit_id)] = classify_unit(row)
         _, _, _, towed, airbag, warnings = info
@@ -389,49 +393,31 @@ def load_crash_source(
         if airbag:
             crash_airbag.add(crash_id)
 
-    # Persons.
-    person_schema = spec.person
     persons: list[tuple[str, ...]] = []
     person_seen: set[tuple[str, str, str]] = set()
     person_airbag: set[tuple[str, str]] = set()
     crash_person_kabco: dict[str, str] = {}
-    if has_persons:
-        pcrash_at = person_pos[person_schema.crash_column]
-        person_at = person_pos[person_schema.id_column]
-        unit_column = person_schema.unit_column
-        unit_ref = (_bind(person_pos, (unit_column,),
-                          lambda cells: _unit_ref(spec, cells[unit_column]))
-                    if unit_column else None)
-        person_kabco = (_bind_kabco(person_pos, person_schema.kabco_column,
-                                    person_schema.kabco)
-                        if person_schema.kabco is not None else None)
-        airbag_rule = person_schema.airbag
-        person_airbag_of = (_bind(person_pos, airbag_rule.columns(), airbag_rule.eval)
-                            if airbag_rule is not None else None)
-    for rows_in["persons"], (line, row) in enumerate(person_rows, 1):
+    for rows_in["persons"], (line, row) in enumerate(person_in.rows if person_in else (), 1):
         crash_id = (row[pcrash_at] or "").strip()
-        if crash_id in dropped:
-            diagnostics["parent_dropped"] += 1
-            continue
         if crash_id not in kept:
-            raise ReferentialError(
-                f"{at_person}:{line}: person row references unknown crash {crash_id!r}"
-            )
+            _unkept(crash_id, dropped, diagnostics, person_in, line)
+            continue
         unit_id = unit_ref(row) if unit_ref is not None else ""
         if unit_id and (crash_id, unit_id) not in unit_info:
             raise ReferentialError(
-                f"{at_person}:{line}: person row references unknown unit "
+                f"{person_in.where}:{line}: person row references unknown unit "
                 f"{crash_id}/{unit_id}"
             )
         person_id = (row[person_at] or "").strip()
         if not person_id:
             raise ValidationError(
-                f"{at_person}:{line}: crash {crash_id} has a person with no id "
+                f"{person_in.where}:{line}: crash {crash_id} has a person with no id "
                 f"in column {person_schema.id_column}"
             )
         if (crash_id, unit_id, person_id) in person_seen:
             raise ValidationError(
-                f"{at_person}:{line}: duplicate person {crash_id}/{unit_id}/{person_id}"
+                f"{person_in.where}:{line}: duplicate person "
+                f"{crash_id}/{unit_id}/{person_id}"
             )
         person_seen.add((crash_id, unit_id, person_id))
         if person_kabco is not None:
@@ -463,38 +449,19 @@ def load_crash_source(
     ]
 
     crashes: list[tuple[str, ...]] = []
-    road_class_of = _bind(crash_pos, _rule_columns(crash_schema.road.surface,
-                                                   crash_schema.road.excluded),
-                          lambda cells: _classify_road(crash_schema.road, cells))
-    crash_kabco = (_bind_kabco(crash_pos, crash_schema.kabco_column, crash_schema.kabco)
-                   if spec.kabco_from == "crash" else None)
-    crash_towed_of = (_bind(crash_pos, crash_schema.towed.columns(), crash_schema.towed.eval)
-                      if crash_schema.towed is not None else None)
-    weight_column = crash_schema.weight_column
     source, year_cell = spec.tag, str(year)
     for crash_id, (line, row) in kept.items():
         road_class, known = road_class_of(row)
         if not known:
             diagnostics["unknown_road"] += 1
         if crash_kabco is not None:
-            kabco, kabco_known = crash_kabco(row)
-            if not kabco_known:
-                diagnostics["unknown_kabco"] += 1
+            kabco, known = crash_kabco(row)
         else:
             kabco = crash_person_kabco.get(crash_id, _UNK)
-            if kabco == _UNK:
-                diagnostics["unknown_kabco"] += 1
-        if weight_column:
-            cell = (row[crash_pos[weight_column]] or "").strip()
-            try:
-                weight = float(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{at_crash}:{line}: crash {crash_id} has unreadable weight {cell!r} "
-                    f"in column {weight_column}"
-                )
-        else:
-            weight = 1.0
+            known = kabco != _UNK
+        if not known:
+            diagnostics["unknown_kabco"] += 1
+        weight = weight_of(line, row, crash_id) if weight_of is not None else 1.0
         towed = crash_id in crash_towed
         if not towed and crash_towed_of is not None:
             towed = crash_towed_of(row)
@@ -504,21 +471,18 @@ def load_crash_source(
         try:
             check_crash(crash_id, weight, year)
         except ValidationError as exc:
-            raise ValidationError(f"{at_crash}:{line}: {exc}") from None
+            raise ValidationError(f"{crash_in.where}:{line}: {exc}") from None
         crashes.append((crash_id, source, region.name, region.state, year_cell, road_class,
                         repr(weight), kabco, FLAG[towed], FLAG[crash_id in crash_airbag]))
 
     airbag_units = vehicle_schema.airbag is not None or (
-        spec.person is not None and spec.person.airbag is not None
-        and spec.person.unit_column is not None
-    )
+        person_schema is not None and person_schema.airbag is not None
+        and person_schema.unit_column is not None)
+    rows = {"crashes": crashes, "vehicles": vehicles, "persons": persons}
     return LoadResult(
-        tag=spec.tag, rows={"crashes": crashes, "vehicles": vehicles, "persons": persons},
-        diagnostics=diagnostics, rows_in=rows_in,
-        records={"crashes": len(crashes), "vehicles": len(vehicles),
-                 "persons": len(persons)},
-        weighted=spec.weighted,
-        tow_level=spec.tow_level, airbag_units=airbag_units,
+        tag=spec.tag, rows=rows, diagnostics=diagnostics, rows_in=rows_in,
+        records={table: len(kept) for table, kept in rows.items()},
+        weighted=spec.weighted, tow_level=spec.tow_level, airbag_units=airbag_units,
         caveats=spec.caveats,
     )
 
@@ -583,22 +547,9 @@ def combine_sources(loads: list[tuple[str, LoadResult]]) -> CombinedRecords:
     rows = _no_rows()
     folded: list[CrashColumns] = []
     diagnostics: Counter = Counter()
-    caveats: list[str] = []
     seen_ids: dict[str, str] = {}
-    unit_tow = True
-    unit_airbag = True
-    weighted = False
     for role, load in loads:
         diagnostics.update(load.diagnostics)
-        for caveat in load.caveats:
-            if caveat not in caveats:
-                caveats.append(caveat)
-        if load.tow_level != "vehicle":
-            unit_tow = False
-        if not load.airbag_units:
-            unit_airbag = False
-        if load.weighted:
-            weighted = True
         kept, columns = load.rows, load.folded
         if role != "all":
             wanted = role == "fatal"
@@ -623,9 +574,12 @@ def combine_sources(loads: list[tuple[str, LoadResult]]) -> CombinedRecords:
             rows[table].extend(kept[table])
         folded.append(columns)
     return CombinedRecords(
-        rows=rows, diagnostics=diagnostics, unit_tow_flags=unit_tow,
-        unit_airbag_flags=unit_airbag, weighted=weighted,
-        caveats=tuple(caveats), folded=CrashColumns.concat(folded),
+        rows=rows, diagnostics=diagnostics,
+        unit_tow_flags=all(load.tow_level == "vehicle" for _, load in loads),
+        unit_airbag_flags=all(load.airbag_units for _, load in loads),
+        weighted=any(load.weighted for _, load in loads),
+        caveats=tuple(dict.fromkeys(c for _, load in loads for c in load.caveats)),
+        folded=CrashColumns.concat(folded),
     )
 
 
@@ -641,42 +595,24 @@ def load_mileage(
         raise SchemaError(f"spec {spec.tag} is a {spec.kind} spec, not a mileage spec")
     schema = spec.mileage
     diagnostics: Counter = Counter()
-    filter_rule = (
-        Rule.parse(region_filter, f"{spec.tag} region_filter")
-        if region_filter else None
-    )
-    required = {schema.class_column, schema.vmt_column}
-    for col in (schema.area_column, schema.year_column):
-        if col:
-            required.add(col)
-    if filter_rule is not None:
-        required.update(filter_rule.columns())
-    positions, rows = _read_table(Path(file), required, f"{spec.tag} mileage")
-    at = f"{spec.tag} mileage file {file}"
-    region_match = (_bind(positions, filter_rule.columns(), filter_rule.eval)
-                    if filter_rule is not None else None)
-    class_at = positions[schema.class_column]
-    vmt_at = positions[schema.vmt_column]
-    area_at = positions[schema.area_column] if schema.area_column else None
+    filter_rule = _region_rule(spec, region_filter)
+    table = _RawFile(file, spec.tag, "mileage")
+    region_match = table.rule(filter_rule)
+    year_of = table.number(schema.year_column, int, "year") if schema.year_column else None
+    vmt_of = table.number(schema.vmt_column, float, "mileage")
+    class_at = table.at(schema.class_column)
+    area_at = table.at(schema.area_column) if schema.area_column else None
+    table.check()
+    at = table.where
     cells: list[MileageCell] = []
-    for line, row in rows:
+    for line, row in table.rows:
         if region_match is not None and region_match(row) is not True:
             diagnostics["region_filtered"] += 1
             continue
-        if schema.year_column:
-            cell_text = (row[positions[schema.year_column]] or "").strip()
-            try:
-                row_year = int(cell_text)
-            except ValueError:
-                raise ValidationError(f"{at}:{line}: unreadable year {cell_text!r}")
-            if row_year != year:
-                diagnostics["year_mismatch"] += 1
-                continue
-        vmt_text = (row[vmt_at] or "").strip()
-        try:
-            vmt = float(vmt_text)
-        except ValueError:
-            raise ValidationError(f"{at}:{line}: unreadable mileage {vmt_text!r}")
+        if year_of is not None and year_of(line, row) != year:
+            diagnostics["year_mismatch"] += 1
+            continue
+        vmt = vmt_of(line, row)
         functional_class = schema.class_codes.get(row[class_at])
         if functional_class is None:
             raise SchemaError(f"{at}:{line}: unmapped functional class code {row[class_at]!r}")
@@ -701,16 +637,15 @@ def load_passenger_share(spec: SchemaSpec, file: str | Path) -> PassengerShareTa
     if spec.kind != "shares":
         raise SchemaError(f"spec {spec.tag} is a {spec.kind} spec, not a shares spec")
     schema = spec.shares
-    required = {schema.state_column, schema.area_column, schema.group_column,
-                schema.share_column}
-    positions, rows = _read_table(Path(file), required, f"{spec.tag} shares")
-    at = f"{spec.tag} shares file {file}"
-    state_at, area_at, group_at, share_at = (
-        positions[c] for c in (schema.state_column, schema.area_column,
-                               schema.group_column, schema.share_column)
-    )
+    table = _RawFile(file, spec.tag, "shares")
+    state_at = table.at(schema.state_column)
+    area_at = table.at(schema.area_column)
+    group_at = table.at(schema.group_column)
+    share_of = table.number(schema.share_column, float, "share")
+    table.check()
+    at = table.where
     mapping: dict = {}
-    for line, row in rows:
+    for line, row in table.rows:
         state = (row[state_at] or "").strip()
         if not state:
             raise ValidationError(f"{at}:{line}: empty state")
@@ -720,11 +655,7 @@ def load_passenger_share(spec: SchemaSpec, file: str | Path) -> PassengerShareTa
         group = schema.group_codes.get(row[group_at])
         if group is None:
             raise SchemaError(f"{at}:{line}: unmapped class group {row[group_at]!r}")
-        share_text = (row[share_at] or "").strip()
-        try:
-            share = float(share_text)
-        except ValueError:
-            raise ValidationError(f"{at}:{line}: unreadable share {share_text!r}")
+        share = share_of(line, row)
         if schema.values == "percent":
             if not 0.0 <= share <= 100.0:
                 raise ValidationError(f"{at}:{line}: share {share!r} outside [0, 100]")
@@ -782,6 +713,7 @@ def _load_canonical_source(ref: interchange.CrashSourceRef, region: Region,
 def load_dataset(manifest: interchange.DatasetManifest) -> DatasetRecords:
     """Load and merge every source named by one dataset manifest."""
     loads: list[tuple[str, LoadResult]] = []
+    audits: list[dict] = []
     for ref in manifest.crash_sources:
         if ref.spec == CANONICAL_SPEC:
             load = _load_canonical_source(ref, manifest.region, manifest.year)
@@ -792,18 +724,15 @@ def load_dataset(manifest: interchange.DatasetManifest) -> DatasetRecords:
                 region_filter=ref.region_filter,
             )
         loads.append((ref.role, load))
-
-    records = combine_sources(loads)
-    audits = []
-    for (role, load), ref in zip(loads, manifest.crash_sources):
         audits.append({
             "spec": ref.spec,
-            "role": role,
+            "role": ref.role,
             "rows_in": load.rows_in,
             "records": load.records,
             "diagnostics": dict(sorted(load.diagnostics.items())),
             "caveats": list(load.caveats),
         })
+    records = combine_sources(loads)
 
     cells: list[MileageCell] = []
     for ref in manifest.mileage:

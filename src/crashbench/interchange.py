@@ -47,7 +47,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import ValidationError, _opened
+from .errors import ValidationError, _json_check, _opened
 from .filters import CrashColumns, crash_evidence, unit_effect
 from .model import (
     AreaType,
@@ -529,36 +529,52 @@ def _resolve(base: Path, value: str) -> Path:
     return path if path.is_absolute() else base / path
 
 
-def _parse_dataset(obj: dict, base: Path) -> DatasetManifest:
+def _parse_dataset(obj, base: Path, check: Callable, at: str) -> DatasetManifest:
+    """One dataset of a manifest, at path ``at`` in it ("" for the top
+    level); ``check`` (``errors._json_check``) names a value out of place."""
+    check(obj, dict, at or "the top level")
+    prefix = f"{at}." if at else ""
+
+    def entries(key: str) -> list[tuple[str, dict]]:
+        where = prefix + key
+        return [(f"{where}[{i}]", check(entry, dict, f"{where}[{i}]"))
+                for i, entry in enumerate(check(obj.get(key, []), list, where))]
+
+    def text(entry: dict, key: str, where: str, optional: bool = False) -> str | None:
+        value = entry.get(key)
+        return None if optional and value is None else check(value, str, f"{where}.{key}")
+
     region = _manifest_region(obj.get("region"))
     try:
         year = int(obj["year"])
     except (KeyError, TypeError, ValueError):
         raise ValidationError(f"manifest dataset for {region.name}: missing or bad year")
     sources = []
-    for entry in obj.get("crash_sources", []):
+    for where, entry in entries("crash_sources"):
         role = entry.get("role", "all")
         if role not in _ROLES:
             raise ValidationError(f"manifest crash source role {role!r} not one of {_ROLES}")
+        vehicle_file, person_file = (text(entry, key, where, optional=True)
+                                     for key in ("vehicle_file", "person_file"))
         sources.append(CrashSourceRef(
-            spec=entry["spec"],
-            crash_file=_resolve(base, entry["crash_file"]),
-            vehicle_file=_resolve(base, entry["vehicle_file"]) if entry.get("vehicle_file") else None,
-            person_file=_resolve(base, entry["person_file"]) if entry.get("person_file") else None,
+            spec=text(entry, "spec", where),
+            crash_file=_resolve(base, text(entry, "crash_file", where)),
+            vehicle_file=_resolve(base, vehicle_file) if vehicle_file else None,
+            person_file=_resolve(base, person_file) if person_file else None,
             role=role,
-            region_filter=entry.get("region_filter"),
+            region_filter=text(entry, "region_filter", where, optional=True),
         ))
     mileage = tuple(
         MileageRef(
-            spec=entry["spec"],
-            file=_resolve(base, entry["file"]),
-            region_filter=entry.get("region_filter"),
+            spec=text(entry, "spec", where),
+            file=_resolve(base, text(entry, "file", where)),
+            region_filter=text(entry, "region_filter", where, optional=True),
         )
-        for entry in obj.get("mileage", [])
+        for where, entry in entries("mileage")
     )
     shares = tuple(
-        ShareRef(spec=entry["spec"], file=_resolve(base, entry["file"]))
-        for entry in obj.get("shares", [])
+        ShareRef(spec=text(entry, "spec", where), file=_resolve(base, text(entry, "file", where)))
+        for where, entry in entries("shares")
     )
     return DatasetManifest(
         region=region,
@@ -566,7 +582,7 @@ def _parse_dataset(obj: dict, base: Path) -> DatasetManifest:
         crash_sources=tuple(sources),
         mileage=mileage,
         shares=shares,
-        road_rule=obj.get("road_rule", "county_functional"),
+        road_rule=check(obj.get("road_rule", "county_functional"), str, f"{prefix}road_rule"),
     )
 
 
@@ -576,13 +592,12 @@ def load_manifest(path: str | Path) -> list[DatasetManifest]:
     with _opened(path, "manifest") as handle:
         obj = json.loads(handle.read())
     base = path.parent
+    check = _json_check(f"manifest {path}")
     if isinstance(obj, dict) and "datasets" in obj:
-        datasets = obj["datasets"]
-    elif isinstance(obj, dict):
-        datasets = [obj]
+        out = [_parse_dataset(entry, base, check, f"datasets[{i}]")
+               for i, entry in enumerate(check(obj["datasets"], list, "datasets"))]
     else:
-        raise ValidationError(f"{path}: manifest must be an object")
-    out = [_parse_dataset(entry, base) for entry in datasets]
+        out = [_parse_dataset(obj, base, check, "")]
     if not out:
         raise ValidationError(f"{path}: manifest lists no datasets")
     for ds in out:

@@ -78,8 +78,6 @@ class CodeSet:
                 ranges.append((lo, hi))
             else:
                 strings.add(item.casefold())
-        if not (ints or ranges or strings):
-            raise SchemaError(f"{context}: empty code list")
         return cls(frozenset(ints), tuple(ranges), frozenset(strings))
 
     def contains(self, cell: str) -> bool:
@@ -117,9 +115,10 @@ def _split_codes(text: str, context: str) -> list[str]:
     if in_quote:
         raise SchemaError(f"{context}: unbalanced quote in {text!r}")
     items.append("".join(buf).strip())
-    items = [i for i in items if i]
-    if not items:
+    if items == [""]:
         raise SchemaError(f"{context}: empty code list")
+    if "" in items:
+        raise SchemaError(f"{context}: empty item in code list {text!r}")
     return items
 
 

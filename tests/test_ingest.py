@@ -929,3 +929,105 @@ class TestOneWriter:
             for table, records in kept.items():
                 written = read_records(out / f"{table}.csv", table)
                 assert sorted(records, key=repr) == sorted(written, key=repr), table
+
+
+def _raw_inputs() -> dict:
+    """File name -> (dataset, source, key) of each raw crash, vehicle,
+    person, mileage and shares file the fixture manifests read."""
+    found: dict = {}
+    for path in sorted((FIXTURES / "manifests").glob("*.json")):
+        for dataset in load_manifest(path):
+            for ref in (*dataset.crash_sources, *dataset.mileage, *dataset.shares):
+                for key in ("crash_file", "vehicle_file", "person_file", "file"):
+                    file = getattr(ref, key, None)
+                    if ref.spec != "canonical" and file is not None:
+                        found.setdefault(file.name, (dataset, ref, key))
+    return found
+
+
+RAW_INPUTS = _raw_inputs()
+# The columns whose absence each raw fixture's loader rejects, as its
+# manifest's spec and region filter read it.
+REQUIRED_COLUMNS = {
+    "adot_crashes.csv": {"CrashYear", "GeocodeOnRoad", "IncidentID", "InjurySeverity",
+                         "PostedSpeed", "TowAwayFlag"},
+    "adot_persons.csv": {"Airbag", "IncidentID", "PersonID", "SafetyDevice", "UnitID"},
+    "adot_units.csv": {"BodyStyle", "IncidentID", "UnitAction", "UnitID", "UnitType"},
+    "cpm_2022.csv": {"ANNUAL_VMT_THOUSANDS", "FUNC_CLASS", "YEAR"},
+    "crss_crashes.csv": {"CASENUM", "INT_HWY", "MAXSEV_IM", "WEIGHT", "YEAR"},
+    "crss_persons.csv": {"AIR_BAG", "CASENUM", "INJ_SEV", "PER_NO", "VEH_NO"},
+    "crss_vehicles.csv": {"BODY_TYP", "CASENUM", "TOWED", "UNITTYPE", "VEH_NO"},
+    "fars_crashes.csv": {"FUNC_SYS", "ST_CASE", "YEAR"},
+    "fars_persons.csv": {"AIR_BAG", "INJ_SEV", "PER_NO", "ST_CASE", "VEH_NO"},
+    "fars_vehicles.csv": {"BODY_TYP", "ST_CASE", "TOWED", "UNITTYPE", "VEH_NO"},
+    "prd_2022.csv": {"ANNUAL_VMT_MILLIONS", "COUNTY_NAME", "JURISDICTION", "YEAR"},
+    "switrs_crashes.csv": {"accident_year", "case_id", "chp_beat_type",
+                           "collision_severity", "county", "tow_away"},
+    "switrs_parties.csv": {"case_id", "chp_veh_type_towing", "move_pre_acc",
+                           "party_number", "party_safety_equip_1", "party_safety_equip_2",
+                           "party_type", "stwd_vehicle_type"},
+    "switrs_victims.csv": {"case_id", "party_number", "victim_degree_of_injury",
+                           "victim_number", "victim_safety_equip_1",
+                           "victim_safety_equip_2"},
+    "vm2_2022.csv": {"ANNUAL_VMT_MILLIONS", "AREA", "FUNC_SYSTEM", "YEAR"},
+    "vm4_2022.csv": {"AREA", "CLASS_GROUP", "PASSENGER_PCT", "STATE"},
+}
+
+
+def _load_raw(dataset, ref, files: dict) -> None:
+    """Load one source of ``dataset`` from ``files`` (manifest key -> path)."""
+    spec = load_schema(ref.spec)
+    if spec.kind == "shares":
+        load_passenger_share(spec, files["file"])
+    elif spec.kind == "mileage":
+        load_mileage(spec, files["file"], region=dataset.region, year=dataset.year,
+                     region_filter=ref.region_filter)
+    else:
+        load_crash_source(spec, files["crash_file"], files.get("vehicle_file"),
+                          files.get("person_file"), region=dataset.region,
+                          year=dataset.year, region_filter=ref.region_filter)
+
+
+class TestRequiredColumns:
+    """A spec requires exactly the columns it reads, and every header of a
+    source is checked before its first row."""
+
+    @pytest.mark.parametrize("name", sorted(RAW_INPUTS))
+    def test_each_read_column_is_required(self, name, tmp_path):
+        dataset, ref, key = RAW_INPUTS[name]
+        files = {k: Path(shutil.copy(getattr(ref, k), tmp_path))
+                 for k in ("crash_file", "vehicle_file", "person_file", "file")
+                 if getattr(ref, k, None) is not None}
+        if key in ("vehicle_file", "person_file"):
+            # An empty crash id on line 2 fails the crash file's first row.
+            _rewrite(files["crash_file"], files["crash_file"],
+                     lambda header, rows: (header, [[""] * len(header), *rows]))
+        target = files[key]
+        with open(target, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        # A column no rule reads is never required.
+        table = [[*header, "UNREAD"], *([*row, "x"] for row in rows)]
+        required = set()
+        for column in table[0]:
+            keep = [i for i, name in enumerate(table[0]) if name != column]
+            with open(target, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(
+                    [row[i] for i in keep] for row in table)
+            try:
+                _load_raw(dataset, ref, files)
+            except SchemaError as exc:
+                if str(exc).endswith(f" file {target}: missing column(s) {column}"):
+                    required.add(column)
+            except ValidationError:
+                pass
+        assert required == REQUIRED_COLUMNS[name]
+
+    def test_crash_kabco_column_is_required_where_persons_give_severity(self, tmp_path):
+        spec = (resources.files("crashbench") / "specs" / "fars_national.spec").read_text()
+        spec = spec.replace("year = YEAR\n", "year = YEAR\nkabco_column = MAXSEV\n")
+        (tmp_path / "fars.spec").write_text(spec + "\n[crash.kabco_codes]\nK = 4\n")
+        crashes = tmp_path / "c.csv"
+        crashes.write_text("ST_CASE,YEAR,FUNC_SYS\nF1,2022,1\n")
+        with pytest.raises(SchemaError, match=r"missing column\(s\) MAXSEV$"):
+            load_crash_source(load_schema(str(tmp_path / "fars.spec")), crashes,
+                              region=NATIONAL, year=2022)

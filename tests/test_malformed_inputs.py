@@ -59,8 +59,6 @@ ACCEPTED = {
         "the cut victim of crash S007 counts under unknown_person_kabco and unknown_airbag",
     ("sf_2022/prd_2022.csv", "truncated"):
         "the cut row, of 2021, reads county 'San Fran' and counts as region_filtered",
-    ("sf_2022/switrs.spec", "truncated"):
-        'the cut rule victim_safety_equip_1 in "L", still parses, trailing comma and all',
     ("national_2022/crss_vehicles.csv", "truncated"):
         "the cut row is a vehicle of crash C009, of 2021, which the run drops",
     ("national_2022/crss_persons.csv", "truncated"):
@@ -168,3 +166,24 @@ def test_misshapen_benchmark_table_names_the_first_bad_path(text, where, tmp_pat
     err = capsys.readouterr().err
     assert code == 2, err
     assert f"benchmark table {table}{where}" in err
+
+
+@pytest.mark.parametrize("dataset, where", [
+    ({"crash_sources": [{"crash_file": "c.csv"}]}, "crash_sources[0].spec"),
+    ({"crash_sources": 5}, "crash_sources"),
+    ({"mileage": [{"spec": "fhwa_vm2"}]}, "mileage[0].file"),
+    ({"crash_sources": [7]}, "crash_sources[0]"),
+    ({"crash_sources": [{"spec": "crss", "crash_file": "c.csv", "region_filter": 5}]},
+     "crash_sources[0].region_filter"),
+    ({"road_rule": ["all_roads"]}, "road_rule"),
+    (None, "datasets[0]"),
+])
+def test_misshapen_manifest_names_the_first_bad_path(dataset, where, tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    text = ({"datasets": [5]} if dataset is None
+            else {"region": "national", "year": 2022, **dataset})
+    manifest.write_text(json.dumps(text))
+    code = main(["benchmark", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"manifest {manifest}: {where} must be" in err

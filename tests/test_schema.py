@@ -37,6 +37,13 @@ class TestCodeSet:
         with pytest.raises(SchemaError, match="unbalanced quote"):
             CodeSet.parse('"oops', "t")
 
+    @pytest.mark.parametrize("text", ["1,,2", "1, 2,", ", 1", '"a", ,"b"'])
+    def test_empty_item_rejected(self, text):
+        with pytest.raises(SchemaError, match="empty item in code list"):
+            CodeSet.parse(text, "t")
+        with pytest.raises(SchemaError, match="empty item in code list"):
+            Rule.parse(f"X in {text}", "t")
+
 
 class TestRule:
     def test_membership(self):
@@ -259,6 +266,10 @@ class TestParseSpec:
     def test_code_mapped_twice_names_the_section(self, text, section):
         with pytest.raises(SchemaError, match=rf"\[{section}\]: code .* mapped twice"):
             parse_spec(text, "dup")
+
+    def test_trailing_comma_in_code_map_rejected(self):
+        with pytest.raises(SchemaError, match=r"\[crash.kabco_codes\]: empty item"):
+            parse_spec(MINIMAL_SPEC.replace("K = 4", "K = 4,"), "mini")
 
     def test_missing_section_rejected(self):
         broken = MINIMAL_SPEC.replace("[vehicle]", "[misc]").replace(

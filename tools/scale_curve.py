@@ -19,6 +19,13 @@ appends one entry to ``BENCH_scale.json``: each run's wall time and the
 child's peak RSS, with the Python version, CPU count and git SHA of the
 measured source tree.
 
+Before each run, a child process times one sample of perfbench's
+``reference_loop`` (once on every CPU in turn, as perfbench calibrates).
+The entry keeps each sample next to its run's wall time, and
+``median_ref_wall_s``, the median of wall x ``REFERENCE_S`` / sample:
+the run's time on perfbench's reference host, so that a host running
+slower for minutes does not read as a slower program.  Raw walls stay.
+
 It is not a gate and sets no bound; it records a trajectory that later
 changes append to.  The inputs are built once per curve, seed and size
 and kept under ``.scale_work/`` (building 10^6 crashes takes about a
@@ -94,6 +101,28 @@ def _data_rows(path: Path) -> int:
         return sum(1 for row in csv.reader(handle) if row) - 1
 
 
+# One reference-loop sample, timed as perfbench's Run.calibrate times it;
+# prints REFERENCE_S and the sample's seconds.
+_REFERENCE = """
+import os, sys, time
+sys.path.insert(0, sys.argv[1])
+from run import REFERENCE_S, reference_loop
+started = time.perf_counter()
+for cpu in sorted(os.sched_getaffinity(0)):
+    os.sched_setaffinity(0, {cpu})
+    reference_loop()
+print(REFERENCE_S, time.perf_counter() - started)
+"""
+
+
+def reference_sample() -> tuple[float, float]:
+    """(REFERENCE_S, seconds) of one reference-loop sample in a child process."""
+    proc = subprocess.run([sys.executable, "-c", _REFERENCE, str(ROOT / "perfbench")],
+                          capture_output=True, text=True, check=True)
+    reference_s, seconds = map(float, proc.stdout.split())
+    return reference_s, seconds
+
+
 def run_cli(src: Path, command: str, manifest: Path, out: Path) -> tuple[float, float]:
     """Wall seconds and peak RSS (MiB) of one ``command`` child."""
     shutil.rmtree(out, ignore_errors=True)
@@ -152,19 +181,26 @@ def main(argv: list[str] | None = None) -> int:
         for repeat in range(REPEATS):
             first = repeat % len(order)
             for label in order[first:] + order[:first]:
-                samples[label].append(run_cli(trees[label], args.curve,
-                                              inputs_dir / "manifest.json", WORK_DIR / "out"))
+                reference_s, loop = reference_sample()
+                samples[label].append((*run_cli(trees[label], args.curve,
+                                                inputs_dir / "manifest.json",
+                                                WORK_DIR / "out"), loop))
         for label, taken in samples.items():
             runs[label].append({
                 "n_crashes": n_crashes,
                 "crash_rows": summary["rows"]["crashes"],
-                "wall_s": [round(wall, 3) for wall, _ in taken],
-                "peak_rss_mib": [round(rss, 1) for _, rss in taken],
-                "median_wall_s": round(statistics.median(w for w, _ in taken), 3),
-                "median_peak_rss_mib": round(statistics.median(r for _, r in taken), 1),
+                "wall_s": [round(wall, 3) for wall, _, _ in taken],
+                "reference_loop_s": [round(loop, 4) for _, _, loop in taken],
+                "peak_rss_mib": [round(rss, 1) for _, rss, _ in taken],
+                "median_wall_s": round(statistics.median(w for w, _, _ in taken), 3),
+                "median_ref_wall_s": round(statistics.median(
+                    w * reference_s / loop for w, _, loop in taken), 3),
+                "median_peak_rss_mib": round(statistics.median(r for _, r, _ in taken), 1),
             })
-            print(f"{label}: {n_crashes} crashes: {runs[label][-1]['median_wall_s']} s, "
-                  f"{runs[label][-1]['median_peak_rss_mib']} MiB", file=sys.stderr)
+            run = runs[label][-1]
+            print(f"{label}: {n_crashes} crashes: {run['median_wall_s']} s "
+                  f"({run['median_ref_wall_s']} reference-host s), "
+                  f"{run['median_peak_rss_mib']} MiB", file=sys.stderr)
     shutil.rmtree(WORK_DIR / "out", ignore_errors=True)
 
     record = (json.loads(OUT.read_text(encoding="utf-8")) if OUT.is_file()
