@@ -1009,7 +1009,7 @@ class TestRequiredColumns:
         table = [[*header, "UNREAD"], *([*row, "x"] for row in rows)]
         required = set()
         for column in table[0]:
-            keep = [i for i, name in enumerate(table[0]) if name != column]
+            keep = [i for i, other in enumerate(table[0]) if other != column]
             with open(target, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh, lineterminator="\n").writerows(
                     [row[i] for i in keep] for row in table)

@@ -168,22 +168,24 @@ def test_misshapen_benchmark_table_names_the_first_bad_path(text, where, tmp_pat
     assert f"benchmark table {table}{where}" in err
 
 
-@pytest.mark.parametrize("dataset, where", [
-    ({"crash_sources": [{"crash_file": "c.csv"}]}, "crash_sources[0].spec"),
-    ({"crash_sources": 5}, "crash_sources"),
-    ({"mileage": [{"spec": "fhwa_vm2"}]}, "mileage[0].file"),
-    ({"crash_sources": [7]}, "crash_sources[0]"),
-    ({"crash_sources": [{"spec": "crss", "crash_file": "c.csv", "region_filter": 5}]},
+DATASET = {"region": "national", "year": 2022}
+
+
+@pytest.mark.parametrize("manifest, where", [
+    ({**DATASET, "crash_sources": [{"crash_file": "c.csv"}]}, "crash_sources[0].spec"),
+    ({**DATASET, "crash_sources": 5}, "crash_sources"),
+    ({**DATASET, "mileage": [{"spec": "fhwa_vm2"}]}, "mileage[0].file"),
+    ({"datasets": [5]}, "datasets[0]"),
+    ({**DATASET, "crash_sources": [7]}, "crash_sources[0]"),
+    ({**DATASET, "crash_sources": [{"spec": "crss", "crash_file": "c.csv",
+                                    "region_filter": 5}]},
      "crash_sources[0].region_filter"),
-    ({"road_rule": ["all_roads"]}, "road_rule"),
-    (None, "datasets[0]"),
+    ({**DATASET, "road_rule": ["all_roads"]}, "road_rule"),
 ])
-def test_misshapen_manifest_names_the_first_bad_path(dataset, where, tmp_path, capsys):
-    manifest = tmp_path / "manifest.json"
-    text = ({"datasets": [5]} if dataset is None
-            else {"region": "national", "year": 2022, **dataset})
-    manifest.write_text(json.dumps(text))
-    code = main(["benchmark", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+def test_misshapen_manifest_names_the_first_bad_path(manifest, where, tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code = main(["benchmark", "--manifest", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2, err
-    assert f"manifest {manifest}: {where} must be" in err
+    assert f"manifest {path}: {where} must be" in err
