@@ -19,8 +19,9 @@ implementations; the audit file written next to them carries it instead.
 Configuration lives in an INI file (see ``--config``).  ``_SETTINGS``
 declares every setting once: its [section] key, its flag, its default
 and its parser.  A flag wins over the config file, which wins over the
-default.  A section or key outside the table, or a value that does not
-parse, is an input error naming the flag or the file, section and key;
+default; an empty config value gives none.  A section or key outside the
+table (``[DEFAULT]`` too), or a value that does not parse, is an input
+error naming the flag or the file, section and key;
 so is a target power that ``PowerQuery`` rejects with the other power
 settings, named by its own flag or key.
 
@@ -31,7 +32,6 @@ internal error.  Warnings never change the exit code.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import dataclasses
 import hashlib
@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import UndefinedStatistic, ValidationError, _json_check, _opened
+from .errors import UndefinedStatistic, ValidationError, _Ini, _json_check, _opened
 from .model import SCHEMES, SeverityLevel
 from .power import PowerQuery, PowerTable, check_setting, power_table
 from .rates import (
@@ -175,45 +175,29 @@ _SETTINGS: dict[tuple[str, str], _Setting] = {
 }
 
 
-def _load_config(path: Path | None) -> configparser.ConfigParser:
-    # No default section: a [DEFAULT] header is an unknown section, not
-    # keys copied into every other section.
-    parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#",), default_section=""
-    )
-    parser.optionxform = str  # type: ignore[method-assign]
-    parser.path = path  # type: ignore[attr-defined]  # named in value errors
+def _load_config(path: Path | None) -> _Ini:
+    """The config file's settings.  Every key of ``_SETTINGS`` is looked up,
+    so a file written for one subcommand serves every other."""
     if path is None:
-        return parser
+        return _Ini("", "no config file")
     with _opened(path, "config file") as fh:
-        parser.read_file(fh)
-    sections = {section for section, _ in _SETTINGS}
-    for section in parser.sections():
-        if section not in sections:
-            raise ValidationError(
-                f"config file {path}: unknown section [{section}]; "
-                f"expected one of {sorted(sections)}"
-            )
-        for key in parser.options(section):
-            if (section, key) not in _SETTINGS:
-                keys = sorted(k for s, k in _SETTINGS if s == section)
-                raise ValidationError(
-                    f"config file {path}: [{section}] {key}: unknown key; "
-                    f"expected one of {keys}"
-                )
-    return parser
+        cfg = _Ini(fh.read(), f"config file {path}")
+    for section, key in _SETTINGS:
+        cfg.get(section, key)
+    cfg.check()
+    return cfg
 
 
-def _source(args, cfg: configparser.ConfigParser, section: str, key: str):
+def _source(args, cfg: _Ini, section: str, key: str):
     """The setting's text, the flag's else the config file's (None if
     neither gives one), and the flag or config key it came from."""
     text = getattr(args, key)
-    if text is None and cfg.has_option(section, key):
-        return cfg.get(section, key), f"config file {cfg.path}: [{section}] {key}"
+    if text is None and (text := cfg.get(section, key)) is not None:
+        return text, f"{cfg.label}: [{section}] {key}"
     return text, _SETTINGS[section, key].flag
 
 
-def _setting(args, cfg: configparser.ConfigParser, section: str, key: str):
+def _setting(args, cfg: _Ini, section: str, key: str):
     """The flag's value, else the config file's, else the default; a value
     that does not parse is an input error naming where it came from."""
     setting = _SETTINGS[section, key]

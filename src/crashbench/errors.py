@@ -1,4 +1,5 @@
-"""Shared exception types, and the one opener of input files."""
+"""Shared exception types, the one opener of input files and the one INI
+reader."""
 
 import configparser
 import csv
@@ -30,9 +31,9 @@ def _opened(source, label: str):
     shipped with the package, for every reader of an input file.
 
     A file that cannot be opened, and a byte that is not UTF-8, a row that
-    ``csv.reader(..., strict=True)`` rejects or text that is not JSON or
-    INI, met while the handle is open, is a ValidationError naming
-    ``label``, the file and the line.  The line is worked out only then.
+    ``csv.reader(..., strict=True)`` rejects or text that is not JSON, met
+    while the handle is open, is a ValidationError naming ``label``, the
+    file and the line.  The line is worked out only then.
     """
     path = Path(source) if isinstance(source, str) else source
     try:
@@ -43,31 +44,94 @@ def _opened(source, label: str):
     with handle:
         try:
             yield handle
-        except (UnicodeDecodeError, csv.Error, json.JSONDecodeError,
-                configparser.Error) as exc:
+        except (UnicodeDecodeError, csv.Error, json.JSONDecodeError) as exc:
             raise ValidationError(f"{label} {source}{_fault(path, exc)}") from None
 
 
-_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", (int, float): "a number"}
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               (int, float): "a number"}
 
 
 def _json_check(label: str):
-    """``check(value, kind, where)``: ``value`` when it is JSON of ``kind``,
-    else a ValidationError naming ``label``'s file and ``where`` in it."""
-    def check(value, kind, where: str):
+    """``check(value, kind, where, among=None)``: ``value`` when it is JSON
+    of ``kind`` (and one of ``among``, if given), else a ValidationError
+    naming ``label``'s file and ``where`` in it."""
+    def check(value, kind, where: str, among: tuple | None = None):
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValidationError(f"{label}: {where} must be {_JSON_KINDS[kind]}")
+        if among is not None and value not in among:
+            raise ValidationError(f"{label}: {where} must be {' or '.join(among)}")
         return value
 
     return check
+
+
+class _Ini:
+    """The sections and keys of one INI text (a spec, a population spec or
+    a config file), read one way: no interpolation, ``#`` comments after a
+    value, keys as written, no DEFAULT section, and a section or key given
+    twice is an error.  Lines may end in \\n, \\r\\n or \\r.
+
+    Every section and key a caller looks up is recorded, and ``check``
+    rejects any other: a key is allowed because a reader reads it, as a
+    raw file's column is required because a rule reads it.  Faults are
+    ``error``s naming ``label``, the section and the key.
+    """
+
+    def __init__(self, text: str, label: str, error: type = ValidationError) -> None:
+        self.label, self._error, self._read = label, error, {}
+        self._parser = configparser.ConfigParser(
+            interpolation=None, inline_comment_prefixes=("#",), default_section="")
+        self._parser.optionxform = str  # type: ignore[method-assign]
+        try:
+            self._parser.read_file(io.StringIO(text, newline=None), source=label)
+        except configparser.Error as exc:
+            raise error(f"{label}: {exc}") from None
+
+    def has(self, section: str) -> bool:
+        """Whether ``[section]`` is given."""
+        self._read.setdefault(section, set())
+        return self._parser.has_section(section)
+
+    def get(self, section: str, key: str, required: bool = False, parse=None):
+        """``key``'s value in ``[section]``, read by ``parse(text, where)``
+        if given; None when the value is empty or absent, an error then if
+        ``required``."""
+        self._read.setdefault(section, set()).add(key)
+        text = self._parser.get(section, key, fallback="").strip()
+        where = f"{self.label}: [{section}] {key}"
+        if not text:
+            if required:
+                raise self._error(f"{where}: missing")
+            return None
+        return parse(text, where) if parse else text
+
+    def items(self, section: str) -> list[tuple[str, str]]:
+        """Every (key, value) of ``[section]``, whose keys are data."""
+        if not self.has(section):
+            raise self._error(f"{self.label}: [{section}] missing")
+        pairs = self._parser.items(section)
+        self._read[section].update(key for key, _ in pairs)
+        return pairs
+
+    def check(self, *sections: str) -> None:
+        """Reject a section or key that no lookup has read: in every section,
+        or only in ``sections`` if any are named."""
+        for section in sections or self._parser.sections():
+            if section not in self._read:
+                raise self._error(f"{self.label}: unknown section [{section}]; "
+                                  f"expected one of {sorted(self._read)}")
+            for key in self._parser.options(section):
+                if key not in self._read[section]:
+                    raise self._error(
+                        f"{self.label}: [{section}] {key}: unknown key; "
+                        f"expected one of {sorted(self._read[section])}")
 
 
 def _fault(path, exc: Exception) -> str:
     """':line: what' of ``exc``, met while reading ``path``."""
     if isinstance(exc, json.JSONDecodeError):
         return f":{exc.lineno}: not valid JSON: {exc.msg}"
-    if isinstance(exc, configparser.Error):
-        return f": {exc}"  # configparser names the line itself
     data = path.read_bytes()
     if isinstance(exc, UnicodeDecodeError):
         try:

@@ -509,19 +509,17 @@ class DatasetManifest:
 _ROLES = ("all", "nonfatal", "fatal")
 
 
-def _manifest_region(value) -> Region:
-    if isinstance(value, str):
-        if value == "national":
-            return Region.national()
-        raise ValidationError(
-            f"manifest region {value!r}: counties must be an object with kind/name/state"
-        )
-    if not isinstance(value, dict):
-        raise ValidationError(f"manifest region must be a string or object, got {value!r}")
-    kind = value.get("kind", "county")
-    if kind == "national":
+def _manifest_region(value, check: Callable, where: str) -> Region:
+    """The region at ``where``: "national", or an object of ``kind``
+    national or county (the default) with a string ``name`` and ``state``."""
+    if value == "national":
         return Region.national()
-    return Region.county(value.get("name", ""), value.get("state", ""))
+    check(value, dict, where)
+    if check(value.get("kind", "county"), str, f"{where}.kind",
+             among=("national", "county")) == "national":
+        return Region.national()
+    return Region.county(check(value.get("name"), str, f"{where}.name"),
+                         check(value.get("state"), str, f"{where}.state"))
 
 
 def _resolve(base: Path, value: str) -> Path:
@@ -544,16 +542,11 @@ def _parse_dataset(obj, base: Path, check: Callable, at: str) -> DatasetManifest
         value = entry.get(key)
         return None if optional and value is None else check(value, str, f"{where}.{key}")
 
-    region = _manifest_region(obj.get("region"))
-    try:
-        year = int(obj["year"])
-    except (KeyError, TypeError, ValueError):
-        raise ValidationError(f"manifest dataset for {region.name}: missing or bad year")
+    region = _manifest_region(obj.get("region"), check, f"{prefix}region")
+    year = check(obj.get("year"), int, f"{prefix}year")
     sources = []
     for where, entry in entries("crash_sources"):
-        role = entry.get("role", "all")
-        if role not in _ROLES:
-            raise ValidationError(f"manifest crash source role {role!r} not one of {_ROLES}")
+        role = check(entry.get("role", "all"), str, f"{where}.role", among=_ROLES)
         vehicle_file, person_file = (text(entry, key, where, optional=True)
                                      for key in ("vehicle_file", "person_file"))
         sources.append(CrashSourceRef(

@@ -5,6 +5,12 @@ Each supported source layout is described by a human-readable .spec file
 can be audited line by line against the source documentation.  The specs
 shipped with the package live in ``crashbench/specs``.
 
+A spec holds only the sections and keys that ``parse_spec`` reads for its
+kind.  Any other is a SchemaError naming the spec, the section and the
+key: a misspelt key, or a code table the spec never uses, such as
+``[crash.kabco_codes]`` without a ``kabco_column``.  ``[DEFAULT]`` is not
+special, so it too is an unknown section.  An empty value is an absent one.
+
 A crash spec names the id/weight/severity columns and gives
 classification rules.  Rules use a small expression language::
 
@@ -33,14 +39,12 @@ insensitive, so a multi-word code like "Mc 85" matches "W Mc 85".
 
 from __future__ import annotations
 
-import configparser
-import io
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import SchemaError, _opened
+from .errors import SchemaError, _Ini, _opened
 from .model import (
     AreaType,
     FunctionalClass,
@@ -398,7 +402,8 @@ class SchemaSpec:
 
     def validate(self) -> None:
         """Cross-section checks of a crash spec.  ``parse_spec`` has already
-        rejected an unknown kind and a missing section."""
+        rejected an unknown kind, a missing required key and a section or
+        key it does not read."""
         if self.kind != "crash":
             return
         if self.kabco_from == "crash" and self.crash.kabco is None:
@@ -446,22 +451,31 @@ _CANONICAL_GROUP = {g.value: g for g in ShareGroup}
 _CANONICAL_AREA_CODES = CodeMap(dict(_CANONICAL_AREA))
 
 
-def _parse_bool_key(value: str, context: str) -> bool:
-    v = value.strip().lower()
-    if v in ("true", "yes", "1"):
-        return True
-    if v in ("false", "no", "0"):
-        return False
-    raise SchemaError(f"{context}: expected a boolean, got {value!r}")
+def _one_of(choices: dict):
+    """A value parser for ``_Ini.get``: what ``choices`` maps the text to."""
+    def parse(text: str, where: str):
+        if text not in choices:
+            raise SchemaError(f"{where}: expected one of {sorted(choices)}, got {text!r}")
+        return choices[text]
+    return parse
 
 
-def _code_map(parser, section: str, canon_index: dict, name: str) -> CodeMap:
-    """The code table in ``[section]`` of spec ``name``."""
-    context = f"spec {name} [{section}]"
-    if section not in parser:
-        raise SchemaError(f"spec {name}: [{section}] missing")
+_WEIGHTED = _one_of({"true": True, "yes": True, "1": True,
+                     "false": False, "no": False, "0": False})
+_KABCO_FROM = _one_of({n: n for n in ("crash", "person")})
+_ROAD_DEFAULT = _one_of({"surface": RoadClass.SURFACE_STREET,
+                         "excluded": RoadClass.EXCLUDED_HIGHWAY,
+                         "unknown": RoadClass.UNKNOWN})
+_VMT_UNIT = _one_of({n: n for n in ("millions", "thousands", "miles")})
+_AREA_DEFAULT = _one_of(_CANONICAL_AREA)
+_SHARE_VALUES = _one_of({n: n for n in ("percent", "fraction")})
+
+
+def _code_map(ini: _Ini, section: str, canon_index: dict) -> CodeMap:
+    """The code table in ``[section]``."""
+    context = f"{ini.label} [{section}]"
     codes: dict = {}
-    for canon_name, raw_codes in parser[section].items():
+    for canon_name, raw_codes in ini.items(section):
         canon = canon_index.get(canon_name)
         if canon is None:
             raise SchemaError(f"{context}: unknown canonical value {canon_name!r}")
@@ -475,168 +489,98 @@ def _code_map(parser, section: str, canon_index: dict, name: str) -> CodeMap:
     return CodeMap(codes)
 
 
-def _get(section, key, context, required=False) -> str | None:
-    value = section.get(key)
-    if value is None or not value.strip():
-        if required:
-            raise SchemaError(f"{context}: missing required key {key!r}")
-        return None
-    return value.strip()
-
-
-def _rule(section, key, context, required=False) -> Rule | None:
-    text = _get(section, key, context, required=required)
-    if text is None:
-        return None
-    return Rule.parse(text, f"{context}.{key}")
-
-
 def parse_spec(text: str, name: str) -> SchemaSpec:
-    parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#",), strict=True
-    )
-    parser.optionxform = str
-    try:
-        # Lines may end in \n, \r\n or \r (universal newlines).
-        parser.read_file(io.StringIO(text, newline=None), source=name)
-    except configparser.Error as exc:
-        raise SchemaError(f"spec {name}: {exc}") from None
-
-    if "source" not in parser:
-        raise SchemaError(f"spec {name}: missing [source] section")
-    source = parser["source"]
-    tag = _get(source, "tag", f"spec {name} [source]", required=True)
-    kind = _get(source, "kind", f"spec {name}") or "crash"
-    weighted = _parse_bool_key(source.get("weighted", "false"), f"spec {name} weighted")
-    kabco_from = _get(source, "kabco_from", f"spec {name}") or "crash"
-    if kabco_from not in ("crash", "person"):
-        raise SchemaError(f"spec {name}: kabco_from must be crash or person")
-    caveat_text = source.get("caveats", "")
-    caveats = tuple(c.strip() for c in caveat_text.splitlines() if c.strip())
+    ini = _Ini(text, f"spec {name}", SchemaError)
+    get = ini.get
+    tag = get("source", "tag", required=True)
+    kind = get("source", "kind") or "crash"
+    weighted = get("source", "weighted",
+                   parse=lambda text, where: _WEIGHTED(text.lower(), where)) or False
+    kabco_from = get("source", "kabco_from", parse=_KABCO_FROM) or "crash"
+    caveats = tuple(c.strip() for c in (get("source", "caveats") or "").splitlines()
+                    if c.strip())
+    # kind picks the sections read next, so a misspelt kind is named first.
+    ini.check("source")
 
     crash = vehicle = person = mileage = shares = None
     tow_level = "none"
 
     if kind == "crash":
-        ctx = f"spec {name} [crash]"
-        if "crash" not in parser:
-            raise SchemaError(f"{ctx}: section missing")
-        crash_section = parser["crash"]
-        kabco_column = _get(crash_section, "kabco_column", ctx)
-        if "crash.road" not in parser:
-            raise SchemaError(f"spec {name}: [crash.road] missing")
-        road_section = parser["crash.road"]
-        default_name = _get(road_section, "default", f"spec {name} [crash.road]") or "unknown"
-        defaults = {"surface": RoadClass.SURFACE_STREET,
-                    "excluded": RoadClass.EXCLUDED_HIGHWAY,
-                    "unknown": RoadClass.UNKNOWN}
-        if default_name not in defaults:
-            raise SchemaError(f"spec {name}: bad road default {default_name!r}")
-        default = defaults[default_name]
         road = RoadRules(
-            surface=_rule(road_section, "surface", f"spec {name} [crash.road]"),
-            excluded=_rule(road_section, "excluded", f"spec {name} [crash.road]"),
-            default=default,
+            surface=get("crash.road", "surface", parse=Rule.parse),
+            excluded=get("crash.road", "excluded", parse=Rule.parse),
+            default=get("crash.road", "default", parse=_ROAD_DEFAULT) or RoadClass.UNKNOWN,
         )
         if road.surface is None and road.excluded is None:
             raise SchemaError(f"spec {name}: [crash.road] needs surface or excluded")
-        crash_tow = None
-        if "crash.rules" in parser:
-            crash_tow = _rule(parser["crash.rules"], "towed", f"spec {name} [crash.rules]")
+        kabco_column = get("crash", "kabco_column")
         crash = CrashSchema(
-            id_column=_get(crash_section, "id", ctx, required=True),
-            year_column=_get(crash_section, "year", ctx),
-            weight_column=_get(crash_section, "weight", ctx),
+            id_column=get("crash", "id", required=True),
+            year_column=get("crash", "year"),
+            weight_column=get("crash", "weight"),
             kabco_column=kabco_column,
-            kabco=(_code_map(parser, "crash.kabco_codes", _CANONICAL_KABCO, name)
+            kabco=(_code_map(ini, "crash.kabco_codes", _CANONICAL_KABCO)
                    if kabco_column is not None else None),
             road=road,
-            towed=crash_tow,
+            towed=get("crash.rules", "towed", parse=Rule.parse),
         )
-
-        vctx = f"spec {name} [vehicle]"
-        if "vehicle" not in parser or "vehicle.rules" not in parser:
-            raise SchemaError(f"{vctx}: [vehicle] and [vehicle.rules] are required")
-        vsec, vrules = parser["vehicle"], parser["vehicle.rules"]
         vehicle = VehicleSchema(
-            id_column=_get(vsec, "id", vctx, required=True),
-            crash_column=_get(vsec, "crash_id", vctx) or crash.id_column,
-            passenger=_rule(vrules, "passenger", vctx, required=True),
-            vehicle_nfs=_rule(vrules, "vehicle_nfs", vctx),
-            non_vehicle=_rule(vrules, "non_vehicle", vctx),
-            in_transport=_rule(vrules, "in_transport", vctx, required=True),
-            towed=_rule(vrules, "towed", vctx),
-            airbag=_rule(vrules, "airbag", vctx),
+            id_column=get("vehicle", "id", required=True),
+            crash_column=get("vehicle", "crash_id") or crash.id_column,
+            passenger=get("vehicle.rules", "passenger", required=True, parse=Rule.parse),
+            vehicle_nfs=get("vehicle.rules", "vehicle_nfs", parse=Rule.parse),
+            non_vehicle=get("vehicle.rules", "non_vehicle", parse=Rule.parse),
+            in_transport=get("vehicle.rules", "in_transport", required=True,
+                             parse=Rule.parse),
+            towed=get("vehicle.rules", "towed", parse=Rule.parse),
+            airbag=get("vehicle.rules", "airbag", parse=Rule.parse),
         )
-
-        if "person" in parser:
-            pctx = f"spec {name} [person]"
-            psec = parser["person"]
-            prules = parser["person.rules"] if "person.rules" in parser else {}
-            pk_column = _get(psec, "kabco_column", pctx)
-            null_codes_text = _get(psec, "unit_null_codes", pctx)
+        if ini.has("person"):
+            pk_column = get("person", "kabco_column")
             person = PersonSchema(
-                id_column=_get(psec, "id", pctx, required=True),
-                crash_column=_get(psec, "crash_id", pctx) or crash.id_column,
-                unit_column=_get(psec, "unit_id", pctx),
-                unit_null_codes=(CodeSet.parse(null_codes_text, pctx)
-                                 if null_codes_text else None),
+                id_column=get("person", "id", required=True),
+                crash_column=get("person", "crash_id") or crash.id_column,
+                unit_column=get("person", "unit_id"),
+                unit_null_codes=get("person", "unit_null_codes", parse=CodeSet.parse),
                 kabco_column=pk_column,
-                kabco=(_code_map(parser, "person.kabco_codes", _CANONICAL_KABCO, name)
+                kabco=(_code_map(ini, "person.kabco_codes", _CANONICAL_KABCO)
                        if pk_column is not None else None),
-                airbag=_rule(prules, "airbag", pctx) if prules else None,
+                airbag=get("person.rules", "airbag", parse=Rule.parse),
             )
-
         if crash.towed is not None:
             tow_level = "crash"
         elif vehicle.towed is not None:
             tow_level = "vehicle"
 
     elif kind == "mileage":
-        ctx = f"spec {name} [mileage]"
-        if "mileage" not in parser or "mileage.class_codes" not in parser:
-            raise SchemaError(f"{ctx}: [mileage] and [mileage.class_codes] are required")
-        msec = parser["mileage"]
-        unit = _get(msec, "vmt_unit", ctx) or "millions"
-        if unit not in ("millions", "thousands", "miles"):
-            raise SchemaError(f"{ctx}: vmt_unit must be millions, thousands, or miles")
-        area_default_name = _get(msec, "area_default", ctx) or "all"
-        if area_default_name not in _CANONICAL_AREA:
-            raise SchemaError(f"{ctx}: bad area_default {area_default_name!r}")
         mileage = MileageSchema(
-            class_column=_get(msec, "class_column", ctx, required=True),
-            vmt_column=_get(msec, "vmt_column", ctx, required=True),
-            class_codes=_code_map(parser, "mileage.class_codes", _CANONICAL_CLASS, name),
-            area_column=_get(msec, "area_column", ctx),
-            area_codes=(_code_map(parser, "mileage.area_codes", _CANONICAL_AREA, name)
-                        if "mileage.area_codes" in parser else _CANONICAL_AREA_CODES),
-            area_default=_CANONICAL_AREA[area_default_name],
-            year_column=_get(msec, "year_column", ctx),
-            vmt_unit=unit,
+            class_column=get("mileage", "class_column", required=True),
+            vmt_column=get("mileage", "vmt_column", required=True),
+            class_codes=_code_map(ini, "mileage.class_codes", _CANONICAL_CLASS),
+            area_column=get("mileage", "area_column"),
+            area_codes=(_code_map(ini, "mileage.area_codes", _CANONICAL_AREA)
+                        if ini.has("mileage.area_codes") else _CANONICAL_AREA_CODES),
+            area_default=get("mileage", "area_default", parse=_AREA_DEFAULT) or AreaType.ALL,
+            year_column=get("mileage", "year_column"),
+            vmt_unit=get("mileage", "vmt_unit", parse=_VMT_UNIT) or "millions",
         )
 
     elif kind == "shares":
-        ctx = f"spec {name} [shares]"
-        if "shares" not in parser or "shares.group_codes" not in parser:
-            raise SchemaError(f"{ctx}: [shares] and [shares.group_codes] are required")
-        ssec = parser["shares"]
-        values = _get(ssec, "values", ctx) or "fraction"
-        if values not in ("percent", "fraction"):
-            raise SchemaError(f"{ctx}: values must be percent or fraction")
         shares = ShareSchema(
-            state_column=_get(ssec, "state_column", ctx, required=True),
-            area_column=_get(ssec, "area_column", ctx, required=True),
-            group_column=_get(ssec, "group_column", ctx, required=True),
-            share_column=_get(ssec, "share_column", ctx, required=True),
-            values=values,
-            group_codes=_code_map(parser, "shares.group_codes", _CANONICAL_GROUP, name),
-            area_codes=(_code_map(parser, "shares.area_codes", _CANONICAL_AREA, name)
-                        if "shares.area_codes" in parser else _CANONICAL_AREA_CODES),
+            state_column=get("shares", "state_column", required=True),
+            area_column=get("shares", "area_column", required=True),
+            group_column=get("shares", "group_column", required=True),
+            share_column=get("shares", "share_column", required=True),
+            values=get("shares", "values", parse=_SHARE_VALUES) or "fraction",
+            group_codes=_code_map(ini, "shares.group_codes", _CANONICAL_GROUP),
+            area_codes=(_code_map(ini, "shares.area_codes", _CANONICAL_AREA)
+                        if ini.has("shares.area_codes") else _CANONICAL_AREA_CODES),
         )
 
     else:
-        raise SchemaError(f"spec {name}: unknown kind {kind!r}")
+        raise SchemaError(f"spec {name}: [source] kind: unknown kind {kind!r}")
 
+    ini.check()
     spec = SchemaSpec(
         tag=tag,
         kind=kind,

@@ -22,11 +22,10 @@ against.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError, _opened
+from .errors import ValidationError, _Ini, _opened
 from .model import (
     BodyClass,
     CrashEvent,
@@ -230,56 +229,45 @@ class PopulationSpec:
     @classmethod
     def from_config(cls, path: str) -> "PopulationSpec":
         """Load from an INI file; see tests/fixtures for the layout."""
-        parser = configparser.ConfigParser(
-            interpolation=None, inline_comment_prefixes=("#",)
-        )
-        parser.optionxform = str  # type: ignore[method-assign]
         with _opened(path, "population spec") as handle:
-            parser.read_file(handle)
+            ini = _Ini(handle.read(), f"population spec {path}")
+        required = ("n_crashes", "seed", "year")
+        pop = {key: ini.get("population", key, required=key in required)
+               for key in (*required, "weights", "region")}
+        flags = {key: ini.get("flags", key, required=True) for key in ("tow_p", "airbag_p")}
+        mixtures = {}
+        for name, parse in (("multiplicity", int), ("severity", Kabco),
+                            ("body", BodyClass), ("road", RoadClass)):
+            pairs = ini.items(name)
+            try:
+                mixtures[name] = tuple((parse(key), float(p)) for key, p in pairs)
+            except ValueError as exc:
+                raise ValidationError(f"{ini.label} [{name}]: {exc}") from None
+        ini.check()
         try:
-            pop = parser["population"]
-            n_crashes = int(pop["n_crashes"])
-            seed = int(pop["seed"], 0)
-            year = int(pop["year"])
-            weights = pop.get("weights", "unit").strip()
-            region_text = pop.get("region", "national").strip()
+            region_text = pop["region"] or "national"
             if region_text == "national":
                 region = Region.national()
             else:
                 parts = region_text.split(":")
                 if len(parts) != 3 or parts[0] != "county":
-                    raise ValidationError(
+                    raise ValueError(
                         f"region must be 'national' or 'county:NAME:ST', got {region_text!r}"
                     )
                 region = Region.county(parts[1], parts[2])
-            multiplicity = tuple(
-                (int(k), float(v)) for k, v in parser["multiplicity"].items()
-            )
-            severity = tuple(
-                (Kabco(k), float(v)) for k, v in parser["severity"].items()
-            )
-            body = tuple(
-                (BodyClass(k), float(v)) for k, v in parser["body"].items()
-            )
-            road = tuple(
-                (RoadClass(k), float(v)) for k, v in parser["road"].items()
-            )
-            flags = parser["flags"]
-            tow_p = float(flags["tow_p"])
-            airbag_p = float(flags["airbag_p"])
-        except KeyError as exc:
-            raise ValidationError(f"population spec {path}: missing {exc}") from exc
+            n_crashes, seed, year = int(pop["n_crashes"]), int(pop["seed"], 0), int(pop["year"])
+            tow_p, airbag_p = float(flags["tow_p"]), float(flags["airbag_p"])
         except ValueError as exc:
-            raise ValidationError(f"population spec {path}: {exc}") from exc
+            raise ValidationError(f"{ini.label}: {exc}") from exc
         return cls(
             n_crashes=n_crashes,
-            multiplicity=multiplicity,
-            severity=severity,
+            multiplicity=mixtures["multiplicity"],
+            severity=mixtures["severity"],
             tow_p=tow_p,
             airbag_p=airbag_p,
-            body=body,
-            road=road,
-            weights=weights,
+            body=mixtures["body"],
+            road=mixtures["road"],
+            weights=pop["weights"] or "unit",
             region=region,
             year=year,
             seed=seed,

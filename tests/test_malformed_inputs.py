@@ -6,6 +6,9 @@ error).  A case that exits 2 names the broken file; where a byte of a CSV
 file's first row is broken, it names that line too.  A case that exits 0
 must be listed in ``ACCEPTED`` with the reason the broken file still
 reads as a valid one.
+
+Misshapen JSON, and an INI file with one section or key renamed, are
+input errors too, naming the file and where in it the fault is.
 """
 
 import json
@@ -181,6 +184,18 @@ DATASET = {"region": "national", "year": 2022}
                                     "region_filter": 5}]},
      "crash_sources[0].region_filter"),
     ({**DATASET, "road_rule": ["all_roads"]}, "road_rule"),
+    ({**DATASET, "crash_sources": [{"spec": "crss", "crash_file": "c.csv",
+                                    "role": "fatl"}]}, "crash_sources[0].role"),
+    ({"datasets": [DATASET, {**DATASET, "region": {"name": 5, "state": "CA"}}]},
+     "datasets[1].region.name"),
+    ({**DATASET, "region": {"name": "Maricopa", "state": ["AZ"]}}, "region.state"),
+    ({**DATASET, "region": {"kind": "nation"}}, "region.kind"),
+    ({**DATASET, "region": {"kind": 5, "name": "Maricopa", "state": "AZ"}}, "region.kind"),
+    ({**DATASET, "region": "Maricopa"}, "region"),
+    ({**DATASET, "year": 2022.7}, "year"),
+    ({**DATASET, "year": True}, "year"),
+    ({**DATASET, "year": "2022"}, "year"),
+    ({"region": "national"}, "year"),
 ])
 def test_misshapen_manifest_names_the_first_bad_path(manifest, where, tmp_path, capsys):
     path = tmp_path / "manifest.json"
@@ -189,3 +204,88 @@ def test_misshapen_manifest_names_the_first_bad_path(manifest, where, tmp_path, 
     err = capsys.readouterr().err
     assert code == 2, err
     assert f"manifest {path}: {where} must be" in err
+
+
+# Every section and key of a shipped spec, the population spec and a config
+# file is one that a reader reads, so renaming any one of them is an input
+# error naming the file and the section; none falls back to a default.
+SPEC_RUNS = {  # spec: (fixture run, the spec its copy stands in for)
+    "switrs": ("sf_2022", "switrs"), "ca_prd": ("sf_2022", "ca_prd"),
+    "fhwa_vm4": ("sf_2022", "fhwa_vm4"), "crss": ("national_2022", "crss"),
+    "fars_national": ("national_2022", "fars_national"),
+    "fars_fatal": ("national_2022", "fars_national"),
+    "fhwa_vm2": ("national_2022", "fhwa_vm2"), "adot": ("maricopa_2022", "adot"),
+    "adot_cpm": ("maricopa_2022", "adot_cpm"),
+}
+CONFIG = """[run]
+out_dir = out
+formats = csv
+verbosity = 0
+
+[benchmark]
+aggregates = 2022
+rows = police_reported:unadjusted,fatal:unadjusted
+
+[power]
+relative_rates = 0.25,0.5,1.5
+alpha = 0.05
+target_power = 0.8
+"""
+
+
+def _renamed(text: str):
+    """(section, renamed line, text) for each section header and key of
+    INI ``text``, renamed in the text by appending "x"."""
+    lines = text.splitlines(keepends=True)
+    section = None
+    for i, line in enumerate(lines):
+        if line.startswith("["):
+            section = line.strip()[1:-1]
+            renamed = f"[{section}x]\n"
+        elif section and line[:1].strip() and line[0] not in "#;" and "=" in line:
+            key, _, rest = line.partition("=")
+            renamed = f"{key.rstrip()}x ={rest}"
+        else:
+            continue
+        yield section, renamed.strip(), "".join([*lines[:i], renamed, *lines[i + 1:]])
+
+
+def _stage_renames(name: str, tmp: Path):
+    """The INI file copy that ``name`` stands for, its clean text, and the
+    argv of the command that reads it."""
+    if name == "mixed_population.ini":
+        argv = _stage("synth", tmp)["synth"]
+        target = tmp / name
+    elif name == "config":
+        target = tmp / "run.ini"
+        target.write_text(CONFIG)
+        argv = ["report", "--config", str(target)]
+    else:
+        run, stands_for = SPEC_RUNS[name]
+        argv = _stage(run, tmp)["ingest"]
+        target = tmp / f"{name}.spec"
+        target.write_bytes((SHIPPED / "specs" / f"{name}.spec").read_bytes())
+        manifest = json.loads((tmp / "manifest.json").read_text())
+        for entry in [*manifest["crash_sources"], *manifest.get("mileage", []),
+                      *manifest.get("shares", [])]:
+            if Path(entry["spec"]).stem == stands_for:
+                entry["spec"] = str(target)
+        (tmp / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    return target, target.read_text(), argv
+
+
+@pytest.mark.parametrize("name", [*SPEC_RUNS, "mixed_population.ini", "config"])
+def test_renamed_section_or_key_is_an_input_error(name, tmp_path, capsys):
+    target, text, argv = _stage_renames(name, tmp_path)
+    out = str(tmp_path / "out")
+    assert main([*argv, "--out", out, "--quiet"]) == 0, capsys.readouterr().err
+    cases = list(_renamed(text))
+    assert len(cases) >= 5
+    for section, line, renamed in cases:
+        target.write_text(renamed)
+        code = main([*argv, "--out", out, "--quiet"])
+        err = capsys.readouterr().err
+        case = (name, line)
+        assert code == 2, (case, err)
+        assert str(target) in err, (case, err)
+        assert f"[{section}]" in err or f"[{section}x]" in err, (case, err)

@@ -1,5 +1,6 @@
-"""The package namespace: each public name is its defining module's; and
-every input file is read through one opener."""
+"""The package namespace: each public name is its defining module's; every
+input file is read through one opener; and every INI text through one
+reader."""
 
 import ast
 from importlib import import_module
@@ -97,3 +98,34 @@ def test_only_the_opener_reads_input_files():
         if (path.name, function) not in NOT_READERS
     ]
     assert not found
+
+
+def _ini_parsers(source: str) -> list[int]:
+    """The line of each ``ConfigParser`` (or ``RawConfigParser``) built in
+    ``source``, under any module prefix."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).rpartition(".")[2]
+            in ("ConfigParser", "RawConfigParser")]
+
+
+def test_the_ini_guard_finds_each_parser_built():
+    source = (
+        "import configparser\n"
+        "from configparser import ConfigParser, RawConfigParser\n"
+        "a = configparser.ConfigParser(interpolation=None)\n"
+        "b = ConfigParser(); c = RawConfigParser()\n"
+        "d = configparser.Error; e = isinstance(a, configparser.ConfigParser)\n"
+    )
+    assert _ini_parsers(source) == [3, 4, 4]
+
+
+def test_only_the_ini_reader_builds_a_config_parser():
+    # errors._Ini reads every spec, population spec and config file, so one
+    # rule decides how INI text parses and which sections and keys it may hold.
+    package = Path(crashbench.__file__).parent
+    found = {path.name: _ini_parsers(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == \
+        {"errors.py": found["errors.py"]}
+    assert len(found["errors.py"]) == 1

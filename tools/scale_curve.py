@@ -21,10 +21,17 @@ measured source tree.
 
 Before each run, a child process times one sample of perfbench's
 ``reference_loop`` (once on every CPU in turn, as perfbench calibrates).
-The entry keeps each sample next to its run's wall time, and
-``median_ref_wall_s``, the median of wall x ``REFERENCE_S`` / sample:
-the run's time on perfbench's reference host, so that a host running
-slower for minutes does not read as a slower program.  Raw walls stay.
+The entry keeps each sample next to its run's wall time, the median of
+every sample taken at that size (across all trees and repeats) as
+``size_reference_loop_s``, and ``median_ref_wall_s``, the median wall x
+``REFERENCE_S`` / that size median: the runs' time on perfbench's
+reference host, so that a host running slower for minutes does not read
+as a slower program.  One scale for every run at a size, as perfbench's
+``end_to_end`` scales by the median loop time of its run, keeps a single
+noisy sample from moving one run: scaling each run by its own sample read
+two raw medians of 2.087 and 2.090 s as 3.615 and 2.618 reference-host
+seconds.  Entries written before this scale stay as they were; raw walls
+stay in every entry.
 
 It is not a gate and sets no bound; it records a trajectory that later
 changes append to.  The inputs are built once per curve, seed and size
@@ -185,6 +192,8 @@ def main(argv: list[str] | None = None) -> int:
                 samples[label].append((*run_cli(trees[label], args.curve,
                                                 inputs_dir / "manifest.json",
                                                 WORK_DIR / "out"), loop))
+        size_loop = statistics.median(loop for taken in samples.values()
+                                      for _, _, loop in taken)
         for label, taken in samples.items():
             runs[label].append({
                 "n_crashes": n_crashes,
@@ -193,8 +202,9 @@ def main(argv: list[str] | None = None) -> int:
                 "reference_loop_s": [round(loop, 4) for _, _, loop in taken],
                 "peak_rss_mib": [round(rss, 1) for _, rss, _ in taken],
                 "median_wall_s": round(statistics.median(w for w, _, _ in taken), 3),
+                "size_reference_loop_s": round(size_loop, 4),
                 "median_ref_wall_s": round(statistics.median(
-                    w * reference_s / loop for w, _, loop in taken), 3),
+                    w for w, _, _ in taken) * reference_s / size_loop, 3),
                 "median_peak_rss_mib": round(statistics.median(r for _, r, _ in taken), 1),
             })
             run = runs[label][-1]
