@@ -14,8 +14,11 @@ Raw tables are streamed as positional rows with the semantics of
 nulls (a missing cell is null, so rules over it evaluate to unknown),
 extra cells are ignored, and a header name that appears twice resolves
 to its last column.  Each row comes with the physical line it ends on,
-which errors name; of a crash file only the rows of kept crashes are
-held, until their canonical rows are built.  One reader per raw file
+which errors name.  A kept crash row is checked as it is read, and no
+raw row is held: until its vehicle and person files are read, a kept
+crash holds its id, its weight cell and the memoized road class, KABCO
+and tow results, and its vehicle and person rows take that one id str
+for their own.  One reader per raw file
 (``_RawFile``) binds each spec rule once per file to the positions of
 the cells it reads, memoized on those cells: rows that hold equal cells
 share one ``Rule.eval`` (or code-table lookup) call on a dict of just
@@ -342,7 +345,11 @@ def load_crash_source(
         person_airbag_of = person_in.rule(person_schema.airbag)
         person_in.check()
 
-    kept: dict[str, tuple[int, list]] = {}       # crash_id -> (line, raw row)
+    # A kept crash is checked as it is read and holds only what its canonical
+    # row needs: its id (the one str its vehicle and person rows share), the
+    # memoized (road class, known) and (KABCO, known) results, its weight
+    # cell and the memoized tow rule result.
+    kept: dict[str, tuple] = {}
     dropped: set[str] = set()
     for rows_in["crashes"], (line, row) in enumerate(crash_in.rows, 1):
         crash_id = (row[id_at] or "").strip()
@@ -359,7 +366,15 @@ def load_crash_source(
         elif year_of is not None and year_of(line, row, crash_id) != year:
             reason = "year_mismatch"
         else:
-            kept[crash_id] = line, row
+            weight = weight_of(line, row, crash_id) if weight_of is not None else 1.0
+            try:
+                check_crash(crash_id, weight, year)
+            except ValidationError as exc:
+                raise ValidationError(f"{crash_in.where}:{line}: {exc}") from None
+            kept[crash_id] = (
+                crash_id, road_class_of(row),
+                crash_kabco(row) if crash_kabco is not None else None, repr(weight),
+                crash_towed_of(row) if crash_towed_of is not None else False)
             continue
         diagnostics[reason] += 1
         dropped.add(crash_id)
@@ -371,9 +386,11 @@ def load_crash_source(
     crash_airbag: set[str] = set()
     for rows_in["vehicles"], (line, row) in enumerate(vehicle_in.rows if vehicle_in else (), 1):
         crash_id = (row[vcrash_at] or "").strip()
-        if crash_id not in kept:
+        crash = kept.get(crash_id)
+        if crash is None:
             _unkept(crash_id, dropped, diagnostics, vehicle_in, line)
             continue
+        crash_id = crash[0]     # the crash row's own id str
         unit_id = (row[unit_at] or "").strip()
         if not unit_id:
             raise ValidationError(
@@ -399,9 +416,11 @@ def load_crash_source(
     crash_person_kabco: dict[str, str] = {}
     for rows_in["persons"], (line, row) in enumerate(person_in.rows if person_in else (), 1):
         crash_id = (row[pcrash_at] or "").strip()
-        if crash_id not in kept:
+        crash = kept.get(crash_id)
+        if crash is None:
             _unkept(crash_id, dropped, diagnostics, person_in, line)
             continue
+        crash_id = crash[0]     # the crash row's own id str
         unit_id = unit_ref(row) if unit_ref is not None else ""
         if unit_id and (crash_id, unit_id) not in unit_info:
             raise ReferentialError(
@@ -450,30 +469,24 @@ def load_crash_source(
 
     crashes: list[tuple[str, ...]] = []
     source, year_cell = spec.tag, str(year)
-    for crash_id, (line, row) in kept.items():
-        road_class, known = road_class_of(row)
+    for crash_id, (road_class, known), kabco_known, weight, towed_rule in kept.values():
         if not known:
             diagnostics["unknown_road"] += 1
-        if crash_kabco is not None:
-            kabco, known = crash_kabco(row)
+        if kabco_known is not None:
+            kabco, known = kabco_known
         else:
             kabco = crash_person_kabco.get(crash_id, _UNK)
             known = kabco != _UNK
         if not known:
             diagnostics["unknown_kabco"] += 1
-        weight = weight_of(line, row, crash_id) if weight_of is not None else 1.0
         towed = crash_id in crash_towed
-        if not towed and crash_towed_of is not None:
-            towed = crash_towed_of(row)
+        if not towed:
+            towed = towed_rule
             if towed is None:
                 diagnostics["unknown_towed"] += 1
                 towed = False
-        try:
-            check_crash(crash_id, weight, year)
-        except ValidationError as exc:
-            raise ValidationError(f"{crash_in.where}:{line}: {exc}") from None
         crashes.append((crash_id, source, region.name, region.state, year_cell, road_class,
-                        repr(weight), kabco, FLAG[towed], FLAG[crash_id in crash_airbag]))
+                        weight, kabco, FLAG[towed], FLAG[crash_id in crash_airbag]))
 
     airbag_units = vehicle_schema.airbag is not None or (
         person_schema is not None and person_schema.airbag is not None

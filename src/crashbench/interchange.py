@@ -511,15 +511,16 @@ _ROLES = ("all", "nonfatal", "fatal")
 
 def _manifest_region(value, check: Callable, where: str) -> Region:
     """The region at ``where``: "national", or an object of ``kind``
-    national or county (the default) with a string ``name`` and ``state``."""
+    national or county (the default) with a non-empty string ``name`` and
+    ``state``."""
     if value == "national":
         return Region.national()
     check(value, dict, where)
     if check(value.get("kind", "county"), str, f"{where}.kind",
              among=("national", "county")) == "national":
         return Region.national()
-    return Region.county(check(value.get("name"), str, f"{where}.name"),
-                         check(value.get("state"), str, f"{where}.state"))
+    return Region.county(check(value.get("name"), str, f"{where}.name", text=True),
+                         check(value.get("state"), str, f"{where}.state", text=True))
 
 
 def _resolve(base: Path, value: str) -> Path:

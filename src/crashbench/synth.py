@@ -164,14 +164,14 @@ def derived_poisson(seed: int, mean: float, n: int):
 
 def _check_mixture(name: str, items: tuple[tuple[object, float], ...]) -> None:
     if not items:
-        raise ValidationError(f"{name} mixture is empty")
+        raise ValidationError(f"[{name}] mixture is empty")
     total = 0.0
     for value, p in items:
         if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"{name} mixture: probability {p!r} for {value!r}")
+            raise ValidationError(f"[{name}] mixture: probability {p!r} for {value!r}")
         total += p
     if abs(total - 1.0) > 1e-9:
-        raise ValidationError(f"{name} mixture sums to {total!r}, expected 1")
+        raise ValidationError(f"[{name}] mixture sums to {total!r}, expected 1")
 
 
 def _draw(rng: SplitMix64, items: tuple[tuple[object, float], ...]) -> object:
@@ -192,7 +192,8 @@ class PopulationSpec:
     the crash-level maximum KABCO; tow and airbag are per-unit marginal
     probabilities folded up to the crash.  weights picks the per-crash
     sample-weight distribution: "unit" (all 1), "integer" (uniform on
-    1..5), or "real" (uniform on [0.5, 5.0)).
+    1..5), or "real" (uniform on [0.5, 5.0)).  A fault names the section
+    (and key) of a population spec that gives the field.
     """
 
     n_crashes: int
@@ -209,22 +210,25 @@ class PopulationSpec:
 
     def __post_init__(self) -> None:
         if self.n_crashes < 0:
-            raise ValidationError(f"n_crashes must be >= 0, got {self.n_crashes}")
+            raise ValidationError(
+                f"[population] n_crashes: must be >= 0, got {self.n_crashes}")
         _check_mixture("multiplicity", self.multiplicity)
         for m, _ in self.multiplicity:
             if m < 1:
-                raise ValidationError(f"multiplicity support must be >= 1, got {m}")
+                raise ValidationError(f"[multiplicity] support must be >= 1, got {m}")
         _check_mixture("severity", self.severity)
         for k, _ in self.severity:
             if k in (Kabco.ISU, Kabco.UNK):
-                raise ValidationError(f"severity mixture over O/C/B/A/K only, got {k.value}")
+                raise ValidationError(
+                    f"[severity] mixture over O/C/B/A/K only, got {k.value}")
         _check_mixture("body", self.body)
         _check_mixture("road", self.road)
         for name, p in (("tow_p", self.tow_p), ("airbag_p", self.airbag_p)):
             if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {p!r}")
+                raise ValidationError(f"[flags] {name}: must lie in [0, 1], got {p!r}")
         if self.weights not in ("unit", "integer", "real"):
-            raise ValidationError(f"unknown weight distribution {self.weights!r}")
+            raise ValidationError(
+                f"[population] weights: unknown weight distribution {self.weights!r}")
 
     @classmethod
     def from_config(cls, path: str) -> "PopulationSpec":
@@ -242,7 +246,7 @@ class PopulationSpec:
             try:
                 mixtures[name] = tuple((parse(key), float(p)) for key, p in pairs)
             except ValueError as exc:
-                raise ValidationError(f"{ini.label} [{name}]: {exc}") from None
+                raise ValidationError(f"{ini.label}: [{name}] {exc}") from None
         ini.check()
         try:
             region_text = pop["region"] or "national"
@@ -257,21 +261,21 @@ class PopulationSpec:
                 region = Region.county(parts[1], parts[2])
             n_crashes, seed, year = int(pop["n_crashes"]), int(pop["seed"], 0), int(pop["year"])
             tow_p, airbag_p = float(flags["tow_p"]), float(flags["airbag_p"])
+            return cls(
+                n_crashes=n_crashes,
+                multiplicity=mixtures["multiplicity"],
+                severity=mixtures["severity"],
+                tow_p=tow_p,
+                airbag_p=airbag_p,
+                body=mixtures["body"],
+                road=mixtures["road"],
+                weights=pop["weights"] or "unit",
+                region=region,
+                year=year,
+                seed=seed,
+            )
         except ValueError as exc:
             raise ValidationError(f"{ini.label}: {exc}") from exc
-        return cls(
-            n_crashes=n_crashes,
-            multiplicity=mixtures["multiplicity"],
-            severity=mixtures["severity"],
-            tow_p=tow_p,
-            airbag_p=airbag_p,
-            body=mixtures["body"],
-            road=mixtures["road"],
-            weights=pop["weights"] or "unit",
-            region=region,
-            year=year,
-            seed=seed,
-        )
 
 
 @dataclass(frozen=True)

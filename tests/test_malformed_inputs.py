@@ -196,6 +196,8 @@ DATASET = {"region": "national", "year": 2022}
     ({**DATASET, "year": True}, "year"),
     ({**DATASET, "year": "2022"}, "year"),
     ({"region": "national"}, "year"),
+    ({**DATASET, "region": {"name": "Maricopa", "state": ""}}, "region.state"),
+    ({**DATASET, "region": {"name": "", "state": "AZ"}}, "region.name"),
 ])
 def test_misshapen_manifest_names_the_first_bad_path(manifest, where, tmp_path, capsys):
     path = tmp_path / "manifest.json"

@@ -208,6 +208,31 @@ class TestPopulationSpec:
         with pytest.raises(ValidationError, match="county:NAME:ST"):
             PopulationSpec.from_config(str(bad_region))
 
+    # Each fault the spec's own checks find, in a copy of the fixture with
+    # one line changed: (line, its replacement, the message after the label).
+    @pytest.mark.parametrize("line, changed, message", [
+        ("n_crashes = 40", "n_crashes = -1", "[population] n_crashes: must be >= 0, got -1"),
+        ("1 = 0.45\n2 = 0.40\n3 = 0.15", "", "[multiplicity] mixture is empty"),
+        ("1 = 0.45", "0 = 0.45", "[multiplicity] support must be >= 1, got 0"),
+        ("K = 0.03", "K = 0.13", "[severity] mixture sums to 1.1"),
+        ("K = 0.03", "UNK = 0.03", "[severity] mixture over O/C/B/A/K only, got UNK"),
+        ("surface_street = 0.70", "surface_street = 1.70",
+         "[road] mixture: probability 1.7 for <RoadClass.SURFACE_STREET"),
+        ("tow_p = 0.35", "tow_p = 1.5", "[flags] tow_p: must lie in [0, 1], got 1.5"),
+        ("weights = integer", "weights = gaussian",
+         "[population] weights: unknown weight distribution 'gaussian'"),
+    ], ids=["n_crashes", "empty", "support", "sum", "scale", "probability", "flag",
+            "weights"])
+    def test_spec_fault_names_the_file_and_section(self, fixtures, tmp_path, line,
+                                                   changed, message):
+        text = (fixtures / "synth" / "mixed_population.ini").read_text()
+        assert line in text
+        path = tmp_path / "population.ini"
+        path.write_text(text.replace(line, changed))
+        with pytest.raises(ValidationError) as caught:
+            PopulationSpec.from_config(str(path))
+        assert str(caught.value).startswith(f"population spec {path}: {message}")
+
 
 @pytest.fixture(scope="module")
 def fixture_population(fixtures):

@@ -3,6 +3,7 @@
     python3 tools/scale_curve.py
     python3 tools/scale_curve.py --tree parent=../parent/src --tree change=src
     python3 tools/scale_curve.py --curve ingest --tree parent=../parent/src --tree change=src
+    python3 tools/scale_curve.py --curve ingest_wide --tree parent=../parent/src --tree change=src
 
 The report curve runs ``crashbench report --manifest M`` in a child
 process on perfbench's canonical_report population
@@ -10,14 +11,20 @@ process on perfbench's canonical_report population
 curve runs ``crashbench ingest --manifest M`` on perfbench's raw_ingest
 inputs (the national CRSS and FARS fixtures replicated with seeded crash
 ids), with the replica count scaled to about 10^4, 10^5 and 10^6 raw
-crash rows.  Each ``--tree LABEL=SRC`` names a source tree to measure
-(default ``change=`` this checkout's ``src``).  At each size every tree
-runs once per repeat, three repeats on seed 1, and the tree that goes
-first rotates from one repeat to the next, so a host that drifts slower
-or faster does not read as a difference between trees.  Each tree
-appends one entry to ``BENCH_scale.json``: each run's wall time and the
-child's peak RSS, with the Python version, CPU count and git SHA of the
-measured source tree.
+crash rows.  The ingest_wide curve runs it on the same inputs with
+``FILLERS`` deterministic columns that no spec reads appended to every
+raw crash, vehicle and person file, as real extracts carry dozens of
+columns, at 10^4 and 10^5.  Every run of an ingest curve at one size must write the same
+canonical CSVs, and those of ingest_wide must equal those of one untimed
+ingest run of the first tree on the narrow inputs.  Each ``--tree
+LABEL=SRC`` names a source tree to measure (default ``change=`` this
+checkout's ``src``).  At each size every tree runs once per repeat,
+three repeats on seed 1, and the tree that goes first rotates from one
+repeat to the next, so a host that drifts slower or faster does not read
+as a difference between trees.  Each tree appends one entry to
+``BENCH_scale.json``: each run's wall time and the child's peak RSS,
+with the Python version, CPU count and git SHA of the measured source
+tree.
 
 Before each run, a child process times one sample of perfbench's
 ``reference_loop`` (once on every CPU in turn, as perfbench calibrates).
@@ -44,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
@@ -61,19 +69,27 @@ OUT = ROOT / "BENCH_scale.json"
 SIZES = (10_000, 100_000, 1_000_000)
 SEED = 1
 REPEATS = 3          # runs per size; the entry keeps each run and the median
-# Curve (the command it times) -> the perfbench workload whose inputs it reads.
-CURVES = {"report": "canonical_report", "ingest": "raw_ingest"}
+# Curve -> (the command it times, the perfbench workload whose inputs it
+# reads, filler columns appended to each raw crash, vehicle and person file,
+# sizes).  The wide curve stops at 10^5: at 10^6 its inputs take 1.1 GB of
+# disk, and a tree that holds each kept crash's raw row read 333 MiB at 10^5.
+FILLERS = 60
+CURVES = {"report": ("report", "canonical_report", 0, SIZES),
+          "ingest": ("ingest", "raw_ingest", 0, SIZES),
+          "ingest_wide": ("ingest", "raw_ingest", FILLERS, SIZES[:2])}
+CANONICAL = ("crashes.csv", "vehicles.csv", "persons.csv", "mileage.csv")
 
 
 def build_inputs(curve: str, seed: int, n_crashes: int) -> Path:
     """The curve's inputs at ``n_crashes``, built on first use in a fresh
     process: a child's peak RSS counts the resident size of the process
     that starts it, so this one must stay small."""
-    workload = CURVES[curve]
-    out = WORK_DIR / f"{workload}-seed{seed}-n{n_crashes}"
+    _, workload, fillers, _ = CURVES[curve]
+    wide = f"_wide{fillers}" if fillers else ""
+    out = WORK_DIR / f"{workload}{wide}-seed{seed}-n{n_crashes}"
     if not (out / "manifest.json").is_file():
         proc = multiprocessing.get_context("spawn").Process(
-            target=_build, args=(workload, seed, n_crashes, out))
+            target=_build, args=(workload, seed, n_crashes, out, fillers))
         proc.start()
         proc.join()
         if proc.exitcode != 0:
@@ -81,7 +97,7 @@ def build_inputs(curve: str, seed: int, n_crashes: int) -> Path:
     return out
 
 
-def _build(workload: str, seed: int, n_crashes: int, out: Path) -> None:
+def _build(workload: str, seed: int, n_crashes: int, out: Path, fillers: int) -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import inputs
     from spans import NullRecorder
@@ -98,8 +114,27 @@ def _build(workload: str, seed: int, n_crashes: int, out: Path) -> None:
     shutil.rmtree(partial, ignore_errors=True)
     partial.mkdir(parents=True)
     summary = inputs.BUILDERS[workload](partial, seed, size, NullRecorder())
+    if fillers:
+        for _, _, files in inputs.RAW_SOURCES:
+            for name in files:
+                _widen(partial / name, fillers)
+        summary["fillers"] = fillers
     (partial / "inputs.json").write_text(json.dumps(summary, sort_keys=True) + "\n")
     partial.rename(out)
+
+
+def _widen(path: Path, fillers: int) -> None:
+    """Append ``fillers`` columns of small numeric codes to a raw CSV,
+    streaming it row by row."""
+    wide = path.with_name(path.name + ".wide")
+    with open(path, newline="", encoding="utf-8") as src, \
+            open(wide, "w", newline="", encoding="utf-8") as dst:
+        reader, writer = csv.reader(src), csv.writer(dst, lineterminator="\n")
+        writer.writerow(next(reader) + [f"FILLER_{j}" for j in range(fillers)])
+        for i, row in enumerate(reader):
+            writer.writerow(row + [str((i * 7919 + j * 104729) % 100000)
+                                   for j in range(fillers)])
+    wide.replace(path)
 
 
 def _data_rows(path: Path) -> int:
@@ -146,6 +181,15 @@ def run_cli(src: Path, command: str, manifest: Path, out: Path) -> tuple[float, 
     return wall, usage.ru_maxrss / 1024.0
 
 
+def canonical_digests(out: Path) -> dict[str, str]:
+    """The SHA-256 of each canonical CSV an ingest run wrote to ``out``."""
+    digests = {}
+    for name in CANONICAL:
+        with open(out / name, "rb") as handle:
+            digests[name] = hashlib.file_digest(handle, "sha256").hexdigest()
+    return digests
+
+
 def git_sha(src: Path) -> str | None:
     """The commit checked out where ``src`` lies, if it is a git checkout,
     marked ``+dirty`` when files under ``src`` differ from it."""
@@ -179,19 +223,32 @@ def main(argv: list[str] | None = None) -> int:
     if len(trees) < len(pairs):
         parser.error("each --tree needs its own LABEL")
 
+    command, _, fillers, sizes = CURVES[args.curve]
+    out = WORK_DIR / "out"
     runs: dict[str, list] = {label: [] for label in trees}
-    for n_crashes in SIZES:
+    for n_crashes in sizes:
         inputs_dir = build_inputs(args.curve, SEED, n_crashes)
         summary = json.loads((inputs_dir / "inputs.json").read_text(encoding="utf-8"))
         samples: dict[str, list] = {label: [] for label in trees}
         order = list(trees)
+        expected = None         # the canonical CSVs each ingest run must write
+        if fillers:
+            run_cli(trees[order[0]], command,
+                    build_inputs(command, SEED, n_crashes) / "manifest.json", out)
+            expected = canonical_digests(out)
         for repeat in range(REPEATS):
             first = repeat % len(order)
             for label in order[first:] + order[:first]:
                 reference_s, loop = reference_sample()
-                samples[label].append((*run_cli(trees[label], args.curve,
-                                                inputs_dir / "manifest.json",
-                                                WORK_DIR / "out"), loop))
+                samples[label].append((*run_cli(trees[label], command,
+                                                inputs_dir / "manifest.json", out), loop))
+                if command == "ingest":
+                    written = canonical_digests(out)
+                    if expected is not None and written != expected:
+                        raise SystemExit(f"{label}: {args.curve} at {n_crashes} crashes "
+                                         f"wrote other canonical CSVs than the first run"
+                                         + (" on the narrow inputs" if fillers else ""))
+                    expected = written
         size_loop = statistics.median(loop for taken in samples.values()
                                       for _, _, loop in taken)
         for label, taken in samples.items():
@@ -211,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{label}: {n_crashes} crashes: {run['median_wall_s']} s "
                   f"({run['median_ref_wall_s']} reference-host s), "
                   f"{run['median_peak_rss_mib']} MiB", file=sys.stderr)
-    shutil.rmtree(WORK_DIR / "out", ignore_errors=True)
+    shutil.rmtree(out, ignore_errors=True)
 
     record = (json.loads(OUT.read_text(encoding="utf-8")) if OUT.is_file()
               else {"entries": []})
@@ -223,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
             "cpus": os.cpu_count(),
             "seed": SEED,
             "curve": args.curve,
-            "command": f"crashbench {args.curve} --manifest M --quiet",
+            "command": f"crashbench {command} --manifest M --quiet",
             "runs": runs[label],
         })
     OUT.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
