@@ -345,10 +345,8 @@ def load_crash_source(
         person_airbag_of = person_in.rule(person_schema.airbag)
         person_in.check()
 
-    # A kept crash is checked as it is read and holds only what its canonical
-    # row needs: its id (the one str its vehicle and person rows share), the
-    # memoized (road class, known) and (KABCO, known) results, its weight
-    # cell and the memoized tow rule result.
+    # crash_id -> (crash_id, (road class, known), (KABCO, known) or None,
+    #              weight cell, the crash tow rule's result)
     kept: dict[str, tuple] = {}
     dropped: set[str] = set()
     for rows_in["crashes"], (line, row) in enumerate(crash_in.rows, 1):

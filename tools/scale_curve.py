@@ -118,14 +118,13 @@ def _build(workload: str, seed: int, n_crashes: int, out: Path, fillers: int) ->
         for _, _, files in inputs.RAW_SOURCES:
             for name in files:
                 _widen(partial / name, fillers)
-        summary["fillers"] = fillers
     (partial / "inputs.json").write_text(json.dumps(summary, sort_keys=True) + "\n")
     partial.rename(out)
 
 
 def _widen(path: Path, fillers: int) -> None:
-    """Append ``fillers`` columns of small numeric codes to a raw CSV,
-    streaming it row by row."""
+    """Append ``fillers`` columns of numeric codes of up to five digits to
+    a raw CSV, streaming it row by row."""
     wide = path.with_name(path.name + ".wide")
     with open(path, newline="", encoding="utf-8") as src, \
             open(wide, "w", newline="", encoding="utf-8") as dst:
