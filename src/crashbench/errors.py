@@ -54,14 +54,14 @@ _JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an inte
 
 def _json_check(label: str):
     """``check(value, kind, where, among=None, text=False)``: ``value`` when
-    it is JSON of ``kind`` (and one of ``among``, if given; a non-empty
-    string, if ``text``), else a ValidationError naming ``label``'s file
-    and ``where`` in it."""
+    it is JSON of ``kind`` (and one of ``among``, if given; a string that
+    is not empty or all whitespace, if ``text``), else a ValidationError
+    naming ``label``'s file and ``where`` in it."""
     def check(value, kind, where: str, among: tuple | None = None, text: bool = False):
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValidationError(f"{label}: {where} must be {_JSON_KINDS[kind]}")
-        if text and not value:
-            raise ValidationError(f"{label}: {where} must be a non-empty string")
+        if text and not value.strip():
+            raise ValidationError(f"{label}: {where} must be a non-blank string")
         if among is not None and value not in among:
             raise ValidationError(f"{label}: {where} must be {' or '.join(among)}")
         return value

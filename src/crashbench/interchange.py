@@ -511,7 +511,7 @@ _ROLES = ("all", "nonfatal", "fatal")
 
 def _manifest_region(value, check: Callable, where: str) -> Region:
     """The region at ``where``: "national", or an object of ``kind``
-    national or county (the default) with a non-empty string ``name`` and
+    national or county (the default) with a non-blank string ``name`` and
     ``state``."""
     if value == "national":
         return Region.national()

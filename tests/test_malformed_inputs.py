@@ -198,6 +198,7 @@ DATASET = {"region": "national", "year": 2022}
     ({"region": "national"}, "year"),
     ({**DATASET, "region": {"name": "Maricopa", "state": ""}}, "region.state"),
     ({**DATASET, "region": {"name": "", "state": "AZ"}}, "region.name"),
+    ({**DATASET, "region": {"name": "Maricopa", "state": " "}}, "region.state"),
 ])
 def test_misshapen_manifest_names_the_first_bad_path(manifest, where, tmp_path, capsys):
     path = tmp_path / "manifest.json"

@@ -184,8 +184,11 @@ def canonical_digests(out: Path) -> dict[str, str]:
     """The SHA-256 of each canonical CSV an ingest run wrote to ``out``."""
     digests = {}
     for name in CANONICAL:
-        with open(out / name, "rb") as handle:
-            digests[name] = hashlib.file_digest(handle, "sha256").hexdigest()
+        digest = hashlib.sha256()
+        with open(out / name, "rb") as handle:     # in chunks: this process stays small
+            for chunk in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(chunk)
+        digests[name] = digest.hexdigest()
     return digests
 
 
