@@ -14,17 +14,17 @@ ids), with the replica count scaled to about 10^4, 10^5 and 10^6 raw
 crash rows.  The ingest_wide curve runs it on the same inputs with
 ``FILLERS`` deterministic columns that no spec reads appended to every
 raw crash, vehicle and person file, as real extracts carry dozens of
-columns, at 10^4 and 10^5.  Every run of an ingest curve at one size must write the same
-canonical CSVs, and those of ingest_wide must equal those of one untimed
-ingest run of the first tree on the narrow inputs.  Each ``--tree
-LABEL=SRC`` names a source tree to measure (default ``change=`` this
-checkout's ``src``).  At each size every tree runs once per repeat,
-three repeats on seed 1, and the tree that goes first rotates from one
-repeat to the next, so a host that drifts slower or faster does not read
-as a difference between trees.  Each tree appends one entry to
-``BENCH_scale.json``: each run's wall time and the child's peak RSS,
-with the Python version, CPU count and git SHA of the measured source
-tree.
+columns, at 10^4 and 10^5.  Every run of an ingest curve at one size
+must write the same canonical CSVs, and those of ingest_wide must equal
+those of one untimed ingest run of the first tree on the narrow inputs.
+Each ``--tree LABEL=SRC`` names a source tree to measure (default
+``change=`` this checkout's ``src``).  At each size every tree runs once
+per repeat, three repeats on seed 1, and the tree that goes first
+rotates from one repeat to the next, so a host that drifts slower or
+faster does not read as a difference between trees.  Each tree appends
+one entry to ``BENCH_scale.json``: each run's wall time and the child's
+peak RSS, with the Python version, CPU count and git SHA of the measured
+source tree.
 
 Before each run, a child process times one sample of perfbench's
 ``reference_loop`` (once on every CPU in turn, as perfbench calibrates).
@@ -218,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="a source tree to measure, named LABEL in its entry; "
                              "repeat to compare trees (default change=<checkout>/src)")
     parser.add_argument("--curve", choices=sorted(CURVES), default="report",
-                        help="the command to time (default report)")
+                        help="the curve to run (default report)")
     args = parser.parse_args(argv)
     pairs = args.tree or [("change", ROOT / "src")]
     trees = dict(pairs)
