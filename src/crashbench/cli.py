@@ -10,11 +10,13 @@ power.  Each command imports the layers it runs: ``ingest``,
 write microdata, so ``report --aggregates`` loads none of them.
 
 Runs are reproducible: report outputs start with a provenance block
-(tool version, a digest of the effective configuration, and content
-digests of every external input file) and contain nothing else that
-varies between identical runs.  Canonical interchange CSVs carry no
-provenance at all so they compare byte-for-byte across runs and
-implementations; the audit file written next to them carries it instead.
+(tool version, a digest of the effective configuration, and the digest
+of every file the run read, shipped ones too, as ``errors._opened``
+records them) and contain nothing else that varies between identical
+runs.  Canonical interchange CSVs carry no provenance at all so they
+compare byte-for-byte across runs and implementations; the audit file
+written next to each dataset's carries it instead, naming the config,
+the manifest and that dataset's files.
 
 Configuration lives in an INI file (see ``--config``).  ``_SETTINGS``
 declares every setting once: its [section] key, its flag, its default
@@ -39,9 +41,8 @@ import json
 import sys
 from collections.abc import Callable
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from . import __version__
+from . import __version__, errors
 from .errors import UndefinedStatistic, ValidationError, _Ini, _json_check, _opened
 from .model import SCHEMES, SeverityLevel
 from .power import PowerQuery, PowerTable, check_setting, power_table
@@ -53,9 +54,6 @@ from .rates import (
     build_benchmark,
     load_aggregates,
 )
-
-if TYPE_CHECKING:
-    from .interchange import DatasetManifest
 
 # Benchmark rows fed to the power calculator by `report`, outermost first.
 POWER_ROWS: tuple[tuple[SeverityLevel, str], ...] = (
@@ -210,11 +208,10 @@ def _setting(args, cfg: _Ini, section: str, key: str):
         raise ValidationError(f"{origin}: {exc}") from None
 
 
-def _configure(args) -> tuple[dict, list[Path]]:
-    """Every setting the subcommand offers, by key, and the config file as
-    a provenance input list.  Creates the output directory, so nothing is
-    written before every setting has parsed and the power settings have
-    passed ``PowerQuery``'s checks together."""
+def _configure(args) -> dict:
+    """Every setting the subcommand offers, by key.  Creates the output
+    directory, so nothing is written before every setting has parsed and
+    the power settings have passed ``PowerQuery``'s checks together."""
     cfg = _load_config(args.config)
     opts = {key: _setting(args, cfg, section, key) for section, key in args.settings}
     if "target_power" in opts:
@@ -227,36 +224,32 @@ def _configure(args) -> tuple[dict, list[Path]]:
             origin = _source(args, cfg, "power", "target_power")[1]
             raise ValidationError(f"{origin}: {exc}") from None
     opts["out_dir"].mkdir(parents=True, exist_ok=True)
-    return opts, [args.config] if args.config else []
+    return opts
 
 
 # ---------------------------------------------------------------------------
 # Provenance
 
 
-def _digest_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _digests(inputs: list[Path]) -> dict[str, str]:
-    """The content digest of every input file, named by file name (or
-    parent/name where two names clash); each file is read once."""
+def _digests() -> dict[str, str]:
+    """The digest of every file the open recording (``errors._reading``)
+    holds, named by file name, else parent/name where that name is taken,
+    else the path as given, in name order.  Shorter paths are named first,
+    so a path as given never meets a parent/name taken before it."""
     entries: dict[str, str] = {}
-    for path in sorted({str(p) for p in inputs}):
+    for path in sorted(errors._record, key=lambda path: (len(Path(path).parts), path)):
         p = Path(path)
-        key = p.name
-        if key in entries:
-            key = f"{p.parent.name}/{p.name}"
-        entries[key] = _digest_bytes(p.read_bytes())
-    return entries
+        key = next((k for k in (p.name, f"{p.parent.name}/{p.name}") if k not in entries), path)
+        entries[key] = errors._record[path]
+    return dict(sorted(entries.items()))
 
 
-def _provenance(effective: dict, digests: dict[str, str]) -> dict:
+def _provenance(effective: dict) -> dict:
     config_blob = json.dumps(effective, sort_keys=True).encode("utf-8")
     return {
         "tool": f"crashbench {__version__}",
-        "config_digest": _digest_bytes(config_blob),
-        "inputs": digests,
+        "config_digest": hashlib.sha256(config_blob).hexdigest(),
+        "inputs": _digests(),
     }
 
 
@@ -268,19 +261,6 @@ def _provenance_lines(provenance: dict) -> list[str]:
     for name, digest in provenance["inputs"].items():
         lines.append(f"# input {name}: {digest}\n")
     return lines
-
-
-def _manifest_inputs(path: Path, manifests: list[DatasetManifest]) -> list[Path]:
-    inputs = [path]
-    for ds in manifests:
-        refs = (*ds.crash_sources, *ds.mileage, *ds.shares)
-        inputs += [Path(ref.spec) for ref in refs if Path(ref.spec).is_file()]
-        inputs += [ref.file for ref in (*ds.mileage, *ds.shares)]
-        inputs += [
-            file for ref in ds.crash_sources
-            for file in (ref.crash_file, ref.vehicle_file, ref.person_file) if file
-        ]
-    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +379,7 @@ def cmd_ingest(args) -> int:
     from .ingest import dataset_rows, load_dataset
     from .interchange import load_manifest, write_mileage, write_rows
 
-    opts, inputs = _configure(args)
+    opts = _configure(args)
     manifest_path, out = opts["manifest"], opts["out_dir"]
     if manifest_path is None:
         raise ValidationError("ingest needs a manifest (--manifest or config)")
@@ -412,13 +392,13 @@ def cmd_ingest(args) -> int:
     for ds in manifests:
         target = out if len(manifests) == 1 else out / _region_slug(ds.region)
         target.mkdir(parents=True, exist_ok=True)
-        dataset = load_dataset(ds)
-        rows = dataset_rows(dataset)
+        with errors._reading():
+            dataset = load_dataset(ds)
+            rows = dataset_rows(dataset)
+            provenance = _provenance(effective)
         for table, table_rows in rows.items():
             write_rows(target / f"{table}.csv", table, table_rows)
         write_mileage(target / "mileage.csv", dataset.mileage)
-        provenance = _provenance(
-            effective, _digests(inputs + _manifest_inputs(manifest_path, [ds])))
         audit = {
             "provenance": provenance,
             "dataset": {
@@ -442,7 +422,7 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _select_reports(opts: dict) -> tuple[list[BenchmarkReport], list[Path], dict]:
+def _select_reports(opts: dict) -> tuple[list[BenchmarkReport], dict]:
     """Shared benchmark assembly for `benchmark` and `report`."""
     manifest_path, aggregates = opts["manifest"], opts["aggregates"]
     region_filter, road_rule, rows = opts["region"], opts["road_rule"], opts["rows"]
@@ -460,7 +440,6 @@ def _select_reports(opts: dict) -> tuple[list[BenchmarkReport], list[Path], dict
         return region.name.casefold() == region_filter.casefold()
 
     reports: list[BenchmarkReport] = []
-    inputs: list[Path] = []
     effective = {
         "command": "benchmark",
         "manifest": str(manifest_path) if manifest_path else None,
@@ -470,8 +449,6 @@ def _select_reports(opts: dict) -> tuple[list[BenchmarkReport], list[Path], dict
         "rows": [f"{severity.value}:{scheme}" for severity, scheme in rows],
     }
     if aggregates is not None:
-        if Path(aggregates).is_file():
-            inputs.append(Path(aggregates))
         for agg in load_aggregates(aggregates):
             if keep(agg.region):
                 reports.append(benchmark_from_aggregates(agg, rows))
@@ -486,7 +463,6 @@ def _select_reports(opts: dict) -> tuple[list[BenchmarkReport], list[Path], dict
             manifests = [
                 dataclasses.replace(ds, road_rule=road_rule) for ds in manifests
             ]
-        inputs.extend(_manifest_inputs(manifest_path, manifests))
         for ds in manifests:
             reports.append(build_benchmark(load_dataset(ds), rows))
     if not reports:
@@ -494,12 +470,12 @@ def _select_reports(opts: dict) -> tuple[list[BenchmarkReport], list[Path], dict
             f"no dataset matches region {region_filter!r}" if region_filter
             else "no datasets to benchmark"
         )
-    return reports, inputs, effective
+    return reports, effective
 
 
-def _emit_benchmark(reports, digests, effective, opts) -> None:
+def _emit_benchmark(reports, effective, opts) -> None:
     out, verbosity = opts["out_dir"], opts["verbosity"]
-    provenance = _provenance(effective, digests)
+    provenance = _provenance(effective)
     if "csv" in opts["formats"]:
         _write_benchmark_csv(out / "benchmark.csv", reports, provenance, verbosity)
     if "json" in opts["formats"]:
@@ -511,9 +487,9 @@ def _emit_benchmark(reports, digests, effective, opts) -> None:
 
 
 def cmd_benchmark(args) -> int:
-    opts, inputs = _configure(args)
-    reports, report_inputs, effective = _select_reports(opts)
-    _emit_benchmark(reports, _digests(inputs + report_inputs), effective, opts)
+    opts = _configure(args)
+    reports, effective = _select_reports(opts)
+    _emit_benchmark(reports, effective, opts)
     return 0
 
 
@@ -537,9 +513,8 @@ def _table_rows(path: Path, payload) -> list[tuple[str, str, str, float]]:
     return rows
 
 
-def _power_rates(args) -> tuple[list[tuple[str, float]], list[Path]]:
+def _power_rates(args) -> list[tuple[str, float]]:
     """Benchmark rates for the power table, from flags or a benchmark file."""
-    inputs: list[Path] = []
     rates: list[tuple[str, float]] = []
     for item in args.rates or []:
         label, sep, value = str(item).partition("=")
@@ -551,7 +526,6 @@ def _power_rates(args) -> tuple[list[tuple[str, float]], list[Path]]:
             raise ValidationError(f"--rate {item!r}: unreadable value")
     table_path = args.benchmark_table
     if table_path is not None:
-        inputs.append(table_path)
         with _opened(table_path, "benchmark table") as fh:
             table = _table_rows(table_path, json.loads(fh.read()))
         selectors = args.power_rows or []
@@ -577,10 +551,10 @@ def _power_rates(args) -> tuple[list[tuple[str, float]], list[Path]]:
         raise ValidationError(
             "power needs rates: --rate LABEL=VALUE or --benchmark-table with --row"
         )
-    return rates, inputs
+    return rates
 
 
-def _emit_power(rates, digests, effective, opts) -> None:
+def _emit_power(rates, effective, opts) -> None:
     """The power table over ``rates`` at the power settings, as power.csv/json."""
     relative, alpha, target = opts["relative_rates"], opts["alpha"], opts["target_power"]
     table = power_table(rates, list(relative), alpha=alpha, target_power=target)
@@ -590,7 +564,7 @@ def _emit_power(rates, digests, effective, opts) -> None:
         "alpha": alpha,
         "target_power": target,
     }
-    provenance = _provenance(effective, digests)
+    provenance = _provenance(effective)
     out, verbosity = opts["out_dir"], opts["verbosity"]
     if "csv" in opts["formats"]:
         _write_power_csv(out / "power.csv", table, provenance, verbosity)
@@ -599,13 +573,13 @@ def _emit_power(rates, digests, effective, opts) -> None:
 
 
 def cmd_power(args) -> int:
-    opts, inputs = _configure(args)
-    rates, table_inputs = _power_rates(args)
+    opts = _configure(args)
+    rates = _power_rates(args)
     effective = {
         "command": "power",
         "rates": [[label, value] for label, value in rates],
     }
-    _emit_power(rates, _digests(inputs + table_inputs), effective, opts)
+    _emit_power(rates, effective, opts)
     return 0
 
 
@@ -613,7 +587,7 @@ def cmd_synth(args) -> int:
     from .interchange import write_crashes, write_vehicles
     from .synth import PopulationSpec, generate
 
-    opts, inputs = _configure(args)
+    opts = _configure(args)
     out = opts["out_dir"]
     spec_path = Path(args.spec)
     spec = PopulationSpec.from_config(str(spec_path))
@@ -622,7 +596,7 @@ def cmd_synth(args) -> int:
     write_vehicles(out / "vehicles.csv", vehicles)
     effective = {"command": "synth", "spec": str(spec_path), "seed": spec.seed}
     payload = {
-        "provenance": _provenance(effective, _digests(inputs + [spec_path])),
+        "provenance": _provenance(effective),
         "population": {
             "n_crashes": spec.n_crashes,
             "seed": spec.seed,
@@ -651,11 +625,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
-    opts, inputs = _configure(args)
-    reports, report_inputs, effective = _select_reports(opts)
-    digests = _digests(inputs + report_inputs)
+    opts = _configure(args)
+    reports, effective = _select_reports(opts)
     effective = {**effective, "command": "report"}
-    _emit_benchmark(reports, digests, effective, opts)
+    _emit_benchmark(reports, effective, opts)
 
     # Power rows come from the national report when present, else the first.
     chosen = next(
@@ -677,7 +650,7 @@ def cmd_report(args) -> int:
         raise ValidationError(
             f"benchmark for {chosen.region.name}: no rows for the power table: {reason}"
         )
-    _emit_power(rates, digests, effective, opts)
+    _emit_power(rates, effective, opts)
     return 0
 
 
@@ -742,7 +715,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with errors._reading():
+            return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,5 @@
-"""Shared exception types, the one opener of input files and the one INI
-reader."""
+"""Shared exception types, the one opener of input files, the record of
+what a run read and the one INI reader."""
 
 import configparser
 import csv
@@ -33,7 +33,8 @@ def _opened(source, label: str):
     A file that cannot be opened, and a byte that is not UTF-8, a row that
     ``csv.reader(..., strict=True)`` rejects or text that is not JSON, met
     while the handle is open, is a ValidationError naming ``label``, the
-    file and the line.  The line is worked out only then.
+    file and the line.  The line is worked out only then.  A file read
+    without fault is hashed once into the open recording (``_reading``).
     """
     path = Path(source) if isinstance(source, str) else source
     try:
@@ -46,6 +47,31 @@ def _opened(source, label: str):
             yield handle
         except (UnicodeDecodeError, csv.Error, json.JSONDecodeError) as exc:
             raise ValidationError(f"{label} {source}{_fault(path, exc)}") from None
+    if _record is not None and str(path) not in _record:
+        # Hashed after the parse, into one reused buffer: the csv loops stay
+        # fast, and no input is held whole.
+        import hashlib  # only a recording run (the CLI) hashes
+        digest, chunk = hashlib.sha256(), bytearray(1 << 16)
+        with path.open("rb") as raw:
+            while size := raw.readinto(chunk):
+                digest.update(memoryview(chunk)[:size])
+        _record[str(path)] = digest.hexdigest()
+
+
+# The sha256 of each file read without fault while a recording is open, by path.
+_record: dict[str, str] | None = None
+
+
+@contextmanager
+def _reading():
+    """A recording of the files ``_opened`` reads.  A nested one starts from
+    what the enclosing one holds and leaves it as it was."""
+    global _record
+    outer, _record = _record, dict(_record or {})
+    try:
+        yield
+    finally:
+        _record = outer
 
 
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",

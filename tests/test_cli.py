@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import crashbench
-from crashbench import interchange
+from crashbench import errors, interchange
 from crashbench.cli import main
 from crashbench.interchange import (
     CRASH_HEADER,
@@ -24,6 +24,7 @@ from crashbench.interchange import (
 )
 
 CANONICAL_FILES = ("crashes.csv", "vehicles.csv", "persons.csv", "mileage.csv")
+SHIPPED = Path(crashbench.__file__).parent
 
 
 def run(capsys, *argv):
@@ -90,6 +91,45 @@ def sf_golden_as_canonical(fixtures, tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     return path
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture
+def opens(monkeypatch):
+    """A Counter of (resolved path, mode) per ``Path.open`` call: the opener
+    reads an input in mode "r" and hashes it in mode "rb"."""
+    seen = Counter()
+    path_open = Path.open
+
+    def counted(path, mode="r", *args, **kwargs):
+        seen[path.resolve(), mode] += 1
+        return path_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counted)
+    return seen
+
+
+def read_and_hashed(opens):
+    """The files opened to read, and a Counter of the hashes of each."""
+    read = {path for path, mode in opens if mode == "r"}
+    return read, Counter({path: n for (path, mode), n in opens.items() if mode == "rb"})
+
+
+def provenance_inputs(path):
+    return json.loads(path.read_text())["provenance"]["inputs"]
+
+
+def dataset_files(ds):
+    """Every file that loading dataset manifest ``ds`` reads: its data
+    files and the shipped specs its sources name by tag."""
+    refs = (*ds.crash_sources, *ds.mileage, *ds.shares)
+    return ({SHIPPED / "specs" / f"{ref.spec}.spec" for ref in refs if ref.spec != "canonical"}
+            | {ref.file for ref in (*ds.mileage, *ds.shares)}
+            | {file for ref in ds.crash_sources
+               for file in (ref.crash_file, ref.vehicle_file, ref.person_file) if file})
 
 
 class TestExitCodes:
@@ -728,29 +768,20 @@ def without_provenance(path):
 
 
 class TestReportGoldens:
-    def test_report_digests_each_input_once(self, capsys, tmp_path, fixtures,
-                                            monkeypatch):
-        # benchmark.* and power.* carry one provenance block, from one read
-        # of each input file.
-        reads = Counter()
-        read_bytes = Path.read_bytes
-
-        def counted(path):
-            reads[path.resolve()] += 1
-            return read_bytes(path)
-
-        monkeypatch.setattr(Path, "read_bytes", counted)
+    def test_report_digests_each_input_once(self, capsys, tmp_path, fixtures, opens):
+        # benchmark.* and power.* carry one provenance block, which names
+        # every file the run read, shipped specs too, each hashed once.
         manifest = fixtures / "manifests" / "national_2022.json"
         code, _, err = run(capsys, "report", "--manifest", str(manifest),
                            "--out", str(tmp_path), "--quiet")
         assert code == 0, err
-        ds, = interchange.load_manifest(manifest)
-        inputs = {manifest.resolve()} | {
-            path.resolve() for ref in ds.crash_sources
-            for path in (ref.crash_file, ref.vehicle_file, ref.person_file)
-        } | {ref.file.resolve() for ref in (*ds.mileage, *ds.shares)}
-        assert set(reads) == inputs
-        assert set(reads.values()) == {1}
+        read, hashed = read_and_hashed(opens)
+        assert set(hashed) == read and set(hashed.values()) == {1}
+        assert {"crss.spec", "fars_national.spec", "fhwa_vm2.spec",
+                "fhwa_vm4.spec"} <= {path.name for path in read}
+        for name in ("benchmark.json", "power.json"):
+            assert provenance_inputs(tmp_path / name) == {
+                path.name: sha256(path) for path in read}
 
 
     @pytest.mark.parametrize("name", sorted(p.name for p in REPORT_GOLDENS.iterdir()))
@@ -766,6 +797,96 @@ class TestReportGoldens:
         for expected in golden.iterdir():
             assert (without_provenance(tmp_path / expected.name)
                     == without_provenance(expected)), f"{name}/{expected.name} drifted"
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("stray", [False, True])
+    def test_aggregates_name_the_shipped_table(self, capsys, tmp_path, monkeypatch, stray):
+        # The shipped table behind every number is named; a file in the
+        # working directory named like the year is not read, and not named.
+        monkeypatch.chdir(tmp_path)
+        if stray:
+            (tmp_path / "2022").write_text("not a table\n")
+        code, _, err = run(capsys, "report", "--aggregates", "2022", "--out", "out", "--quiet")
+        assert code == 0, err
+        table = SHIPPED / "data" / "aggregates_2022.csv"
+        for name in ("benchmark.json", "power.json"):
+            assert provenance_inputs(tmp_path / "out" / name) == {
+                "aggregates_2022.csv": sha256(table)}
+
+    def test_raw_manifest_names_each_shipped_spec(self, capsys, tmp_path, fixtures):
+        manifest = fixtures / "manifests" / "sf_2022.json"
+        code, _, err = run(capsys, "benchmark", "--manifest", str(manifest),
+                           "--out", str(tmp_path), "--quiet")
+        assert code == 0, err
+        inputs = provenance_inputs(tmp_path / "benchmark.json")
+        for spec in ("switrs", "ca_prd", "fhwa_vm4"):
+            assert inputs[f"{spec}.spec"] == sha256(SHIPPED / "specs" / f"{spec}.spec")
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_each_audit_names_only_its_own_dataset(self, capsys, tmp_path, fixtures, mixed):
+        # Each audit.json names the config, the manifest and the files of
+        # its own dataset; the mixed manifest's two datasets share only the
+        # VM-4 table and its spec.
+        manifest = fixtures / "manifests" / "california_2022.json"
+        if mixed:
+            manifest = tmp_path / "manifests" / "mixed.json"
+            manifest.parent.mkdir()
+            for name in ("raw", "mileage"):
+                (tmp_path / name).symlink_to(fixtures / name)
+            manifest.write_text(json.dumps({"datasets": [
+                json.loads((fixtures / "manifests" / f"{name}.json").read_text())
+                for name in ("sf_2022", "national_2022")]}))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nverbosity = 0\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "ingest", "--manifest", str(manifest),
+                           "--config", str(cfg), "--out", str(out))
+        assert code == 0, err
+        datasets = interchange.load_manifest(manifest)
+        assert len(datasets) == 2
+        for ds in datasets:
+            audit = out / ds.region.name.lower().replace(" ", "_") / "audit.json"
+            assert provenance_inputs(audit) == {
+                path.name: sha256(path) for path in {manifest, cfg, *dataset_files(ds)}}
+
+    def test_a_canonical_source_read_twice_is_hashed_once(self, capsys, tmp_path, fixtures,
+                                                          opens):
+        # ingest folds a canonical source, then reads it again for its rows.
+        code, _, err = run(capsys, "ingest", "--manifest",
+                           str(fixtures / "manifests" / "town_2022.json"),
+                           "--out", str(tmp_path), "--quiet")
+        assert code == 0, err
+        crashes = (fixtures / "canonical" / "town_crashes.csv").resolve()
+        assert opens[crashes, "r"] == 2 and opens[crashes, "rb"] == 1
+        read, hashed = read_and_hashed(opens)
+        assert set(hashed) == read and set(hashed.values()) == {1}
+        assert errors._record is None
+
+    def test_every_file_read_gets_its_own_entry(self, capsys, tmp_path, fixtures,
+                                                monkeypatch):
+        # Three inputs share a name and a parent's name.  The one given as
+        # data/a.csv, the shortest path, is named a.csv; the next data/a.csv;
+        # and the third by its path, which no other entry takes.
+        monkeypatch.chdir(tmp_path)
+        manifest = national_manifest(fixtures)
+        crss = manifest["crash_sources"][0]
+        copies = []
+        for parent, key in zip(("", "x", "y"), ("crash_file", "vehicle_file", "person_file")):
+            copy = tmp_path / parent / "data" / "a.csv"
+            copy.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(crss[key], copy)
+            crss[key] = str(copy.relative_to(tmp_path) if parent == "" else copy)
+            copies.append(copy)
+        Path("manifest.json").write_text(json.dumps(manifest))
+        ds, = interchange.load_manifest("manifest.json")
+        code, _, err = run(capsys, "benchmark", "--manifest", "manifest.json",
+                           "--out", "out", "--quiet")
+        assert code == 0, err
+        inputs = provenance_inputs(tmp_path / "out" / "benchmark.json")
+        assert len(inputs) == len({Path("manifest.json"), *dataset_files(ds)})
+        assert [inputs[key] for key in ("a.csv", "data/a.csv", str(copies[2]))] == [
+            sha256(copy) for copy in copies]
 
 
 class TestConfigFile:
