@@ -9,7 +9,8 @@ The pseudorandom generator is part of the external contract: fixtures
 regenerate byte-identically from a seed, in any implementation of the
 same algorithm (splitmix64).  One 64-bit state word advances by the
 constant 0x9E3779B97F4A7C15 per draw and is finalized by two
-xor-shift-multiply rounds; uniform doubles take the top 53 bits.
+xor-shift-multiply rounds; uniform doubles take the top 53 bits:
+``random()`` is ``next_u64() >> 11`` over 2**53, worked out in one call.
 Derived sub-streams (one per Monte Carlo trial) are seeded from the
 finalizer applied to seed + k*GOLDEN so trials are order-independent.
 
@@ -18,12 +19,19 @@ sampler that follows the same stream contract: its count for trial k is
 bit-identical to ``poisson(SplitMix64(seed).derived(k), mean)``.  The
 scalar ``poisson`` stays as the written-down reference it is tested
 against.
+
+``generate`` draws from each mixture through a table of its running
+sums, built once per population and searched with ``bisect``; a table
+draw returns what a linear scan of the same running sums returns.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import ValidationError, _Ini, _opened
 from .model import (
@@ -60,8 +68,12 @@ class SplitMix64:
         return self._mix(self._state)
 
     def random(self) -> float:
-        """Uniform in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) / float(1 << 53)
+        """Uniform in [0, 1) with 53 bits of precision: ``next_u64() >> 11``
+        over 2**53, with the step and the finalizer inline."""
+        z = self._state = (self._state + _GOLDEN) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return ((z ^ (z >> 31)) >> 11) / 2.0**53
 
     def derived(self, k: int) -> "SplitMix64":
         """Independent stream k, a function of the original seed only."""
@@ -174,14 +186,13 @@ def _check_mixture(name: str, items: tuple[tuple[object, float], ...]) -> None:
         raise ValidationError(f"[{name}] mixture sums to {total!r}, expected 1")
 
 
-def _draw(rng: SplitMix64, items: tuple[tuple[object, float], ...]) -> object:
-    u = rng.random()
-    acc = 0.0
-    for value, p in items:
-        acc += p
-        if u < acc:
-            return value
-    return items[-1][0]
+def _table(items: tuple[tuple[object, float], ...]) -> tuple[list[float], list]:
+    """(sums, values) of a mixture: ``values[bisect_right(sums, u)]`` is
+    the first value whose running sum exceeds u, the one a linear scan
+    picks.  The last value is repeated for a u at or past the last sum,
+    which a mixture summing to 1 within rounding can leave."""
+    values = [value for value, _ in items]
+    return list(accumulate(p for _, p in items)), values + values[-1:]
 
 
 @dataclass(frozen=True)
@@ -307,30 +318,31 @@ class GroundTruth:
 # eligible-unit basis: only in-transport passenger and NFS units count,
 # matching the subset the benchmark retains; the crash-level folded flag
 # applies only when no unit rows exist at all.
-def _naive_has(crash: CrashEvent, units: tuple[VehicleInvolvement, ...],
-               level: SeverityLevel) -> bool:
+_INJURY = (Kabco.K, Kabco.A, Kabco.B, Kabco.C, Kabco.ISU)
+_SERIOUS = (Kabco.K, Kabco.A)
+_ELIGIBLE = (BodyClass.PASSENGER, BodyClass.VEHICLE_NFS)
+
+
+def _naive_levels(crash: CrashEvent,
+                  units: Sequence[VehicleInvolvement]) -> tuple[bool, ...]:
+    """Whether the crash qualifies at each of OBSERVED_LEVELS, in its order."""
     k = crash.max_kabco
-    if level is SeverityLevel.POLICE_REPORTED:
-        return True
-    if level is SeverityLevel.ANY_INJURY_REPORTED:
-        return k in (Kabco.K, Kabco.A, Kabco.B, Kabco.C, Kabco.ISU)
-    if level is SeverityLevel.SUSPECTED_SERIOUS_INJURY_PLUS:
-        return k in (Kabco.K, Kabco.A)
-    if level is SeverityLevel.FATAL:
-        return k is Kabco.K
-    if level in (SeverityLevel.TOW_AWAY, SeverityLevel.AIRBAG_DEPLOYED):
-        if not units:
-            return (crash.tow_away if level is SeverityLevel.TOW_AWAY
-                    else crash.airbag_deployed)
-        eligible = [
-            u for u in units
-            if u.in_transport
-            and u.body_class in (BodyClass.PASSENGER, BodyClass.VEHICLE_NFS)
-        ]
-        if level is SeverityLevel.TOW_AWAY:
-            return any(u.towed for u in eligible)
-        return any(u.airbag_deployed for u in eligible)
-    raise ValidationError(f"severity {level.value} is not observable")
+    if units:
+        tow = airbag = False
+        for u in units:
+            if u.in_transport and u.body_class in _ELIGIBLE:
+                tow = tow or u.towed
+                airbag = airbag or u.airbag_deployed
+    else:
+        tow, airbag = crash.tow_away, crash.airbag_deployed
+    return True, k in _INJURY, tow, airbag, k in _SERIOUS, k is Kabco.K
+
+
+def _naive_has(crash: CrashEvent, units: Sequence[VehicleInvolvement],
+               level: SeverityLevel) -> bool:
+    if level not in OBSERVED_LEVELS:
+        raise ValidationError(f"severity {level.value} is not observable")
+    return _naive_levels(crash, units)[OBSERVED_LEVELS.index(level)]
 
 
 def generate(
@@ -341,36 +353,40 @@ def generate(
     Draw order per crash is fixed (multiplicity, severity, road, weight,
     then body/towed/airbag per unit) so a seed pins the full output.
     """
-    rng = SplitMix64(spec.seed)
+    random = SplitMix64(spec.seed).random
+    count_sums, counts = _table(spec.multiplicity)
+    kabco_sums, kabcos = _table(spec.severity)
+    road_sums, roads = _table(spec.road)
+    body_sums, bodies = _table(spec.body)
+    unit_ids = [str(j + 1) for j in range(max(counts))]
     crashes: list[CrashEvent] = []
     vehicles: list[VehicleInvolvement] = []
-    sev_tally = {level: 0.0 for level in OBSERVED_LEVELS}
+    sev_tally = [0.0] * len(OBSERVED_LEVELS)
     body_tally = {body: 0.0 for body, _ in spec.body}
     weighted_crashes = 0.0
     weighted_vehicles = 0.0
     for i in range(spec.n_crashes):
         crash_id = f"S{i + 1:06d}"
-        count = _draw(rng, spec.multiplicity)
-        kabco = _draw(rng, spec.severity)
-        road = _draw(rng, spec.road)
+        count = counts[bisect_right(count_sums, random())]
+        kabco = kabcos[bisect_right(kabco_sums, random())]
+        road = roads[bisect_right(road_sums, random())]
         if spec.weights == "unit":
             weight = 1.0
         elif spec.weights == "integer":
-            weight = float(1 + int(rng.random() * 5.0))
+            weight = float(1 + int(random() * 5.0))
         else:
-            weight = 0.5 + 4.5 * rng.random()
-        units = []
-        for j in range(count):
-            units.append(
-                VehicleInvolvement(
-                    crash_id=crash_id,
-                    unit_id=str(j + 1),
-                    body_class=_draw(rng, spec.body),
-                    in_transport=True,
-                    towed=rng.random() < spec.tow_p,
-                    airbag_deployed=rng.random() < spec.airbag_p,
-                )
+            weight = 0.5 + 4.5 * random()
+        units = [
+            VehicleInvolvement(
+                crash_id=crash_id,
+                unit_id=unit_id,
+                body_class=bodies[bisect_right(body_sums, random())],
+                in_transport=True,
+                towed=random() < spec.tow_p,
+                airbag_deployed=random() < spec.airbag_p,
             )
+            for unit_id in unit_ids[:count]
+        ]
         crash = CrashEvent(
             crash_id=crash_id,
             source="synth",
@@ -388,16 +404,15 @@ def generate(
         weighted_vehicles += weight * count
         for unit in units:
             body_tally[unit.body_class] += weight
-        unit_tuple = tuple(units)
-        for level in OBSERVED_LEVELS:
-            if _naive_has(crash, unit_tuple, level):
+        for level, has in enumerate(_naive_levels(crash, units)):
+            if has:
                 sev_tally[level] += weight
     truth = GroundTruth(
         crash_count=len(crashes),
         vehicle_count=len(vehicles),
         weighted_crashes=weighted_crashes,
         weighted_vehicles=weighted_vehicles,
-        crashes_by_severity=tuple(sev_tally.items()),
+        crashes_by_severity=tuple(zip(OBSERVED_LEVELS, sev_tally)),
         units_by_body=tuple(body_tally.items()),
     )
     return tuple(crashes), tuple(vehicles), truth
@@ -427,7 +442,7 @@ def brute_force_tally(
     def eligible(crash: CrashEvent) -> bool:
         if road == "surface" and crash.road_class is not RoadClass.SURFACE_STREET:
             return False
-        return _naive_has(crash, tuple(units_of[crash.crash_id]), severity)
+        return _naive_has(crash, units_of[crash.crash_id], severity)
 
     if question == "crash_count":
         return sum(c.sample_weight for c in crashes if eligible(c))
@@ -487,7 +502,7 @@ def brute_force_tally(
         for crash in crashes:
             if road == "surface" and crash.road_class is not RoadClass.SURFACE_STREET:
                 continue
-            if not _naive_has(crash, tuple(units_of[crash.crash_id]), severity):
+            if not _naive_has(crash, units_of[crash.crash_id], severity):
                 continue
             crash_total += crash.sample_weight
             for unit in units_of[crash.crash_id]:

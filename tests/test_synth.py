@@ -1,7 +1,9 @@
 """Generator determinism and oracle agreement with the counting pipeline."""
 
+import hashlib
 import math
 import tracemalloc
+from bisect import bisect_right
 from dataclasses import replace
 
 import pytest
@@ -28,6 +30,7 @@ from crashbench.synth import (
     GroundTruth,
     PopulationSpec,
     SplitMix64,
+    _table,
     brute_force_tally,
     derived_poisson,
     generate,
@@ -80,6 +83,16 @@ class TestSplitMix64:
         assert SplitMix64(0).random() == (0xE220A8397B1DCDAF >> 11) / float(1 << 53)
         rng = SplitMix64(99)
         assert all(0.0 <= rng.random() < 1.0 for _ in range(1000))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_random_is_next_u64_over_two_to_the_53(self, seed):
+        # random() works the step and the finalizer out in one call; it
+        # must stay the written-down next_u64() >> 11 over 2**53, and leave
+        # the state where next_u64() would.
+        fast, reference = SplitMix64(seed), SplitMix64(seed)
+        assert [fast.random() for _ in range(10_000)] == [
+            (reference.next_u64() >> 11) / 2**53 for _ in range(10_000)]
+        assert fast.next_u64() == reference.next_u64()
 
     def test_seed_pins_sequence(self):
         a = [SplitMix64(7).next_u64() for _ in range(5)]
@@ -234,6 +247,53 @@ class TestPopulationSpec:
         assert str(caught.value).startswith(f"population spec {path}: {message}")
 
 
+def scan(items, u):
+    """The linear scan of running sums that the mixture table replaces."""
+    acc = 0.0
+    for value, p in items:
+        acc += p
+        if u < acc:
+            return value
+    return items[-1][0]
+
+
+class TestMixtureTable:
+    # The fixture mixtures, one with zero-probability entries (equal
+    # running sums) and one summing to 1 - 5e-10, which PopulationSpec
+    # accepts and which leaves draws in [last sum, 1).
+    SHORT = ((1, 0.5), (2, 0.3), (3, 0.2 - 5e-10))
+    MIXTURES = [
+        ((1, 0.45), (2, 0.40), (3, 0.15)),
+        ((Kabco.O, 0.60), (Kabco.C, 0.20), (Kabco.B, 0.12), (Kabco.A, 0.05),
+         (Kabco.K, 0.03)),
+        ((BodyClass.PASSENGER, 0.78), (BodyClass.VEHICLE_NFS, 0.10),
+         (BodyClass.OTHER_VEHICLE, 0.08), (BodyClass.NON_VEHICLE, 0.04)),
+        ((RoadClass.SURFACE_STREET, 0.0), (RoadClass.EXCLUDED_HIGHWAY, 0.7),
+         (RoadClass.UNKNOWN, 0.0), (RoadClass.SURFACE_STREET, 0.3)),
+        SHORT,
+    ]
+
+    @pytest.mark.parametrize("items", MIXTURES)
+    def test_table_draw_is_the_linear_scan_at_every_boundary(self, items):
+        sums, values = _table(items)
+        draws = [0.0]
+        for running in sums:
+            draws += [math.nextafter(running, 0.0), running,
+                      math.nextafter(running, 1.0)]
+        for u in draws:
+            if u < 1.0:
+                assert values[bisect_right(sums, u)] is scan(items, u), u
+
+    def test_draw_past_the_last_sum_is_the_last_value(self):
+        replace(population(0), multiplicity=self.SHORT)  # an accepted mixture
+        sums, values = _table(self.SHORT)
+        last = sums[-1]
+        assert last < 1.0
+        for u in (last, math.nextafter(last, 1.0), (last + 1.0) / 2,
+                  math.nextafter(1.0, 0.0)):
+            assert values[bisect_right(sums, u)] == scan(self.SHORT, u) == 3
+
+
 @pytest.fixture(scope="module")
 def fixture_population(fixtures):
     spec = PopulationSpec.from_config(
@@ -269,6 +329,37 @@ class TestGenerate:
             "passenger": 177.0, "vehicle_nfs": 26.0,
             "other_vehicle": 7.0, "non_vehicle": 10.0,
         }
+
+    @pytest.mark.parametrize("weights, seed, digests", [
+        ("unit", 1, ("2f3ef9022133d819", "3b02750cd137c0cc", "4bfc40e74752f622")),
+        ("unit", 0x2A, ("1cc248667de6899f", "fea378462e372986", "c77a0a5fc01a281e")),
+        ("unit", 2**64 - 1, ("5c91614708dad240", "8f06514d694b0a02", "db905ff15292a952")),
+        ("integer", 1, ("66410d7e3669a514", "90279d26ee9e0bbc", "8839f61411fd691a")),
+        ("integer", 0x2A, ("c464b3210a4c741a", "796a20e3a7161d64", "54f74fc7dda02096")),
+        ("integer", 2**64 - 1, ("d98de7960419ae79", "a929d79413221d77", "c9403a6c0127ea45")),
+        ("real", 1, ("d27ffa8c554a40de", "90279d26ee9e0bbc", "7a57fd761e63dbe9")),
+        ("real", 0x2A, ("c25f0e9792051251", "796a20e3a7161d64", "3b2c81b56d877257")),
+        ("real", 2**64 - 1, ("033e22450a2d64cf", "a929d79413221d77", "86c851768d216737")),
+    ])
+    def test_pinned_populations(self, fixtures, weights, seed, digests):
+        # The fixture mixture at 3000 crashes: every record's canonical row
+        # and the truth's repr, pinned by digest, so a faster generator
+        # must give the very same population, not only the same tallies.
+        from crashbench import interchange
+
+        spec = replace(PopulationSpec.from_config(
+            str(fixtures / "synth" / "mixed_population.ini")),
+            n_crashes=3000, weights=weights, seed=seed)
+        crashes, vehicles, truth = generate(spec)
+
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+        def rows(table, records):
+            return "\n".join(",".join(row) for row in interchange.encode(table, records))
+
+        assert (digest(rows("crashes", crashes)), digest(rows("vehicles", vehicles)),
+                digest(repr(truth))) == digests
 
     def test_record_shape(self, fixture_population):
         crashes, vehicles, _ = fixture_population

@@ -1,9 +1,10 @@
-"""Scale curves of ``crashbench report`` and ``crashbench ingest``.
+"""Scale curves of ``crashbench report``, ``ingest`` and ``synth``.
 
     python3 tools/scale_curve.py
     python3 tools/scale_curve.py --tree parent=../parent/src --tree change=src
     python3 tools/scale_curve.py --curve ingest --tree parent=../parent/src --tree change=src
     python3 tools/scale_curve.py --curve ingest_wide --tree parent=../parent/src --tree change=src
+    python3 tools/scale_curve.py --curve synth --tree parent=../parent/src --tree change=src
 
 The report curve runs ``crashbench report --manifest M`` in a child
 process on perfbench's canonical_report population
@@ -14,9 +15,12 @@ ids), with the replica count scaled to about 10^4, 10^5 and 10^6 raw
 crash rows.  The ingest_wide curve runs it on the same inputs with
 ``FILLERS`` deterministic columns that no spec reads appended to every
 raw crash, vehicle and person file, as real extracts carry dozens of
-columns, at 10^4 and 10^5.  Every run of an ingest curve at one size
-must write the same canonical CSVs, and those of ingest_wide must equal
-those of one untimed ingest run of the first tree on the narrow inputs.
+columns, at 10^4 and 10^5.  The synth curve runs ``crashbench synth
+--spec S`` on a copy of ``tests/fixtures/synth/mixed_population.ini``
+with ``n_crashes`` set to 10^4, 10^5 and 10^6 and the seed to the
+curve's.  Every run of an ingest or synth curve at one size must write
+the same CSVs, and those of ingest_wide must equal those of one untimed
+ingest run of the first tree on the narrow inputs.
 Each ``--tree LABEL=SRC`` names a source tree to measure (default
 ``change=`` this checkout's ``src``).  At each size every tree runs once
 per repeat, three repeats on seed 1, and the tree that goes first
@@ -56,6 +60,7 @@ import json
 import multiprocessing
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -70,14 +75,23 @@ SIZES = (10_000, 100_000, 1_000_000)
 SEED = 1
 REPEATS = 3          # runs per size; the entry keeps each run and the median
 # Curve -> (the command it times, the perfbench workload whose inputs it
-# reads, filler columns appended to each raw crash, vehicle and person file,
-# sizes).  The wide curve stops at 10^5: at 10^6 its inputs take 1.1 GB of
-# disk, and a tree that holds each kept crash's raw row read 333 MiB at 10^5.
+# reads or "synth" for a population spec, filler columns appended to each
+# raw crash, vehicle and person file, sizes).  The wide curve stops at
+# 10^5: at 10^6 its inputs take 1.1 GB of disk, and a tree that holds each
+# kept crash's raw row read 333 MiB at 10^5.
 FILLERS = 60
 CURVES = {"report": ("report", "canonical_report", 0, SIZES),
           "ingest": ("ingest", "raw_ingest", 0, SIZES),
-          "ingest_wide": ("ingest", "raw_ingest", FILLERS, SIZES[:2])}
-CANONICAL = ("crashes.csv", "vehicles.csv", "persons.csv", "mileage.csv")
+          "ingest_wide": ("ingest", "raw_ingest", FILLERS, SIZES[:2]),
+          "synth": ("synth", "synth", 0, SIZES)}
+# Command -> (the option it reads its input through, that option's name in
+# an entry's "command", the file the option names, the CSVs every run at
+# one size must write alike).
+INPUT = {"report": ("--manifest", "M", "manifest.json", ()),
+         "ingest": ("--manifest", "M", "manifest.json",
+                    ("crashes.csv", "vehicles.csv", "persons.csv", "mileage.csv")),
+         "synth": ("--spec", "S", "spec.ini", ("crashes.csv", "vehicles.csv"))}
+SYNTH_SPEC = ROOT / "tests" / "fixtures" / "synth" / "mixed_population.ini"
 
 
 def build_inputs(curve: str, seed: int, n_crashes: int) -> Path:
@@ -87,7 +101,7 @@ def build_inputs(curve: str, seed: int, n_crashes: int) -> Path:
     _, workload, fillers, _ = CURVES[curve]
     wide = f"_wide{fillers}" if fillers else ""
     out = WORK_DIR / f"{workload}{wide}-seed{seed}-n{n_crashes}"
-    if not (out / "manifest.json").is_file():
+    if not (out / "inputs.json").is_file():
         proc = multiprocessing.get_context("spawn").Process(
             target=_build, args=(workload, seed, n_crashes, out, fillers))
         proc.start()
@@ -98,6 +112,15 @@ def build_inputs(curve: str, seed: int, n_crashes: int) -> Path:
 
 
 def _build(workload: str, seed: int, n_crashes: int, out: Path, fillers: int) -> None:
+    partial = out.with_name(out.name + ".partial")
+    shutil.rmtree(partial, ignore_errors=True)
+    partial.mkdir(parents=True)
+    if workload == "synth":
+        _synth_spec(partial / "spec.ini", seed, n_crashes)
+        summary = {"spec": "spec.ini", "rows": {"crashes": n_crashes}}
+        (partial / "inputs.json").write_text(json.dumps(summary, sort_keys=True) + "\n")
+        partial.rename(out)
+        return
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import inputs
     from spans import NullRecorder
@@ -110,9 +133,6 @@ def _build(workload: str, seed: int, n_crashes: int, out: Path, fillers: int) ->
     else:
         scaled = {"n_crashes": n_crashes}
     inputs.SIZES[size] = {**inputs.SIZES["full"], **scaled}
-    partial = out.with_name(out.name + ".partial")
-    shutil.rmtree(partial, ignore_errors=True)
-    partial.mkdir(parents=True)
     summary = inputs.BUILDERS[workload](partial, seed, size, NullRecorder())
     if fillers:
         for _, _, files in inputs.RAW_SOURCES:
@@ -120,6 +140,16 @@ def _build(workload: str, seed: int, n_crashes: int, out: Path, fillers: int) ->
                 _widen(partial / name, fillers)
     (partial / "inputs.json").write_text(json.dumps(summary, sort_keys=True) + "\n")
     partial.rename(out)
+
+
+def _synth_spec(path: Path, seed: int, n_crashes: int) -> None:
+    """The fixture population spec with its size and seed replaced."""
+    text = SYNTH_SPEC.read_text(encoding="utf-8")
+    for key, value in (("n_crashes", n_crashes), ("seed", seed)):
+        text, found = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        if found != 1:
+            raise SystemExit(f"{SYNTH_SPEC}: expected one '{key} = ' line, found {found}")
+    path.write_text(text, encoding="utf-8")
 
 
 def _widen(path: Path, fillers: int) -> None:
@@ -164,26 +194,29 @@ def reference_sample() -> tuple[float, float]:
     return reference_s, seconds
 
 
-def run_cli(src: Path, command: str, manifest: Path, out: Path) -> tuple[float, float]:
-    """Wall seconds and peak RSS (MiB) of one ``command`` child."""
+def run_cli(src: Path, command: str, inputs_dir: Path, out: Path) -> tuple[float, float]:
+    """Wall seconds and peak RSS (MiB) of one ``command`` child on the
+    input file it reads from ``inputs_dir``."""
     shutil.rmtree(out, ignore_errors=True)
+    option, _, name, _ = INPUT[command]
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
     started = time.perf_counter()
     proc = subprocess.Popen(
-        [sys.executable, "-m", "crashbench.cli", command, "--manifest", str(manifest),
+        [sys.executable, "-m", "crashbench.cli", command, option, str(inputs_dir / name),
          "--out", str(out), "--quiet"], env=env, stderr=subprocess.PIPE)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - started
     if os.waitstatus_to_exitcode(status) != 0:
-        raise SystemExit(f"{command} failed on {manifest}: {proc.stderr.read().decode()}")
+        raise SystemExit(f"{command} failed on {inputs_dir / name}: "
+                         f"{proc.stderr.read().decode()}")
     proc.stderr.close()
     return wall, usage.ru_maxrss / 1024.0
 
 
-def canonical_digests(out: Path) -> dict[str, str]:
-    """The SHA-256 of each canonical CSV an ingest run wrote to ``out``."""
+def canonical_digests(command: str, out: Path) -> dict[str, str]:
+    """The SHA-256 of each CSV an ingest or synth run wrote to ``out``."""
     digests = {}
-    for name in CANONICAL:
+    for name in INPUT[command][3]:
         digest = hashlib.sha256()
         with open(out / name, "rb") as handle:     # in chunks: this process stays small
             for chunk in iter(lambda: handle.read(1 << 20), b""):
@@ -226,6 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("each --tree needs its own LABEL")
 
     command, _, fillers, sizes = CURVES[args.curve]
+    option, metavar, _, _ = INPUT[command]
     out = WORK_DIR / "out"
     runs: dict[str, list] = {label: [] for label in trees}
     for n_crashes in sizes:
@@ -235,20 +269,19 @@ def main(argv: list[str] | None = None) -> int:
         order = list(trees)
         expected = None         # the canonical CSVs each ingest run must write
         if fillers:
-            run_cli(trees[order[0]], command,
-                    build_inputs(command, SEED, n_crashes) / "manifest.json", out)
-            expected = canonical_digests(out)
+            run_cli(trees[order[0]], command, build_inputs(command, SEED, n_crashes), out)
+            expected = canonical_digests(command, out)
         for repeat in range(REPEATS):
             first = repeat % len(order)
             for label in order[first:] + order[:first]:
                 reference_s, loop = reference_sample()
-                samples[label].append((*run_cli(trees[label], command,
-                                                inputs_dir / "manifest.json", out), loop))
-                if command == "ingest":
-                    written = canonical_digests(out)
+                samples[label].append((*run_cli(trees[label], command, inputs_dir, out),
+                                       loop))
+                if INPUT[command][3]:
+                    written = canonical_digests(command, out)
                     if expected is not None and written != expected:
                         raise SystemExit(f"{label}: {args.curve} at {n_crashes} crashes "
-                                         f"wrote other canonical CSVs than the first run"
+                                         f"wrote other CSVs than the first run"
                                          + (" on the narrow inputs" if fillers else ""))
                     expected = written
         size_loop = statistics.median(loop for taken in samples.values()
@@ -282,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
             "cpus": os.cpu_count(),
             "seed": SEED,
             "curve": args.curve,
-            "command": f"crashbench {command} --manifest M --quiet",
+            "command": f"crashbench {command} {option} {metavar} --quiet",
             "runs": runs[label],
         })
     OUT.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
