@@ -117,8 +117,8 @@ def _build(workload: str, seed: int, n_crashes: int, out: Path, fillers: int) ->
     partial.mkdir(parents=True)
     if workload == "synth":
         _synth_spec(partial / "spec.ini", seed, n_crashes)
-        summary = {"spec": "spec.ini", "rows": {"crashes": n_crashes}}
-        (partial / "inputs.json").write_text(json.dumps(summary, sort_keys=True) + "\n")
+        (partial / "inputs.json").write_text(
+            json.dumps({"rows": {"crashes": n_crashes}}) + "\n")
         partial.rename(out)
         return
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -259,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("each --tree needs its own LABEL")
 
     command, _, fillers, sizes = CURVES[args.curve]
-    option, metavar, _, _ = INPUT[command]
+    option, metavar, _, written_csvs = INPUT[command]
     out = WORK_DIR / "out"
     runs: dict[str, list] = {label: [] for label in trees}
     for n_crashes in sizes:
@@ -267,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         summary = json.loads((inputs_dir / "inputs.json").read_text(encoding="utf-8"))
         samples: dict[str, list] = {label: [] for label in trees}
         order = list(trees)
-        expected = None         # the canonical CSVs each ingest run must write
+        expected = None         # the CSVs each ingest or synth run must write
         if fillers:
             run_cli(trees[order[0]], command, build_inputs(command, SEED, n_crashes), out)
             expected = canonical_digests(command, out)
@@ -277,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
                 reference_s, loop = reference_sample()
                 samples[label].append((*run_cli(trees[label], command, inputs_dir, out),
                                        loop))
-                if INPUT[command][3]:
+                if written_csvs:
                     written = canonical_digests(command, out)
                     if expected is not None and written != expected:
                         raise SystemExit(f"{label}: {args.curve} at {n_crashes} crashes "
