@@ -387,6 +387,11 @@ def generate(
             )
             for unit_id in unit_ids[:count]
         ]
+        towed = airbag = False
+        for unit in units:
+            body_tally[unit.body_class] += weight
+            towed = towed or unit.towed
+            airbag = airbag or unit.airbag_deployed
         crash = CrashEvent(
             crash_id=crash_id,
             source="synth",
@@ -395,15 +400,13 @@ def generate(
             road_class=road,
             sample_weight=weight,
             max_kabco=kabco,
-            tow_away=any(u.towed for u in units),
-            airbag_deployed=any(u.airbag_deployed for u in units),
+            tow_away=towed,
+            airbag_deployed=airbag,
         )
         crashes.append(crash)
         vehicles.extend(units)
         weighted_crashes += weight
         weighted_vehicles += weight * count
-        for unit in units:
-            body_tally[unit.body_class] += weight
         for level, has in enumerate(_naive_levels(crash, units)):
             if has:
                 sev_tally[level] += weight
