@@ -394,10 +394,10 @@ def cmd_ingest(args) -> int:
         target.mkdir(parents=True, exist_ok=True)
         with errors._reading():
             dataset = load_dataset(ds)
-            rows = dataset_rows(dataset)
+            runs = dataset_rows(dataset)
             provenance = _provenance(effective)
-        for table, table_rows in rows.items():
-            write_rows(target / f"{table}.csv", table, table_rows)
+        for table, table_runs in runs.items():
+            write_rows(target / f"{table}.csv", table, table_runs)
         write_mileage(target / "mileage.csv", dataset.mileage)
         audit = {
             "provenance": provenance,
@@ -409,7 +409,7 @@ def cmd_ingest(args) -> int:
             "sources": dataset.source_audits,
             "diagnostics": dict(sorted(dataset.records.diagnostics.items())),
             "records": {
-                **{table: len(table_rows) for table, table_rows in rows.items()},
+                **{table: sum(map(len, table_runs)) for table, table_runs in runs.items()},
                 "mileage_cells": len(dataset.mileage),
             },
             "caveats": list(dataset.records.caveats),

@@ -5,6 +5,7 @@ import configparser
 import csv
 import io
 import json
+import os
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -56,6 +57,13 @@ def _opened(source, label: str):
             while size := raw.readinto(chunk):
                 digest.update(memoryview(chunk)[:size])
         _record[str(path)] = digest.hexdigest()
+
+
+def _ends_a_line(handle) -> bool:
+    """Whether the file that ``handle`` (from ``_opened``) reads, not empty
+    and read to its end, ends with a line ending."""
+    handle.buffer.seek(-1, os.SEEK_END)
+    return handle.buffer.read(1) in (b"\n", b"\r")
 
 
 # The sha256 of each file read without fault while a recording is open, by path.

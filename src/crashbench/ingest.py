@@ -13,7 +13,8 @@ Raw tables are streamed as positional rows with the semantics of
 ``csv.DictReader``: blank lines are skipped, a short row is padded with
 nulls (a missing cell is null, so rules over it evaluate to unknown),
 extra cells are ignored, and a header name that appears twice resolves
-to its last column.  Each row comes with the physical line it ends on,
+to its last column.  A short last row with no line ending is a file cut
+short, and an error.  Each row comes with the physical line it ends on,
 which errors name.  A kept crash row is checked as it is read, and no
 raw row is held: until its vehicle and person files are read, a kept
 crash holds its id, its weight cell and the memoized road class, KABCO
@@ -26,6 +27,13 @@ those cells, and the memo holds the canonical cells it gives.  Warnings
 are still counted once per row.  A column is required because the
 reader reads it: every header of a source is checked for all of them
 before its first row is read.
+
+``load_dataset`` loads each raw source in its own forked worker process,
+at most one per available CPU at a time, and takes their rows, sorted
+into one run per table, and the digests of the files they read back
+over a pipe in manifest order; so this process never holds a loader's
+working state, and errors are raised as a load in turn would raise
+them.
 
 Canonical sources are not normalized again: their crash, vehicle and
 person tables are folded into per-crash columns as they are read
@@ -47,14 +55,21 @@ asks for them.
 from __future__ import annotations
 
 import csv
-from collections import Counter
+import os
+import pickle
+import signal
+import threading
+from collections import Counter, deque
+from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
-from .errors import ReferentialError, SchemaError, ValidationError, _opened
-from . import interchange
+from . import errors, interchange
+from .errors import (
+    ReferentialError, SchemaError, ValidationError, _ends_a_line, _opened)
 from .filters import CrashColumns, Subset
 from .interchange import FLAG
 from .model import (
@@ -83,18 +98,21 @@ def _no_rows() -> dict[str, list]:
     return {table: [] for table in _TABLES}
 
 
-def _in_memory(rows: dict[str, list], table: str) -> interchange.Rows:
-    return interchange.Rows(f"canonical {table} rows", rows[table])
+def _in_memory(rows: list, table: str) -> interchange.Rows:
+    return interchange.Rows(f"canonical {table} rows", rows)
 
 
 class _RowRecords:
-    """Records decoded from canonical ``rows`` when a caller asks for them,
-    through each table's decoders and record constructors."""
+    """Records decoded from canonical rows (each table's ``_runs``) when a
+    caller asks for them, through each table's decoders and record
+    constructors."""
 
-    rows: dict[str, list]
+    def _runs(self, table: str) -> list[list]:
+        raise NotImplementedError
 
     def _records(self, table: str) -> list:
-        return interchange.read_records(_in_memory(self.rows, table), table)
+        return [record for run in self._runs(table)
+                for record in interchange.read_records(_in_memory(run, table), table)]
 
     @property
     def crashes(self) -> list[CrashEvent]:
@@ -114,11 +132,13 @@ class LoadResult(_RowRecords):
     """Canonical rows from one crash source, plus row accounting.
 
     A raw source gives canonical rows per table (``interchange``'s
-    header order, in input order); a canonical source is folded into
-    per-crash columns as it is read (``folded``) and gives none.  The
-    flags mirror what the source can support downstream: whether tow
-    status is known per unit or only per crash, whether airbag flags are
-    populated on units, and whether sample weights are meaningful.
+    header order), in input order from ``load_crash_source`` and sorted
+    on each table's key (``interchange.sort_rows``) from ``load_dataset``;
+    a canonical source is folded into per-crash columns as it is read
+    (``folded``) and gives none.  The flags mirror what the source can
+    support downstream: whether tow status is known per unit or only per
+    crash, whether airbag flags are populated on units, and whether
+    sample weights are meaningful.
     """
 
     tag: str
@@ -132,20 +152,40 @@ class LoadResult(_RowRecords):
     caveats: tuple[str, ...] = ()
     folded: CrashColumns = field(default_factory=CrashColumns)
 
+    def _runs(self, table: str) -> list[list]:
+        return [self.rows[table]]
+
 
 def _lines(path: Path, label: str) -> Iterator:
-    """A raw CSV file's header, then (line, row) per row that is not blank."""
+    """A raw CSV file's header, then (line, row) per row that is not blank.
+
+    A row short of cells is padded with nulls, unless it is the last row
+    and the file ends without a line ending: a file cut in its last row.
+    So a short row is held until the reader has read on.
+    """
     with _opened(path, f"{label} file") as handle:
         reader = csv.reader(handle, strict=True)
         header = next(reader, [])
         yield header
         width = len(header)
+        short = None        # (line, padded row) of a short row not yet given
         for row in reader:
+            if short is not None:
+                yield short
+                short = None
             if len(row) < width:
                 if not row:
                     continue
-                row += [None] * (width - len(row))
+                short = reader.line_num, row + [None] * (width - len(row))
+                continue
             yield reader.line_num, row
+        if short is not None:
+            if not _ends_a_line(handle):
+                cells = width - short[1].count(None)
+                raise ValidationError(
+                    f"{label} file {path}:{short[0]}: last row cut short: {cells} of "
+                    f"{width} cells and no line ending")
+            yield short
 
 
 class _RawFile:
@@ -518,11 +558,12 @@ def _classify_body(spec: SchemaSpec, row: dict, diagnostics: Counter) -> BodyCla
 
 @dataclass
 class CombinedRecords(_RowRecords):
-    """The raw sources' canonical rows merged across a dataset, in input
-    order, and the canonical sources' crashes, folded into columns as
+    """The sources' canonical rows across a dataset, one run per source and
+    table in input order (``runs``, each sorted where ``load_dataset``
+    loaded it), and the canonical sources' crashes, folded into columns as
     they were read."""
 
-    rows: dict[str, list]
+    runs: dict[str, list[list]]
     diagnostics: Counter
     unit_tow_flags: bool
     unit_airbag_flags: bool
@@ -530,15 +571,19 @@ class CombinedRecords(_RowRecords):
     caveats: tuple[str, ...]
     folded: CrashColumns = field(default_factory=CrashColumns)
 
+    def _runs(self, table: str) -> list[list]:
+        return self.runs[table]
+
     def classify(self, region: Region, year: int) -> Subset:
         """The all-roads subset of every crash of ``region`` and ``year``:
-        the canonical sources' columns, and the raw sources' rows folded
-        by the fold that reads canonical files."""
+        the canonical sources' columns, and each source's rows folded by
+        the fold that reads canonical files."""
         parts = [self.folded]
-        if self.rows["crashes"]:
-            fold = interchange.read_crashes(_in_memory(self.rows, "crashes"), region, year)
-            interchange.read_vehicles(_in_memory(self.rows, "vehicles"), fold)
-            parts.append(fold.columns)
+        for crashes, vehicles in zip(self.runs["crashes"], self.runs["vehicles"]):
+            if crashes:
+                fold = interchange.read_crashes(_in_memory(crashes, "crashes"), region, year)
+                interchange.read_vehicles(_in_memory(vehicles, "vehicles"), fold)
+                parts.append(fold.columns)
         return Subset.classify(
             CrashColumns.concat(parts),
             tow_from_units=self.unit_tow_flags, airbag_from_units=self.unit_airbag_flags,
@@ -553,9 +598,10 @@ def combine_sources(loads: list[tuple[str, LoadResult]]) -> CombinedRecords:
     fatal-role source only its fatal ones, read from the ``max_kabco``
     cell of its crash rows or its folded columns, so a sampled non-fatal
     database and a fatal census can cover one region without double
-    counting.  A crash id may appear in one source only.
+    counting.  A crash id may appear in one source only.  Each source's
+    rows stay one run per table, in the order given.
     """
-    rows = _no_rows()
+    runs = _no_rows()
     folded: list[CrashColumns] = []
     diagnostics: Counter = Counter()
     seen_ids: dict[str, str] = {}
@@ -582,10 +628,10 @@ def combine_sources(loads: list[tuple[str, LoadResult]]) -> CombinedRecords:
                 )
             seen_ids.update(dict.fromkeys(ids, load.tag))
         for table in _TABLES:
-            rows[table].extend(kept[table])
+            runs[table].append(kept[table])
         folded.append(columns)
     return CombinedRecords(
-        rows=rows, diagnostics=diagnostics,
+        runs=runs, diagnostics=diagnostics,
         unit_tow_flags=all(load.tow_level == "vehicle" for _, load in loads),
         unit_airbag_flags=all(load.airbag_units for _, load in loads),
         weighted=any(load.weighted for _, load in loads),
@@ -721,28 +767,116 @@ def _load_canonical_source(ref: interchange.CrashSourceRef, region: Region,
     )
 
 
+def _load_raw_source(ref: interchange.CrashSourceRef, region: Region,
+                     year: int) -> LoadResult:
+    """One raw source through ``load_crash_source``, each table's rows
+    sorted on its key into one run."""
+    load = load_crash_source(
+        load_schema(ref.spec), ref.crash_file, ref.vehicle_file, ref.person_file,
+        region=region, year=year, region_filter=ref.region_filter,
+    )
+    for table, rows in load.rows.items():
+        interchange.sort_rows(table, rows)
+    return load
+
+
+def _start_worker(ref: interchange.CrashSourceRef, region: Region,
+                  year: int) -> tuple[int, BinaryIO]:
+    """Fork a worker process that loads ``ref`` (``_load_raw_source``) and
+    pickles to a pipe its LoadResult and the digests its reads recorded
+    (``errors._record``), or the exception it raised: (its pid, the
+    pipe's read end)."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_end)
+        return pid, os.fdopen(read_end, "rb")
+    code = 1
+    try:
+        os.close(read_end)
+        with os.fdopen(write_end, "wb") as pipe:
+            try:
+                outcome = _load_raw_source(ref, region, year), errors._record
+            except Exception as exc:
+                outcome = exc
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _raw_loads(refs: list[interchange.CrashSourceRef], region: Region,
+               year: int) -> Iterator[LoadResult]:
+    """Each raw source's LoadResult (``_load_raw_source``), in the order of
+    ``refs``.  Each source loads in its own forked worker process, with at
+    most one worker per available CPU alive at a time, and the digests
+    its reads recorded join the open recording; an exception it raised is
+    raised here, in its turn.  Every worker is reaped however this ends.
+    Where there is no ``os.fork``, or other threads run (a forked child
+    of a threaded process can deadlock), the sources load in this
+    process."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        for ref in refs:
+            yield _load_raw_source(ref, region, year)
+        return
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    waiting = iter(refs)
+    running: deque = deque()      # (ref, pid, pipe) of each worker not reaped, in order
+    try:
+        for _ in refs:
+            for ref in islice(waiting, cpus - len(running)):
+                running.append((ref, *_start_worker(ref, region, year)))
+            ref, pid, pipe = running[0]
+            try:
+                with pipe:
+                    outcome = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                outcome = None      # the worker ended before it wrote a whole result
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.popleft()
+            if outcome is None:
+                how = f"killed by signal {-code}" if code < 0 else f"ended with exit code {code}"
+                raise RuntimeError(
+                    f"crash source {ref.spec} ({ref.crash_file}): its worker process "
+                    f"{how} before it returned its rows")
+            if isinstance(outcome, Exception):
+                raise outcome
+            load, record = outcome
+            if errors._record is not None:
+                errors._record.update(record)
+            yield load
+    finally:
+        for _, pid, pipe in running:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def load_dataset(manifest: interchange.DatasetManifest) -> DatasetRecords:
-    """Load and merge every source named by one dataset manifest."""
+    """Load and merge every source named by one dataset manifest.
+
+    Raw sources load in worker processes (``_raw_loads``) and canonical
+    ones in this process; loads are taken in manifest order, so the first
+    bad source is the one reported."""
     loads: list[tuple[str, LoadResult]] = []
     audits: list[dict] = []
-    for ref in manifest.crash_sources:
-        if ref.spec == CANONICAL_SPEC:
-            load = _load_canonical_source(ref, manifest.region, manifest.year)
-        else:
-            load = load_crash_source(
-                load_schema(ref.spec), ref.crash_file, ref.vehicle_file,
-                ref.person_file, region=manifest.region, year=manifest.year,
-                region_filter=ref.region_filter,
-            )
-        loads.append((ref.role, load))
-        audits.append({
-            "spec": ref.spec,
-            "role": ref.role,
-            "rows_in": load.rows_in,
-            "records": load.records,
-            "diagnostics": dict(sorted(load.diagnostics.items())),
-            "caveats": list(load.caveats),
-        })
+    region, year = manifest.region, manifest.year
+    raw = _raw_loads([ref for ref in manifest.crash_sources if ref.spec != CANONICAL_SPEC],
+                     region, year)
+    with closing(raw):
+        for ref in manifest.crash_sources:
+            load = (_load_canonical_source(ref, region, year) if ref.spec == CANONICAL_SPEC
+                    else next(raw))
+            loads.append((ref.role, load))
+            audits.append({
+                "spec": ref.spec,
+                "role": ref.role,
+                "rows_in": load.rows_in,
+                "records": load.records,
+                "diagnostics": dict(sorted(load.diagnostics.items())),
+                "caveats": list(load.caveats),
+            })
     records = combine_sources(loads)
 
     cells: list[MileageCell] = []
@@ -783,23 +917,26 @@ def _canonical_rows(ref: interchange.CrashSourceRef, region: Region,
     files = zip(_TABLES, (ref.crash_file, ref.vehicle_file, ref.person_file))
     rows = {table: interchange.encode(table, interchange.read_records(path, table))
             for table, path in files if path is not None}
-    kept = interchange.read_crashes(_in_memory(rows, "crashes"), region, year).index
+    kept = interchange.read_crashes(_in_memory(rows["crashes"], "crashes"), region, year).index
     return LoadResult(tag=CANONICAL_SPEC, rows={
-        table: [row for row in rows.get(table, ()) if row[0] in kept] for table in _TABLES})
+        table: interchange.sort_rows(table, [row for row in rows.get(table, ())
+                                             if row[0] in kept])
+        for table in _TABLES})
 
 
-def dataset_rows(dataset: DatasetRecords) -> dict[str, list]:
+def dataset_rows(dataset: DatasetRecords) -> dict[str, list[list]]:
     """Every crash, vehicle and person row of ``dataset`` by table, as
+    sorted runs (``interchange.write_rows``), one per source, as
     ``ingest`` writes them.  ``load_dataset`` has checked, filtered and
     counted every source, but folds a canonical source into columns
     without rows; so the canonical sources are read again here as
     records and encoded to rows.  Each source keeps the rows of the
     crashes that the fold of its own crash rows keeps, and its role's
-    crashes, and they are added to the raw sources' rows."""
+    crashes, and they are added to the raw sources' runs."""
     manifest = dataset.manifest
     canonical = combine_sources([
         (ref.role, _canonical_rows(ref, manifest.region, manifest.year))
         for ref in manifest.crash_sources if ref.spec == CANONICAL_SPEC
     ])
     raw = dataset.records
-    return {table: raw.rows[table] + canonical.rows[table] for table in _TABLES}
+    return {table: raw.runs[table] + canonical.runs[table] for table in _TABLES}

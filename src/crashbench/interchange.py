@@ -7,12 +7,14 @@ and floats with repr so that a write/read/write cycle is byte-identical.
 A canonical row is a tuple of the cells a table's file holds, in header
 order, as text.  Each table is declared once: header, the columns it
 sorts on, one encoder from a record to its row, and one decoder per
-record field.  There is one writer, ``write_rows``: it sorts rows on the
-table's sort columns.  Raw sources load straight to rows
-(``ingest.load_crash_source``); ``write_crashes`` and the other record
-writers encode, then call it.  Crash, vehicle and person keys are
-unique, and mileage rows, whose key cells two rows may share, sort on
-all their cells, so no file shows the order its rows were given in.
+record field.  There is one writer, ``write_rows``: it takes rows as
+runs, each sorted on the table's sort columns (``sort_rows``), and
+merges them.  Raw sources load straight to rows
+(``ingest.load_crash_source``) and give one run each; ``write_crashes``
+and the other record writers encode, sort their one run, then call it.
+Crash, vehicle and person keys are unique, and mileage rows, whose key
+cells two rows may share, sort on all their cells, so no file shows the
+order its rows were given in.
 
 Rows are read from a file or taken from memory (``Rows``) alike.
 ``read_records`` builds each record through its constructor, so the
@@ -39,10 +41,12 @@ does not shift the lines named after it.
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -148,14 +152,35 @@ _TABLES = {"crashes": _CRASHES, "vehicles": _VEHICLES, "persons": _PERSONS,
            "mileage": _MILEAGE}
 
 
-def write_rows(path: str | Path, table: str, rows: Iterable[Sequence[str]]) -> None:
-    """The one canonical writer: ``rows`` of ``table`` (crashes, vehicles,
-    persons or mileage) sorted on the table's sort columns."""
-    table = _TABLES[table]
+def _sort_key(table: str) -> Callable:
+    spec = _TABLES[table]
+    return _cells(spec.header, *spec.key)
+
+
+def sort_rows(table: str, rows: list) -> list:
+    """``rows`` of ``table``, sorted in place on the table's sort columns:
+    one run for ``write_rows``."""
+    rows.sort(key=_sort_key(table))
+    return rows
+
+
+def write_rows(path: str | Path, table: str,
+               runs: Iterable[Sequence[Sequence[str]]]) -> None:
+    """The one canonical writer: the rows of ``table`` (crashes, vehicles,
+    persons or mileage) in ``runs``, each sorted on the table's sort
+    columns (``sort_rows``), merged on them.  Runs whose keys do not
+    interleave, as those of sources with distinct crash ids mostly do,
+    are written one after another."""
+    key = _sort_key(table)
+    runs = sorted((run for run in runs if run), key=lambda run: key(run[0]))
+    if all(key(run[-1]) < key(after[0]) for run, after in zip(runs, runs[1:])):
+        rows = chain.from_iterable(runs)
+    else:
+        rows = heapq.merge(*runs, key=key)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(table.header)
-        writer.writerows(sorted(rows, key=_cells(table.header, *table.key)))
+        writer.writerow(_TABLES[table].header)
+        writer.writerows(rows)
 
 
 def encode(table: str, records: Iterable) -> list[tuple[str, ...]]:
@@ -438,19 +463,19 @@ def read_persons(source: str | Path | Rows, fold: CanonicalFold) -> None:
 
 
 def write_crashes(path: str | Path, crashes: Iterable[CrashEvent]) -> None:
-    write_rows(path, "crashes", encode("crashes", crashes))
+    write_rows(path, "crashes", [sort_rows("crashes", encode("crashes", crashes))])
 
 
 def write_vehicles(path: str | Path, vehicles: Iterable[VehicleInvolvement]) -> None:
-    write_rows(path, "vehicles", encode("vehicles", vehicles))
+    write_rows(path, "vehicles", [sort_rows("vehicles", encode("vehicles", vehicles))])
 
 
 def write_persons(path: str | Path, persons: Iterable[PersonOutcome]) -> None:
-    write_rows(path, "persons", encode("persons", persons))
+    write_rows(path, "persons", [sort_rows("persons", encode("persons", persons))])
 
 
 def write_mileage(path: str | Path, cells: Iterable[MileageCell]) -> None:
-    write_rows(path, "mileage", encode("mileage", cells))
+    write_rows(path, "mileage", [sort_rows("mileage", encode("mileage", cells))])
 
 
 def read_mileage(path: str | Path) -> list[MileageCell]:

@@ -98,15 +98,24 @@ def sha256(path):
 
 
 @pytest.fixture
-def opens(monkeypatch):
-    """A Counter of (resolved path, mode) per ``Path.open`` call: the opener
-    reads an input in mode "r" and hashes it in mode "rb"."""
-    seen = Counter()
+def opens(monkeypatch, tmp_path_factory):
+    """``opens()``: a Counter of (resolved path, mode) per ``Path.open``
+    call, in this process and in the worker processes it forks: the
+    opener reads an input in mode "r" and hashes it in mode "rb".  Each
+    call is appended to a log as one line, so a worker's calls count."""
+    log = tmp_path_factory.mktemp("opens") / "log"
+    log.touch()
     path_open = Path.open
 
     def counted(path, mode="r", *args, **kwargs):
-        seen[path.resolve(), mode] += 1
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{mode}\t{path.resolve()}\n")
         return path_open(path, mode, *args, **kwargs)
+
+    def seen() -> Counter:
+        with path_open(log, encoding="utf-8") as lines:
+            return Counter((Path(path), mode) for mode, path in
+                           (line.rstrip("\n").split("\t") for line in lines))
 
     monkeypatch.setattr(Path, "open", counted)
     return seen
@@ -479,18 +488,23 @@ class TestIngestGoldens:
         # One writer serves records and their rows alike.  Crash, vehicle and
         # person keys are unique and mileage rows sort on all their cells
         # (Los Angeles has two local/all cells), so no file depends on the
-        # order given.
+        # order given.  Rows come as sorted runs: runs whose keys interleave
+        # are merged, and runs that do not are written in key order.
         rng = random.Random(name)
         for table in ("crashes", "vehicles", "persons", "mileage"):
             golden = fixtures / "golden" / name / f"{table}.csv"
             records = interchange.read_records(golden, table)
             rng.shuffle(records)
             getattr(interchange, f"write_{table}")(tmp_path / "records.csv", records)
-            interchange.write_rows(tmp_path / "rows.csv", table,
-                                   interchange.encode(table, records))
             written = (tmp_path / "records.csv").read_bytes()
-            assert (tmp_path / "rows.csv").read_bytes() == written, table
             assert written == golden.read_bytes(), table
+            rows = interchange.encode(table, records)
+            half = len(rows) // 2
+            ordered = interchange.sort_rows(table, list(rows))
+            for runs in ([interchange.sort_rows(table, rows[i::3]) for i in range(3)],
+                         [ordered[half:], [], ordered[:half]]):
+                interchange.write_rows(tmp_path / "rows.csv", table, runs)
+                assert (tmp_path / "rows.csv").read_bytes() == written, table
 
     def test_audit_sits_next_to_the_csvs(self, capsys, tmp_path, fixtures):
         run(capsys, "ingest",
@@ -775,7 +789,7 @@ class TestReportGoldens:
         code, _, err = run(capsys, "report", "--manifest", str(manifest),
                            "--out", str(tmp_path), "--quiet")
         assert code == 0, err
-        read, hashed = read_and_hashed(opens)
+        read, hashed = read_and_hashed(opens())
         assert set(hashed) == read and set(hashed.values()) == {1}
         assert {"crss.spec", "fars_national.spec", "fhwa_vm2.spec",
                 "fhwa_vm4.spec"} <= {path.name for path in read}
@@ -858,8 +872,8 @@ class TestProvenance:
                            "--out", str(tmp_path), "--quiet")
         assert code == 0, err
         crashes = (fixtures / "canonical" / "town_crashes.csv").resolve()
-        assert opens[crashes, "r"] == 2 and opens[crashes, "rb"] == 1
-        read, hashed = read_and_hashed(opens)
+        assert opens()[crashes, "r"] == 2 and opens()[crashes, "rb"] == 1
+        read, hashed = read_and_hashed(opens())
         assert set(hashed) == read and set(hashed.values()) == {1}
         assert errors._record is None
 

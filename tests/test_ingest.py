@@ -8,15 +8,20 @@ this module, not the goldens, is the ground truth for their content.
 import csv
 import dataclasses
 import json
+import os
 import random
+import re
 import shutil
+import signal
 import tracemalloc
+from collections import Counter
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from crashbench import interchange
+from crashbench import ingest, interchange
 from crashbench.cli import _region_slug, main
 from crashbench.errors import ReferentialError, SchemaError, ValidationError
 from crashbench.ingest import (
@@ -745,6 +750,28 @@ class TestReaderSemantics:
         ]
         assert load.persons == []
 
+    @pytest.mark.parametrize("last, ending", [
+        ("X3,2022,3.0,2", "\n"), ("X3,2022,3.0,2", "\r\n"), ("X3,2022,3.0,2", "\r"),
+        ("X3,2022,3.0,2", "\n\n"), ("X3,2022,3.0,2,0", ""), ("X3,2022,3.0,2,0", "\n")])
+    def test_a_short_row_is_padded_unless_it_ends_the_file_cut(self, tmp_path, last, ending):
+        # The short middle row is padded either way; a short last row only
+        # where a line ending shows the row is whole.
+        (tmp_path / "c.csv").write_text(
+            "CASENUM,YEAR,WEIGHT,MAXSEV_IM,INT_HWY\nX1,2022,1.5\n\nX2,2022,2.0,4,1\n"
+            + last + ending, newline="")
+        load = load_crash_source(load_schema("crss"), tmp_path / "c.csv",
+                                 region=NATIONAL, year=2022)
+        assert [c.crash_id for c in load.crashes] == ["X1", "X2", "X3"]
+
+    def test_a_short_last_row_with_no_line_ending_is_cut(self, tmp_path):
+        (tmp_path / "c.csv").write_text(
+            "CASENUM,YEAR,WEIGHT,MAXSEV_IM,INT_HWY\nX1,2022,1.5\n\nX2,2022,2.0,4")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"crss crash file {tmp_path / 'c.csv'}:4: last row cut short: "
+                "4 of 5 cells and no line ending")):
+            load_crash_source(load_schema("crss"), tmp_path / "c.csv",
+                              region=NATIONAL, year=2022)
+
     def test_header_only_and_empty_files(self, tmp_path):
         (tmp_path / "h.csv").write_text("CASENUM,YEAR,WEIGHT,MAXSEV_IM,INT_HWY\n")
         load = load_crash_source(load_schema("crss"), tmp_path / "h.csv",
@@ -940,33 +967,178 @@ class TestHeldCrashes:
         assert (peak - held) / kept < self.HELD_BYTES_PER_CRASH
 
 
+def _national_copy(tmp_path: Path, edit=lambda name, header, rows: (header, rows)) -> Path:
+    """The national_2022 manifest, written into ``tmp_path`` with its raw
+    files copied beside it through ``edit(file name, header, rows)``."""
+    manifest = json.loads((FIXTURES / "manifests" / "national_2022.json").read_text())
+    for entry in manifest["crash_sources"]:
+        for key in ("crash_file", "vehicle_file", "person_file"):
+            name = entry[key].rsplit("/", 1)[-1]
+            _rewrite(FIXTURES / "raw" / name, tmp_path / name,
+                     lambda header, rows: edit(name, header, rows))
+            entry[key] = str(tmp_path / name)
+    for entry in manifest["mileage"] + manifest["shares"]:
+        entry["file"] = str(FIXTURES / "manifests" / entry["file"])
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return path
+
+
 class TestInputOrder:
     def test_shuffled_raw_rows_write_the_golden_bytes(self, fixtures, tmp_path, capsys):
-        """Records keep input order until the canonical writers sort them."""
-        rng = random.Random(6)
+        """Rows keep input order until each source's worker sorts them: two
+        runs, on two shuffles of the CRSS and FARS rows, write the golden
+        bytes."""
+        for seed in (6, 7):
+            rng = random.Random(seed)
 
-        def shuffle(header, rows):
-            rng.shuffle(rows)
-            return header, rows
+            def shuffle(name, header, rows):
+                rng.shuffle(rows)
+                return header, rows
 
-        manifest = json.loads(
-            (fixtures / "manifests" / "national_2022.json").read_text())
-        for entry in manifest["crash_sources"]:
-            for key in ("crash_file", "vehicle_file", "person_file"):
-                name = entry[key].rsplit("/", 1)[-1]
-                _rewrite(fixtures / "raw" / name, tmp_path / name, shuffle)
-                entry[key] = str(tmp_path / name)
-        for entry in manifest["mileage"] + manifest["shares"]:
-            entry["file"] = str(fixtures / "manifests" / entry["file"])
-        path = tmp_path / "shuffled.json"
-        path.write_text(json.dumps(manifest))
+            run_dir = tmp_path / f"seed{seed}"
+            run_dir.mkdir()
+            out = run_dir / "out"
+            code = main(["ingest", "--manifest", str(_national_copy(run_dir, shuffle)),
+                         "--out", str(out), "--quiet"])
+            assert code == 0, capsys.readouterr().err
+            for name in ("crashes.csv", "vehicles.csv", "persons.csv", "mileage.csv"):
+                golden = fixtures / "golden" / "national_2022" / name
+                assert (out / name).read_bytes() == golden.read_bytes(), (seed, name)
 
-        out = tmp_path / "out"
-        code = main(["ingest", "--manifest", str(path), "--out", str(out), "--quiet"])
-        assert code == 0, capsys.readouterr().err
-        for name in ("crashes.csv", "vehicles.csv", "persons.csv", "mileage.csv"):
-            golden = fixtures / "golden" / "national_2022" / name
-            assert (out / name).read_bytes() == golden.read_bytes(), name
+
+def _no_worker_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _blank_ids(*crash_ids: str):
+    """An edit (``_national_copy``) that empties the id cell, the first, of
+    the crash rows of ``crash_ids``."""
+    def edit(name, header, rows):
+        if name.endswith("_crashes.csv"):
+            rows = [["", *row[1:]] if row[0] in crash_ids else row for row in rows]
+        return header, rows
+    return edit
+
+
+def _ingest(path: Path, out: Path, capsys) -> tuple[int, str]:
+    code = main(["ingest", "--manifest", str(path), "--out", str(out), "--quiet"])
+    return code, capsys.readouterr().err
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Fail the block, rather than hang, after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="raw sources load in this process")
+class TestWorkers:
+    """Each raw source loads in a forked worker process.  What a run
+    reports, writes and names is what a load in this process gives (the
+    path taken where there is no ``os.fork``), and no worker outlives the
+    load."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        with _deadline(120):
+            yield
+
+    @pytest.mark.parametrize("bad, named", [
+        (("F002",), "fars_crashes.csv"),             # the second source
+        (("C002", "F002"), "crss_crashes.csv"),      # both: the first is named
+    ])
+    def test_the_first_bad_source_is_named_as_in_process(self, tmp_path, capsys,
+                                                         monkeypatch, bad, named):
+        path = _national_copy(tmp_path, _blank_ids(*bad))
+        forked = _ingest(path, tmp_path / "out", capsys)
+        _no_worker_left()
+        code, err = forked
+        assert code == 2, err
+        assert f"{tmp_path / named}:3: crash row with empty id column" in err, err
+        monkeypatch.delattr(os, "fork")
+        assert _ingest(path, tmp_path / "out", capsys) == forked
+
+    @pytest.mark.parametrize("command, provenance", [
+        ("ingest", "audit.json"), ("report", "benchmark.json")])
+    def test_outputs_and_digests_are_those_of_an_in_process_load(
+            self, tmp_path, fixtures, monkeypatch, command, provenance):
+        argv = [command, "--manifest", str(fixtures / "manifests" / "national_2022.json"),
+                "--out", str(tmp_path), "--quiet"]
+        assert main(argv) == 0
+        _no_worker_left()
+        forked = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        inputs = json.loads(forked[provenance])["provenance"]["inputs"]
+        assert {"crss.spec", "fars_national.spec", "crss_crashes.csv",
+                "fars_persons.csv"} <= set(inputs)
+        monkeypatch.delattr(os, "fork")
+        assert main(argv) == 0
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == forked
+
+    @pytest.mark.parametrize("victim, tag", [("crss", "crss"), ("fars_national", "fars")])
+    def test_a_killed_worker_names_its_source(self, fixtures, monkeypatch, victim, tag):
+        load = ingest.load_crash_source
+
+        def load_or_die(spec, *args, **kwargs):
+            if spec.tag == tag:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load(spec, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "load_crash_source", load_or_die)
+        manifest, = load_manifest(fixtures / "manifests" / "national_2022.json")
+        with pytest.raises(
+                RuntimeError, match=rf"crash source {victim} \(\S+_crashes.csv\): its worker "
+                                    rf"process killed by signal {int(signal.SIGKILL)}"):
+            load_dataset(manifest)
+        _no_worker_left()
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_no_more_workers_than_cpus_are_alive(self, tmp_path, monkeypatch, cpus):
+        sources = "WXYZ"
+        for prefix in sources:
+            (tmp_path / f"{prefix}.csv").write_text(
+                "CASENUM,YEAR,WEIGHT,MAXSEV_IM,INT_HWY\n"
+                f"{prefix}2,2022,2.0,4,1\n{prefix}1,2022,1.0,0,0\n")
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "region": "national", "year": 2022,
+            "crash_sources": [{"spec": "crss", "crash_file": f"{p}.csv"} for p in sources]}))
+        alive, counts = set(), Counter()
+        fork, waitpid = os.fork, os.waitpid
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                alive.add(pid)
+                counts["started"] += 1
+                counts["most"] = max(counts["most"], len(alive))
+            return pid
+
+        def counted_waitpid(pid, options):
+            reaped = waitpid(pid, options)
+            alive.discard(reaped[0])
+            return reaped
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(os, "waitpid", counted_waitpid)
+        manifest, = load_manifest(tmp_path / "manifest.json")
+        data = load_dataset(manifest)
+        assert counts == {"started": len(sources), "most": cpus} and not alive
+        # Each worker sorts its source's rows: one run per source, in order.
+        assert [[row[0] for row in run] for run in data.records.runs["crashes"]] == [
+            [f"{p}1", f"{p}2"] for p in sources]
+        _no_worker_left()
 
 
 class TestOneWriter:

@@ -50,28 +50,10 @@ MUTATIONS = {
 }
 LINE_2 = {"non_utf8", "long_cell", "open_quote"}
 
-# (run/file, mutation) cases whose commands exit 0, and why.  A raw row
-# short of cells is padded with nulls, as csv.DictReader reads it, so a raw
-# table cut in its last row loses only that row's last cells.
-ACCEPTED = {
-    ("sf_2022/switrs_crashes.csv", "truncated"):
-        "the cut row, crash S008, has an empty county: the region filter drops it, cut or not",
-    ("sf_2022/switrs_parties.csv", "truncated"):
-        "the cut row is a party of crash S008, which the region filter drops",
-    ("sf_2022/switrs_victims.csv", "truncated"):
-        "the cut victim of crash S007 counts under unknown_person_kabco and unknown_airbag",
-    ("sf_2022/prd_2022.csv", "truncated"):
-        "the cut row, of 2021, reads county 'San Fran' and counts as region_filtered",
-    ("national_2022/crss_vehicles.csv", "truncated"):
-        "the cut row is a vehicle of crash C009, of 2021, which the run drops",
-    ("national_2022/crss_persons.csv", "truncated"):
-        "the cut row is a person of crash C009, of 2021, which the run drops",
-    ("national_2022/fars_vehicles.csv", "truncated"):
-        "the cut vehicle of crash F007 counts under unknown_body, unknown_towed "
-        "and unknown_in_transport",
-    ("national_2022/vm2_2022.csv", "truncated"):
-        "the cut row keeps its year cell, 2021, so it counts as year_mismatch, cut or not",
-}
+# (run/file, mutation) cases whose commands exit 0, and why.  None is left:
+# a raw row short of cells is padded with nulls, as csv.DictReader reads
+# it, but a last row cut short with no line ending is an error.
+ACCEPTED: dict = {}
 
 
 FILE_KEYS = ("crash_file", "vehicle_file", "person_file", "file")

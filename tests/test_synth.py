@@ -532,8 +532,8 @@ class TestColumnPathOracle:
                                                    len(units) for _, units in others)}
         from_columns = build_benchmark(dataset)
         records = CombinedRecords(
-            rows={"crashes": interchange.encode("crashes", crashes),
-                  "vehicles": interchange.encode("vehicles", vehicles), "persons": []},
+            runs={"crashes": [interchange.encode("crashes", crashes)],
+                  "vehicles": [interchange.encode("vehicles", vehicles)], "persons": [[]]},
             diagnostics=dataset.records.diagnostics, unit_tow_flags=True,
             unit_airbag_flags=True, weighted=True, caveats=())
         from_records = build_benchmark(replace(dataset, records=records))

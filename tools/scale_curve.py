@@ -1,9 +1,10 @@
-"""Scale curves of ``crashbench report``, ``ingest`` and ``synth``.
+"""Scale curves of ``crashbench report``, ``ingest``, ``benchmark`` and ``synth``.
 
     python3 tools/scale_curve.py
     python3 tools/scale_curve.py --tree parent=../parent/src --tree change=src
     python3 tools/scale_curve.py --curve ingest --tree parent=../parent/src --tree change=src
     python3 tools/scale_curve.py --curve ingest_wide --tree parent=../parent/src --tree change=src
+    python3 tools/scale_curve.py --curve benchmark_raw --tree parent=../parent/src --tree change=src
     python3 tools/scale_curve.py --curve synth --tree parent=../parent/src --tree change=src
 
 The report curve runs ``crashbench report --manifest M`` in a child
@@ -15,7 +16,10 @@ ids), with the replica count scaled to about 10^4, 10^5 and 10^6 raw
 crash rows.  The ingest_wide curve runs it on the same inputs with
 ``FILLERS`` deterministic columns that no spec reads appended to every
 raw crash, vehicle and person file, as real extracts carry dozens of
-columns, at 10^4 and 10^5.  The synth curve runs ``crashbench synth
+columns, at 10^4 and 10^5.  The benchmark_raw curve runs ``crashbench
+benchmark --manifest M`` on the ingest curve's inputs: the raw path of
+``benchmark`` and ``report``, which writes no canonical CSV.  The synth
+curve runs ``crashbench synth
 --spec S`` on a copy of ``tests/fixtures/synth/mixed_population.ini``
 with ``n_crashes`` set to 10^4, 10^5 and 10^6 and the seed to the
 curve's.  Every run of an ingest or synth curve at one size must write
@@ -83,11 +87,13 @@ FILLERS = 60
 CURVES = {"report": ("report", "canonical_report", 0, SIZES),
           "ingest": ("ingest", "raw_ingest", 0, SIZES),
           "ingest_wide": ("ingest", "raw_ingest", FILLERS, SIZES[:2]),
+          "benchmark_raw": ("benchmark", "raw_ingest", 0, SIZES),
           "synth": ("synth", "synth", 0, SIZES)}
 # Command -> (the option it reads its input through, that option's name in
 # an entry's "command", the file the option names, the CSVs every run at
 # one size must write alike).
 INPUT = {"report": ("--manifest", "M", "manifest.json", ()),
+         "benchmark": ("--manifest", "M", "manifest.json", ()),
          "ingest": ("--manifest", "M", "manifest.json",
                     ("crashes.csv", "vehicles.csv", "persons.csv", "mileage.csv")),
          "synth": ("--spec", "S", "spec.ini", ("crashes.csv", "vehicles.csv"))}
