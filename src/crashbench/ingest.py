@@ -56,8 +56,6 @@ from __future__ import annotations
 
 import csv
 import os
-import pickle
-import signal
 import threading
 from collections import Counter, deque
 from contextlib import closing
@@ -786,6 +784,7 @@ def _start_worker(ref: interchange.CrashSourceRef, region: Region,
     pickles to a pipe its LoadResult and the digests its reads recorded
     (``errors._record``), or the exception it raised: (its pid, the
     pipe's read end)."""
+    import pickle
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid:
@@ -819,6 +818,8 @@ def _raw_loads(refs: list[interchange.CrashSourceRef], region: Region,
         for ref in refs:
             yield _load_raw_source(ref, region, year)
         return
+    import pickle  # imported only where workers run, off the canonical path
+    import signal
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     waiting = iter(refs)

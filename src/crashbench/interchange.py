@@ -41,7 +41,6 @@ does not shift the lines named after it.
 from __future__ import annotations
 
 import csv
-import heapq
 import json
 from collections import Counter
 from contextlib import contextmanager
@@ -176,6 +175,7 @@ def write_rows(path: str | Path, table: str,
     if all(key(run[-1]) < key(after[0]) for run, after in zip(runs, runs[1:])):
         rows = chain.from_iterable(runs)
     else:
+        import heapq
         rows = heapq.merge(*runs, key=key)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")

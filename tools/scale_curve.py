@@ -19,10 +19,9 @@ raw crash, vehicle and person file, as real extracts carry dozens of
 columns, at 10^4 and 10^5.  The benchmark_raw curve runs ``crashbench
 benchmark --manifest M`` on the ingest curve's inputs: the raw path of
 ``benchmark`` and ``report``, which writes no canonical CSV.  The synth
-curve runs ``crashbench synth
---spec S`` on a copy of ``tests/fixtures/synth/mixed_population.ini``
-with ``n_crashes`` set to 10^4, 10^5 and 10^6 and the seed to the
-curve's.  Every run of an ingest or synth curve at one size must write
+curve runs ``crashbench synth --spec S`` on a copy of
+``tests/fixtures/synth/mixed_population.ini`` with ``n_crashes`` set to
+10^4, 10^5 and 10^6 and the seed to the curve's.  Every run of an ingest or synth curve at one size must write
 the same CSVs, and those of ingest_wide must equal those of one untimed
 ingest run of the first tree on the narrow inputs.
 Each ``--tree LABEL=SRC`` names a source tree to measure (default
