@@ -1085,6 +1085,21 @@ class TestWorkers:
         assert main(argv) == 0
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == forked
 
+    def test_workers_are_reaped_when_a_canonical_source_between_them_fails(
+            self, tmp_path, monkeypatch):
+        # Both raw workers start before the canonical source, second in
+        # the manifest, is read in this process and fails.
+        manifest = json.loads(_national_copy(tmp_path).read_text())
+        bad = tmp_path / "bad_crashes.csv"
+        bad.write_text("crash_id,source\n")
+        manifest["crash_sources"].insert(1, {"spec": "canonical", "crash_file": str(bad)})
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        dataset, = load_manifest(tmp_path / "manifest.json")
+        with pytest.raises(ValidationError, match=rf"{re.escape(str(bad))}: header"):
+            load_dataset(dataset)
+        _no_worker_left()
+
     @pytest.mark.parametrize("victim, tag", [("crss", "crss"), ("fars_national", "fars")])
     def test_a_killed_worker_names_its_source(self, fixtures, monkeypatch, victim, tag):
         load = ingest.load_crash_source
