@@ -58,7 +58,7 @@ import csv
 import os
 import threading
 from collections import Counter, deque
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
@@ -778,15 +778,40 @@ def _load_raw_source(ref: interchange.CrashSourceRef, region: Region,
     return load
 
 
+# Raw sources whose files hold fewer bytes than this in all load in this
+# process: below it, forking and pickling cost more time than loading the
+# sources side by side saves (README, "From raw files").
+_WORKER_BYTES = 512 << 10
+
+
+def _raw_bytes(refs: list[interchange.CrashSourceRef]) -> int:
+    """The size of the files ``refs`` name, a file that cannot be read
+    (which its load reports) counting nothing."""
+    total = 0
+    for ref in refs:
+        for path in (ref.crash_file, ref.vehicle_file, ref.person_file):
+            if path is not None:
+                with suppress(OSError):
+                    total += os.stat(path).st_size
+    return total
+
+
 def _start_worker(ref: interchange.CrashSourceRef, region: Region,
                   year: int) -> tuple[int, BinaryIO]:
     """Fork a worker process that loads ``ref`` (``_load_raw_source``) and
     pickles to a pipe its LoadResult and the digests its reads recorded
     (``errors._record``), or the exception it raised: (its pid, the
-    pipe's read end)."""
+    pipe's read end).  A fork that fails is a RuntimeError naming the
+    source."""
     import pickle
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(read_end)
+        os.close(write_end)
+        raise RuntimeError(f"crash source {ref.spec} ({ref.crash_file}): could not "
+                           f"start its worker process: {exc}") from exc
     if pid:
         os.close(write_end)
         return pid, os.fdopen(read_end, "rb")
@@ -811,10 +836,12 @@ def _raw_loads(refs: list[interchange.CrashSourceRef], region: Region,
     most one worker per available CPU alive at a time, and the digests
     its reads recorded join the open recording; an exception it raised is
     raised here, in its turn.  Every worker is reaped however this ends.
-    Where there is no ``os.fork``, or other threads run (a forked child
-    of a threaded process can deadlock), the sources load in this
-    process."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    The sources load in this process where their files hold fewer than
+    ``_WORKER_BYTES`` in all, where there is no ``os.fork``, and where
+    other threads run (a forked child of a threaded process can
+    deadlock)."""
+    if (not hasattr(os, "fork") or threading.active_count() > 1
+            or _raw_bytes(refs) < _WORKER_BYTES):
         for ref in refs:
             yield _load_raw_source(ref, region, year)
         return

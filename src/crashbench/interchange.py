@@ -41,11 +41,11 @@ does not shift the lines named after it.
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -167,20 +167,11 @@ def write_rows(path: str | Path, table: str,
                runs: Iterable[Sequence[Sequence[str]]]) -> None:
     """The one canonical writer: the rows of ``table`` (crashes, vehicles,
     persons or mileage) in ``runs``, each sorted on the table's sort
-    columns (``sort_rows``), merged on them.  Runs whose keys do not
-    interleave, as those of sources with distinct crash ids mostly do,
-    are written one after another."""
-    key = _sort_key(table)
-    runs = sorted((run for run in runs if run), key=lambda run: key(run[0]))
-    if all(key(run[-1]) < key(after[0]) for run, after in zip(runs, runs[1:])):
-        rows = chain.from_iterable(runs)
-    else:
-        import heapq
-        rows = heapq.merge(*runs, key=key)
+    columns (``sort_rows``), merged on them."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_TABLES[table].header)
-        writer.writerows(rows)
+        writer.writerows(heapq.merge(*runs, key=_sort_key(table)))
 
 
 def encode(table: str, records: Iterable) -> list[tuple[str, ...]]:

@@ -488,8 +488,8 @@ class TestIngestGoldens:
         # One writer serves records and their rows alike.  Crash, vehicle and
         # person keys are unique and mileage rows sort on all their cells
         # (Los Angeles has two local/all cells), so no file depends on the
-        # order given.  Rows come as sorted runs: runs whose keys interleave
-        # are merged, and runs that do not are written in key order.
+        # order given.  Rows come as sorted runs, merged on the key whether
+        # their keys interleave or not.
         rng = random.Random(name)
         for table in ("crashes", "vehicles", "persons", "mileage"):
             golden = fixtures / "golden" / name / f"{table}.csv"

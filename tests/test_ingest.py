@@ -7,6 +7,7 @@ this module, not the goldens, is the ground truth for their content.
 
 import csv
 import dataclasses
+import errno
 import json
 import os
 import random
@@ -985,10 +986,13 @@ def _national_copy(tmp_path: Path, edit=lambda name, header, rows: (header, rows
 
 
 class TestInputOrder:
-    def test_shuffled_raw_rows_write_the_golden_bytes(self, fixtures, tmp_path, capsys):
-        """Rows keep input order until each source's worker sorts them: two
-        runs, on two shuffles of the CRSS and FARS rows, write the golden
-        bytes."""
+    @pytest.mark.parametrize("worker_bytes", [0, ingest._WORKER_BYTES])
+    def test_shuffled_raw_rows_write_the_golden_bytes(self, fixtures, tmp_path, capsys,
+                                                      monkeypatch, worker_bytes):
+        """Rows keep input order until each source's load sorts them, in a
+        worker or in this process: two runs, on two shuffles of the CRSS
+        and FARS rows, write the golden bytes."""
+        monkeypatch.setattr(ingest, "_WORKER_BYTES", worker_bytes)
         for seed in (6, 7):
             rng = random.Random(seed)
 
@@ -1044,15 +1048,58 @@ def _deadline(seconds: int):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="raw sources load in this process")
 class TestWorkers:
-    """Each raw source loads in a forked worker process.  What a run
-    reports, writes and names is what a load in this process gives (the
-    path taken where there is no ``os.fork``), and no worker outlives the
-    load."""
+    """Each raw source loads in a forked worker process, once the raw files
+    hold ``_WORKER_BYTES`` in all (0 here, unless a test sets it).  What a
+    run reports, writes and names is what a load in this process gives
+    (the path taken where there is no ``os.fork``), and no worker outlives
+    the load."""
 
     @pytest.fixture(autouse=True)
-    def deadline(self):
+    def deadline(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_WORKER_BYTES", 0)
         with _deadline(120):
             yield
+
+    def test_raw_files_smaller_than_the_threshold_load_in_this_process(
+            self, fixtures, monkeypatch):
+        manifest, = load_manifest(fixtures / "manifests" / "national_2022.json")
+        size = sum(path.stat().st_size for ref in manifest.crash_sources
+                   for path in (ref.crash_file, ref.vehicle_file, ref.person_file))
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        loaded = []
+        for threshold in (size + 1, size):
+            monkeypatch.setattr(ingest, "_WORKER_BYTES", threshold)
+            loaded.append(load_dataset(manifest).records.runs)
+            loaded.append(len(forks))
+        assert loaded[1] == 0 and loaded[3] == len(manifest.crash_sources) == 2
+        assert loaded[0] == loaded[2]
+        _no_worker_left()
+
+    def test_a_fork_that_fails_names_its_source_and_leaks_no_pipe(
+            self, fixtures, monkeypatch, capsys, tmp_path):
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        manifest = fixtures / "manifests" / "national_2022.json"
+        descriptors = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        with pytest.raises(RuntimeError, match=r"crash source crss \(\S+crss_crashes.csv\): "
+                                               r"could not start its worker process: "):
+            load_dataset(load_manifest(manifest)[0])
+        if descriptors is not None:
+            assert len(os.listdir("/proc/self/fd")) == descriptors
+        code = main(["ingest", "--manifest", str(manifest), "--out", str(tmp_path), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1 and "could not start its worker process" in err, err
 
     @pytest.mark.parametrize("bad, named", [
         (("F002",), "fars_crashes.csv"),             # the second source
