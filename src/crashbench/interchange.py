@@ -41,7 +41,6 @@ does not shift the lines named after it.
 from __future__ import annotations
 
 import csv
-import heapq
 import json
 from collections import Counter
 from contextlib import contextmanager
@@ -168,6 +167,7 @@ def write_rows(path: str | Path, table: str,
     """The one canonical writer: the rows of ``table`` (crashes, vehicles,
     persons or mileage) in ``runs``, each sorted on the table's sort
     columns (``sort_rows``), merged on them."""
+    import heapq  # imported only by the commands that write tables
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_TABLES[table].header)
