@@ -986,21 +986,21 @@ def _national_copy(tmp_path: Path, edit=lambda name, header, rows: (header, rows
 
 
 class TestInputOrder:
-    @pytest.mark.parametrize("worker_bytes", [0, ingest._WORKER_BYTES])
     def test_shuffled_raw_rows_write_the_golden_bytes(self, fixtures, tmp_path, capsys,
-                                                      monkeypatch, worker_bytes):
+                                                      monkeypatch):
         """Rows keep input order until each source's load sorts them, in a
-        worker or in this process: two runs, on two shuffles of the CRSS
-        and FARS rows, write the golden bytes."""
-        monkeypatch.setattr(ingest, "_WORKER_BYTES", worker_bytes)
-        for seed in (6, 7):
+        worker or in this process: runs on two shuffles of the CRSS and
+        FARS rows, each loaded both ways, write the golden bytes."""
+        for seed, worker_bytes in ((6, 0), (7, 0), (6, ingest._WORKER_BYTES),
+                                   (7, ingest._WORKER_BYTES)):
+            monkeypatch.setattr(ingest, "_WORKER_BYTES", worker_bytes)
             rng = random.Random(seed)
 
             def shuffle(name, header, rows):
                 rng.shuffle(rows)
                 return header, rows
 
-            run_dir = tmp_path / f"seed{seed}"
+            run_dir = tmp_path / f"seed{seed}-{worker_bytes}"
             run_dir.mkdir()
             out = run_dir / "out"
             code = main(["ingest", "--manifest", str(_national_copy(run_dir, shuffle)),
@@ -1008,7 +1008,8 @@ class TestInputOrder:
             assert code == 0, capsys.readouterr().err
             for name in ("crashes.csv", "vehicles.csv", "persons.csv", "mileage.csv"):
                 golden = fixtures / "golden" / "national_2022" / name
-                assert (out / name).read_bytes() == golden.read_bytes(), (seed, name)
+                assert (out / name).read_bytes() == golden.read_bytes(), (seed, worker_bytes,
+                                                                          name)
 
 
 def _no_worker_left() -> None:
