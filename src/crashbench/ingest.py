@@ -33,7 +33,8 @@ at most one per available CPU at a time, and takes their rows, sorted
 into one run per table, and the digests of the files they read back
 over a pipe in manifest order; so this process never holds a loader's
 working state, and errors are raised as a load in turn would raise
-them.
+them.  Raw files under ``_WORKER_BYTES`` in all load in this process,
+where a worker costs more time than it saves.
 
 Canonical sources are not normalized again: their crash, vehicle and
 person tables are folded into per-crash columns as they are read
