@@ -27,7 +27,7 @@ _PUBLIC: dict[str, tuple[str, ...]] = {
         "PersonOutcome", "Region", "RoadClass", "SCHEMES", "SEVERITY_CHAIN",
         "SeverityLevel", "VehicleInvolvement",
     ),
-    "filters": ("classify_severity", "select_subset"),
+    "filters": ("select_subset",),
     "rates": (
         "DEFAULT_ROWS", "BenchmarkReport", "SeverityCounts", "apply_adjustment",
         "benchmark_from_aggregates", "build_benchmark", "compute_rate",

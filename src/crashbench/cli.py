@@ -375,6 +375,12 @@ def _region_slug(region) -> str:
     return region.name.lower().replace(" ", "_")
 
 
+def _dataset_label(ds) -> str:
+    """A dataset's region, state and year, as in "Maricopa, AZ 2022"."""
+    state = f", {ds.region.state}" if ds.region.state else ""
+    return f"{ds.region.name}{state} {ds.year}"
+
+
 def cmd_ingest(args) -> int:
     from .ingest import dataset_rows, load_dataset
     from .interchange import load_manifest, write_mileage, write_rows
@@ -384,13 +390,20 @@ def cmd_ingest(args) -> int:
     if manifest_path is None:
         raise ValidationError("ingest needs a manifest (--manifest or config)")
     manifests = load_manifest(manifest_path)
+    targets = [out if len(manifests) == 1 else out / _region_slug(ds.region)
+               for ds in manifests]
+    for ds, target in zip(manifests, targets):
+        first = manifests[targets.index(target)]
+        if first is not ds:
+            raise ValidationError(
+                f"{manifest_path}: {_dataset_label(first)} and {_dataset_label(ds)} "
+                f"would both be written to {target}")
     effective = {
         "command": "ingest",
         "manifest": str(manifest_path),
         "out_dir": str(out),
     }
-    for ds in manifests:
-        target = out if len(manifests) == 1 else out / _region_slug(ds.region)
+    for ds, target in zip(manifests, targets):
         target.mkdir(parents=True, exist_ok=True)
         with errors._reading():
             dataset = load_dataset(ds)

@@ -96,29 +96,6 @@ def _severity_of(tow_from_units: bool, airbag_from_units: bool) -> tuple[int, ..
                  for evidence in range(_UNIT_AIRBAG << 1))
 
 
-def classify_severity(
-    crash: CrashEvent,
-    units: tuple[VehicleInvolvement, ...] = (),
-    *,
-    tow_from_units: bool = True,
-    airbag_from_units: bool = True,
-) -> frozenset[SeverityLevel]:
-    """The observed severity levels of one crash given its eligible units.
-
-    ``units`` are the crash's subset-eligible vehicles.  Where the source
-    lacks unit-level tow or airbag data the crash-level folded flag is
-    used instead (``*_from_units=False``).  Unknown injury codes classify
-    as non-injury; the loader already counted them.
-    """
-    evidence = crash_evidence(crash.max_kabco, crash.tow_away, crash.airbag_deployed)
-    if any(u.towed for u in units):
-        evidence |= _UNIT_TOW
-    if any(u.airbag_deployed for u in units):
-        evidence |= _UNIT_AIRBAG
-    mask = _severity_of(tow_from_units, airbag_from_units)[evidence]
-    return frozenset(level for level, bit in _BIT.items() if mask & bit)
-
-
 @dataclass(frozen=True)
 class ImputationWeight:
     """Passenger fraction among classified vehicles in a subset, as
@@ -181,16 +158,16 @@ class Subset:
     road: str                               # surface | all
     tow_from_units: bool
     airbag_from_units: bool
-    weighted: bool
+    weighted: bool                          # some crash's sample weight is not 1
     exclusions: Counter = field(default_factory=Counter)
     caveats: tuple[str, ...] = ()
 
     @classmethod
     def classify(cls, columns: CrashColumns, *, tow_from_units: bool,
-                 airbag_from_units: bool, weighted: bool,
-                 caveats: tuple[str, ...] = ()) -> Subset:
+                 airbag_from_units: bool, caveats: tuple[str, ...] = ()) -> Subset:
         """The all-roads subset of every crash in ``columns``, each crash's
-        severity classified once under the dataset's tow and airbag basis."""
+        severity classified once under the dataset's tow and airbag basis.
+        It is weighted when any crash's sample weight is not 1."""
         severity_of = _severity_of(tow_from_units, airbag_from_units)
         return cls(
             columns=columns,
@@ -198,7 +175,7 @@ class Subset:
             road="all",
             tow_from_units=tow_from_units,
             airbag_from_units=airbag_from_units,
-            weighted=weighted,
+            weighted=any(w != 1.0 for w in columns.weight),
             exclusions=_unit_exclusions(columns),
             caveats=caveats,
         )
@@ -235,7 +212,6 @@ def select_subset(
     road: str = "surface",
     unit_tow_flags: bool = True,
     unit_airbag_flags: bool = True,
-    weighted: bool = False,
     caveats: tuple[str, ...] = (),
 ) -> Subset:
     """Classify every crash of a record list once and filter units to the
@@ -268,7 +244,7 @@ def select_subset(
         interchange.Rows("vehicle records", interchange.encode("vehicles", vehicles)), fold)
     subset = Subset.classify(
         fold.columns, tow_from_units=unit_tow_flags,
-        airbag_from_units=unit_airbag_flags, weighted=weighted, caveats=caveats,
+        airbag_from_units=unit_airbag_flags, caveats=caveats,
     )
     return subset.surface() if road == "surface" else subset
 

@@ -136,8 +136,7 @@ class LoadResult(_RowRecords):
     a canonical source is folded into per-crash columns as it is read
     (``folded``) and gives none.  The flags mirror what the source can
     support downstream: whether tow status is known per unit or only per
-    crash, whether airbag flags are populated on units, and whether
-    sample weights are meaningful.
+    crash, and whether airbag flags are populated on units.
     """
 
     tag: str
@@ -145,7 +144,6 @@ class LoadResult(_RowRecords):
     diagnostics: Counter = field(default_factory=Counter)
     rows_in: dict = field(default_factory=dict)
     records: dict = field(default_factory=dict)   # rows kept per table
-    weighted: bool = False
     tow_level: str = "none"           # vehicle | crash | none
     airbag_units: bool = False
     caveats: tuple[str, ...] = ()
@@ -331,7 +329,7 @@ def load_crash_source(
     ``interchange`` writes; the crash and unit checks of the record types
     run on every row.  Person airbag flags fold into their unit and crash;
     person injury codes fold into the crash-level maximum when the spec
-    says severity lives on the person table.  A child row pointing at a
+    gives no crash KABCO column.  A child row pointing at a
     crash id that never appeared raises; a child of a deliberately dropped
     crash is counted instead.
     """
@@ -355,8 +353,6 @@ def load_crash_source(
                                   lambda cells: _classify_road(road, cells))
     crash_kabco = (crash_in.kabco(crash_schema.kabco_column, crash_schema.kabco)
                    if crash_schema.kabco_column is not None else None)
-    if spec.kabco_from != "crash":
-        crash_kabco = None      # its column is still required, though unread
     crash_towed_of = crash_in.rule(crash_schema.towed)
     crash_in.check()
 
@@ -532,7 +528,7 @@ def load_crash_source(
     return LoadResult(
         tag=spec.tag, rows=rows, diagnostics=diagnostics, rows_in=rows_in,
         records={table: len(kept) for table, kept in rows.items()},
-        weighted=spec.weighted, tow_level=spec.tow_level, airbag_units=airbag_units,
+        tow_level=spec.tow_level, airbag_units=airbag_units,
         caveats=spec.caveats,
     )
 
@@ -566,7 +562,6 @@ class CombinedRecords(_RowRecords):
     diagnostics: Counter
     unit_tow_flags: bool
     unit_airbag_flags: bool
-    weighted: bool
     caveats: tuple[str, ...]
     folded: CrashColumns = field(default_factory=CrashColumns)
 
@@ -586,7 +581,7 @@ class CombinedRecords(_RowRecords):
         return Subset.classify(
             CrashColumns.concat(parts),
             tow_from_units=self.unit_tow_flags, airbag_from_units=self.unit_airbag_flags,
-            weighted=self.weighted, caveats=self.caveats,
+            caveats=self.caveats,
         )
 
 
@@ -633,7 +628,6 @@ def combine_sources(loads: list[tuple[str, LoadResult]]) -> CombinedRecords:
         runs=runs, diagnostics=diagnostics,
         unit_tow_flags=all(load.tow_level == "vehicle" for _, load in loads),
         unit_airbag_flags=all(load.airbag_units for _, load in loads),
-        weighted=any(load.weighted for _, load in loads),
         caveats=tuple(dict.fromkeys(c for _, load in loads for c in load.caveats)),
         folded=CrashColumns.concat(folded),
     )
@@ -759,7 +753,6 @@ def _load_canonical_source(ref: interchange.CrashSourceRef, region: Region,
     return LoadResult(
         tag=CANONICAL_SPEC, diagnostics=fold.diagnostics, rows_in=fold.rows_in,
         records=fold.records,
-        weighted=any(w != 1.0 for w in fold.columns.weight),
         tow_level="vehicle" if units else "crash",
         airbag_units=bool(units),
         folded=fold.columns,

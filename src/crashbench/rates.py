@@ -184,14 +184,6 @@ def _weighted_totals(subset: Subset) -> tuple[float, float]:
                       in zip(c.passenger, c.nfs, c.other, c.weight)))
 
 
-def crash_vs_vehicle_ratio(subset: Subset) -> float:
-    """Weighted vehicle involvements per weighted crash."""
-    crashes, vehicles = _weighted_totals(subset)
-    if crashes <= 0.0:
-        raise UndefinedStatistic("vehicles-per-crash ratio undefined: no crashes")
-    return vehicles / crashes
-
-
 def apply_adjustment(counts: SeverityCounts, scheme: AdjustmentScheme,
                      severity: SeverityLevel = SeverityLevel.ANY_PROPERTY_DAMAGE_OR_INJURY,
                      ) -> float:
@@ -576,7 +568,7 @@ def build_benchmark(dataset, rows: tuple[tuple[SeverityLevel, str], ...] = DEFAU
     totals = AggregateInputs(
         region=region,
         year=manifest.year,
-        weighted=records.weighted,
+        weighted=all_subset.weighted,
         mileage_all_roads_mmi=merge_mileage(dataset.mileage, None, region, road_rule,
                                             scope="all"),
         crashes_all_roads=crashes,

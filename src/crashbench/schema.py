@@ -12,7 +12,10 @@ key: a misspelt key, or a code table the spec never uses, such as
 special, so it too is an unknown section.  An empty value is an absent one.
 
 A crash spec names the id/weight/severity columns and gives
-classification rules.  Rules use a small expression language::
+classification rules.  A crash's KABCO is read from ``[crash]
+kabco_column`` when the spec gives one, and is otherwise the highest
+among its persons' (``[person] kabco_column``).  Rules use a small
+expression language::
 
     passenger  = BODY_TYP in 1:17, 19:25, 28:42, 45:49
     surface    = GeocodeOnRoad contains_token "St","Ave","Rd" or PostedSpeed <= 45
@@ -390,8 +393,6 @@ class SchemaSpec:
 
     tag: str
     kind: str                     # crash | mileage | shares
-    weighted: bool
-    kabco_from: str               # crash | person
     crash: CrashSchema | None
     vehicle: VehicleSchema | None
     person: PersonSchema | None
@@ -406,12 +407,8 @@ class SchemaSpec:
         key it does not read."""
         if self.kind != "crash":
             return
-        if self.kabco_from == "crash" and self.crash.kabco is None:
-            raise SchemaError(f"spec {self.tag}: kabco_from=crash needs a crash kabco column")
-        if self.kabco_from == "person" and (
-            self.person is None or self.person.kabco is None
-        ):
-            raise SchemaError(f"spec {self.tag}: kabco_from=person needs a person kabco column")
+        if self.crash.kabco is None and (self.person is None or self.person.kabco is None):
+            raise SchemaError(f"spec {self.tag}: needs a crash or a person kabco_column")
         _check_disjoint(self.tag, self.vehicle)
 
 
@@ -460,9 +457,6 @@ def _one_of(choices: dict):
     return parse
 
 
-_WEIGHTED = _one_of({"true": True, "yes": True, "1": True,
-                     "false": False, "no": False, "0": False})
-_KABCO_FROM = _one_of({n: n for n in ("crash", "person")})
 _ROAD_DEFAULT = _one_of({"surface": RoadClass.SURFACE_STREET,
                          "excluded": RoadClass.EXCLUDED_HIGHWAY,
                          "unknown": RoadClass.UNKNOWN})
@@ -494,9 +488,6 @@ def parse_spec(text: str, name: str) -> SchemaSpec:
     get = ini.get
     tag = get("source", "tag", required=True)
     kind = get("source", "kind") or "crash"
-    weighted = get("source", "weighted",
-                   parse=lambda text, where: _WEIGHTED(text.lower(), where)) or False
-    kabco_from = get("source", "kabco_from", parse=_KABCO_FROM) or "crash"
     caveats = tuple(c.strip() for c in (get("source", "caveats") or "").splitlines()
                     if c.strip())
     # kind picks the sections read next, so a misspelt kind is named first.
@@ -584,8 +575,6 @@ def parse_spec(text: str, name: str) -> SchemaSpec:
     spec = SchemaSpec(
         tag=tag,
         kind=kind,
-        weighted=weighted,
-        kabco_from=kabco_from,
         crash=crash,
         vehicle=vehicle,
         person=person,

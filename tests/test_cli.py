@@ -530,6 +530,23 @@ class TestIngestGoldens:
                 golden = (fixtures / "golden" / golden_name / file_name).read_bytes()
                 assert produced == golden, f"{slug}/{file_name} drifted"
 
+    def test_datasets_sharing_a_region_directory_are_rejected(self, capsys, tmp_path,
+                                                               fixtures):
+        dataset = json.loads((fixtures / "manifests" / "maricopa_2022.json").read_text())
+        for entry in dataset["crash_sources"] + dataset["mileage"] + dataset["shares"]:
+            for key in ("crash_file", "vehicle_file", "person_file", "file"):
+                if key in entry:
+                    entry[key] = str(fixtures / "manifests" / entry[key])
+        path = tmp_path / "maricopa.json"
+        path.write_text(json.dumps({"datasets": [dataset, {**dataset, "year": 2021}]}))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "ingest", "--manifest", str(path),
+                           "--out", str(out), "--quiet")
+        assert code == 2, err
+        assert (f"{path}: Maricopa, AZ 2022 and Maricopa, AZ 2021 would both be "
+                f"written to {out / 'maricopa'}") in err
+        assert not out.exists() or not any(out.rglob("*.*"))
+
     def test_canonical_headers(self, capsys, tmp_path, fixtures):
         run(capsys, "ingest",
             "--manifest", str(fixtures / "manifests" / "national_2022.json"),
@@ -570,6 +587,45 @@ class TestBenchmarkCommand:
         payload = json.loads((tmp_path / "benchmark.json").read_text())
         assert len(payload["reports"]) == 1
         assert payload["reports"][0]["region"]["kind"] == "national"
+
+    @staticmethod
+    def with_crss_spec(tmp_path, fixtures, text):
+        """The national manifest, its CRSS source read by a spec file holding
+        ``text``."""
+        spec = tmp_path / "sampled.spec"
+        spec.write_text(text)
+        manifest = national_manifest(fixtures)
+        crss, = (entry for entry in manifest["crash_sources"] if entry["spec"] == "crss")
+        crss["spec"] = str(spec)
+        path = tmp_path / "national.json"
+        path.write_text(json.dumps(manifest))
+        return spec, path
+
+    def test_a_weight_column_makes_the_benchmark_weighted(self, capsys, tmp_path,
+                                                          fixtures):
+        # Weighted sums are not Poisson counts: no exact interval is published.
+        text = (SHIPPED / "specs" / "crss.spec").read_text()
+        assert "weight = WEIGHT" in text
+        _, manifest = self.with_crss_spec(tmp_path, fixtures, text)
+        code, _, err = run(capsys, "benchmark", "--manifest", str(manifest),
+                           "--out", str(tmp_path / "out"), "--quiet")
+        assert code == 0, err
+        report, = json.loads((tmp_path / "out" / "benchmark.json").read_text())["reports"]
+        assert report["weighted"] is True
+        assert report["rows"] and all(
+            row["ci_low_ipmm"] is None and row["ci_high_ipmm"] is None
+            for row in report["rows"])
+
+    @pytest.mark.parametrize("line", ["weighted = false", "kabco_from = crash"])
+    def test_a_removed_source_key_exits_2(self, capsys, tmp_path, fixtures, line):
+        text = (SHIPPED / "specs" / "crss.spec").read_text()
+        spec, manifest = self.with_crss_spec(
+            tmp_path, fixtures, text.replace("kind = crash\n", f"kind = crash\n{line}\n"))
+        code, _, err = run(capsys, "benchmark", "--manifest", str(manifest),
+                           "--out", str(tmp_path / "out"), "--quiet")
+        assert code == 2, err
+        key = line.split(" = ")[0]
+        assert f"spec {spec}: [source] {key}: unknown key" in err
 
     def test_identical_runs_write_identical_bytes(self, capsys, tmp_path,
                                                   fixtures):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from crashbench.errors import ValidationError
-from crashbench.filters import audit_subset, classify_severity, select_subset
+from crashbench.filters import audit_subset, select_subset
 from crashbench.ingest import combine_sources, load_crash_source, load_dataset
 from crashbench.interchange import load_manifest, read_records
 from crashbench.model import (
@@ -41,6 +41,14 @@ def crash(cid="X1", kabco=Kabco.O, road=RoadClass.SURFACE_STREET,
 def levels(row):
     """The observed levels a crash row's severity mask holds."""
     return {level for i, level in enumerate(OBSERVED_LEVELS) if row.severity >> i & 1}
+
+
+def classified(c, units=(), *, tow_from_units=True, airbag_from_units=True):
+    """The observed levels ``select_subset`` classifies one crash into,
+    given its units."""
+    subset = select_subset([c], list(units), road="all", unit_tow_flags=tow_from_units,
+                           unit_airbag_flags=airbag_from_units)
+    return levels(row_of(subset, c.crash_id))
 
 
 def row_of(subset, crash_id):
@@ -97,17 +105,17 @@ class TestSeverityFlags:
     def test_containment_enforced(self):
         # Each classified set nests along the chain, whatever the inputs.
         for c in self.EVERY_CRASH:
-            flags = classify_severity(c, tow_from_units=False, airbag_from_units=False)
+            flags = classified(c, tow_from_units=False, airbag_from_units=False)
             for outer, inner in zip(SEVERITY_CHAIN[1:], SEVERITY_CHAIN[2:]):
                 assert outer in flags or inner not in flags, (c, flags)
 
     def test_adjustment_only_level_is_never_observed(self):
         for c in self.EVERY_CRASH:
-            flags = classify_severity(c, tow_from_units=False, airbag_from_units=False)
+            flags = classified(c, tow_from_units=False, airbag_from_units=False)
             assert SeverityLevel.ANY_PROPERTY_DAMAGE_OR_INJURY not in flags
 
     def test_has_by_level(self):
-        flags = classify_severity(crash(kabco=Kabco.A))
+        flags = classified(crash(kabco=Kabco.A))
         assert SeverityLevel.POLICE_REPORTED in flags
         assert SeverityLevel.ANY_INJURY_REPORTED in flags
         assert SeverityLevel.SUSPECTED_SERIOUS_INJURY_PLUS in flags
@@ -126,7 +134,7 @@ class TestClassifySeverity:
         (Kabco.UNK, False, False, False),
     ])
     def test_injury_chain_from_kabco(self, kabco, injury, serious, fatal):
-        flags = classify_severity(crash(kabco=kabco))
+        flags = classified(crash(kabco=kabco))
         assert SeverityLevel.POLICE_REPORTED in flags
         assert (SeverityLevel.ANY_INJURY_REPORTED in flags) is injury
         assert (SeverityLevel.SUSPECTED_SERIOUS_INJURY_PLUS in flags) is serious
@@ -136,21 +144,20 @@ class TestClassifySeverity:
         c = crash(towed=True)   # crash-level fold says towed
         units = (unit(towed=False), unit(uid="2", towed=False))
         # With unit data the crash fold is ignored.
-        assert SeverityLevel.TOW_AWAY not in classify_severity(c, units)
-        assert SeverityLevel.TOW_AWAY in classify_severity(c, units, tow_from_units=False)
+        assert SeverityLevel.TOW_AWAY not in classified(c, units)
+        assert SeverityLevel.TOW_AWAY in classified(c, units, tow_from_units=False)
 
     def test_airbag_from_eligible_units(self):
         c = crash(airbag=False)
         units = (unit(airbag=True),)
-        assert SeverityLevel.AIRBAG_DEPLOYED in classify_severity(c, units)
-        assert SeverityLevel.AIRBAG_DEPLOYED not in classify_severity(
+        assert SeverityLevel.AIRBAG_DEPLOYED in classified(c, units)
+        assert SeverityLevel.AIRBAG_DEPLOYED not in classified(
             c, (), airbag_from_units=False)
 
 
 class TestSelectSubset:
     def test_surface_subset_of_national_fixture(self, national):
-        subset = select_subset(national.crashes, national.vehicles,
-                               weighted=national.weighted)
+        subset = select_subset(national.crashes, national.vehicles)
         assert sorted(subset.columns.crash_id) == [
             "C001", "C002", "C004", "C006", "C007", "C010",
             "F001", "F003", "F006"]
@@ -163,19 +170,24 @@ class TestSelectSubset:
         }
 
     def test_all_roads_subset_keeps_everything(self, national):
-        subset = select_subset(national.crashes, national.vehicles, road="all",
-                               weighted=national.weighted)
+        subset = select_subset(national.crashes, national.vehicles, road="all")
         assert len(subset.columns.crash_id) == 13
         assert "crash_road_excluded" not in subset.exclusions
         assert "crash_road_unknown" not in subset.exclusions
 
     def test_unit_tallies(self, national):
-        subset = select_subset(national.crashes, national.vehicles,
-                               weighted=national.weighted)
+        subset = select_subset(national.crashes, national.vehicles)
         row = row_of(subset, "C002")
         assert (row.passenger, row.nfs, row.other) == (0, 1, 1)
         row = row_of(subset, "C001")
         assert (row.passenger, row.nfs, row.other) == (2, 0, 0)
+
+    def test_weighted_when_a_weight_is_not_one(self):
+        crashes = [crash(cid=f"X{i}") for i in range(3)]
+        assert select_subset(crashes, [], road="all").weighted is False
+        crashes[1] = crash(cid="X1", weight=2.0)
+        assert select_subset(crashes, [], road="all").weighted is True
+        assert select_subset(crashes, []).weighted is True
 
     def test_zero_unit_crash_stays(self, national):
         subset = select_subset(national.crashes, national.vehicles)
@@ -184,8 +196,7 @@ class TestSelectSubset:
         assert SeverityLevel.TOW_AWAY not in levels(row)
 
     def test_flags_on_fixture_crashes(self, national):
-        subset = select_subset(national.crashes, national.vehicles,
-                               weighted=national.weighted)
+        subset = select_subset(national.crashes, national.vehicles)
         c001 = levels(row_of(subset, "C001"))
         assert {SeverityLevel.TOW_AWAY, SeverityLevel.AIRBAG_DEPLOYED} <= c001
         assert SeverityLevel.ANY_INJURY_REPORTED not in c001
@@ -270,8 +281,7 @@ class TestSurfaceFromAllRoads:
 
 class TestImputation:
     def test_weighted_passenger_share(self, national):
-        subset = select_subset(national.crashes, national.vehicles,
-                               weighted=national.weighted)
+        subset = select_subset(national.crashes, national.vehicles)
         imp = resolve_imputation(subset, NATIONAL)
         # Classified passenger: C001 2x120.5, C004 1x200, C007 1x30,
         # F001/F003/F006 1 each.  Classified other: C002 1x80.25, F001 1.
@@ -292,8 +302,7 @@ class TestImputation:
 
 class TestAudit:
     def test_payload_shape(self, national):
-        subset = select_subset(national.crashes, national.vehicles,
-                               weighted=national.weighted)
+        subset = select_subset(national.crashes, national.vehicles)
         imp = resolve_imputation(subset, NATIONAL)
         audit = audit_subset(subset, imp)
         assert audit["road"] == "surface"

@@ -63,6 +63,11 @@ def _load(fixtures, spec, stem_triplet, region, year=2022, region_filter=None):
     )
 
 
+def _weighted(load, region, year=2022):
+    """Whether the benchmark counts ``load``'s crashes as weighted."""
+    return combine_sources([("all", load)]).classify(region, year).weighted
+
+
 @pytest.fixture(scope="module")
 def crss(fixtures):
     return _load(fixtures, "crss",
@@ -119,7 +124,7 @@ class TestCrss:
             "unknown_airbag": 1,      # C004 non-occupant airbag cell empty
             "unknown_person_kabco": 1,  # C007 person injury code 7 unmapped
         }
-        assert crss.weighted is True
+        assert _weighted(crss, NATIONAL) is True
         assert crss.tow_level == "vehicle"
         assert crss.airbag_units is True
 
@@ -198,7 +203,7 @@ class TestFars:
             "unknown_kabco": 1,    # F007 has no person rows to fold
             "unknown_airbag": 1,   # F006 second person airbag cell empty
         }
-        assert fars.weighted is False
+        assert _weighted(fars, NATIONAL) is False
         assert fars.tow_level == "vehicle"
         assert fars.airbag_units is True
 
@@ -250,7 +255,7 @@ class TestCombineNational:
         assert not any(v.crash_id in ("C005", "F007") for v in combined.vehicles)
         assert combined.unit_tow_flags is True
         assert combined.unit_airbag_flags is True
-        assert combined.weighted is True
+        assert combined.classify(NATIONAL, 2022).weighted is True
 
     def test_cross_source_duplicate_rejected(self, crss):
         with pytest.raises(ValidationError, match="appears in both"):
@@ -267,7 +272,7 @@ class TestAdot:
             "unknown_in_transport": 1,   # A006 pedestrian has no action code
             "unknown_airbag": 1,         # A006 person: both airbag cells blank
         }
-        assert adot.weighted is False
+        assert _weighted(adot, MARICOPA) is False
         assert adot.tow_level == "crash"
         assert adot.airbag_units is True
 
@@ -441,7 +446,7 @@ class TestDatasets:
         data = load_dataset(manifest)
         assert data.records.folded.crash_id == ["T001", "T002"]
         assert data.source_audits[0]["records"]["vehicles"] == 3
-        assert data.records.weighted is False
+        assert data.records.classify(manifest.region, manifest.year).weighted is False
         assert data.records.unit_tow_flags is True
         assert [m.vmt_millions for m in data.mileage] == [0.012]
         assert data.shares is None
@@ -524,7 +529,7 @@ class TestDatasets:
         manifest, = load_manifest(fixtures / "manifests" / "national_2022.json")
         data = load_dataset(manifest)
         assert len(data.records.crashes) == 13
-        assert data.records.weighted is True
+        assert data.records.classify(manifest.region, manifest.year).weighted is True
         assert len(data.mileage) == 14
         assert data.shares is not None
         assert {a["spec"] for a in data.source_audits} == {"crss", "fars_national"}
@@ -1325,12 +1330,28 @@ class TestRequiredColumns:
                 pass
         assert required == REQUIRED_COLUMNS[name]
 
-    def test_crash_kabco_column_is_required_where_persons_give_severity(self, tmp_path):
+    def test_crash_kabco_column_is_read_where_persons_give_severity_too(self, tmp_path):
         spec = (resources.files("crashbench") / "specs" / "fars_national.spec").read_text()
         spec = spec.replace("year = YEAR\n", "year = YEAR\nkabco_column = MAXSEV\n")
-        (tmp_path / "fars.spec").write_text(spec + "\n[crash.kabco_codes]\nK = 4\n")
+        (tmp_path / "fars.spec").write_text(spec + "\n[crash.kabco_codes]\nO = 0\nK = 4\n")
         crashes = tmp_path / "c.csv"
         crashes.write_text("ST_CASE,YEAR,FUNC_SYS\nF1,2022,1\n")
         with pytest.raises(SchemaError, match=r"missing column\(s\) MAXSEV$"):
             load_crash_source(load_schema(str(tmp_path / "fars.spec")), crashes,
                               region=NATIONAL, year=2022)
+        # F1's crash row says O and its person K; F2's the other way round.
+        crashes.write_text("ST_CASE,YEAR,FUNC_SYS,MAXSEV\nF1,2022,1,0\nF2,2022,1,4\n")
+        vehicles = tmp_path / "v.csv"
+        vehicles.write_text("ST_CASE,VEH_NO,BODY_TYP,UNITTYPE,TOWED\n"
+                            "F1,1,1,1,2\nF2,1,1,1,2\n")
+        persons = tmp_path / "p.csv"
+        persons.write_text("ST_CASE,PER_NO,VEH_NO,INJ_SEV,AIR_BAG\n"
+                           "F1,1,1,4,20\nF2,1,1,0,20\n")
+
+        def kabco_of(spec):
+            load = load_crash_source(load_schema(spec), crashes, vehicles, persons,
+                                     region=NATIONAL, year=2022)
+            return {c.crash_id: c.max_kabco for c in load.crashes}
+
+        assert kabco_of(str(tmp_path / "fars.spec")) == {"F1": Kabco.O, "F2": Kabco.K}
+        assert kabco_of("fars_national") == {"F1": Kabco.K, "F2": Kabco.O}

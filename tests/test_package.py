@@ -39,7 +39,7 @@ def test_unknown_name_raises_attribute_error_naming_the_package():
 
 def test_public_name_count():
     # The size of the public surface is tracked (ROADMAP aim 2).
-    assert len(crashbench.__all__) == 54
+    assert len(crashbench.__all__) == 53
 
 
 def _file_reads(source: str):

@@ -30,7 +30,6 @@ from crashbench.rates import (
     build_benchmark,
     compute_rate,
     count_crashed_vehicles,
-    crash_vs_vehicle_ratio,
     garwood_interval,
     load_aggregates,
     merge_mileage,
@@ -38,6 +37,7 @@ from crashbench.rates import (
     resolve_imputation,
     tally_crash_counts,
     tally_vehicle_counts,
+    _weighted_totals,
 )
 from crashbench.schema import load_schema
 from crashbench.synth import PopulationSpec, generate
@@ -72,8 +72,7 @@ def national(fixtures):
 
 @pytest.fixture(scope="module")
 def surface(national):
-    return select_subset(national.crashes, national.vehicles,
-                         weighted=national.weighted)
+    return select_subset(national.crashes, national.vehicles)
 
 
 # Classified vehicles on national surface streets: passenger 474, other 81.25.
@@ -240,10 +239,9 @@ class TestTallies:
                 tallied.get(level), **APPROX)
 
     def test_ratio_counts_all_vehicle_types(self, national):
-        subset = select_subset(national.crashes, national.vehicles, road="all",
-                               weighted=national.weighted)
-        assert crash_vs_vehicle_ratio(subset) == pytest.approx(
-            798.0 / 616.25, **APPROX)
+        subset = select_subset(national.crashes, national.vehicles, road="all")
+        crashes, vehicles = _weighted_totals(subset)
+        assert vehicles / crashes == pytest.approx(798.0 / 616.25, **APPROX)
 
 
 class TestOrderIndependence:
@@ -258,11 +256,12 @@ class TestOrderIndependence:
         rng.shuffle(shuffled_vehicles)
 
         def totals(crash_list, vehicle_list):
-            surface = select_subset(crash_list, vehicle_list, weighted=True)
-            every = select_subset(crash_list, vehicle_list, road="all", weighted=True)
+            surface = select_subset(crash_list, vehicle_list)
+            every = select_subset(crash_list, vehicle_list, road="all")
             w = resolve_imputation(surface, spec.region).w
+            crash_total, vehicle_total = _weighted_totals(every)
             return (tally_vehicle_counts(surface, w), tally_crash_counts(surface),
-                    w, crash_vs_vehicle_ratio(every))
+                    w, vehicle_total / crash_total)
 
         assert totals(shuffled_crashes, shuffled_vehicles) == totals(
             list(crashes), list(vehicles))

@@ -175,8 +175,6 @@ MINIMAL_SPEC = """
 [source]
 tag = mini
 kind = crash
-weighted = false
-kabco_from = crash
 
 [crash]
 id = ID
@@ -246,6 +244,13 @@ class TestParseSpec:
         assert spec.tow_level == "none"
         assert spec.person is None
         assert spec.crash.kabco.get("4") is Kabco.K
+
+    def test_crash_spec_needs_a_kabco_column(self):
+        text = MINIMAL_SPEC.replace("kabco_column = SEV\n", "").split("[crash.kabco_codes]")
+        no_kabco = text[0] + "[crash.road]" + text[1].split("[crash.road]")[1]
+        with pytest.raises(SchemaError, match="^spec mini: needs a crash or a person "
+                                              "kabco_column$"):
+            parse_spec(no_kabco, "mini")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SchemaError, match="kind"):

@@ -22,9 +22,9 @@ from crashbench.power import PowerQuery, normal_quantile, required_vmt
 from crashbench.rates import (
     compute_rate,
     count_crashed_vehicles,
-    crash_vs_vehicle_ratio,
     resolve_imputation,
     tally_crash_counts,
+    _weighted_totals,
 )
 from crashbench.synth import (
     GroundTruth,
@@ -423,7 +423,7 @@ class TestOracleAgreement:
         compare = ((lambda a, b: a == b) if exact
                    else (lambda a, b: a == pytest.approx(b, rel=1e-9)))
 
-        subset_all = select_subset(crashes, vehicles, road="all", weighted=True)
+        subset_all = select_subset(crashes, vehicles, road="all")
         counts_all = tally_crash_counts(subset_all)
         for level in OBSERVABLE:
             assert compare(counts_all.get(level), truth.severity_count(level))
@@ -438,7 +438,7 @@ class TestOracleAgreement:
         assert counts_all.tow_away <= counts_all.police_reported
         assert counts_all.airbag_deployed <= counts_all.police_reported
 
-        surface = select_subset(crashes, vehicles, road="surface", weighted=True)
+        surface = select_subset(crashes, vehicles, road="surface")
         counts_surface = tally_crash_counts(surface)
         imp = resolve_imputation(surface, spec.region)
         assert compare(
@@ -454,7 +454,8 @@ class TestOracleAgreement:
                 count_crashed_vehicles(surface, level, imp.w),
                 brute_force_tally(crashes, vehicles, "vehicle_count",
                                   severity=level, road="surface", w=imp.w))
-        assert compare(crash_vs_vehicle_ratio(subset_all),
+        crashes_all, vehicles_all = _weighted_totals(subset_all)
+        assert compare(vehicles_all / crashes_all,
                        brute_force_tally(crashes, vehicles, "ratio"))
 
     @pytest.mark.parametrize("seed", range(50))
@@ -535,7 +536,7 @@ class TestColumnPathOracle:
             runs={"crashes": [interchange.encode("crashes", crashes)],
                   "vehicles": [interchange.encode("vehicles", vehicles)], "persons": [[]]},
             diagnostics=dataset.records.diagnostics, unit_tow_flags=True,
-            unit_airbag_flags=True, weighted=True, caveats=())
+            unit_airbag_flags=True, caveats=())
         from_records = build_benchmark(replace(dataset, records=records))
 
         w = brute_force_tally(crashes, vehicles, "imputation_weight", road="surface")
