@@ -158,7 +158,7 @@ class Subset:
     road: str                               # surface | all
     tow_from_units: bool
     airbag_from_units: bool
-    weighted: bool                          # some crash's sample weight is not 1
+    weighted: bool
     exclusions: Counter = field(default_factory=Counter)
     caveats: tuple[str, ...] = ()
 

@@ -1330,7 +1330,8 @@ class TestRequiredColumns:
                 pass
         assert required == REQUIRED_COLUMNS[name]
 
-    def test_crash_kabco_column_is_read_where_persons_give_severity_too(self, tmp_path):
+    def test_crash_kabco_column_is_required_where_persons_give_severity_and_is_read(
+            self, tmp_path):
         spec = (resources.files("crashbench") / "specs" / "fars_national.spec").read_text()
         spec = spec.replace("year = YEAR\n", "year = YEAR\nkabco_column = MAXSEV\n")
         (tmp_path / "fars.spec").write_text(spec + "\n[crash.kabco_codes]\nO = 0\nK = 4\n")
