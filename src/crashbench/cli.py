@@ -393,6 +393,11 @@ def cmd_ingest(args) -> int:
     targets = [out if len(manifests) == 1 else out / _region_slug(ds.region)
                for ds in manifests]
     for ds, target in zip(manifests, targets):
+        slug = _region_slug(ds.region)
+        if len(manifests) > 1 and (slug in ("", ".", "..") or "/" in slug or "\\" in slug):
+            raise ValidationError(
+                f"{manifest_path}: {_dataset_label(ds)}: region name {ds.region.name!r} "
+                f"is not one directory name under {out}")
         first = manifests[targets.index(target)]
         if first is not ds:
             raise ValidationError(

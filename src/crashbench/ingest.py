@@ -4,8 +4,9 @@ Every raw row either becomes exactly one canonical row or is counted
 under exactly one diagnostic reason, so row counts are conserved and the
 filter audit can account for every exclusion.  A canonical row holds the
 cells ``interchange`` writes for its table, in header order, and has
-passed the checks of its record type (``model.check_crash``,
-``model.check_unit``); no record is built.  Unknown codes never drop a
+passed the checks of its record type (``model.check_crash``; a unit's
+crash is a kept one, and its id is checked non-empty as it is read); no
+record is built.  Unknown codes never drop a
 row silently: they classify to an explicit unknown bucket and bump a
 warning counter.
 
@@ -82,7 +83,6 @@ from .model import (
     Region,
     VehicleInvolvement,
     check_crash,
-    check_unit,
 )
 from .schema import CodeMap, RoadRules, Rule, SchemaSpec, load_schema
 
@@ -433,7 +433,6 @@ def load_crash_source(
         if (crash_id, unit_id) in unit_info:
             raise ValidationError(
                 f"{vehicle_in.where}:{line}: duplicate unit {crash_id}/{unit_id}")
-        check_unit(crash_id, unit_id)
         info = unit_info[(crash_id, unit_id)] = classify_unit(row)
         _, _, _, towed, airbag, warnings = info
         if warnings:

@@ -94,13 +94,6 @@ _BOOL = {"1": True, "0": False}.__getitem__
 FLAG = ("0", "1")               # a flag's cell: FLAG[flag]
 
 
-def _parse_region(cells: tuple[str, str]) -> Region:
-    name, state = cells
-    if name == "national" and not state:
-        return Region.national()
-    return Region.county(name, state)
-
-
 def _cells(header: tuple[str, ...], *columns: str) -> Callable:
     """Row -> its cells in ``columns`` (one cell for one column), located by
     ``header``."""
@@ -115,8 +108,8 @@ _CRASHES = _Table(
         FLAG[c.tow_away], FLAG[c.airbag_deployed],
     ),
     CrashEvent,
-    {"crash_id": str, "source": str, "region,region_state": _parse_region, "year": int,
-     "road_class": RoadClass, "sample_weight": float, "max_kabco": Kabco,
+    {"crash_id": str, "source": str, "region,region_state": Region.of_cells,
+     "year": int, "road_class": RoadClass, "sample_weight": float, "max_kabco": Kabco,
      "tow_away": _BOOL, "airbag_deployed": _BOOL},
 )
 _VEHICLES = _Table(
@@ -143,7 +136,7 @@ _MILEAGE = _Table(
         m.area_type.value, repr(m.vmt_millions),
     ),
     MileageCell,
-    {"region,region_state": _parse_region, "year": int,
+    {"region,region_state": Region.of_cells, "year": int,
      "functional_class": FunctionalClass, "area_type": AreaType, "vmt_millions": float},
 )
 _TABLES = {"crashes": _CRASHES, "vehicles": _VEHICLES, "persons": _PERSONS,

@@ -166,6 +166,14 @@ class Region:
     def county(cls, name: str, state: str) -> Region:
         return cls("county", name, state)
 
+    @classmethod
+    def of_cells(cls, cells: tuple[str, str]) -> Region:
+        """The region a table's ``region`` and ``region_state`` cells name:
+        "national" is the national total, and carries no state; any other
+        name is a county in that state."""
+        name, state = cells
+        return cls("national" if name == "national" else "county", name, state)
+
     @property
     def share_state(self) -> str:
         """State key used for passenger-share lookups; US for the national total."""

@@ -673,7 +673,7 @@ def load_aggregates(source: str) -> list[AggregateInputs]:
                 raise ValidationError(f"{context}: weighted must be 0 or 1, got {weighted!r}")
             totals = {key: cell(row, key, context) for key in _AGGREGATE_COLUMNS[4:]}
             try:
-                region = Region.national() if name == "national" else Region.county(name, state)
+                region = Region.of_cells((name, state))
                 counts = SeverityCounts(
                     **{level.value: totals.pop(level.value) for level in OBSERVED_LEVELS})
                 out.append(AggregateInputs(region=region, year=int(year),

@@ -309,6 +309,33 @@ class TestExitCodes:
         assert "benchmark for national: no rows for the power table" in err
         assert reason in err
 
+    def test_national_aggregate_row_with_a_state_names_its_row(self, capsys, tmp_path):
+        path, line = aggregates_edited(tmp_path, "2022", "national", {"region_state": "AZ"})
+        code, _, err = run(capsys, "benchmark", "--aggregates", str(path),
+                           "--out", str(tmp_path / "out"), "--quiet")
+        assert code == 2, err
+        assert (f"aggregate table {path} row {line}: national region carries no state"
+                in err)
+
+    def test_national_canonical_row_with_a_state_names_its_line(self, capsys, tmp_path,
+                                                               fixtures):
+        # "national" is the national region in a canonical table as in an
+        # aggregate one, and a national row carries no state.
+        canonical = fixtures / "canonical"
+        lines = (canonical / "town_crashes.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "crashes.csv").write_text(
+            lines[0] + lines[1] + lines[2].replace(",Springfield,IL,", ",national,AZ,"))
+        manifest = json.loads((fixtures / "manifests" / "town_2022.json").read_text())
+        manifest["crash_sources"][0].update(crash_file=str(tmp_path / "crashes.csv"),
+                                            vehicle_file=None)
+        manifest["mileage"][0]["file"] = str(canonical / "town_mileage.csv")
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "benchmark", "--manifest", str(tmp_path / "manifest.json"),
+                           "--out", str(tmp_path / "out"), "--quiet")
+        assert code == 2, err
+        assert (f"{tmp_path / 'crashes.csv'}:3: unreadable region,region_state "
+                f"('national', 'AZ')") in err
+
     @pytest.mark.parametrize("file_key, old, new, column", [
         ("crash_file", "C002,2022,80.25,1,0", "C002,20x2,80.25,1,0", "YEAR"),
         ("crash_file", "C002,2022,80.25,1,0", "C002,2022,lots,1,0", "WEIGHT"),
@@ -546,6 +573,25 @@ class TestIngestGoldens:
         assert (f"{path}: Maricopa, AZ 2022 and Maricopa, AZ 2021 would both be "
                 f"written to {out / 'maricopa'}") in err
         assert not out.exists() or not any(out.rglob("*.*"))
+
+    def test_region_directory_outside_out_is_rejected(self, capsys, tmp_path, fixtures):
+        # A two-dataset manifest writes each dataset to a directory named
+        # for its region, which must be one name directly under --out.
+        dataset = json.loads((fixtures / "manifests" / "maricopa_2022.json").read_text())
+        for entry in dataset["crash_sources"] + dataset["mileage"] + dataset["shares"]:
+            for key in ("crash_file", "vehicle_file", "person_file", "file"):
+                if key in entry:
+                    entry[key] = str(fixtures / "manifests" / entry[key])
+        escaped = {**dataset, "region": {"kind": "county", "name": "../escaped",
+                                         "state": "AZ"}}
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"datasets": [dataset, escaped]}))
+        code, _, err = run(capsys, "ingest", "--manifest", str(path),
+                           "--out", str(tmp_path / "out"), "--quiet")
+        assert code == 2, err
+        assert (f"{path}: ../escaped, AZ 2022: region name '../escaped' is not one "
+                f"directory name under {tmp_path / 'out'}") in err
+        assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == [path]
 
     def test_canonical_headers(self, capsys, tmp_path, fixtures):
         run(capsys, "ingest",

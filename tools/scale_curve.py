@@ -33,6 +33,19 @@ one entry to ``BENCH_scale.json``: each run's wall time and the child's
 peak RSS, with the Python version, CPU count and git SHA of the measured
 source tree.
 
+After the timed runs at a size, each tree runs once more, untimed.
+Every 10 ms until the child exits, the curve reads, for the child and
+every process under it, the proportional set size (``Pss`` in
+``/proc/PID/smaps_rollup``: a page shared after a fork counts a share in
+each process that maps it) and the resident size (``VmRSS``).  The entry
+keeps, per size, the largest sum of each over the processes alive at one
+sample (``tree_pss_mib``, ``tree_rss_mib``) and the most processes alive
+at once (``processes``): the whole run, as a memory limit counts it,
+where ``peak_rss_mib`` is the largest single process (``ru_maxrss``, as
+perfbench's ``peak_rss_mb``).  A peak shorter than the interval can be
+missed, so each is a floor; sampling costs CPU, so the run is not timed.
+Linux only.
+
 Before each run, a child process times one sample of perfbench's
 ``reference_loop`` (once on every CPU in turn, as perfbench calibrates).
 The entry keeps each sample next to its run's wall time, the median of
@@ -199,23 +212,67 @@ def reference_sample() -> tuple[float, float]:
     return reference_s, seconds
 
 
-def run_cli(src: Path, command: str, inputs_dir: Path, out: Path) -> tuple[float, float]:
+def _kib(path: str, field: str) -> int | None:
+    """The ``field`` line of a /proc file, in KiB; None once the process
+    has gone."""
+    try:
+        with open(path) as handle:
+            for line in handle:
+                if line.startswith(field):
+                    return int(line.split()[1])
+    except OSError:
+        return None
+    return None
+
+
+def _processes(root: int) -> list[int]:
+    """``root`` and every process under it."""
+    found, todo = [], [root]
+    while todo:
+        pid = todo.pop()
+        found.append(pid)
+        try:
+            for task in os.listdir(f"/proc/{pid}/task"):
+                with open(f"/proc/{pid}/task/{task}/children") as handle:
+                    todo += map(int, handle.read().split())
+        except OSError:
+            pass
+    return found
+
+
+def run_cli(src: Path, command: str, inputs_dir: Path, out: Path,
+            sample: bool = False) -> tuple[float, float, dict]:
     """Wall seconds and peak RSS (MiB) of one ``command`` child on the
-    input file it reads from ``inputs_dir``."""
+    input file it reads from ``inputs_dir``; and, when ``sample``, the
+    peaks of the memory it and every process under it hold at once, read
+    every 10 ms, else {}."""
     shutil.rmtree(out, ignore_errors=True)
     option, _, name, _ = INPUT[command]
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
+    tree = {"tree_pss_mib": 0.0, "tree_rss_mib": 0.0, "processes": 0}
     started = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, "-m", "crashbench.cli", command, option, str(inputs_dir / name),
          "--out", str(out), "--quiet"], env=env, stderr=subprocess.PIPE)
-    _, status, usage = os.wait4(proc.pid, 0)
+    while True:
+        pid, status, usage = os.wait4(proc.pid, os.WNOHANG if sample else 0)
+        if pid:
+            break
+        sizes = [(_kib(f"/proc/{child}/smaps_rollup", "Pss:"),
+                  _kib(f"/proc/{child}/status", "VmRSS:"))
+                 for child in _processes(proc.pid)]
+        sizes = [(pss, rss) for pss, rss in sizes if pss is not None and rss is not None]
+        tree["tree_pss_mib"] = max(tree["tree_pss_mib"], sum(p for p, _ in sizes) / 1024)
+        tree["tree_rss_mib"] = max(tree["tree_rss_mib"], sum(r for _, r in sizes) / 1024)
+        tree["processes"] = max(tree["processes"], len(sizes))
+        time.sleep(0.01)
     wall = time.perf_counter() - started
     if os.waitstatus_to_exitcode(status) != 0:
         raise SystemExit(f"{command} failed on {inputs_dir / name}: "
                          f"{proc.stderr.read().decode()}")
     proc.stderr.close()
-    return wall, usage.ru_maxrss / 1024.0
+    return wall, usage.ru_maxrss / 1024.0, (
+        {field: round(value, 1) for field, value in tree.items()} if sample else {})
 
 
 def canonical_digests(command: str, out: Path) -> dict[str, str]:
@@ -271,24 +328,31 @@ def main(argv: list[str] | None = None) -> int:
         inputs_dir = build_inputs(args.curve, SEED, n_crashes)
         summary = json.loads((inputs_dir / "inputs.json").read_text(encoding="utf-8"))
         samples: dict[str, list] = {label: [] for label in trees}
+        memory: dict[str, dict] = {}
         order = list(trees)
         expected = None         # the CSVs each ingest or synth run must write
         if fillers:
             run_cli(trees[order[0]], command, build_inputs(command, SEED, n_crashes), out)
             expected = canonical_digests(command, out)
-        for repeat in range(REPEATS):
-            first = repeat % len(order)
-            for label in order[first:] + order[:first]:
+        # The timed runs, the tree that goes first rotating, then one untimed
+        # run of each tree that samples its processes' memory.
+        turns = [(order[(repeat + i) % len(order)], False)
+                 for repeat in range(REPEATS) for i in range(len(order))]
+        for label, sample in turns + [(label, True) for label in order]:
+            if sample:
+                memory[label] = run_cli(trees[label], command, inputs_dir, out,
+                                        sample=True)[2]
+            else:
                 reference_s, loop = reference_sample()
-                samples[label].append((*run_cli(trees[label], command, inputs_dir, out),
-                                       loop))
-                if written_csvs:
-                    written = canonical_digests(command, out)
-                    if expected is not None and written != expected:
-                        raise SystemExit(f"{label}: {args.curve} at {n_crashes} crashes "
-                                         f"wrote other CSVs than the first run"
-                                         + (" on the narrow inputs" if fillers else ""))
-                    expected = written
+                samples[label].append(
+                    (*run_cli(trees[label], command, inputs_dir, out)[:2], loop))
+            if written_csvs:
+                written = canonical_digests(command, out)
+                if expected is not None and written != expected:
+                    raise SystemExit(f"{label}: {args.curve} at {n_crashes} crashes "
+                                     f"wrote other CSVs than the first run"
+                                     + (" on the narrow inputs" if fillers else ""))
+                expected = written
         size_loop = statistics.median(loop for taken in samples.values()
                                       for _, _, loop in taken)
         for label, taken in samples.items():
@@ -303,11 +367,13 @@ def main(argv: list[str] | None = None) -> int:
                 "median_ref_wall_s": round(statistics.median(
                     w for w, _, _ in taken) * reference_s / size_loop, 3),
                 "median_peak_rss_mib": round(statistics.median(r for _, r, _ in taken), 1),
+                **memory[label],
             })
             run = runs[label][-1]
             print(f"{label}: {n_crashes} crashes: {run['median_wall_s']} s "
                   f"({run['median_ref_wall_s']} reference-host s), "
-                  f"{run['median_peak_rss_mib']} MiB", file=sys.stderr)
+                  f"{run['median_peak_rss_mib']} MiB; {run['processes']} processes "
+                  f"held {run['tree_pss_mib']} MiB Pss", file=sys.stderr)
     shutil.rmtree(out, ignore_errors=True)
 
     record = (json.loads(OUT.read_text(encoding="utf-8")) if OUT.is_file()
