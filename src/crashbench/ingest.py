@@ -6,9 +6,8 @@ filter audit can account for every exclusion.  A canonical row holds the
 cells ``interchange`` writes for its table, in header order, and has
 passed the checks of its record type (``model.check_crash``; a unit's
 crash is a kept one, and its id is checked non-empty as it is read); no
-record is built.  Unknown codes never drop a
-row silently: they classify to an explicit unknown bucket and bump a
-warning counter.
+record is built.  Unknown codes never drop a row silently: they classify
+to an explicit unknown bucket and bump a warning counter.
 
 Raw tables are streamed as positional rows with the semantics of
 ``csv.DictReader``: blank lines are skipped, a short row is padded with
