@@ -90,7 +90,8 @@ def _json_check(label: str):
     """``check(value, kind, where, among=None, text=False)``: ``value`` when
     it is JSON of ``kind`` (and one of ``among``, if given; a string that
     is not empty or all whitespace, if ``text``), else a ValidationError
-    naming ``label``'s file and ``where`` in it."""
+    naming ``label``'s file and ``where`` in it.  ``check.label`` is
+    ``label``, for callers that reject a value on other grounds."""
     def check(value, kind, where: str, among: tuple | None = None, text: bool = False):
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValidationError(f"{label}: {where} must be {_JSON_KINDS[kind]}")
@@ -100,6 +101,7 @@ def _json_check(label: str):
             raise ValidationError(f"{label}: {where} must be {' or '.join(among)}")
         return value
 
+    check.label = label
     return check
 
 

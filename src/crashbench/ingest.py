@@ -34,7 +34,11 @@ into one run per table, and the digests of the files they read back
 over a pipe in manifest order; so this process never holds a loader's
 working state, and errors are raised as a load in turn would raise
 them.  Raw files under ``_WORKER_BYTES`` in all load in this process,
-where a worker costs more time than it saves.
+where a worker costs more time than it saves.  The cyclic garbage
+collector is paused while a raw source's rows are built and sorted, in a
+worker or here, and while a worker's rows are unpickled, and the
+caller's setting is restored after: rows are tuples of str, which hold
+no reference cycle, so its passes over them would free nothing.
 
 Canonical sources are not normalized again: their crash, vehicle and
 person tables are folded into per-crash columns as they are read
@@ -56,10 +60,11 @@ asks for them.
 from __future__ import annotations
 
 import csv
+import gc
 import os
 import threading
 from collections import Counter, deque
-from contextlib import closing, suppress
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
@@ -757,16 +762,32 @@ def _load_canonical_source(ref: interchange.CrashSourceRef, region: Region,
     )
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, and restore the caller's state
+    however the block ends.  Raw rows are tuples of str, which hold no
+    cycle, so the collector would scan them again and again as they are
+    built or unpickled and free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _load_raw_source(ref: interchange.CrashSourceRef, region: Region,
                      year: int) -> LoadResult:
     """One raw source through ``load_crash_source``, each table's rows
-    sorted on its key into one run."""
-    load = load_crash_source(
-        load_schema(ref.spec), ref.crash_file, ref.vehicle_file, ref.person_file,
-        region=region, year=year, region_filter=ref.region_filter,
-    )
-    for table, rows in load.rows.items():
-        interchange.sort_rows(table, rows)
+    sorted on its key into one run, with the collector paused."""
+    with _collector_paused():
+        load = load_crash_source(
+            load_schema(ref.spec), ref.crash_file, ref.vehicle_file, ref.person_file,
+            region=region, year=year, region_filter=ref.region_filter,
+        )
+        for table, rows in load.rows.items():
+            interchange.sort_rows(table, rows)
     return load
 
 
@@ -849,7 +870,7 @@ def _raw_loads(refs: list[interchange.CrashSourceRef], region: Region,
                 running.append((ref, *_start_worker(ref, region, year)))
             ref, pid, pipe = running[0]
             try:
-                with pipe:
+                with pipe, _collector_paused():
                     outcome = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
                 outcome = None      # the worker ended before it wrote a whole result

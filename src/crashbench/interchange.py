@@ -9,7 +9,10 @@ order, as text.  Each table is declared once: header, the columns it
 sorts on, one encoder from a record to its row, and one decoder per
 record field.  There is one writer, ``write_rows``: it takes rows as
 runs, each sorted on the table's sort columns (``sort_rows``), and
-merges them.  Raw sources load straight to rows
+merges them.  It joins the cells of each chunk of merged rows with
+commas and writes that text as it is, unless a cell in the chunk needs
+quoting, when ``csv.writer`` writes the chunk; the bytes are
+``csv.writer``'s either way.  Raw sources load straight to rows
 (``ingest.load_crash_source``) and give one run each; ``write_crashes``
 and the other record writers encode, sort their one run, then call it.
 Crash, vehicle and person keys are unique, and mileage rows, whose key
@@ -45,6 +48,7 @@ import json
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -155,16 +159,36 @@ def sort_rows(table: str, rows: list) -> list:
     return rows
 
 
+# Merged rows are encoded this many at a time (``write_rows``).
+_CHUNK = 4096
+
+
 def write_rows(path: str | Path, table: str,
                runs: Iterable[Sequence[Sequence[str]]]) -> None:
     """The one canonical writer: the rows of ``table`` (crashes, vehicles,
     persons or mileage) in ``runs``, each sorted on the table's sort
-    columns (``sort_rows``), merged on them."""
+    columns (``sort_rows``), merged on them.
+
+    The merged rows are encoded ``_CHUNK`` at a time by joining their
+    cells.  The text of a chunk shows whether a cell holds a comma, a
+    quote, LF or CR, the characters ``csv.writer`` may quote a cell for:
+    none does when it has one comma fewer than cells and one LF per row,
+    and no quote or CR.  Such a chunk is written as it is; any other goes
+    through ``csv.writer``, so the bytes are ``csv.writer``'s either way."""
     import heapq  # imported only by the commands that write tables
+    header = _TABLES[table].header
+    commas = len(header) - 1
+    merged = heapq.merge(*runs, key=_sort_key(table))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_TABLES[table].header)
-        writer.writerows(heapq.merge(*runs, key=_sort_key(table)))
+        writer.writerow(header)
+        while chunk := list(islice(merged, _CHUNK)):
+            text = "\n".join(map(",".join, chunk)) + "\n"
+            if (text.count(",") == commas * len(chunk) and text.count("\n") == len(chunk)
+                    and '"' not in text and "\r" not in text):
+                handle.write(text)
+            else:
+                writer.writerows(chunk)
 
 
 def encode(table: str, records: Iterable) -> list[tuple[str, ...]]:
@@ -251,8 +275,9 @@ def _row_error(where: str, table: _Table, row: list) -> ValidationError:
     for columns, (cells, decode) in zip(table.fields, _plan(table)):
         try:
             decode(cells(row))
-        except (KeyError, ValueError):
-            return ValidationError(f"{where}: unreadable {columns} {cells(row)!r}")
+        except (KeyError, ValueError) as exc:
+            reason = f": {exc}" if isinstance(exc, ValidationError) else ""
+            return ValidationError(f"{where}: unreadable {columns} {cells(row)!r}{reason}")
 
 
 def _fold_fields(table: _Table, *names: str) -> tuple[Callable, Callable]:
@@ -521,15 +546,19 @@ _ROLES = ("all", "nonfatal", "fatal")
 def _manifest_region(value, check: Callable, where: str) -> Region:
     """The region at ``where``: "national", or an object of ``kind``
     national or county (the default) with a non-blank string ``name`` and
-    ``state``."""
+    ``state``; a county may not take the national region's name."""
     if value == "national":
         return Region.national()
     check(value, dict, where)
     if check(value.get("kind", "county"), str, f"{where}.kind",
              among=("national", "county")) == "national":
         return Region.national()
-    return Region.county(check(value.get("name"), str, f"{where}.name", text=True),
-                         check(value.get("state"), str, f"{where}.state", text=True))
+    name = check(value.get("name"), str, f"{where}.name", text=True)
+    state = check(value.get("state"), str, f"{where}.state", text=True)
+    try:
+        return Region.county(name, state)
+    except ValidationError as exc:
+        raise ValidationError(f"{check.label}: {where}.name: {exc}") from None
 
 
 def _resolve(base: Path, value: str) -> Path:

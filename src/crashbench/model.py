@@ -155,6 +155,9 @@ class Region:
             raise ValidationError(f"county region {self.name!r} needs a state")
         if self.kind == "national" and self.state:
             raise ValidationError("national region carries no state")
+        if self.kind == "county" and self.name == "national":
+            raise ValidationError("a county cannot be named 'national', the national "
+                                  "region's name")
         if not self.name:
             raise ValidationError("region name is empty")
 

@@ -1,7 +1,9 @@
 """End-to-end command behavior, exit codes, and byte-stable outputs."""
 
 import csv
+import dataclasses
 import hashlib
+import io
 import json
 import os
 import random
@@ -22,9 +24,43 @@ from crashbench.interchange import (
     PERSON_HEADER,
     VEHICLE_HEADER,
 )
+from crashbench.model import Region
 
 CANONICAL_FILES = ("crashes.csv", "vehicles.csv", "persons.csv", "mileage.csv")
 SHIPPED = Path(crashbench.__file__).parent
+
+
+# Not a golden: copies of a record whose ids need quoting (``needing_quotes``).
+NEEDING_QUOTES = "ids_needing_quotes"
+# What every 7th key of each chunk of rows holds beside its number: a comma,
+# nothing, a quote, LF, and CR LF.
+CHUNK_MARKS = (",", "", '"', "\n", "\r\n")
+
+
+def needing_quotes(fixtures, table):
+    """Four and a half chunks (``interchange._CHUNK``) of copies of sf_2022's
+    first ``table`` record, the i-th keyed by i written out and marked
+    (``CHUNK_MARKS``): its crash id, or for mileage its region's name."""
+    golden = fixtures / "golden" / "sf_2022" / f"{table}.csv"
+    first = interchange.read_records(golden, table)[0]
+    chunk = interchange._CHUNK
+    records = []
+    for i in range(chunk * 9 // 2):
+        key = f"{i:06d}{'' if i % 7 else CHUNK_MARKS[i // chunk]}"
+        records.append(
+            dataclasses.replace(first, region=Region.county(key, first.region.state))
+            if table == "mileage" else dataclasses.replace(first, crash_id=key))
+    return records
+
+
+def csv_writer_bytes(table, records):
+    """``records`` of ``table`` as one ``csv.writer`` pass writes their
+    header and sorted rows."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(interchange._TABLES[table].header)
+    writer.writerows(interchange.sort_rows(table, interchange.encode(table, records)))
+    return buffer.getvalue().encode()
 
 
 def run(capsys, *argv):
@@ -335,6 +371,29 @@ class TestExitCodes:
         assert code == 2, err
         assert (f"{tmp_path / 'crashes.csv'}:3: unreadable region,region_state "
                 f"('national', 'AZ')") in err
+        # The record check's own reason follows the cells it rejects.
+        assert (f"{tmp_path / 'crashes.csv'}:3: unreadable region,region_state "
+                f"('national', 'AZ'): national region carries no state") in err
+
+    @pytest.mark.parametrize("command", ["ingest", "benchmark"])
+    def test_county_named_national_is_rejected(self, capsys, tmp_path, fixtures, command):
+        # A county named "national" would be written as rows that read back
+        # as the national region with a state, which the reader rejects.
+        manifest = json.loads((fixtures / "manifests" / "maricopa_2022.json").read_text())
+        for entry in manifest["crash_sources"] + manifest["mileage"] + manifest["shares"]:
+            for key in ("crash_file", "vehicle_file", "person_file", "file"):
+                if key in entry:
+                    entry[key] = str(fixtures / "manifests" / entry[key])
+        manifest["region"] = {"kind": "county", "name": "national", "state": "AZ"}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, command, "--manifest", str(path), "--out", str(out),
+                           "--quiet")
+        assert code == 2, err
+        assert (f"manifest {path}: region.name: a county cannot be named 'national'"
+                in err), err
+        assert not out.exists() or not any(out.rglob("*"))
 
     @pytest.mark.parametrize("file_key, old, new, column", [
         ("crash_file", "C002,2022,80.25,1,0", "C002,20x2,80.25,1,0", "YEAR"),
@@ -509,29 +568,50 @@ class TestIngestGoldens:
             getattr(interchange, f"write_{table}")(tmp_path / golden.name, records)
             assert (tmp_path / golden.name).read_bytes() == golden.read_bytes(), table
 
-    @pytest.mark.parametrize("name", sorted(
-        p.name for p in (Path(__file__).parent / "fixtures" / "golden").iterdir()))
-    def test_records_and_their_rows_write_the_same_bytes(self, tmp_path, fixtures, name):
+    @pytest.mark.parametrize("name", [*sorted(
+        p.name for p in (Path(__file__).parent / "fixtures" / "golden").iterdir()),
+        NEEDING_QUOTES])
+    def test_records_and_their_rows_write_the_same_bytes(self, tmp_path, fixtures,
+                                                         monkeypatch, name):
         # One writer serves records and their rows alike.  Crash, vehicle and
         # person keys are unique and mileage rows sort on all their cells
         # (Los Angeles has two local/all cells), so no file depends on the
         # order given.  Rows come as sorted runs, merged on the key whether
-        # their keys interleave or not.
+        # their keys interleave or not.  Keys that need quoting, in chunks
+        # beside plain ones, are written as csv.writer writes them; a small
+        # chunk keeps the rows few.
+        monkeypatch.setattr(interchange, "_CHUNK", 100)
         rng = random.Random(name)
         for table in ("crashes", "vehicles", "persons", "mileage"):
-            golden = fixtures / "golden" / name / f"{table}.csv"
-            records = interchange.read_records(golden, table)
+            if name == NEEDING_QUOTES:
+                records = needing_quotes(fixtures, table)
+                expected = csv_writer_bytes(table, records)
+            else:
+                golden = fixtures / "golden" / name / f"{table}.csv"
+                records = interchange.read_records(golden, table)
+                expected = golden.read_bytes()
             rng.shuffle(records)
             getattr(interchange, f"write_{table}")(tmp_path / "records.csv", records)
             written = (tmp_path / "records.csv").read_bytes()
-            assert written == golden.read_bytes(), table
+            assert written == expected, table
             rows = interchange.encode(table, records)
+            assert interchange.encode(table, interchange.read_records(
+                tmp_path / "records.csv", table)) == interchange.sort_rows(table, list(rows))
             half = len(rows) // 2
             ordered = interchange.sort_rows(table, list(rows))
             for runs in ([interchange.sort_rows(table, rows[i::3]) for i in range(3)],
                          [ordered[half:], [], ordered[:half]]):
                 interchange.write_rows(tmp_path / "rows.csv", table, runs)
                 assert (tmp_path / "rows.csv").read_bytes() == written, table
+
+    @pytest.mark.xfail(reason="csv.writer, up to Python 3.11 at least, leaves a cell "
+                       "holding a lone CR unquoted, and csv.reader ends the row at it")
+    def test_an_id_holding_a_lone_cr_reads_back(self, tmp_path, fixtures):
+        first = interchange.read_records(fixtures / "golden" / "sf_2022" / "crashes.csv",
+                                         "crashes")[0]
+        records = [dataclasses.replace(first, crash_id="C\r1")]
+        interchange.write_crashes(tmp_path / "crashes.csv", records)
+        assert interchange.read_records(tmp_path / "crashes.csv", "crashes") == records
 
     def test_audit_sits_next_to_the_csvs(self, capsys, tmp_path, fixtures):
         run(capsys, "ingest",

@@ -8,6 +8,7 @@ this module, not the goldens, is the ground truth for their content.
 import csv
 import dataclasses
 import errno
+import gc
 import json
 import os
 import random
@@ -1206,6 +1207,27 @@ class TestWorkers:
         # Each worker sorts its source's rows: one run per source, in order.
         assert [[row[0] for row in run] for run in data.records.runs["crashes"]] == [
             [f"{p}1", f"{p}2"] for p in sources]
+        _no_worker_left()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("bad", [(), ("C002",)], ids=["loads", "raises"])
+    @pytest.mark.parametrize("worker_bytes", [0, 1 << 40], ids=["worker", "in_process"])
+    def test_the_collector_is_left_as_the_caller_set_it(self, tmp_path, monkeypatch,
+                                                         worker_bytes, bad, enabled):
+        # Raw rows are built and unpickled with the cyclic collector paused.
+        monkeypatch.setattr(ingest, "_WORKER_BYTES", worker_bytes)
+        manifest, = load_manifest(_national_copy(tmp_path, _blank_ids(*bad)))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if bad:
+                with pytest.raises(ValidationError, match="crash row with empty id column"):
+                    load_dataset(manifest)
+            else:
+                load_dataset(manifest)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
         _no_worker_left()
 
 
