@@ -764,10 +764,9 @@ def _load_canonical_source(ref: interchange.CrashSourceRef, region: Region,
 
 @contextmanager
 def _collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector, and restore the caller's state
-    however the block ends.  Raw rows are tuples of str, which hold no
-    cycle, so the collector would scan them again and again as they are
-    built or unpickled and free nothing."""
+    """Pause the cyclic garbage collector, restoring the caller's setting
+    however the block ends: raw rows are tuples of str, which it would scan
+    again and again and never free."""
     enabled = gc.isenabled()
     gc.disable()
     try:

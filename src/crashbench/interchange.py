@@ -159,22 +159,17 @@ def sort_rows(table: str, rows: list) -> list:
     return rows
 
 
-# Merged rows are encoded this many at a time (``write_rows``).
-_CHUNK = 4096
+_CHUNK = 4096   # merged rows encoded at a time (``write_rows``)
 
 
 def write_rows(path: str | Path, table: str,
                runs: Iterable[Sequence[Sequence[str]]]) -> None:
     """The one canonical writer: the rows of ``table`` (crashes, vehicles,
     persons or mileage) in ``runs``, each sorted on the table's sort
-    columns (``sort_rows``), merged on them.
-
-    The merged rows are encoded ``_CHUNK`` at a time by joining their
-    cells.  The text of a chunk shows whether a cell holds a comma, a
-    quote, LF or CR, the characters ``csv.writer`` may quote a cell for:
-    none does when it has one comma fewer than cells and one LF per row,
-    and no quote or CR.  Such a chunk is written as it is; any other goes
-    through ``csv.writer``, so the bytes are ``csv.writer``'s either way."""
+    columns (``sort_rows``), merged on them.  A chunk of merged rows whose
+    joined text shows that no cell holds a comma, a quote, LF or CR (one
+    comma fewer than cells and one LF per row, no quote, no CR) needs no
+    quoting and is written as it is; any other goes through ``csv.writer``."""
     import heapq  # imported only by the commands that write tables
     header = _TABLES[table].header
     commas = len(header) - 1
