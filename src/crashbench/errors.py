@@ -1,7 +1,6 @@
 """Shared exception types, the one opener of input files, the record of
 what a run read and the one INI reader."""
 
-import configparser
 import csv
 import io
 import json
@@ -118,6 +117,7 @@ class _Ini:
     """
 
     def __init__(self, text: str, label: str, error: type = ValidationError) -> None:
+        import configparser  # imported only by the commands that read an INI text
         self.label, self._error, self._read = label, error, {}
         self._parser = configparser.ConfigParser(
             interpolation=None, inline_comment_prefixes=("#",), default_section="")

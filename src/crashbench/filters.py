@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from itertools import chain, compress, repeat
-from operator import is_
+from operator import is_, ne
 from typing import Iterable
 
 from .errors import ValidationError
@@ -175,7 +175,7 @@ class Subset:
             road="all",
             tow_from_units=tow_from_units,
             airbag_from_units=airbag_from_units,
-            weighted=any(w != 1.0 for w in columns.weight),
+            weighted=any(map(ne, columns.weight, repeat(1.0))),
             exclusions=_unit_exclusions(columns),
             caveats=caveats,
         )

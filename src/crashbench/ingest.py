@@ -42,7 +42,10 @@ no reference cycle, so its passes over them would free nothing.
 
 Canonical sources are not normalized again: their crash, vehicle and
 person tables are folded into per-crash columns as they are read
-(``interchange.read_crashes``), with the same accounting.  A crash row
+(``interchange.read_crashes``), with the same accounting.  A run reads a
+spec only for a raw source, mileage or shares table, so ``schema`` is
+imported by the first one it reads (``load_schema``), or, where raw
+sources load in workers, once before the first forks.  A crash row
 of another region or year, and a vehicle or person row of such a crash
 or of a crash the crash table does not hold, is counted under a
 diagnostic, and ``rows_in`` counts every row read.  A raw source's rows
@@ -69,7 +72,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 from . import errors, interchange
 from .errors import (
@@ -88,7 +91,9 @@ from .model import (
     VehicleInvolvement,
     check_crash,
 )
-from .schema import CodeMap, RoadRules, Rule, SchemaSpec, load_schema
+
+if TYPE_CHECKING:
+    from .schema import CodeMap, RoadRules, Rule, SchemaSpec
 
 
 _TABLES = ("crashes", "vehicles", "persons")    # each row starts with its crash id
@@ -258,8 +263,16 @@ class _RawFile:
         return read
 
 
+def load_schema(ref: str) -> SchemaSpec:
+    """``schema.load_schema``, which imports ``schema`` when a run first
+    reads a spec: a run of canonical tables alone imports none."""
+    from .schema import load_schema
+    return load_schema(ref)
+
+
 def _region_rule(spec: SchemaSpec, region_filter: str | None) -> Rule | None:
     """The region filter of a crash or mileage source, parsed."""
+    from .schema import Rule
     return Rule.parse(region_filter, f"{spec.tag} region_filter") if region_filter else None
 
 
@@ -859,6 +872,8 @@ def _raw_loads(refs: list[interchange.CrashSourceRef], region: Region,
         return
     import pickle  # imported only where workers run, off the canonical path
     import signal
+
+    from . import schema  # noqa: F401  imported once, here, not by each worker
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     waiting = iter(refs)

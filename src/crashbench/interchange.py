@@ -11,8 +11,9 @@ record field.  There is one writer, ``write_rows``: it takes rows as
 runs, each sorted on the table's sort columns (``sort_rows``), and
 merges them.  It joins the cells of each chunk of merged rows with
 commas and writes that text as it is, unless a cell in the chunk needs
-quoting, when ``csv.writer`` writes the chunk; the bytes are
-``csv.writer``'s either way.  Raw sources load straight to rows
+quoting, when each cell of the chunk is quoted as it needs; the bytes
+are ``csv.writer``'s, but that a cell holding a lone CR is quoted too,
+so that it reads back.  Raw sources load straight to rows
 (``ingest.load_crash_source``) and give one run each; ``write_crashes``
 and the other record writers encode, sort their one run, then call it.
 Crash, vehicle and person keys are unique, and mileage rows, whose key
@@ -25,9 +26,16 @@ record types' own checks run.  The benchmark path builds no record:
 ``read_crashes`` folds a crash table into per-crash columns
 (``filters.CrashColumns``), keeping one region and year, and
 ``read_vehicles`` and ``read_persons`` fold their tables into those
-crashes through one child-table loop, so the canonical files of a
+crashes through one child-table fold, so the canonical files of a
 county, a raw source's rows, or records encoded to rows
-(``filters.select_subset``) are counted in one pass each.  The folds
+(``filters.select_subset``) are counted in one pass each.  A fold reads
+a file in chunks of whole lines (``_fold``): a chunk that needs no
+``csv`` parsing (no quote, CR or NUL, and as many cells on every line
+as the header has) is split at its commas once and folded column by
+column, and every other chunk, from its first line to the end of the
+file, and rows in memory, row by row.  Both ways run the same decoders,
+memos and checks, and a chunk is folded only once all its rows have
+passed them, so a fault is met, and named, row by row.  The folds
 decode every cell with the table's own decoders and run the records'
 checks (``model.check_crash``, ``check_unit``, ``check_person``) on every
 row, kept or not.  Either way, a cell other than an id or a float comes
@@ -45,11 +53,11 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import Counter
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
-from operator import itemgetter
+from itertools import chain, compress, count, islice, repeat
+from operator import gt, is_, itemgetter, not_
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -162,6 +170,14 @@ def sort_rows(table: str, rows: list) -> list:
 _CHUNK = 4096   # merged rows encoded at a time (``write_rows``)
 
 
+def _quoted(cell: str) -> str:
+    """``cell`` as a canonical file holds it: in quotes, each quote doubled,
+    when it holds a comma, a quote, LF or CR; as it is otherwise."""
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def write_rows(path: str | Path, table: str,
                runs: Iterable[Sequence[Sequence[str]]]) -> None:
     """The one canonical writer: the rows of ``table`` (crashes, vehicles,
@@ -169,21 +185,22 @@ def write_rows(path: str | Path, table: str,
     columns (``sort_rows``), merged on them.  A chunk of merged rows whose
     joined text shows that no cell holds a comma, a quote, LF or CR (one
     comma fewer than cells and one LF per row, no quote, no CR) needs no
-    quoting and is written as it is; any other goes through ``csv.writer``."""
+    quoting and is written as it is; in any other, each cell is
+    ``_quoted``.  The bytes are ``csv.writer``'s, but for a cell holding a
+    lone CR, which ``csv.writer`` leaves unquoted and ``csv.reader`` would
+    end the row at."""
     import heapq  # imported only by the commands that write tables
     header = _TABLES[table].header
     commas = len(header) - 1
     merged = heapq.merge(*runs, key=_sort_key(table))
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
+        handle.write(",".join(header) + "\n")
         while chunk := list(islice(merged, _CHUNK)):
             text = "\n".join(map(",".join, chunk)) + "\n"
-            if (text.count(",") == commas * len(chunk) and text.count("\n") == len(chunk)
+            if not (text.count(",") == commas * len(chunk) and text.count("\n") == len(chunk)
                     and '"' not in text and "\r" not in text):
-                handle.write(text)
-            else:
-                writer.writerows(chunk)
+                text = "".join(",".join(map(_quoted, row)) + "\n" for row in chunk)
+            handle.write(text)
 
 
 def encode(table: str, records: Iterable) -> list[tuple[str, ...]]:
@@ -199,6 +216,20 @@ class Rows(NamedTuple):
     rows: Sequence[Sequence[str]]
 
 
+def _past_header(source: str | Path, header: tuple[str, ...], handle) -> csv.reader:
+    """A strict ``csv.reader`` on ``handle`` (``errors._opened``) that has
+    read the file's header, which must be ``header``."""
+    reader = csv.reader(handle, strict=True)
+    found = next(reader, None)
+    if found is None:
+        raise ValidationError(f"{source}: empty file, expected header {','.join(header)}")
+    if tuple(found) != header:
+        raise ValidationError(
+            f"{source}: header {found!r} does not match canonical header {list(header)!r}"
+        )
+    return reader
+
+
 @contextmanager
 def _open(source: str | Path | Rows, header: tuple[str, ...]):
     """(rows, at) of a canonical table: a file's rows past its checked
@@ -210,15 +241,72 @@ def _open(source: str | Path | Rows, header: tuple[str, ...]):
         yield source.rows, lambda n: f"{source.label}:{n + 1}"
         return
     with _opened(source, "canonical file") as handle:
-        reader = csv.reader(handle, strict=True)
-        found = next(reader, None)
-        if found is None:
-            raise ValidationError(f"{source}: empty file, expected header {','.join(header)}")
-        if tuple(found) != header:
-            raise ValidationError(
-                f"{source}: header {found!r} does not match canonical header {list(header)!r}"
-            )
+        reader = _past_header(source, header, handle)
         yield reader, lambda n: f"{source}:{reader.line_num}"
+
+
+_READ = 1 << 14     # characters of a canonical file a fold reads at a time, in whole lines
+
+
+def _fold(source: str | Path | Rows, header: tuple[str, ...],
+          chunk: Callable[[list[str]], bool], rows: Callable[..., int]) -> int:
+    """Read a canonical table into a fold; the number of data rows read.
+
+    A file is read in chunks of whole lines, ``_READ`` characters or just
+    over.  A clean chunk is one with no quote, CR or NUL, no line longer
+    than ``csv`` takes a cell to be, and ``len(header)`` cells a line on
+    average, each line ending in LF.  It is split at its commas into its
+    rows' cells, each row's last cell keeping its line's LF, and
+    ``chunk(cells)`` folds them column by column.  Where a row of them
+    would fail, or a row's last cell has no LF (so some row has more or
+    fewer cells than ``header``), it returns False and has changed
+    nothing.  From the first line of any other chunk, of one that
+    ``chunk`` does not fold or of one holding a byte that is not UTF-8, to
+    the end of the file, and for rows in memory, ``rows(rows, at, n)``
+    folds row by row, n rows in, with ``at`` as ``_open`` gives it, and
+    returns the rows read in all."""
+    if isinstance(source, Rows):
+        return rows(source.rows, lambda n: f"{source.label}:{n + 1}", 0)
+    width, longest = len(header), csv.field_size_limit()
+    with _opened(source, "canonical file") as handle:
+        reader = _past_header(source, header, handle)
+        n = 0
+        try:
+            while lines := handle.readlines(_READ):
+                text = ",".join(lines)
+                clean = ('"' not in text and "\r" not in text and "\0" not in text
+                         and (len(text) <= longest or max(map(len, lines)) <= longest))
+                cells = text.split(",") if clean else ()
+                if len(cells) != width * len(lines) or not chunk(cells):
+                    break
+                n += len(lines)
+            else:
+                return n
+        except UnicodeDecodeError:
+            # A byte of the chunk is not UTF-8.  Read the file again up to the
+            # chunk, so that the rows before the byte are decoded and folded
+            # as the row loop alone would read them, and a fault among them
+            # is named first.
+            handle.seek(0)
+            deque(islice(handle, reader.line_num + n), 0)
+            lines = []
+        line = reader.line_num + n
+        reader = csv.reader(chain(lines, handle), strict=True)
+        return rows(reader, lambda _: f"{source}:{line + reader.line_num}", n)
+
+
+def _line_ended(decode: Callable) -> Memo:
+    """``decode`` of the cells of a row of a clean chunk (``_fold``) whose
+    last is the row's last cell, with its line's LF, memoized.  The LF is
+    dropped before ``decode``; a last cell without one, which a row of
+    another width puts there, raises ValueError, as would every key that
+    did not end with a row's last cell, so that no chunk is folded."""
+    def ended(key: tuple[str, ...]):
+        if not key[-1].endswith("\n"):
+            raise ValueError("a row of another width")
+        return decode((*key[:-1], key[-1][:-1]))
+
+    return Memo(ended)
 
 
 class Memo(dict):
@@ -275,11 +363,11 @@ def _row_error(where: str, table: _Table, row: list) -> ValidationError:
             return ValidationError(f"{where}: unreadable {columns} {cells(row)!r}{reason}")
 
 
-def _fold_fields(table: _Table, *names: str) -> tuple[Callable, Callable]:
-    """For the table fields ``names`` (two or more columns in all): row ->
-    their cells, as one tuple, and that tuple -> the fields' values, each
-    decoded by the table's own decoder.  The folds memoize the second on
-    the first."""
+def _fold_fields(table: _Table, *names: str) -> tuple[list[int], Callable]:
+    """For the table fields ``names`` (two or more columns in all): the
+    positions of their cells in a row, and the tuple of those cells ->
+    the fields' values, each decoded by the table's own decoder.  The
+    folds memoize the second on the first."""
     columns = [column for name in names for column in name.split(",")]
     getters = [itemgetter(*name.split(",")) for name in names]
 
@@ -287,7 +375,12 @@ def _fold_fields(table: _Table, *names: str) -> tuple[Callable, Callable]:
         by_column = dict(zip(columns, cells))
         return [table.fields[name](get(by_column)) for name, get in zip(names, getters)]
 
-    return _cells(table.header, *columns), decode
+    return list(map(table.header.index, columns)), decode
+
+
+def _check_each(check: Callable, *columns: Sequence) -> None:
+    """``check`` of each row's cells in ``columns``, row by row."""
+    deque(map(check, *columns), 0)
 
 
 def _check_unique(source: str | Path | Rows, table: _Table, *columns: str) -> None:
@@ -334,11 +427,12 @@ def read_crashes(source: str | Path | Rows, region: Region, year: int) -> Canoni
     columns, keeping ``region`` and ``year``, the one rule for which crashes
     a canonical source holds.  Every row's cells and checks are read either
     way; a crash id read before, kept or not, is an error at its row."""
-    id_and_weight = _cells(CRASH_HEADER, "crash_id", "sample_weight")
+    id_at, weight_at = map(CRASH_HEADER.index, ("crash_id", "sample_weight"))
     parse_weight = _CRASHES.fields["sample_weight"]
-    cells, decode_cells = _fold_fields(
+    at_cells, decode_cells = _fold_fields(
         _CRASHES, "region,region_state", "year", "road_class", "max_kabco", "tow_away",
         "airbag_deployed")
+    cells_of = itemgetter(*at_cells)
 
     def decode(key: tuple[str, ...]) -> tuple[int, str, RoadClass, int]:
         """Year, fate ("" when kept, else the diagnostic), road class and
@@ -349,19 +443,45 @@ def read_crashes(source: str | Path | Rows, region: Region, year: int) -> Canoni
         return year_value, fate, road, crash_evidence(kabco, tow, airbag)
 
     decoded = Memo(decode)
+    chunk_decoded = _line_ended(decoded.__getitem__)    # the cells end with the row's last
     width = len(CRASH_HEADER)
     ids, weights, road_class, evidence = [], [], [], []
     index: dict[str, int] = {}
     dropped: set[str] = set()
     diagnostics: Counter = Counter()
-    n = 0
-    with _open(source, CRASH_HEADER) as (rows, at):
-        for n, row in enumerate(rows, 1):
+
+    def fold_chunk(cells: list[str]) -> bool:
+        chunk_ids = cells[id_at::width]
+        try:
+            years, fates, roads, bits = zip(*map(
+                chunk_decoded.__getitem__, zip(*(cells[i::width] for i in at_cells))))
+            chunk_weights = list(map(parse_weight, cells[weight_at::width]))
+            _check_each(check_crash, chunk_ids, chunk_weights, years)
+        except (KeyError, ValueError):
+            return False
+        if (len(set(chunk_ids)) < len(chunk_ids) or not index.keys().isdisjoint(chunk_ids)
+                or not dropped.isdisjoint(chunk_ids)):
+            return False
+        if any(fates):
+            diagnostics.update(filter(None, fates))
+            dropped.update(compress(chunk_ids, fates))
+            keep = list(map(not_, fates))
+            chunk_ids, chunk_weights, roads, bits = (
+                list(compress(column, keep)) for column in (chunk_ids, chunk_weights, roads, bits))
+        index.update(zip(chunk_ids, count(len(ids))))
+        ids.extend(chunk_ids)
+        weights.extend(chunk_weights)
+        road_class.extend(roads)
+        evidence.extend(bits)
+        return True
+
+    def fold_rows(rows: Iterable, at: Callable, n: int) -> int:
+        for n, row in enumerate(rows, n + 1):
             if len(row) != width:
                 raise _row_error(at(n), _CRASHES, row)
             try:
-                crash_id, weight = id_and_weight(row)
-                year_value, fate, road, bits = decoded[cells(row)]
+                crash_id, weight = row[id_at], row[weight_at]
+                year_value, fate, road, bits = decoded[cells_of(row)]
                 weight = parse_weight(weight)
             except (KeyError, ValueError):
                 raise _row_error(at(n), _CRASHES, row) from None
@@ -380,6 +500,9 @@ def read_crashes(source: str | Path | Rows, region: Region, year: int) -> Canoni
             weights.append(weight)
             road_class.append(road)
             evidence.append(bits)
+        return n
+
+    n = _fold(source, CRASH_HEADER, fold_chunk, fold_rows)
     return CanonicalFold(
         columns=CrashColumns.of_crashes(ids, weights, road_class, evidence),
         index=index, dropped=dropped,
@@ -390,28 +513,59 @@ def read_crashes(source: str | Path | Rows, region: Region, year: int) -> Canoni
 
 
 def _fold_children(source: str | Path | Rows, table: str, fold: CanonicalFold,
-                   cells: Callable, effect: Callable, check: Callable) -> None:
+                   at_cells: list[int], effect: Callable, check: Callable) -> None:
     """Fold a child table (vehicles or persons) into ``fold``'s crashes.
 
-    Every row is decoded and checked: ``effect`` of its ``cells``, memoized
-    on them, gives the (tally, evidence bits) the row adds to its crash, or
-    None for a row that adds nothing, and ``check`` runs on its key.  A row
-    of a crash not kept is counted (``CanonicalFold.count_orphan``); rows
-    read and kept are set in ``fold``.
+    Every row is decoded and checked: ``effect`` of its cells at
+    ``at_cells``, memoized on them, gives the (tally, evidence bits) the
+    row adds to its crash, or None for a row that adds nothing, and
+    ``check`` runs on its key.  A row of a crash not kept is counted
+    (``CanonicalFold.count_orphan``); rows read and kept are set in
+    ``fold``.
     """
     spec = _TABLES[table]
-    key_of = _cells(spec.header, *spec.key)
+    at_key = list(map(spec.header.index, spec.key))     # the crash id's first
+    key_of, cells_of = itemgetter(*at_key), itemgetter(*at_cells)
     effects = Memo(effect)
+    chunk_effects = _line_ended(effects.__getitem__)    # the cells end with the row's last
     index, evidence = fold.index, fold.columns.evidence
     width = len(spec.header)
-    n = orphans = 0
-    in_order, last, last_crash, i = True, (), None, None
-    with _open(source, spec.header) as (rows, at):
-        for n, row in enumerate(rows, 1):
+    orphans = 0
+    in_order, last = True, ()
+
+    def fold_chunk(cells: list[str]) -> bool:
+        nonlocal orphans, in_order, last
+        key_columns = [cells[i::width] for i in at_key]
+        try:
+            adds = list(map(chunk_effects.__getitem__, zip(*(cells[i::width] for i in at_cells))))
+            _check_each(check, *key_columns)
+        except (KeyError, ValueError):
+            return False
+        if in_order:
+            keys = list(zip(*key_columns))
+            in_order, last = all(map(gt, keys, chain((last,), keys))), keys[-1]
+        crash_ids = key_columns[0]
+        places = list(map(index.get, crash_ids))
+        if None in places:
+            for crash_id in compress(crash_ids, map(is_, places, repeat(None))):
+                fold.count_orphan(crash_id)
+            orphans += places.count(None)
+        if any(adds):
+            for i, adds_to in zip(places, adds):
+                if i is not None and adds_to is not None:
+                    tally, bits = adds_to
+                    tally[i] += 1
+                    evidence[i] |= bits
+        return True
+
+    def fold_rows(rows: Iterable, at: Callable, n: int) -> int:
+        nonlocal orphans, in_order, last
+        last_crash = i = None
+        for n, row in enumerate(rows, n + 1):
             if len(row) != width:
                 raise _row_error(at(n), spec, row)
             try:
-                adds = effects[cells(row)]
+                adds = effects[cells_of(row)]
             except (KeyError, ValueError):
                 raise _row_error(at(n), spec, row) from None
             key = key_of(row)
@@ -433,6 +587,9 @@ def _fold_children(source: str | Path | Rows, table: str, fold: CanonicalFold,
                 tally, bits = adds
                 tally[i] += 1
                 evidence[i] |= bits
+        return n
+
+    n = _fold(source, spec.header, fold_chunk, fold_rows)
     if not in_order:
         _check_unique(source, spec, *spec.key)
     fold.rows_in[table] = n
@@ -444,9 +601,9 @@ def read_vehicles(source: str | Path | Rows, fold: CanonicalFold) -> None:
     unit tallies and severity evidence of ``fold``'s crashes
     (``filters.unit_effect``); no record is built."""
     columns = fold.columns
-    cells, decode = _fold_fields(
+    at_cells, decode = _fold_fields(
         _VEHICLES, "body_class", "in_transport", "towed", "airbag_deployed")
-    _fold_children(source, "vehicles", fold, cells,
+    _fold_children(source, "vehicles", fold, at_cells,
                    lambda key: _effect(columns, *decode(key)), check_unit)
 
 
@@ -458,12 +615,12 @@ def _effect(columns: CrashColumns, *unit) -> tuple[list[int], int]:
 def read_persons(source: str | Path | Rows, fold: CanonicalFold) -> None:
     """Count a person table's rows against ``fold``'s crashes; persons are
     checked and counted for the audit, not kept."""
-    cells, decode = _fold_fields(_PERSONS, "kabco", "airbag_deployed")
+    at_cells, decode = _fold_fields(_PERSONS, "kabco", "airbag_deployed")
 
     def no_effect(key: tuple[str, ...]) -> None:
         decode(key)         # the cells must decode; a person adds nothing to its crash
 
-    _fold_children(source, "persons", fold, cells, no_effect, check_person)
+    _fold_children(source, "persons", fold, at_cells, no_effect, check_person)
 
 
 def write_crashes(path: str | Path, crashes: Iterable[CrashEvent]) -> None:

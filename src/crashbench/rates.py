@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import compress, repeat
-from operator import and_, mul
+from operator import add, and_, mul
 
 from .errors import UndefinedStatistic, ValidationError, _opened
 from .filters import ImputationWeight, Subset, audit_subset
@@ -180,8 +180,7 @@ def _weighted_totals(subset: Subset) -> tuple[float, float]:
     """Weighted crashes and weighted vehicle involvements of any type."""
     c = subset.columns
     return (math.fsum(c.weight),
-            math.fsum((passenger + nfs + other) * weight for passenger, nfs, other, weight
-                      in zip(c.passenger, c.nfs, c.other, c.weight)))
+            math.fsum(map(mul, map(add, map(add, c.passenger, c.nfs), c.other), c.weight)))
 
 
 def apply_adjustment(counts: SeverityCounts, scheme: AdjustmentScheme,

@@ -17,12 +17,13 @@ import pytest
 
 import crashbench
 from crashbench import errors, interchange
-from crashbench.cli import main
+from crashbench.cli import _region_slug, main
 from crashbench.interchange import (
     CRASH_HEADER,
     MILEAGE_HEADER,
     PERSON_HEADER,
     VEHICLE_HEADER,
+    load_manifest,
 )
 from crashbench.model import Region
 
@@ -604,8 +605,6 @@ class TestIngestGoldens:
                 interchange.write_rows(tmp_path / "rows.csv", table, runs)
                 assert (tmp_path / "rows.csv").read_bytes() == written, table
 
-    @pytest.mark.xfail(reason="csv.writer, up to Python 3.11 at least, leaves a cell "
-                       "holding a lone CR unquoted, and csv.reader ends the row at it")
     def test_an_id_holding_a_lone_cr_reads_back(self, tmp_path, fixtures):
         first = interchange.read_records(fixtures / "golden" / "sf_2022" / "crashes.csv",
                                          "crashes")[0]
@@ -995,6 +994,74 @@ class TestReportGoldens:
                     == without_provenance(expected)), f"{name}/{expected.name} drifted"
 
 
+def canonical_rerun(raw_manifest: Path, ingested: Path) -> Path:
+    """A canonical manifest over ``ingest``'s output of ``raw_manifest``, in
+    ``ingested``: per dataset, its region, year and road rule, the four
+    CSVs (a region's directory of them where there are several), and the
+    raw manifest's shares, which ``ingest`` does not write out."""
+    raw = json.loads(raw_manifest.read_text())
+    datasets = raw.get("datasets", [raw])
+    parsed = load_manifest(raw_manifest)
+    entries = []
+    for obj, ds in zip(datasets, parsed):
+        folder = ingested if len(parsed) == 1 else ingested / _region_slug(ds.region)
+        entries.append({
+            "region": obj["region"], "year": obj["year"], "road_rule": obj["road_rule"],
+            "crash_sources": [{"spec": "canonical", **{
+                key: str(folder / f"{table}.csv") for key, table in (
+                    ("crash_file", "crashes"), ("vehicle_file", "vehicles"),
+                    ("person_file", "persons"))}}],
+            "mileage": [{"spec": "canonical", "file": str(folder / "mileage.csv")}],
+            "shares": [{"spec": ref.spec, "file": str(ref.file)} for ref in ds.shares],
+        })
+    path = ingested / "rerun.json"
+    path.write_text(json.dumps({"datasets": entries}))
+    return path
+
+
+def without_source_accounts(path):
+    """A benchmark.json with neither its provenance nor, per report, the
+    audit's per-source accounts and run diagnostics, which count the raw
+    rows that a raw load reads and a canonical one never sees."""
+    payload = without_provenance(path)
+    for report in payload["reports"]:
+        del report["audit"]["sources"], report["audit"]["diagnostics"]
+    return payload
+
+
+TOW_AND_CAVEATS = (
+    "the canonical layout carries neither the tow basis nor the caveats, so a "
+    "canonical re-run guesses the basis from its vehicles file and drops the "
+    "caveats (ROADMAP direction 16)")
+
+
+class TestRoundTrip:
+    """Raw files reported directly, and ``ingest`` followed by ``benchmark``
+    on what it wrote, give the same benchmark (ROADMAP direction 6)."""
+
+    @pytest.mark.parametrize("name", [
+        "national_2022",
+        *(pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=TOW_AND_CAVEATS))
+          for name in ("sf_2022", "maricopa_2022", "la_2022", "california_2022")),
+    ])
+    def test_ingest_then_benchmark_reports_as_raw_does(self, capsys, tmp_path, fixtures,
+                                                        name):
+        manifest = fixtures / "manifests" / f"{name}.json"
+        for argv in (("report", "--manifest", str(manifest), "--out", str(tmp_path / "raw")),
+                     ("ingest", "--manifest", str(manifest),
+                      "--out", str(tmp_path / "ingested"))):
+            code, _, err = run(capsys, *argv, "--quiet")
+            assert code == 0, err
+        rerun = canonical_rerun(manifest, tmp_path / "ingested")
+        code, _, err = run(capsys, "benchmark", "--manifest", str(rerun),
+                           "--out", str(tmp_path / "rerun"), "--quiet")
+        assert code == 0, err
+        assert (without_source_accounts(tmp_path / "rerun" / "benchmark.json")
+                == without_source_accounts(tmp_path / "raw" / "benchmark.json"))
+        assert (without_provenance(tmp_path / "rerun" / "benchmark.csv")
+                == without_provenance(tmp_path / "raw" / "benchmark.csv"))
+
+
 class TestProvenance:
     @pytest.mark.parametrize("stray", [False, True])
     def test_aggregates_name_the_shipped_table(self, capsys, tmp_path, monkeypatch, stray):
@@ -1371,6 +1438,41 @@ class TestImportHygiene:
         for expected in golden.iterdir():
             assert (without_provenance(tmp_path / expected.name)
                     == without_provenance(expected)), expected.name
+
+    def test_canonical_report_loads_no_spec_machinery(self, tmp_path, fixtures):
+        # A canonical manifest names no spec, so schema is never imported;
+        # ingest.load_schema stays a module attribute that its callers use.
+        loaded = self.layers_loaded_by(
+            "import sys\n"
+            "from crashbench import ingest\n"
+            "from crashbench.cli import main\n"
+            "assert callable(ingest.load_schema)\n"
+            "assert main(sys.argv[1:]) == 0",
+            "report", "--manifest", str(fixtures / "manifests" / "town_2022.json"),
+            "--out", str(tmp_path), "--quiet")
+        assert loaded == ["cli", "errors", "filters", "ingest", "interchange", "model",
+                          "power", "rates"]
+        golden = REPORT_GOLDENS / "town_2022"
+        for expected in golden.iterdir():
+            assert (without_provenance(tmp_path / expected.name)
+                    == without_provenance(expected)), expected.name
+
+    def test_schema_is_imported_before_the_first_worker_forks(self, tmp_path, fixtures):
+        # Each worker would import it again otherwise, and the mileage after.
+        self.layers_loaded_by(
+            "import sys\n"
+            "from crashbench import ingest\n"
+            "from crashbench.cli import main\n"
+            "ingest._WORKER_BYTES = 0\n"
+            "start, imported = ingest._start_worker, []\n"
+            "def spy(*args):\n"
+            "    imported.append('crashbench.schema' in sys.modules)\n"
+            "    return start(*args)\n"
+            "ingest._start_worker = spy\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "assert imported == [True, True], imported",
+            "ingest", "--manifest", str(fixtures / "manifests" / "national_2022.json"),
+            "--out", str(tmp_path), "--quiet")
 
     def test_cli_start_loads_neither_numpy_nor_scipy_stats(self):
         # Every command pays for what the package imports at start-up:
