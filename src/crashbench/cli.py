@@ -173,29 +173,31 @@ _SETTINGS: dict[tuple[str, str], _Setting] = {
 }
 
 
-def _load_config(path: Path | None) -> _Ini:
-    """The config file's settings.  Every key of ``_SETTINGS`` is looked up,
-    so a file written for one subcommand serves every other."""
+def _load_config(path: Path | None) -> dict[tuple[str, str], tuple[str, str]]:
+    """The config file's settings: (section, key) -> (its text, where it is
+    given), for each key it gives a value; none without a file, and then
+    no INI reader is loaded.  Every key of ``_SETTINGS`` is looked up, so
+    a file written for one subcommand serves every other."""
     if path is None:
-        return _Ini("", "no config file")
+        return {}
     with _opened(path, "config file") as fh:
-        cfg = _Ini(fh.read(), f"config file {path}")
-    for section, key in _SETTINGS:
-        cfg.get(section, key)
-    cfg.check()
-    return cfg
+        ini = _Ini(fh.read(), f"config file {path}")
+    settings = {(section, key): (text, f"{ini.label}: [{section}] {key}")
+                for section, key in _SETTINGS if (text := ini.get(section, key)) is not None}
+    ini.check()
+    return settings
 
 
-def _source(args, cfg: _Ini, section: str, key: str):
+def _source(args, cfg: dict, section: str, key: str):
     """The setting's text, the flag's else the config file's (None if
     neither gives one), and the flag or config key it came from."""
     text = getattr(args, key)
-    if text is None and (text := cfg.get(section, key)) is not None:
-        return text, f"{cfg.label}: [{section}] {key}"
+    if text is None and (section, key) in cfg:
+        return cfg[section, key]
     return text, _SETTINGS[section, key].flag
 
 
-def _setting(args, cfg: _Ini, section: str, key: str):
+def _setting(args, cfg: dict, section: str, key: str):
     """The flag's value, else the config file's, else the default; a value
     that does not parse is an input error naming where it came from."""
     setting = _SETTINGS[section, key]

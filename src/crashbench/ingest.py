@@ -9,28 +9,35 @@ crash is a kept one, and its id is checked non-empty as it is read); no
 record is built.  Unknown codes never drop a row silently: they classify
 to an explicit unknown bucket and bump a warning counter.
 
-Raw tables are streamed as positional rows with the semantics of
-``csv.DictReader``: blank lines are skipped, a short row is padded with
-nulls (a missing cell is null, so rules over it evaluate to unknown),
-extra cells are ignored, and a header name that appears twice resolves
-to its last column.  A short last row with no line ending is a file cut
-short, and an error.  Each row comes with the physical line it ends on,
-which errors name.  A kept crash row is checked as it is read, and no
-raw row is held: until its vehicle and person files are read, a kept
-crash holds its id, its weight cell and the memoized road class, KABCO
-and tow results, and its vehicle and person rows take that one id str
-for their own.  One reader per raw file
-(``_RawFile``) binds each spec rule once per file to the positions of
-the cells it reads, memoized on those cells: rows that hold equal cells
-share one ``Rule.eval`` (or code-table lookup) call on a dict of just
-those cells, and the memo holds the canonical cells it gives.  Warnings
-are still counted once per row.  A column is required because the
-reader reads it: every header of a source is checked for all of them
-before its first row is read.
+Raw tables are read through the chunk reader of the canonical folds
+(``interchange._fold_file``), in chunks of whole lines.  A clean chunk
+(no quote, CR or NUL, and as many cells on every line as the header
+has) is split at its commas and folded column by column: each of a
+source's three passes (crashes, vehicles, persons) reads strided
+columns through the same memos, converters and checks as its row loop,
+and changes nothing unless every row of the chunk would pass.  Any
+other chunk, from its first line on, goes to the row loop, which reads
+positional rows with the semantics of ``csv.DictReader``: blank lines
+are skipped, a short row is padded with nulls (a missing cell is null,
+so rules over it evaluate to unknown), extra cells are ignored, and a
+header name that appears twice resolves to its last column.  A short
+last row with no line ending is a file cut short, and an error.  So a
+fault is met, and named, row by row, at the physical line its row ends
+on.  A kept crash row is checked as it is read, and no raw row is held:
+until its vehicle and person files are read, a kept crash holds its id,
+its weight cell and the memoized road class, KABCO and tow results, and
+its vehicle and person rows take that one id str for their own.  One
+reader per raw file (``_RawFile``) binds each spec rule once per file
+to the positions of the cells it reads, memoized on those cells: rows
+that hold equal cells share one ``Rule.eval`` (or code-table lookup)
+call on a dict of just those cells, and the memo holds the canonical
+cells it gives.  Warnings are still counted once per row.  A column is
+required because the reader reads it: every header of a source is
+checked for all of them before its first row is read.
 
 ``load_dataset`` loads each raw source in its own forked worker process,
 at most one per available CPU at a time, and takes their rows, sorted
-into one run per table, and the digests of the files they read back
+into one run per table (``interchange.sort_rows``), and the digests of the files they read back
 over a pipe in manifest order; so this process never holds a loader's
 working state, and errors are raised as a load in turn would raise
 them.  Raw files under ``_WORKER_BYTES`` in all load in this process,
@@ -45,7 +52,8 @@ person tables are folded into per-crash columns as they are read
 (``interchange.read_crashes``), with the same accounting.  A run reads a
 spec only for a raw source, mileage or shares table, so ``schema`` is
 imported by the first one it reads (``load_schema``), or, where raw
-sources load in workers, once before the first forks.  A crash row
+sources load in workers, once before the first forks, with the INI
+reader that parses specs.  A crash row
 of another region or year, and a vehicle or person row of such a crash
 or of a crash the crash table does not hold, is counted under a
 diagnostic, and ``rows_in`` counts every row read.  A raw source's rows
@@ -67,10 +75,10 @@ import gc
 import os
 import threading
 from collections import Counter, deque
-from contextlib import closing, contextmanager, suppress
+from contextlib import ExitStack, closing, contextmanager, suppress
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import itemgetter
+from itertools import chain, compress, islice, repeat
+from operator import is_, is_not, itemgetter, ne, not_
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
@@ -100,6 +108,9 @@ _TABLES = ("crashes", "vehicles", "persons")    # each row starts with its crash
 _KABCO_AT = interchange.CRASH_HEADER.index("max_kabco")
 _RANK = {kabco.value: rank for kabco, rank in KABCO_FOLD_RANK.items()}
 _UNK, _FATAL = Kabco.UNK.value, Kabco.K.value
+# A raw crash row's region filter result -> "" where it passes, else the
+# diagnostic its row is counted under.
+_REGION_FATES = {True: "", False: "region_filtered", None: "region_filter_unknown"}
 
 
 def _no_rows() -> dict[str, list]:
@@ -162,52 +173,66 @@ class LoadResult(_RowRecords):
         return [self.rows[table]]
 
 
-def _lines(path: Path, label: str) -> Iterator:
-    """A raw CSV file's header, then (line, row) per row that is not blank.
+def _lines(reader: csv.reader, line: int, width: int, handle, where: str) -> Iterator:
+    """(line, row) per row of ``reader`` that is not blank, its physical
+    line ``line + reader.line_num``.
 
-    A row short of cells is padded with nulls, unless it is the last row
-    and the file ends without a line ending: a file cut in its last row.
-    So a short row is held until the reader has read on.
+    A row short of ``width`` cells is padded with nulls, unless it is the
+    last row and the file (``handle``, from ``errors._opened``) ends
+    without a line ending: a file cut in its last row.  So a short row is
+    held until the reader has read on.
     """
-    with _opened(path, f"{label} file") as handle:
-        reader = csv.reader(handle, strict=True)
-        header = next(reader, [])
-        yield header
-        width = len(header)
-        short = None        # (line, padded row) of a short row not yet given
-        for row in reader:
-            if short is not None:
-                yield short
-                short = None
-            if len(row) < width:
-                if not row:
-                    continue
-                short = reader.line_num, row + [None] * (width - len(row))
-                continue
-            yield reader.line_num, row
+    short = None        # (line, padded row) of a short row not yet given
+    for row in reader:
         if short is not None:
-            if not _ends_a_line(handle):
-                cells = width - short[1].count(None)
-                raise ValidationError(
-                    f"{label} file {path}:{short[0]}: last row cut short: {cells} of "
-                    f"{width} cells and no line ending")
             yield short
+            short = None
+        if len(row) < width:
+            if not row:
+                continue
+            short = line + reader.line_num, row + [None] * (width - len(row))
+            continue
+        yield line + reader.line_num, row
+    if short is not None:
+        if not _ends_a_line(handle):
+            cells = width - short[1].count(None)
+            raise ValidationError(
+                f"{where}:{short[0]}: last row cut short: {cells} of "
+                f"{width} cells and no line ending")
+        yield short
+
+
+def _drop_line_ends(cells: list[str], width: int) -> bool:
+    """Drop, in place, the LF that ends each row of a clean chunk
+    (``interchange._fold_file``) from the row's last cell; False, having
+    changed nothing, where a row's last cell has none: some row has more
+    or fewer than ``width`` cells."""
+    last = "".join(cells[width - 1::width])
+    if last.count("\n") != len(cells) // width:
+        return False
+    cells[width - 1::width] = last.split("\n")[:-1]
+    return True
 
 
 class _RawFile:
     """One raw CSV file of a spec-driven loader: its header's positions,
-    its (line, row) stream (``rows``) and every column the loader reads.
+    its rows (``fold``, ``rows``) and every column the loader reads.
 
     ``at`` and the binders record each column they look up; ``check``
     rejects every recorded column the header lacks, at once.  A loader
-    looks up all it reads, and checks, before it walks ``rows``.
+    looks up all it reads, and checks, before it reads a row.
     """
 
     def __init__(self, file: str | Path, tag: str, kind: str):
         self.kind, self.label, self.path = kind, f"{tag} {kind}", Path(file)
         self.where = f"{self.label} file {file}"    # prefix of errors about a row
-        self.rows = _lines(self.path, self.label)
-        self.positions = {name: i for i, name in enumerate(next(self.rows))}
+        with ExitStack() as opened:
+            self._handle = opened.enter_context(_opened(self.path, f"{self.label} file"))
+            self._reader = csv.reader(self._handle, strict=True)
+            header = next(self._reader, [])
+            self._open = opened.pop_all()       # closed, and hashed, once the rows are read
+        self.width = len(header)
+        self.positions = {name: i for i, name in enumerate(header)}
         self.read: set[str] = set()
 
     def at(self, column: str) -> int:
@@ -221,22 +246,46 @@ class _RawFile:
             raise SchemaError(
                 f"{self.label} file {self.path}: missing column(s) {', '.join(missing)}")
 
-    def bind(self, columns: Iterable[str],
-             evaluate: Callable[[dict], object]) -> Callable[[list], object]:
-        """``evaluate`` of a dict of a row's cells at ``columns``, memoized on
-        those cells (``interchange.Memo``) while the returned function lives."""
-        columns = sorted(columns)
-        getter = itemgetter(*map(self.at, columns))
-        memo = interchange.Memo(
-            (lambda key: evaluate(dict(zip(columns, key)))) if len(columns) > 1
-            else lambda key: evaluate({columns[0]: key}))
-        return lambda row: memo[getter(row)]
+    def rows(self) -> Iterator[tuple[int, list]]:
+        """(line, row) per row past the header, by ``_lines``' rules."""
+        with self._open:
+            yield from _lines(self._reader, 0, self.width, self._handle, self.where)
 
-    def rule(self, rule: Rule | None) -> Callable[[list], bool | None] | None:
+    def fold(self, chunk: Callable[[list[str]], bool], rows: Callable[..., int]) -> int:
+        """Read the rows past the header into a fold; the number of rows
+        read.  Clean chunks go to ``chunk(cells)``, each row's cells without
+        its line's LF, and what it does not fold, from that chunk's first
+        line on, to ``rows(rows, n)``, n rows in, with (line, row) pairs by
+        ``_lines``' rules (``interchange._fold_file``).  A blank line, which
+        a one-column file's chunk would split to one empty cell, holds no
+        crash id: no chunk fold takes it."""
+        width = self.width
+        with self._open:
+            return interchange._fold_file(
+                self._handle, self._reader, width,
+                lambda cells: _drop_line_ends(cells, width) and chunk(cells),
+                lambda reader, line, n: rows(
+                    _lines(reader, line, width, self._handle, self.where), n))
+
+    def column(self, cells: list[str], at: int, keep: list | None = None) -> list[str]:
+        """The stripped cells at position ``at`` of a clean chunk's rows, or
+        of those that ``keep`` marks."""
+        column = cells[at::self.width]
+        return list(map(str.strip, column if keep is None else compress(column, keep)))
+
+    def bind(self, columns: Iterable[str], evaluate: Callable[[dict], object]) -> _Bound:
+        """``evaluate`` of a dict of a row's cells at ``columns``, memoized on
+        those cells (``interchange.Memo``) while the binding lives."""
+        columns = sorted(columns)
+        return _Bound(self, list(map(self.at, columns)), interchange.Memo(
+            (lambda key: evaluate(dict(zip(columns, key)))) if len(columns) > 1
+            else lambda key: evaluate({columns[0]: key})))
+
+    def rule(self, rule: Rule | None) -> _Bound | None:
         """``rule`` of a row, or None where the spec gives no rule."""
         return self.bind(rule.columns(), rule.eval) if rule is not None else None
 
-    def kabco(self, column: str, codes: CodeMap) -> Callable[[list], tuple[str, bool]]:
+    def kabco(self, column: str, codes: CodeMap) -> _Bound:
         """(KABCO cell, known) of a row; an empty or unmapped cell is UNK."""
         def lookup(cells: dict) -> tuple[str, bool]:
             kabco = codes.get(cells[column])
@@ -244,23 +293,54 @@ class _RawFile:
 
         return self.bind((column,), lookup)
 
-    def number(self, column: str, convert: Callable[[str], object],
-               what: str) -> Callable[..., object]:
-        """``read(line, row, crash=None)``: ``convert`` of the row's stripped
-        ``column`` cell.  A cell it cannot read is a ValidationError naming
-        the line, and the crash and column where a crash is given."""
-        at = self.at(column)
+    def number(self, column: str, convert: Callable[[str], object], what: str) -> _Number:
+        """``convert`` of a row's stripped ``column`` cell (``_Number``)."""
+        return _Number(self, column, convert, what)
 
-        def read(line: int, row: list, crash: str | None = None):
-            text = (row[at] or "").strip()
-            try:
-                return convert(text)
-            except ValueError:
-                fault = (f"crash {crash} has unreadable {what} {text!r} in column {column}"
-                         if crash else f"unreadable {what} {text!r}")
-                raise ValidationError(f"{self.where}:{line}: {fault}") from None
 
-        return read
+class _Bound:
+    """A memoized rule of a raw file's cells at ``positions``: of one row
+    (``bound(row)``), or of each of a clean chunk's rows (``over``)."""
+
+    def __init__(self, file: _RawFile, positions: list[int], memo: interchange.Memo):
+        self.width, self.positions, self.memo = file.width, positions, memo
+        self._getter = itemgetter(*positions)
+
+    def __call__(self, row: list):
+        return self.memo[self._getter(row)]
+
+    def over(self, cells: list[str], keep: list | None = None) -> list:
+        """The values of a clean chunk's rows, or of those ``keep`` marks."""
+        width = self.width
+        keys = (cells[self.positions[0]::width] if len(self.positions) == 1
+                else zip(*(cells[i::width] for i in self.positions)))
+        return list(map(self.memo.__getitem__, keys if keep is None else compress(keys, keep)))
+
+
+class _Number:
+    """``convert`` of a raw file's stripped ``column`` cell: of one row
+    (``number(line, row, crash=None)``), where a cell it cannot read is a
+    ValidationError naming the line, and the crash and column where a
+    crash is given; or of each of a clean chunk's rows (``over``), where
+    it raises ValueError."""
+
+    def __init__(self, file: _RawFile, column: str, convert: Callable[[str], object],
+                 what: str):
+        self.file, self.column, self.convert, self.what = file, column, convert, what
+        self.at = file.at(column)
+
+    def __call__(self, line: int, row: list, crash: str | None = None):
+        text = (row[self.at] or "").strip()
+        try:
+            return self.convert(text)
+        except ValueError:
+            fault = (f"crash {crash} has unreadable {self.what} {text!r} in column {self.column}"
+                     if crash else f"unreadable {self.what} {text!r}")
+            raise ValidationError(f"{self.file.where}:{line}: {fault}") from None
+
+    def over(self, cells: list[str], keep: list | None = None) -> list:
+        """The values of a clean chunk's rows, or of those ``keep`` marks."""
+        return list(map(self.convert, self.file.column(cells, self.at, keep)))
 
 
 def load_schema(ref: str) -> SchemaSpec:
@@ -278,6 +358,12 @@ def _region_rule(spec: SchemaSpec, region_filter: str | None) -> Rule | None:
 
 def _rule_columns(*rules: Rule | None) -> set[str]:
     return {col for rule in rules if rule is not None for col in rule.columns()}
+
+
+def _count(diagnostics: Counter, reason: str, rows: int) -> None:
+    """Count ``rows`` rows under ``reason``, which is not listed when none is."""
+    if rows:
+        diagnostics[reason] += rows
 
 
 def _unkept(crash_id: str, dropped: set[str], diagnostics: Counter,
@@ -355,7 +441,7 @@ def load_crash_source(
     diagnostics: Counter = Counter()
     filter_rule = _region_rule(spec, region_filter)
     crash_schema, vehicle_schema, person_schema = spec.crash, spec.vehicle, spec.person
-    rows_in = dict.fromkeys(_TABLES, 0)     # each table's loop counts its rows here
+    rows_in = dict.fromkeys(_TABLES, 0)     # rows read per table, set as each is folded
 
     # Every rule of the three files is bound, and every header checked, first.
     crash_in = _RawFile(crash_file, spec.tag, "crash")
@@ -401,113 +487,235 @@ def load_crash_source(
     #              weight cell, the crash tow rule's result)
     kept: dict[str, tuple] = {}
     dropped: set[str] = set()
-    for rows_in["crashes"], (line, row) in enumerate(crash_in.rows, 1):
-        crash_id = (row[id_at] or "").strip()
-        if not crash_id:
-            raise ValidationError(
-                f"{crash_in.where}:{line}: crash row with empty id column "
-                f"{crash_schema.id_column}"
-            )
-        if crash_id in kept or crash_id in dropped:
-            raise ValidationError(f"{crash_in.where}:{line}: duplicate crash id {crash_id}")
-        match = region_match(row) if region_match is not None else True
-        if match is not True:
-            reason = "region_filtered" if match is False else "region_filter_unknown"
-        elif year_of is not None and year_of(line, row, crash_id) != year:
-            reason = "year_mismatch"
-        else:
-            weight = weight_of(line, row, crash_id) if weight_of is not None else 1.0
-            try:
-                check_crash(crash_id, weight, year)
-            except ValidationError as exc:
-                raise ValidationError(f"{crash_in.where}:{line}: {exc}") from None
-            kept[crash_id] = (
-                crash_id, road_class_of(row),
-                crash_kabco(row) if crash_kabco is not None else None, repr(weight),
-                crash_towed_of(row) if crash_towed_of is not None else False)
-            continue
-        diagnostics[reason] += 1
-        dropped.add(crash_id)
+
+    def crash_rows(rows: Iterable, n: int) -> int:
+        for n, (line, row) in enumerate(rows, n + 1):
+            crash_id = (row[id_at] or "").strip()
+            if not crash_id:
+                raise ValidationError(
+                    f"{crash_in.where}:{line}: crash row with empty id column "
+                    f"{crash_schema.id_column}"
+                )
+            if crash_id in kept or crash_id in dropped:
+                raise ValidationError(f"{crash_in.where}:{line}: duplicate crash id {crash_id}")
+            match = region_match(row) if region_match is not None else True
+            if match is not True:
+                reason = "region_filtered" if match is False else "region_filter_unknown"
+            elif year_of is not None and year_of(line, row, crash_id) != year:
+                reason = "year_mismatch"
+            else:
+                weight = weight_of(line, row, crash_id) if weight_of is not None else 1.0
+                try:
+                    check_crash(crash_id, weight, year)
+                except ValidationError as exc:
+                    raise ValidationError(f"{crash_in.where}:{line}: {exc}") from None
+                kept[crash_id] = (
+                    crash_id, road_class_of(row),
+                    crash_kabco(row) if crash_kabco is not None else None, repr(weight),
+                    crash_towed_of(row) if crash_towed_of is not None else False)
+                continue
+            diagnostics[reason] += 1
+            dropped.add(crash_id)
+        return n
+
+    def crash_chunk(cells: list[str]) -> bool:
+        ids = crash_in.column(cells, id_at)
+        if ("" in ids or len(set(ids)) < len(ids) or not kept.keys().isdisjoint(ids)
+                or not dropped.isdisjoint(ids)):
+            return False
+        try:
+            # Each row's fate: "" where it is kept, else its diagnostic.
+            fates = (list(map(_REGION_FATES.__getitem__, region_match.over(cells)))
+                     if region_match is not None else [""] * len(ids))
+            keep = list(map(not_, fates)) if any(fates) else None
+            if year_of is not None:
+                years = year_of.over(cells, keep)
+                if years.count(year) < len(years):
+                    mismatched = map(ne, years, repeat(year))
+                    fates = [fate or ("year_mismatch" if next(mismatched) else "")
+                             for fate in fates]
+                    keep = list(map(not_, fates))
+            kept_ids = ids if keep is None else list(compress(ids, keep))
+            weights = (weight_of.over(cells, keep) if weight_of is not None
+                       else [1.0] * len(kept_ids))
+            interchange._check_each(check_crash, kept_ids, weights, repeat(year))
+            roads = road_class_of.over(cells, keep)
+            kabcos = crash_kabco.over(cells, keep) if crash_kabco is not None else repeat(None)
+            tows = crash_towed_of.over(cells, keep) if crash_towed_of is not None else repeat(False)
+        except (KeyError, ValueError):
+            return False
+        if keep is not None:
+            diagnostics.update(filter(None, fates))
+            dropped.update(compress(ids, fates))
+        kept.update(zip(kept_ids, zip(kept_ids, roads, kabcos, map(repr, weights), tows)))
+        return True
+
+    rows_in["crashes"] = crash_in.fold(crash_chunk, crash_rows)
+
+    def parents(file: _RawFile, cells: list[str], at: int) -> tuple | None:
+        """(own ids, keep, orphans) of a clean chunk's rows, whose crash ids
+        are at ``at``: the crash row's own id str of each row of a kept
+        crash, which rows those are (None for all) and how many rows are
+        of dropped crashes; None where a row names a crash the source
+        never read."""
+        crash_ids = file.column(cells, at)
+        crashes = list(map(kept.get, crash_ids))
+        orphans = crashes.count(None)
+        keep = None
+        if orphans:
+            keep = list(map(is_not, crashes, repeat(None)))
+            if not dropped.issuperset(compress(crash_ids, map(not_, keep))):
+                return None
+            crashes = compress(crashes, keep)
+        return list(map(itemgetter(0), crashes)), keep, orphans
 
     # Units, with folds accumulated per crash.  A unit's memo entry is
     # shared by every unit whose classifier cells are equal.
     unit_info: dict[tuple[str, str], tuple] = {}
     crash_towed: set[str] = set()
     crash_airbag: set[str] = set()
-    for rows_in["vehicles"], (line, row) in enumerate(vehicle_in.rows if vehicle_in else (), 1):
-        crash_id = (row[vcrash_at] or "").strip()
-        crash = kept.get(crash_id)
-        if crash is None:
-            _unkept(crash_id, dropped, diagnostics, vehicle_in, line)
-            continue
-        crash_id = crash[0]     # the crash row's own id str
-        unit_id = (row[unit_at] or "").strip()
-        if not unit_id:
-            raise ValidationError(
-                f"{vehicle_in.where}:{line}: crash {crash_id} has a unit with no id "
-                f"in column {vehicle_schema.id_column}"
-            )
-        if (crash_id, unit_id) in unit_info:
-            raise ValidationError(
-                f"{vehicle_in.where}:{line}: duplicate unit {crash_id}/{unit_id}")
-        info = unit_info[(crash_id, unit_id)] = classify_unit(row)
-        _, _, _, towed, airbag, warnings = info
-        if warnings:
-            diagnostics.update(warnings)
-        if towed:
-            crash_towed.add(crash_id)
-        if airbag:
-            crash_airbag.add(crash_id)
+
+    def unit_rows(rows: Iterable, n: int) -> int:
+        for n, (line, row) in enumerate(rows, n + 1):
+            crash_id = (row[vcrash_at] or "").strip()
+            crash = kept.get(crash_id)
+            if crash is None:
+                _unkept(crash_id, dropped, diagnostics, vehicle_in, line)
+                continue
+            crash_id = crash[0]     # the crash row's own id str
+            unit_id = (row[unit_at] or "").strip()
+            if not unit_id:
+                raise ValidationError(
+                    f"{vehicle_in.where}:{line}: crash {crash_id} has a unit with no id "
+                    f"in column {vehicle_schema.id_column}"
+                )
+            if (crash_id, unit_id) in unit_info:
+                raise ValidationError(
+                    f"{vehicle_in.where}:{line}: duplicate unit {crash_id}/{unit_id}")
+            info = unit_info[(crash_id, unit_id)] = classify_unit(row)
+            _, _, _, towed, airbag, warnings = info
+            if warnings:
+                diagnostics.update(warnings)
+            if towed:
+                crash_towed.add(crash_id)
+            if airbag:
+                crash_airbag.add(crash_id)
+        return n
+
+    def unit_chunk(cells: list[str]) -> bool:
+        found = parents(vehicle_in, cells, vcrash_at)
+        if found is None:
+            return False
+        own, keep, orphans = found
+        unit_ids = vehicle_in.column(cells, unit_at, keep)
+        keys = list(zip(own, unit_ids))
+        if ("" in unit_ids or len(set(keys)) < len(keys)
+                or not unit_info.keys().isdisjoint(keys)):
+            return False
+        try:
+            infos = classify_unit.over(cells, keep)
+        except (KeyError, ValueError):
+            return False
+        _count(diagnostics, "parent_dropped", orphans)
+        unit_info.update(zip(keys, infos))
+        diagnostics.update(chain.from_iterable(map(itemgetter(5), infos)))
+        crash_towed.update(compress(own, map(itemgetter(3), infos)))
+        crash_airbag.update(compress(own, map(itemgetter(4), infos)))
+        return True
+
+    rows_in["vehicles"] = vehicle_in.fold(unit_chunk, unit_rows) if vehicle_in else 0
 
     persons: list[tuple[str, ...]] = []
     person_seen: set[tuple[str, str, str]] = set()
     person_airbag: set[tuple[str, str]] = set()
     crash_person_kabco: dict[str, str] = {}
-    for rows_in["persons"], (line, row) in enumerate(person_in.rows if person_in else (), 1):
-        crash_id = (row[pcrash_at] or "").strip()
-        crash = kept.get(crash_id)
-        if crash is None:
-            _unkept(crash_id, dropped, diagnostics, person_in, line)
-            continue
-        crash_id = crash[0]     # the crash row's own id str
-        unit_id = unit_ref(row) if unit_ref is not None else ""
-        if unit_id and (crash_id, unit_id) not in unit_info:
-            raise ReferentialError(
-                f"{person_in.where}:{line}: person row references unknown unit "
-                f"{crash_id}/{unit_id}"
-            )
-        person_id = (row[person_at] or "").strip()
-        if not person_id:
-            raise ValidationError(
-                f"{person_in.where}:{line}: crash {crash_id} has a person with no id "
-                f"in column {person_schema.id_column}"
-            )
-        if (crash_id, unit_id, person_id) in person_seen:
-            raise ValidationError(
-                f"{person_in.where}:{line}: duplicate person "
-                f"{crash_id}/{unit_id}/{person_id}"
-            )
-        person_seen.add((crash_id, unit_id, person_id))
-        if person_kabco is not None:
-            kabco, known = person_kabco(row)
-            if not known:
-                diagnostics["unknown_person_kabco"] += 1
+
+    def person_rows(rows: Iterable, n: int) -> int:
+        for n, (line, row) in enumerate(rows, n + 1):
+            crash_id = (row[pcrash_at] or "").strip()
+            crash = kept.get(crash_id)
+            if crash is None:
+                _unkept(crash_id, dropped, diagnostics, person_in, line)
+                continue
+            crash_id = crash[0]     # the crash row's own id str
+            unit_id = unit_ref(row) if unit_ref is not None else ""
+            if unit_id and (crash_id, unit_id) not in unit_info:
+                raise ReferentialError(
+                    f"{person_in.where}:{line}: person row references unknown unit "
+                    f"{crash_id}/{unit_id}"
+                )
+            person_id = (row[person_at] or "").strip()
+            if not person_id:
+                raise ValidationError(
+                    f"{person_in.where}:{line}: crash {crash_id} has a person with no id "
+                    f"in column {person_schema.id_column}"
+                )
+            if (crash_id, unit_id, person_id) in person_seen:
+                raise ValidationError(
+                    f"{person_in.where}:{line}: duplicate person "
+                    f"{crash_id}/{unit_id}/{person_id}"
+                )
+            person_seen.add((crash_id, unit_id, person_id))
+            if person_kabco is not None:
+                kabco, known = person_kabco(row)
+                if not known:
+                    diagnostics["unknown_person_kabco"] += 1
+            else:
+                kabco = _UNK
+            airbag = False
+            if person_airbag_of is not None:
+                airbag = person_airbag_of(row)
+                if airbag is None:
+                    diagnostics["unknown_airbag"] += 1
+                    airbag = False
+            persons.append((crash_id, unit_id, person_id, kabco, FLAG[airbag]))
+            if airbag:
+                if unit_id:
+                    person_airbag.add((crash_id, unit_id))
+                crash_airbag.add(crash_id)
+            prev = crash_person_kabco.get(crash_id)
+            if prev is None or _RANK[kabco] > _RANK[prev]:
+                crash_person_kabco[crash_id] = kabco
+        return n
+
+    def person_chunk(cells: list[str]) -> bool:
+        found = parents(person_in, cells, pcrash_at)
+        if found is None:
+            return False
+        own, keep, orphans = found
+        units = unit_ref.over(cells, keep) if unit_ref is not None else [""] * len(own)
+        person_ids = person_in.column(cells, person_at, keep)
+        keys = list(zip(own, units, person_ids))
+        if ("" in person_ids or len(set(keys)) < len(keys) or not person_seen.isdisjoint(keys)
+                or not all(map(unit_info.__contains__, filter(itemgetter(1), zip(own, units))))):
+            return False
+        try:
+            kabcos = person_kabco.over(cells, keep) if person_kabco is not None else None
+            airbags = person_airbag_of.over(cells, keep) if person_airbag_of is not None else None
+        except (KeyError, ValueError):
+            return False
+        _count(diagnostics, "parent_dropped", orphans)
+        person_seen.update(keys)
+        if kabcos is not None:
+            _count(diagnostics, "unknown_person_kabco",
+                   len(kabcos) - sum(map(itemgetter(1), kabcos)))
+            kabcos = list(map(itemgetter(0), kabcos))
         else:
-            kabco = _UNK
-        airbag = False
-        if person_airbag_of is not None:
-            airbag = person_airbag_of(row)
-            if airbag is None:
-                diagnostics["unknown_airbag"] += 1
-                airbag = False
-        persons.append((crash_id, unit_id, person_id, kabco, FLAG[airbag]))
-        if airbag:
-            if unit_id:
-                person_airbag.add((crash_id, unit_id))
-            crash_airbag.add(crash_id)
-        prev = crash_person_kabco.get(crash_id)
-        if prev is None or _RANK[kabco] > _RANK[prev]:
-            crash_person_kabco[crash_id] = kabco
+            kabcos = [_UNK] * len(keys)
+        flags = [False] * len(keys)
+        if airbags is not None:
+            _count(diagnostics, "unknown_airbag", airbags.count(None))
+            flags = list(map(is_, airbags, repeat(True)))
+            person_airbag.update(filter(itemgetter(1), compress(zip(own, units), flags)))
+            crash_airbag.update(compress(own, flags))
+        persons.extend(zip(own, units, person_ids, kabcos, map(FLAG.__getitem__, flags)))
+        for crash_id, kabco in zip(own, kabcos) if crash_kabco is None else ():
+            prev = crash_person_kabco.get(crash_id)   # read only without a crash KABCO column
+            if prev is None or _RANK[kabco] > _RANK[prev]:
+                crash_person_kabco[crash_id] = kabco
+        return True
+
+    rows_in["persons"] = person_in.fold(person_chunk, person_rows) if person_in else 0
 
     vehicles = [
         (crash_id, unit_id, body, in_transport, towed,
@@ -671,7 +879,7 @@ def load_mileage(
     table.check()
     at = table.where
     cells: list[MileageCell] = []
-    for line, row in table.rows:
+    for line, row in table.rows():
         if region_match is not None and region_match(row) is not True:
             diagnostics["region_filtered"] += 1
             continue
@@ -711,7 +919,7 @@ def load_passenger_share(spec: SchemaSpec, file: str | Path) -> PassengerShareTa
     table.check()
     at = table.where
     mapping: dict = {}
-    for line, row in table.rows:
+    for line, row in table.rows():
         state = (row[state_at] or "").strip()
         if not state:
             raise ValidationError(f"{at}:{line}: empty state")
@@ -806,7 +1014,7 @@ def _load_raw_source(ref: interchange.CrashSourceRef, region: Region,
 # Raw sources whose files hold fewer bytes than this in all load in this
 # process: below it, forking and pickling cost more time than loading the
 # sources side by side saves (README, "From raw files").
-_WORKER_BYTES = 512 << 10
+_WORKER_BYTES = 1 << 20
 
 
 def _raw_bytes(refs: list[interchange.CrashSourceRef]) -> int:
@@ -873,7 +1081,12 @@ def _raw_loads(refs: list[interchange.CrashSourceRef], region: Region,
     import pickle  # imported only where workers run, off the canonical path
     import signal
 
-    from . import schema  # noqa: F401  imported once, here, not by each worker
+    # Imported once, here, not by each worker: the spec module and the INI
+    # reader it parses specs with, which a run without a config file has
+    # not loaded.
+    import configparser  # noqa: F401
+
+    from . import schema  # noqa: F401
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     waiting = iter(refs)

@@ -29,7 +29,8 @@ record types' own checks run.  The benchmark path builds no record:
 crashes through one child-table fold, so the canonical files of a
 county, a raw source's rows, or records encoded to rows
 (``filters.select_subset``) are counted in one pass each.  A fold reads
-a file in chunks of whole lines (``_fold``): a chunk that needs no
+a file in chunks of whole lines (``_fold_file``, which ``ingest``'s
+raw loaders read through too): a chunk that needs no
 ``csv`` parsing (no quote, CR or NUL, and as many cells on every line
 as the header has) is split at its commas once and folded column by
 column, and every other chunk, from its first line to the end of the
@@ -162,8 +163,12 @@ def _sort_key(table: str) -> Callable:
 
 def sort_rows(table: str, rows: list) -> list:
     """``rows`` of ``table``, sorted in place on the table's sort columns:
-    one run for ``write_rows``."""
-    rows.sort(key=_sort_key(table))
+    one run for ``write_rows``.  Rows are sorted on one column at a time,
+    the last first, each sort stable: the order of sorting on the tuple of
+    those cells, without building a tuple per row."""
+    spec = _TABLES[table]
+    for position in reversed(list(map(spec.header.index, spec.key))):
+        rows.sort(key=itemgetter(position))
     return rows
 
 
@@ -245,54 +250,68 @@ def _open(source: str | Path | Rows, header: tuple[str, ...]):
         yield reader, lambda n: f"{source}:{reader.line_num}"
 
 
-_READ = 1 << 14     # characters of a canonical file a fold reads at a time, in whole lines
+_READ = 1 << 14     # characters of a file a fold reads at a time, in whole lines
 
 
 def _fold(source: str | Path | Rows, header: tuple[str, ...],
           chunk: Callable[[list[str]], bool], rows: Callable[..., int]) -> int:
     """Read a canonical table into a fold; the number of data rows read.
 
-    A file is read in chunks of whole lines, ``_READ`` characters or just
-    over.  A clean chunk is one with no quote, CR or NUL, no line longer
-    than ``csv`` takes a cell to be, and ``len(header)`` cells a line on
+    A file is read past its checked header by ``_fold_file``, and
+    ``rows(rows, at, n)`` folds, n rows in, what ``chunk`` does not, with
+    ``at`` as ``_open`` gives it; rows in memory go to ``rows`` alone.
+    ``rows`` returns the rows read in all."""
+    if isinstance(source, Rows):
+        return rows(source.rows, lambda n: f"{source.label}:{n + 1}", 0)
+    with _opened(source, "canonical file") as handle:
+        reader = _past_header(source, header, handle)
+        return _fold_file(
+            handle, reader, len(header), chunk,
+            lambda reader, line, n: rows(reader, lambda _: f"{source}:{line + reader.line_num}", n))
+
+
+def _fold_file(handle, reader: csv.reader, width: int, chunk: Callable[[list[str]], bool],
+               rows: Callable[..., int]) -> int:
+    """Read the rest of a CSV file, past the lines ``reader`` (a strict
+    ``csv.reader`` on ``handle``, from ``errors._opened``) has read, into a
+    fold; what ``rows`` returns, or the number of rows ``chunk`` folded.
+
+    The file is read in chunks of whole lines, ``_READ`` characters or
+    just over.  A clean chunk is one with no quote, CR or NUL, no line
+    longer than ``csv`` takes a cell to be, and ``width`` cells a line on
     average, each line ending in LF.  It is split at its commas into its
     rows' cells, each row's last cell keeping its line's LF, and
     ``chunk(cells)`` folds them column by column.  Where a row of them
     would fail, or a row's last cell has no LF (so some row has more or
-    fewer cells than ``header``), it returns False and has changed
-    nothing.  From the first line of any other chunk, of one that
-    ``chunk`` does not fold or of one holding a byte that is not UTF-8, to
-    the end of the file, and for rows in memory, ``rows(rows, at, n)``
-    folds row by row, n rows in, with ``at`` as ``_open`` gives it, and
-    returns the rows read in all."""
-    if isinstance(source, Rows):
-        return rows(source.rows, lambda n: f"{source.label}:{n + 1}", 0)
-    width, longest = len(header), csv.field_size_limit()
-    with _opened(source, "canonical file") as handle:
-        reader = _past_header(source, header, handle)
-        n = 0
-        try:
-            while lines := handle.readlines(_READ):
-                text = ",".join(lines)
-                clean = ('"' not in text and "\r" not in text and "\0" not in text
-                         and (len(text) <= longest or max(map(len, lines)) <= longest))
-                cells = text.split(",") if clean else ()
-                if len(cells) != width * len(lines) or not chunk(cells):
-                    break
-                n += len(lines)
-            else:
-                return n
-        except UnicodeDecodeError:
-            # A byte of the chunk is not UTF-8.  Read the file again up to the
-            # chunk, so that the rows before the byte are decoded and folded
-            # as the row loop alone would read them, and a fault among them
-            # is named first.
-            handle.seek(0)
-            deque(islice(handle, reader.line_num + n), 0)
-            lines = []
-        line = reader.line_num + n
-        reader = csv.reader(chain(lines, handle), strict=True)
-        return rows(reader, lambda _: f"{source}:{line + reader.line_num}", n)
+    fewer cells than ``width``), it returns False and has changed nothing.
+    From the first line of any other chunk, of one that ``chunk`` does not
+    fold or of one holding a byte that is not UTF-8, to the end of the
+    file, ``rows(reader, line, n)`` folds row by row, n rows in: ``reader``
+    is a strict ``csv.reader`` from that line, and ``line +
+    reader.line_num`` the physical line its last row ends on."""
+    longest = csv.field_size_limit()
+    n = 0
+    try:
+        while lines := handle.readlines(_READ):
+            text = ",".join(lines)
+            clean = ('"' not in text and "\r" not in text and "\0" not in text
+                     and (len(text) <= longest or max(map(len, lines)) <= longest))
+            cells = text.split(",") if clean else ()
+            if len(cells) != width * len(lines) or not chunk(cells):
+                break
+            n += len(lines)
+        else:
+            return n
+    except UnicodeDecodeError:
+        # A byte of the chunk is not UTF-8.  Read the file again up to the
+        # chunk, so that the rows before the byte are decoded and folded
+        # as the row loop alone would read them, and a fault among them
+        # is named first.
+        handle.seek(0)
+        deque(islice(handle, reader.line_num + n), 0)
+        lines = []
+    line = reader.line_num + n
+    return rows(csv.reader(chain(lines, handle), strict=True), line, n)
 
 
 def _line_ended(decode: Callable) -> Memo:

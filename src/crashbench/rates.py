@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import add, and_, mul
 
 from .errors import UndefinedStatistic, ValidationError, _opened
@@ -125,9 +125,19 @@ def _level_sum(severity: list[int], amounts: list[float], level: SeverityLevel) 
 
 
 def _level_sums(severity: list[int], amounts: list[float]) -> SeverityCounts:
-    """Counts at every observed level from one amount per crash."""
-    return SeverityCounts(**{level.value: _level_sum(severity, amounts, level)
-                             for level in OBSERVED_LEVELS})
+    """Counts at every observed level from one amount per crash.  The
+    amounts are grouped by severity mask once, and each level sums the
+    groups whose mask has its bit: ``math.fsum`` is exactly rounded, so a
+    level's count does not depend on the order its amounts come in."""
+    groups: dict[int, list[float]] = {}
+    for mask, amount in zip(severity, amounts):
+        groups.setdefault(mask, []).append(amount)
+    counts = {}
+    for level in OBSERVED_LEVELS:
+        bit = _observed_bit(level)
+        counts[level.value] = math.fsum(chain.from_iterable(
+            group for mask, group in groups.items() if mask & bit))
+    return SeverityCounts(**counts)
 
 
 def _vehicle_amounts(subset: Subset, w: float) -> list[float]:

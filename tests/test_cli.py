@@ -1457,8 +1457,22 @@ class TestImportHygiene:
             assert (without_provenance(tmp_path / expected.name)
                     == without_provenance(expected)), expected.name
 
+    @pytest.mark.parametrize("source", ["manifest", "aggregates"])
+    def test_a_report_without_a_config_file_loads_no_ini_reader(self, tmp_path, fixtures,
+                                                                source):
+        # Without --config no INI text is read, so configparser stays unloaded.
+        given = (["--manifest", str(fixtures / "manifests" / "town_2022.json")]
+                 if source == "manifest" else ["--aggregates", "2022"])
+        self.layers_loaded_by(
+            "import sys\n"
+            "from crashbench.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "assert 'configparser' not in sys.modules\n",
+            "report", *given, "--out", str(tmp_path), "--quiet")
+
     def test_schema_is_imported_before_the_first_worker_forks(self, tmp_path, fixtures):
-        # Each worker would import it again otherwise, and the mileage after.
+        # Each worker would import it, and the INI reader its specs are
+        # parsed with, again otherwise, and the mileage after.
         self.layers_loaded_by(
             "import sys\n"
             "from crashbench import ingest\n"
@@ -1466,7 +1480,8 @@ class TestImportHygiene:
             "ingest._WORKER_BYTES = 0\n"
             "start, imported = ingest._start_worker, []\n"
             "def spy(*args):\n"
-            "    imported.append('crashbench.schema' in sys.modules)\n"
+            "    imported.append('crashbench.schema' in sys.modules\n"
+            "                    and 'configparser' in sys.modules)\n"
             "    return start(*args)\n"
             "ingest._start_worker = spy\n"
             "assert main(sys.argv[1:]) == 0\n"

@@ -1,4 +1,5 @@
-"""The canonical folds read a file the same way at every chunk size.
+"""The canonical folds read a file the same way at every chunk size, and
+rows sort to one order however they are sorted.
 
 ``interchange._fold`` reads a canonical table in chunks of whole lines
 (``interchange._READ`` characters or just over): a clean chunk is folded
@@ -10,7 +11,9 @@ memory, which the row loop alone reads.
 """
 
 import csv
+import heapq
 import io
+import random
 from unittest import mock
 
 import pytest
@@ -249,3 +252,25 @@ def test_a_byte_that_is_not_utf8_is_met_where_the_row_loop_meets_it(tmp_path, ba
     for size in (1, 100, 1 << 13, 1 << 15, len(data)):
         with mock.patch.object(interchange, "_READ", size):
             assert _fold({"crashes": path}) == expected.format(path)
+
+
+@pytest.mark.parametrize("table", sorted(interchange._TABLES))
+@pytest.mark.parametrize("seed", range(8))
+def test_sorting_one_key_column_at_a_time_gives_the_tuple_key_order(table, seed):
+    # Key cells come from small domains, so rows tie on leading key columns
+    # and on whole keys, within a run and across runs; rows that tie on the
+    # whole key differ in a later cell, so the order among them shows.
+    rng = random.Random(seed)
+    spec = interchange._TABLES[table]
+    key = interchange._cells(spec.header, *spec.key)
+    runs = []
+    for _ in range(rng.randint(1, 4)):
+        rows = [tuple(rng.choice(["", "1", "10", "2", "a", "A", "b"])
+                      for _ in spec.header) for _ in range(rng.randint(0, 60))]
+        rng.shuffle(rows)
+        assert interchange.sort_rows(table, list(rows)) == sorted(rows, key=key)
+        runs.append(rows)
+    expected = list(heapq.merge(*(sorted(rows, key=key) for rows in runs), key=key))
+    merged = heapq.merge(*(interchange.sort_rows(table, list(rows)) for rows in runs),
+                         key=interchange._sort_key(table))
+    assert list(merged) == expected
