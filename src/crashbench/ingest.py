@@ -273,19 +273,37 @@ class _RawFile:
         column = cells[at::self.width]
         return list(map(str.strip, column if keep is None else compress(column, keep)))
 
-    def bind(self, columns: Iterable[str], evaluate: Callable[[dict], object]) -> _Bound:
+    def bind(self, columns: Iterable[str],
+             evaluate: Callable[[dict], object]) -> Callable[[list], object]:
         """``evaluate`` of a dict of a row's cells at ``columns``, memoized on
-        those cells (``interchange.Memo``) while the binding lives."""
+        those cells (``interchange.Memo``) while the returned function lives:
+        ``bound(row)`` of one row, and ``bound.over(cells, keep=None)`` of
+        each of a clean chunk's rows, or of those ``keep`` marks.  A closure,
+        not an object with ``__call__``: the row loop calls it once a row,
+        and a call through ``__call__`` costs that loop more."""
         columns = sorted(columns)
-        return _Bound(self, list(map(self.at, columns)), interchange.Memo(
+        positions, width = list(map(self.at, columns)), self.width
+        getter = itemgetter(*positions)
+        memo = interchange.Memo(
             (lambda key: evaluate(dict(zip(columns, key)))) if len(columns) > 1
-            else lambda key: evaluate({columns[0]: key})))
+            else lambda key: evaluate({columns[0]: key}))
 
-    def rule(self, rule: Rule | None) -> _Bound | None:
+        def bound(row: list):
+            return memo[getter(row)]
+
+        def over(cells: list[str], keep: list | None = None) -> list:
+            keys = (cells[positions[0]::width] if len(positions) == 1
+                    else zip(*(cells[i::width] for i in positions)))
+            return list(map(memo.__getitem__, keys if keep is None else compress(keys, keep)))
+
+        bound.over = over
+        return bound
+
+    def rule(self, rule: Rule | None) -> Callable[[list], bool | None] | None:
         """``rule`` of a row, or None where the spec gives no rule."""
         return self.bind(rule.columns(), rule.eval) if rule is not None else None
 
-    def kabco(self, column: str, codes: CodeMap) -> _Bound:
+    def kabco(self, column: str, codes: CodeMap) -> Callable[[list], tuple[str, bool]]:
         """(KABCO cell, known) of a row; an empty or unmapped cell is UNK."""
         def lookup(cells: dict) -> tuple[str, bool]:
             kabco = codes.get(cells[column])
@@ -293,54 +311,26 @@ class _RawFile:
 
         return self.bind((column,), lookup)
 
-    def number(self, column: str, convert: Callable[[str], object], what: str) -> _Number:
-        """``convert`` of a row's stripped ``column`` cell (``_Number``)."""
-        return _Number(self, column, convert, what)
+    def number(self, column: str, convert: Callable[[str], object],
+               what: str) -> Callable[..., object]:
+        """``read(line, row, crash=None)``: ``convert`` of the row's stripped
+        ``column`` cell.  A cell it cannot read is a ValidationError naming
+        the line, and the crash and column where a crash is given.
+        ``read.over(cells, keep=None)`` converts the cells of a clean
+        chunk's rows, or of those ``keep`` marks, and raises ValueError."""
+        at = self.at(column)
 
+        def read(line: int, row: list, crash: str | None = None):
+            text = (row[at] or "").strip()
+            try:
+                return convert(text)
+            except ValueError:
+                fault = (f"crash {crash} has unreadable {what} {text!r} in column {column}"
+                         if crash else f"unreadable {what} {text!r}")
+                raise ValidationError(f"{self.where}:{line}: {fault}") from None
 
-class _Bound:
-    """A memoized rule of a raw file's cells at ``positions``: of one row
-    (``bound(row)``), or of each of a clean chunk's rows (``over``)."""
-
-    def __init__(self, file: _RawFile, positions: list[int], memo: interchange.Memo):
-        self.width, self.positions, self.memo = file.width, positions, memo
-        self._getter = itemgetter(*positions)
-
-    def __call__(self, row: list):
-        return self.memo[self._getter(row)]
-
-    def over(self, cells: list[str], keep: list | None = None) -> list:
-        """The values of a clean chunk's rows, or of those ``keep`` marks."""
-        width = self.width
-        keys = (cells[self.positions[0]::width] if len(self.positions) == 1
-                else zip(*(cells[i::width] for i in self.positions)))
-        return list(map(self.memo.__getitem__, keys if keep is None else compress(keys, keep)))
-
-
-class _Number:
-    """``convert`` of a raw file's stripped ``column`` cell: of one row
-    (``number(line, row, crash=None)``), where a cell it cannot read is a
-    ValidationError naming the line, and the crash and column where a
-    crash is given; or of each of a clean chunk's rows (``over``), where
-    it raises ValueError."""
-
-    def __init__(self, file: _RawFile, column: str, convert: Callable[[str], object],
-                 what: str):
-        self.file, self.column, self.convert, self.what = file, column, convert, what
-        self.at = file.at(column)
-
-    def __call__(self, line: int, row: list, crash: str | None = None):
-        text = (row[self.at] or "").strip()
-        try:
-            return self.convert(text)
-        except ValueError:
-            fault = (f"crash {crash} has unreadable {self.what} {text!r} in column {self.column}"
-                     if crash else f"unreadable {self.what} {text!r}")
-            raise ValidationError(f"{self.file.where}:{line}: {fault}") from None
-
-    def over(self, cells: list[str], keep: list | None = None) -> list:
-        """The values of a clean chunk's rows, or of those ``keep`` marks."""
-        return list(map(self.convert, self.file.column(cells, self.at, keep)))
+        read.over = lambda cells, keep=None: list(map(convert, self.column(cells, at, keep)))
+        return read
 
 
 def load_schema(ref: str) -> SchemaSpec:
