@@ -11,41 +11,46 @@ to an explicit unknown bucket and bump a warning counter.
 
 Raw tables are read through the chunk reader of the canonical folds
 (``interchange._fold_file``), in chunks of whole lines.  A clean chunk
-(no quote, CR or NUL, and as many cells on every line as the header
-has) is split at its commas and folded column by column: each of a
-source's three passes (crashes, vehicles, persons) reads strided
-columns through the same memos, converters and checks as its row loop,
-and changes nothing unless every row of the chunk would pass.  Any
-other chunk, from its first line on, goes to the row loop, which reads
-positional rows with the semantics of ``csv.DictReader``: blank lines
-are skipped, a short row is padded with nulls (a missing cell is null,
-so rules over it evaluate to unknown), extra cells are ignored, and a
-header name that appears twice resolves to its last column.  A short
-last row with no line ending is a file cut short, and an error.  So a
-fault is met, and named, row by row, at the physical line its row ends
-on.  A kept crash row is checked as it is read, and no raw row is held:
-until its vehicle and person files are read, a kept crash holds its id,
-its weight cell and the memoized road class, KABCO and tow results, and
-its vehicle and person rows take that one id str for their own.  One
-reader per raw file (``_RawFile``) binds each spec rule once per file
-to the positions of the cells it reads, memoized on those cells: rows
-that hold equal cells share one ``Rule.eval`` (or code-table lookup)
-call on a dict of just those cells, and the memo holds the canonical
-cells it gives.  Warnings are still counted once per row.  A column is
-required because the reader reads it: every header of a source is
-checked for all of them before its first row is read.
+(no quote or NUL, no CR but in a CR LF line end, and as many cells on
+every line as the header has) is split at its commas and folded column
+by column: each of a source's three passes (crashes, vehicles, persons)
+reads strided columns through the same memos, converters and checks as
+its row loop, and changes nothing unless every row of the chunk would
+pass.  Any other chunk, from its first line on, goes to the row loop,
+which reads positional rows with the semantics of ``csv.DictReader``:
+blank lines are skipped, a short row is padded with nulls (a missing
+cell is null, so rules over it evaluate to unknown), extra cells are
+ignored, and a header name that appears twice resolves to its last
+column.  A short last row with no line ending is a file cut short, and
+an error.  So a fault is met, and named, row by row, at the physical
+line its row ends on.  A kept crash row is checked as it is read, and no
+raw row is held: until its vehicle and person files are read, a kept
+crash holds its id, its weight cell and the memoized road class, KABCO
+and tow results, and its vehicle and person rows take that one id str
+for their own.  One reader per raw file (``_RawFile``) binds each spec
+rule once per file to the positions of the cells it reads, memoized on
+those cells: rows that hold equal cells share one ``Rule.eval`` (or
+code-table lookup) call on a dict of just those cells, and the memo
+holds the canonical cells it gives.  Warnings are still counted once per
+row.  A column is required because the reader reads it: every header of
+a source is checked for all of them before its first row is read.
 
-``load_dataset`` loads each raw source in its own forked worker process,
-at most one per available CPU at a time, and takes their rows, sorted
-into one run per table (``interchange.sort_rows``), and the digests of the files they read back
-over a pipe in manifest order; so this process never holds a loader's
+``load_dataset`` loads a dataset's first raw source in this process and
+each other one in its own forked worker process, started before that
+load, with at most one worker per available CPU but one alive at a
+time.  It takes the workers' rows, sorted into one run per table
+(``interchange.sort_rows``), and the digests of the files they read
+back over a pipe in manifest order; so the first source's rows are
+never pickled or held twice, this process holds no other loader's
 working state, and errors are raised as a load in turn would raise
-them.  Raw files under ``_WORKER_BYTES`` in all load in this process,
-where a worker costs more time than it saves.  The cyclic garbage
-collector is paused while a raw source's rows are built and sorted, in a
-worker or here, and while a worker's rows are unpickled, and the
-caller's setting is restored after: rows are tuples of str, which hold
-no reference cycle, so its passes over them would free nothing.
+them.  All raw sources load in this process where there is one, or
+one CPU, or where the files after the first hold fewer than
+``_WORKER_BYTES``, where a worker costs as much time as it saves.  The
+cyclic garbage collector is paused while a raw source's rows are built
+and sorted, in a worker or here, and while a worker's rows are
+unpickled, and the caller's setting is restored after: rows are tuples
+of str, which hold no reference cycle, so its passes over them would
+free nothing.
 
 Canonical sources are not normalized again: their crash, vehicle and
 person tables are folded into per-crash columns as they are read
@@ -1001,10 +1006,11 @@ def _load_raw_source(ref: interchange.CrashSourceRef, region: Region,
     return load
 
 
-# Raw sources whose files hold fewer bytes than this in all load in this
-# process: below it, forking and pickling cost more time than loading the
-# sources side by side saves (README, "From raw files").
-_WORKER_BYTES = 1 << 20
+# Raw sources load in this process alone where the files of the sources
+# after the first, which workers would load, hold fewer bytes than this:
+# below it, forking and pickling cost about as much time as loading them
+# beside this process's load saves, or more (README, "From raw files").
+_WORKER_BYTES = 1 << 18
 
 
 def _raw_bytes(refs: list[interchange.CrashSourceRef]) -> int:
@@ -1055,16 +1061,22 @@ def _start_worker(ref: interchange.CrashSourceRef, region: Region,
 def _raw_loads(refs: list[interchange.CrashSourceRef], region: Region,
                year: int) -> Iterator[LoadResult]:
     """Each raw source's LoadResult (``_load_raw_source``), in the order of
-    ``refs``.  Each source loads in its own forked worker process, with at
-    most one worker per available CPU alive at a time, and the digests
-    its reads recorded join the open recording; an exception it raised is
-    raised here, in its turn.  Every worker is reaped however this ends.
-    The sources load in this process where their files hold fewer than
-    ``_WORKER_BYTES`` in all, where there is no ``os.fork``, and where
-    other threads run (a forked child of a threaded process can
-    deadlock)."""
-    if (not hasattr(os, "fork") or threading.active_count() > 1
-            or _raw_bytes(refs) < _WORKER_BYTES):
+    ``refs``.  This process loads the first source itself while each
+    other one loads in its own forked worker process, with at most one
+    worker per available CPU but one alive at a time (this process uses
+    a CPU too), and the digests its reads recorded join the open
+    recording; an exception it raised is raised here, in its turn.  So
+    the first source's rows are never pickled, and are held once.  Every
+    worker is reaped however this ends.  All sources load in this
+    process where there is one, or one CPU, where the files of the
+    sources after the first hold fewer than ``_WORKER_BYTES`` in all,
+    where there is no ``os.fork``, and where other threads run (a forked
+    child of a threaded process can deadlock)."""
+    rest = refs[1:]
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1) - 1
+    if (not rest or workers < 1 or not hasattr(os, "fork")
+            or threading.active_count() > 1 or _raw_bytes(rest) < _WORKER_BYTES):
         for ref in refs:
             yield _load_raw_source(ref, region, year)
         return
@@ -1077,14 +1089,18 @@ def _raw_loads(refs: list[interchange.CrashSourceRef], region: Region,
     import configparser  # noqa: F401
 
     from . import schema  # noqa: F401
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    waiting = iter(refs)
+    waiting = iter(rest)
     running: deque = deque()      # (ref, pid, pipe) of each worker not reaped, in order
+
+    def start() -> None:
+        for ref in islice(waiting, workers - len(running)):
+            running.append((ref, *_start_worker(ref, region, year)))
+
     try:
-        for _ in refs:
-            for ref in islice(waiting, cpus - len(running)):
-                running.append((ref, *_start_worker(ref, region, year)))
+        start()
+        yield _load_raw_source(refs[0], region, year)
+        for _ in rest:
+            start()
             ref, pid, pipe = running[0]
             try:
                 with pipe, _collector_paused():
@@ -1114,9 +1130,10 @@ def _raw_loads(refs: list[interchange.CrashSourceRef], region: Region,
 def load_dataset(manifest: interchange.DatasetManifest) -> DatasetRecords:
     """Load and merge every source named by one dataset manifest.
 
-    Raw sources load in worker processes (``_raw_loads``) and canonical
-    ones in this process; loads are taken in manifest order, so the first
-    bad source is the one reported."""
+    The first raw source loads in this process and the others in worker
+    processes (``_raw_loads``), and canonical ones in this process; loads
+    are taken in manifest order, so the first bad source is the one
+    reported."""
     loads: list[tuple[str, LoadResult]] = []
     audits: list[dict] = []
     region, year = manifest.region, manifest.year

@@ -30,13 +30,13 @@ crashes through one child-table fold, so the canonical files of a
 county, a raw source's rows, or records encoded to rows
 (``filters.select_subset``) are counted in one pass each.  A fold reads
 a file in chunks of whole lines (``_fold_file``, which ``ingest``'s
-raw loaders read through too): a chunk that needs no
-``csv`` parsing (no quote, CR or NUL, and as many cells on every line
-as the header has) is split at its commas once and folded column by
-column, and every other chunk, from its first line to the end of the
-file, and rows in memory, row by row.  Both ways run the same decoders,
-memos and checks, and a chunk is folded only once all its rows have
-passed them, so a fault is met, and named, row by row.  The folds
+raw loaders read through too): a chunk that needs no ``csv`` parsing
+(no quote or NUL, no CR but in a CR LF line end, and as many cells on
+every line as the header has) is split at its commas once and folded
+column by column, and every other chunk, from its first line to the end
+of the file, and rows in memory, row by row.  Both ways run the same
+decoders, memos and checks, and a chunk is folded only once all its rows
+have passed them, so a fault is met, and named, row by row.  The folds
 decode every cell with the table's own decoders and run the records'
 checks (``model.check_crash``, ``check_unit``, ``check_person``) on every
 row, kept or not.  Either way, a cell other than an id or a float comes
@@ -276,24 +276,27 @@ def _fold_file(handle, reader: csv.reader, width: int, chunk: Callable[[list[str
     ``csv.reader`` on ``handle``, from ``errors._opened``) has read, into a
     fold; what ``rows`` returns, or the number of rows ``chunk`` folded.
 
-    The file is read in chunks of whole lines, ``_READ`` characters or
-    just over.  A clean chunk is one with no quote, CR or NUL, no line
-    longer than ``csv`` takes a cell to be, and ``width`` cells a line on
-    average, each line ending in LF.  It is split at its commas into its
-    rows' cells, each row's last cell keeping its line's LF, and
-    ``chunk(cells)`` folds them column by column.  Where a row of them
-    would fail, or a row's last cell has no LF (so some row has more or
-    fewer cells than ``width``), it returns False and has changed nothing.
-    From the first line of any other chunk, of one that ``chunk`` does not
-    fold or of one holding a byte that is not UTF-8, to the end of the
-    file, ``rows(reader, line, n)`` folds row by row, n rows in: ``reader``
-    is a strict ``csv.reader`` from that line, and ``line +
-    reader.line_num`` the physical line its last row ends on."""
+    The file is read in chunks of whole lines, ``_READ`` characters or just
+    over.  A clean chunk is one with no quote or NUL, no CR but in a CR LF
+    line end, no line longer than ``csv`` takes a cell to be, and ``width``
+    cells a line on average, each line ending in LF.  Its CR LF line ends
+    are read as LF, as ``csv`` reads them, and it is split at its commas
+    into its rows' cells, each row's last cell keeping its line's LF, and
+    ``chunk(cells)`` folds them column by column.  Where a row of them would
+    fail, or a row's last cell has no LF (so some row has more or fewer
+    cells than ``width``), it returns False and has changed nothing.  From
+    the first line of any other chunk, of one that ``chunk`` does not fold
+    or of one holding a byte that is not UTF-8, to the end of the file,
+    ``rows(reader, line, n)`` folds row by row, n rows in: ``reader`` is a
+    strict ``csv.reader`` from that line, and ``line + reader.line_num`` the
+    physical line its last row ends on."""
     longest = csv.field_size_limit()
     n = 0
     try:
         while lines := handle.readlines(_READ):
             text = ",".join(lines)
+            if "\r" in text and text.count("\r") == text.count("\r\n"):
+                text = text.replace("\r\n", "\n")
             clean = ('"' not in text and "\r" not in text and "\0" not in text
                      and (len(text) <= longest or max(map(len, lines)) <= longest))
             cells = text.split(",") if clean else ()

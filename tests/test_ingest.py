@@ -1023,6 +1023,21 @@ def _no_worker_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
+def _counted_forks(monkeypatch) -> list[int]:
+    """The pids of the worker processes ``os.fork`` starts from now on."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
 def _blank_ids(*crash_ids: str):
     """An edit (``_national_copy``) that empties the id cell, the first, of
     the crash rows of ``crash_ids``."""
@@ -1055,41 +1070,46 @@ def _deadline(seconds: int):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="raw sources load in this process")
 class TestWorkers:
-    """Each raw source loads in a forked worker process, once the raw files
-    hold ``_WORKER_BYTES`` in all (0 here, unless a test sets it).  What a
-    run reports, writes and names is what a load in this process gives
-    (the path taken where there is no ``os.fork``), and no worker outlives
-    the load."""
+    """This process loads a dataset's first raw source, and each other one
+    loads in a forked worker process, once the raw files after the first
+    hold ``_WORKER_BYTES`` in all (0 here, unless a test sets it) and
+    there are two CPUs (two here, unless a test sets them).  What a run
+    reports, writes and names is what a load in this process gives (the
+    path taken where there is no ``os.fork``), and no worker outlives the
+    load."""
 
     @pytest.fixture(autouse=True)
     def deadline(self, monkeypatch):
         monkeypatch.setattr(ingest, "_WORKER_BYTES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         with _deadline(120):
             yield
 
     def test_raw_files_smaller_than_the_threshold_load_in_this_process(
             self, fixtures, monkeypatch):
+        # The threshold counts the files of the sources after the first,
+        # those that workers would load.
         manifest, = load_manifest(fixtures / "manifests" / "national_2022.json")
-        size = sum(path.stat().st_size for ref in manifest.crash_sources
+        size = sum(path.stat().st_size for ref in manifest.crash_sources[1:]
                    for path in (ref.crash_file, ref.vehicle_file, ref.person_file))
-        forks = []
-        fork = os.fork
-
-        def counted_fork():
-            pid = fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counted_fork)
+        forks = _counted_forks(monkeypatch)
         loaded = []
         for threshold in (size + 1, size):
             monkeypatch.setattr(ingest, "_WORKER_BYTES", threshold)
             loaded.append(load_dataset(manifest).records.runs)
             loaded.append(len(forks))
-        assert loaded[1] == 0 and loaded[3] == len(manifest.crash_sources) == 2
+        assert loaded[1] == 0 and loaded[3] == len(manifest.crash_sources) - 1 == 1
         assert loaded[0] == loaded[2]
         _no_worker_left()
+
+    def test_one_raw_source_loads_in_this_process(self, tmp_path, monkeypatch):
+        manifest = json.loads(_national_copy(tmp_path).read_text())
+        del manifest["crash_sources"][1:]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        forks = _counted_forks(monkeypatch)
+        dataset, = load_manifest(tmp_path / "manifest.json")
+        assert [audit["spec"] for audit in load_dataset(dataset).source_audits] == ["crss"]
+        assert forks == []
 
     def test_a_fork_that_fails_names_its_source_and_leaks_no_pipe(
             self, fixtures, monkeypatch, capsys, tmp_path):
@@ -1099,7 +1119,8 @@ class TestWorkers:
         monkeypatch.setattr(os, "fork", no_fork)
         manifest = fixtures / "manifests" / "national_2022.json"
         descriptors = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-        with pytest.raises(RuntimeError, match=r"crash source crss \(\S+crss_crashes.csv\): "
+        with pytest.raises(RuntimeError, match=r"crash source fars_national "
+                                               r"\(\S+fars_crashes.csv\): "
                                                r"could not start its worker process: "):
             load_dataset(load_manifest(manifest)[0])
         if descriptors is not None:
@@ -1123,6 +1144,19 @@ class TestWorkers:
         monkeypatch.delattr(os, "fork")
         assert _ingest(path, tmp_path / "out", capsys) == forked
 
+    def test_a_fault_in_the_first_source_reaps_the_started_workers(self, tmp_path,
+                                                                    monkeypatch):
+        # The FARS worker starts before this process loads CRSS, and has not
+        # been read when CRSS fails.
+        forks = _counted_forks(monkeypatch)
+        manifest, = load_manifest(_national_copy(tmp_path, _blank_ids("C002")))
+        with pytest.raises(ValidationError, match=rf"{re.escape(str(tmp_path))}\S*"
+                                                  rf"crss_crashes.csv:3: crash row with "
+                                                  rf"empty id column"):
+            load_dataset(manifest)
+        assert len(forks) == 1
+        _no_worker_left()
+
     @pytest.mark.parametrize("command, provenance", [
         ("ingest", "audit.json"), ("report", "benchmark.json")])
     def test_outputs_and_digests_are_those_of_an_in_process_load(
@@ -1141,20 +1175,21 @@ class TestWorkers:
 
     def test_workers_are_reaped_when_a_canonical_source_between_them_fails(
             self, tmp_path, monkeypatch):
-        # Both raw workers start before the canonical source, second in
-        # the manifest, is read in this process and fails.
+        # The FARS worker starts, and this process loads CRSS, before the
+        # canonical source, second in the manifest, is read here and fails.
         manifest = json.loads(_national_copy(tmp_path).read_text())
         bad = tmp_path / "bad_crashes.csv"
         bad.write_text("crash_id,source\n")
         manifest["crash_sources"].insert(1, {"spec": "canonical", "crash_file": str(bad)})
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         dataset, = load_manifest(tmp_path / "manifest.json")
         with pytest.raises(ValidationError, match=rf"{re.escape(str(bad))}: header"):
             load_dataset(dataset)
         _no_worker_left()
 
-    @pytest.mark.parametrize("victim, tag", [("crss", "crss"), ("fars_national", "fars")])
+    # Only a worker-loaded source: a SIGKILL in this process's own load of
+    # the first source would end the test run.
+    @pytest.mark.parametrize("victim, tag", [("fars_national", "fars")])
     def test_a_killed_worker_names_its_source(self, fixtures, monkeypatch, victim, tag):
         load = ingest.load_crash_source
 
@@ -1171,7 +1206,7 @@ class TestWorkers:
             load_dataset(manifest)
         _no_worker_left()
 
-    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_no_more_workers_than_cpus_are_alive(self, tmp_path, monkeypatch, cpus):
         sources = "WXYZ"
         for prefix in sources:
@@ -1203,8 +1238,12 @@ class TestWorkers:
         monkeypatch.setattr(os, "waitpid", counted_waitpid)
         manifest, = load_manifest(tmp_path / "manifest.json")
         data = load_dataset(manifest)
-        assert counts == {"started": len(sources), "most": cpus} and not alive
-        # Each worker sorts its source's rows: one run per source, in order.
+        # This process loads the first source and takes a CPU: one CPU
+        # forks nothing.
+        workers = len(sources) - 1 if cpus > 1 else 0
+        assert (counts["started"], counts["most"]) == (workers, min(workers, cpus - 1))
+        assert not alive
+        # Each load sorts its source's rows: one run per source, in order.
         assert [[row[0] for row in run] for run in data.records.runs["crashes"]] == [
             [f"{p}1", f"{p}2"] for p in sources]
         _no_worker_left()

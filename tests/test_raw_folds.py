@@ -11,6 +11,7 @@ middle and the last chunk, is loaded at a spread of sizes; every outcome
 must equal the row loop's alone.
 """
 
+import json
 import os
 from pathlib import Path
 from unittest import mock
@@ -18,6 +19,7 @@ from unittest import mock
 import pytest
 
 from crashbench import errors, ingest, interchange
+from crashbench.cli import main
 from crashbench.errors import ValidationError
 from crashbench.ingest import load_crash_source, load_dataset
 from crashbench.interchange import load_manifest
@@ -217,3 +219,55 @@ def test_a_byte_that_is_not_utf8_is_met_where_the_row_loop_meets_it(tmp_path, mo
         for size in SIZES:
             monkeypatch.setattr(interchange, "_READ", size)
             assert _load(tmp_path, source).endswith(expected), (bad_row, size)
+
+
+def test_crlf_copies_fold_in_chunks_and_write_the_golden_bytes(tmp_path, monkeypatch, capsys):
+    # CR LF line ends are clean: CR LF copies of the national raw files, and
+    # of the national golden read as a canonical source, are folded chunk
+    # by chunk with no chunk left to the row loop, and ``ingest`` writes
+    # the golden bytes from each.
+    golden = FIXTURES / "golden" / "national_2022"
+    names = ("crashes.csv", "vehicles.csv", "persons.csv", "mileage.csv")
+    manifest = json.loads((FIXTURES / "manifests" / "national_2022.json").read_text())
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    for entry in manifest["crash_sources"] + manifest["mileage"] + manifest["shares"]:
+        for key in ("crash_file", "vehicle_file", "person_file", "file"):
+            if key in entry:
+                name = Path(entry[key]).name
+                source = FIXTURES / "manifests" / entry[key]
+                (raw / name).write_bytes(source.read_bytes().replace(b"\n", b"\r\n"))
+                entry[key] = str(raw / name)
+    (raw / "manifest.json").write_text(json.dumps(manifest))
+    canonical = tmp_path / "canonical"
+    canonical.mkdir()
+    for name in names:
+        (canonical / name).write_bytes((golden / name).read_bytes().replace(b"\n", b"\r\n"))
+    (canonical / "manifest.json").write_text(json.dumps({
+        "region": "national", "year": 2022, "road_rule": "national_functional",
+        "crash_sources": [{"spec": "canonical", **{
+            key: str(canonical / name) for key, name in (
+                ("crash_file", "crashes.csv"), ("vehicle_file", "vehicles.csv"),
+                ("person_file", "persons.csv"))}}],
+        "mileage": [{"spec": "canonical", "file": str(canonical / "mileage.csv")}]}))
+
+    folded, refused = [], []
+    fold_file = interchange._fold_file
+
+    def chunks_only(handle, reader, width, chunk, rows):
+        folded.append(Path(handle.name).name)
+        return fold_file(handle, reader, width, chunk,
+                         lambda *args: refused.append(Path(handle.name).name) or rows(*args))
+
+    monkeypatch.setattr(interchange, "_fold_file", chunks_only)
+    for folder in (raw, canonical):
+        code = main(["ingest", "--manifest", str(folder / "manifest.json"),
+                     "--out", str(folder / "out"), "--quiet"])
+        assert code == 0, capsys.readouterr().err
+        for name in names:
+            assert (folder / "out" / name).read_bytes() == (golden / name).read_bytes(), (
+                folder, name)
+    assert sorted(folded) == sorted(
+        [f"{spec}_{table}.csv" for spec in ("crss", "fars")
+         for table in ("crashes", "vehicles", "persons")]
+        + ["crashes.csv", "vehicles.csv", "persons.csv"]) and refused == []
