@@ -7,7 +7,8 @@ full rate table from a manifest or from published aggregate totals,
 materializes a synthetic population, and ``report`` chains benchmark and
 power.  Each command imports the layers it runs: ``ingest``,
 ``interchange`` and ``synth`` load inside the commands that read or
-write microdata, so ``report --aggregates`` loads none of them.
+write microdata, and ``rates`` loads ``filters`` only to count
+microdata, so ``report --aggregates`` loads none of them.
 
 Runs are reproducible: report outputs start with a provenance block
 (tool version, a digest of the effective configuration, and the digest
@@ -29,6 +30,14 @@ settings, named by its own flag or key.
 
 Exit codes: 0 success, 2 input or validation problem, 1 unexpected
 internal error.  Warnings never change the exit code.
+
+``run`` is the ``crashbench`` process, as the console script and as
+``python -m crashbench.cli``: it runs ``main`` on the command line with
+the cyclic garbage collector off, flushes stdout and stderr, and ends
+the process with ``os._exit``, skipping the interpreter's teardown.
+Every output file is closed by the time ``main`` returns and every
+worker process is reaped, so nothing is lost by skipping it.  ``main``
+itself leaves the collector as its caller set it.
 """
 
 from __future__ import annotations
@@ -36,11 +45,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
+import os
 import sys
 from collections.abc import Callable
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__, errors
 from .errors import UndefinedStatistic, ValidationError, _Ini, _json_check, _opened
@@ -745,5 +757,21 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """``main`` on the command line, as its own process: without the cyclic
+    collector, whose passes cost time and would free only the few
+    reference cycles a run leaves, and ending without the interpreter's
+    teardown.  A flush that fails goes through the teardown, which
+    reports it as it would without this entry."""
+    gc.disable()
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

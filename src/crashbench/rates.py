@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass, replace
 from itertools import chain, compress, repeat
 from operator import add, and_, mul
+from typing import TYPE_CHECKING
 
 from .errors import UndefinedStatistic, ValidationError, _opened
-from .filters import ImputationWeight, Subset, audit_subset
 from .model import (
     AdjustmentScheme,
     AreaType,
@@ -44,6 +44,11 @@ from .model import (
     SeverityLevel,
     ShareGroup,
 )
+
+# filters is imported where microdata is counted, so a benchmark from
+# published totals loads none of it.
+if TYPE_CHECKING:
+    from .filters import ImputationWeight, Subset
 
 # The chain's levels that have observed counts, outermost first.
 _NESTED_LEVELS = SEVERITY_CHAIN[1:]
@@ -167,6 +172,8 @@ def resolve_imputation(subset: Subset, region: Region) -> ImputationWeight | Non
     classified and none needs imputing; undefined when only NFS vehicles
     are.  Scaling every sample weight by a constant leaves it unchanged.
     """
+    from .filters import ImputationWeight
+
     c = subset.columns
     passenger = math.fsum(map(mul, c.passenger, c.weight))
     other = math.fsum(map(mul, c.other, c.weight))
@@ -559,6 +566,8 @@ def build_benchmark(dataset, rows: tuple[tuple[SeverityLevel, str], ...] = DEFAU
     only microdata has: the road rule, crash counts, the imputation
     weight, the crash PDO share, caveats and the filter audit.
     """
+    from .filters import audit_subset
+
     manifest = dataset.manifest
     records = dataset.records
     region, road_rule = manifest.region, manifest.road_rule

@@ -1,7 +1,9 @@
 """End-to-end command behavior, exit codes, and byte-stable outputs."""
 
+import ast
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import crashbench
-from crashbench import errors, interchange
+from crashbench import cli, errors, interchange
 from crashbench.cli import _region_slug, main
 from crashbench.interchange import (
     CRASH_HEADER,
@@ -1425,13 +1427,14 @@ class TestImportHygiene:
         assert self.layers_loaded_by(statement) == layers
 
     def test_aggregate_report_loads_no_microdata_layer(self, tmp_path):
-        # Published totals need neither ingest, interchange, schema nor synth.
+        # Published totals need neither ingest, interchange, schema, synth
+        # nor filters.
         loaded = self.layers_loaded_by(
             "import sys\n"
             "from crashbench.cli import main\n"
             "assert main(sys.argv[1:]) == 0",
             "report", "--aggregates", "2022", "--out", str(tmp_path), "--quiet")
-        assert loaded == ["cli", "errors", "filters", "model", "power", "rates"]
+        assert loaded == ["cli", "errors", "model", "power", "rates"]
         golden = REPORT_GOLDENS / "aggregates_2022"
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             p.name for p in golden.iterdir())
@@ -1508,3 +1511,88 @@ class TestImportHygiene:
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
+
+
+class TestProcess:
+    """``python -m crashbench.cli`` and the ``crashbench`` script run
+    ``cli.run``: no cyclic collector, no interpreter teardown."""
+
+    @staticmethod
+    def start(*args: str, **kwargs) -> subprocess.CompletedProcess:
+        """``python -m crashbench.cli args`` with stdout and stderr on pipes
+        unless given, block-buffered as a pipe is by default."""
+        src = str(Path(crashbench.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        env.pop("PYTHONUNBUFFERED", None)
+        kwargs.setdefault("stdout", subprocess.PIPE)
+        return subprocess.run([sys.executable, "-m", "crashbench.cli", *args], env=env,
+                              stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
+
+    def test_ingest_prints_every_line_before_the_process_ends(self, tmp_path, fixtures):
+        # The buffered lines reach the pipe only through run's flush.
+        result = self.start("ingest", "--manifest",
+                          str(fixtures / "manifests" / "national_2022.json"),
+                          "--out", str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            f"wrote {tmp_path / name}" for name in (*CANONICAL_FILES, "audit.json")]
+        for name in CANONICAL_FILES:
+            golden = fixtures / "golden" / "national_2022" / name
+            assert (tmp_path / name).read_bytes() == golden.read_bytes(), name
+
+    def test_missing_manifest_is_exit_two(self, tmp_path):
+        missing = tmp_path / "nope.json"
+        result = self.start("ingest", "--manifest", str(missing), "--out", str(tmp_path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and str(missing) in result.stderr
+
+    def test_unknown_flag_is_argparse_exit_two(self, tmp_path):
+        result = self.start("report", "--bogus", "--out", str(tmp_path))
+        assert result.returncode == 2
+        assert "unrecognized arguments: --bogus" in result.stderr
+
+    def test_version(self):
+        result = self.start("--version")
+        assert (result.returncode, result.stdout) == (0, f"crashbench {crashbench.__version__}\n")
+
+    def test_a_failed_flush_is_reported_by_the_teardown(self, tmp_path, fixtures):
+        # Python's own status and message for a stdout it could not flush.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = self.start("ingest", "--manifest",
+                              str(fixtures / "manifests" / "national_2022.json"),
+                              "--out", str(tmp_path), stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 120
+        assert result.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert "BrokenPipeError" in result.stderr
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_the_caller_set_it(self, capsys, tmp_path,
+                                                            fixtures, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code, _, err = run(capsys, "report", "--manifest",
+                               str(fixtures / "manifests" / "national_2022.json"),
+                               "--out", str(tmp_path), "--quiet")
+            assert code == 0, err
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_the_script_is_the_main_block_entry(self):
+        # An installed `crashbench` runs what `python -m crashbench.cli` runs.
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).parent.parent / "pyproject.toml", "rb") as fh:
+            script = tomllib.load(fh)["project"]["scripts"]["crashbench"]
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        block, = (node for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'")
+        call, = block.body
+        assert script == f"crashbench.cli:{call.value.func.id}"
+        assert callable(getattr(cli, call.value.func.id))
