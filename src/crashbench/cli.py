@@ -50,7 +50,7 @@ import hashlib
 import json
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 from typing import NoReturn
 
@@ -309,50 +309,14 @@ _BENCH_HEADER = (
 )
 
 
-def _write_benchmark_csv(path: Path, reports: list[BenchmarkReport],
-                         provenance: dict, verbosity: int) -> None:
+def _write_csv(path: Path, provenance: dict, header: Iterable[str],
+               rows: Iterable[list[str]], verbosity: int) -> None:
+    """A CSV output: its provenance lines, ``header``, then ``rows``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(_provenance_lines(provenance))
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_BENCH_HEADER)
-        for report in reports:
-            for rate in report.rows:
-                writer.writerow([
-                    report.region.name,
-                    report.region.state,
-                    str(report.year),
-                    report.road_rule,
-                    rate.severity.value,
-                    rate.adjustment,
-                    _csv_cell(rate.numerator),
-                    _csv_cell(rate.vmt_millions),
-                    _csv_cell(rate.rate_ipmm),
-                    rate.display,
-                    _csv_cell(rate.ci_low_ipmm),
-                    _csv_cell(rate.ci_high_ipmm),
-                ])
-    if verbosity:
-        print(f"wrote {path}")
-
-
-def _fmt_relative(r: float) -> str:
-    return f"{r * 100.0:g}%"
-
-
-def _write_power_csv(path: Path, table: PowerTable, provenance: dict,
-                     verbosity: int) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(_provenance_lines(provenance))
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["label", "benchmark_rate_ipmm"]
-            + [_fmt_relative(r) for r in table.relative_rates]
-        )
-        for label, rate, cells in table.rows:
-            writer.writerow(
-                [label, repr(rate)]
-                + [_csv_cell(c.vmt_millions) for c in cells]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
     if verbosity:
         print(f"wrote {path}")
 
@@ -509,7 +473,12 @@ def _emit_benchmark(reports, effective, opts) -> None:
     out, verbosity = opts["out_dir"], opts["verbosity"]
     provenance = _provenance(effective)
     if "csv" in opts["formats"]:
-        _write_benchmark_csv(out / "benchmark.csv", reports, provenance, verbosity)
+        rows = ([report.region.name, report.region.state, str(report.year), report.road_rule,
+                 rate.severity.value, rate.adjustment, _csv_cell(rate.numerator),
+                 _csv_cell(rate.vmt_millions), _csv_cell(rate.rate_ipmm), rate.display,
+                 _csv_cell(rate.ci_low_ipmm), _csv_cell(rate.ci_high_ipmm)]
+                for report in reports for rate in report.rows)
+        _write_csv(out / "benchmark.csv", provenance, _BENCH_HEADER, rows, verbosity)
     if "json" in opts["formats"]:
         payload = {
             "provenance": provenance,
@@ -599,7 +568,11 @@ def _emit_power(rates, effective, opts) -> None:
     provenance = _provenance(effective)
     out, verbosity = opts["out_dir"], opts["verbosity"]
     if "csv" in opts["formats"]:
-        _write_power_csv(out / "power.csv", table, provenance, verbosity)
+        header = ["label", "benchmark_rate_ipmm",
+                  *(f"{r * 100.0:g}%" for r in table.relative_rates)]
+        rows = ([label, repr(rate), *(_csv_cell(c.vmt_millions) for c in cells)]
+                for label, rate, cells in table.rows)
+        _write_csv(out / "power.csv", provenance, header, rows, verbosity)
     if "json" in opts["formats"]:
         _write_json(out / "power.json", _power_payload(table, provenance), verbosity)
 

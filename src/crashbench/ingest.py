@@ -10,18 +10,17 @@ record is built.  Unknown codes never drop a row silently: they classify
 to an explicit unknown bucket and bump a warning counter.
 
 Raw tables are read through the chunk reader of the canonical folds
-(``interchange._fold_file``), in chunks of whole lines.  A clean chunk
-(no quote or NUL, no CR but in a CR LF line end, and as many cells on
-every line as the header has) is split at its commas and folded column
-by column: each of a source's three passes (crashes, vehicles, persons)
-reads strided columns through the same memos, converters and checks as
-its row loop, and changes nothing unless every row of the chunk would
-pass.  Any other chunk, from its first line on, goes to the row loop,
-which reads positional rows with the semantics of ``csv.DictReader``:
-blank lines are skipped, a short row is padded with nulls (a missing
-cell is null, so rules over it evaluate to unknown), extra cells are
-ignored, and a header name that appears twice resolves to its last
-column.  A short last row with no line ending is a file cut short, and
+(``interchange._fold_file``), in chunks of whole lines.  A clean chunk,
+by the contract ``_fold_file`` states, is split at its commas and folded
+column by column: each of a source's three passes (crashes, vehicles,
+persons) reads strided columns through the same memos, converters and
+checks as its row loop, and changes nothing unless every row of the
+chunk would pass.  Any other chunk, from its first line on, goes to the
+row loop, which reads positional rows with the semantics of
+``csv.DictReader``: blank lines are skipped, a short row is padded with
+nulls (a missing cell is null, so rules over it evaluate to unknown),
+extra cells are ignored, and a header name that appears twice resolves
+to its last column.  A short last row with no line ending is a file cut short, and
 an error.  So a fault is met, and named, row by row, at the physical
 line its row ends on.  A kept crash row is checked as it is read, and no
 raw row is held: until its vehicle and person files are read, a kept
@@ -207,18 +206,6 @@ def _lines(reader: csv.reader, line: int, width: int, handle, where: str) -> Ite
         yield short
 
 
-def _drop_line_ends(cells: list[str], width: int) -> bool:
-    """Drop, in place, the LF that ends each row of a clean chunk
-    (``interchange._fold_file``) from the row's last cell; False, having
-    changed nothing, where a row's last cell has none: some row has more
-    or fewer than ``width`` cells."""
-    last = "".join(cells[width - 1::width])
-    if last.count("\n") != len(cells) // width:
-        return False
-    cells[width - 1::width] = last.split("\n")[:-1]
-    return True
-
-
 class _RawFile:
     """One raw CSV file of a spec-driven loader: its header's positions,
     its rows (``fold``, ``rows``) and every column the loader reads.
@@ -258,17 +245,16 @@ class _RawFile:
 
     def fold(self, chunk: Callable[[list[str]], bool], rows: Callable[..., int]) -> int:
         """Read the rows past the header into a fold; the number of rows
-        read.  Clean chunks go to ``chunk(cells)``, each row's cells without
-        its line's LF, and what it does not fold, from that chunk's first
-        line on, to ``rows(rows, n)``, n rows in, with (line, row) pairs by
-        ``_lines``' rules (``interchange._fold_file``).  A blank line, which
-        a one-column file's chunk would split to one empty cell, holds no
-        crash id: no chunk fold takes it."""
+        read.  Clean chunks go to ``chunk(cells)`` and what it does not
+        fold, from that chunk's first line on, to ``rows(rows, n)``, n rows
+        in, with (line, row) pairs by ``_lines``' rules
+        (``interchange._fold_file``).  A blank line, which a one-column
+        file's chunk would split to one empty cell, holds no crash id: no
+        chunk fold takes it."""
         width = self.width
         with self._open:
             return interchange._fold_file(
-                self._handle, self._reader, width,
-                lambda cells: _drop_line_ends(cells, width) and chunk(cells),
+                self._handle, self._reader, width, chunk,
                 lambda reader, line, n: rows(
                     _lines(reader, line, width, self._handle, self.where), n))
 
@@ -607,10 +593,7 @@ def load_crash_source(
         if ("" in unit_ids or len(set(keys)) < len(keys)
                 or not unit_info.keys().isdisjoint(keys)):
             return False
-        try:
-            infos = classify_unit.over(cells, keep)
-        except (KeyError, ValueError):
-            return False
+        infos = classify_unit.over(cells, keep)
         _count(diagnostics, "parent_dropped", orphans)
         unit_info.update(zip(keys, infos))
         diagnostics.update(chain.from_iterable(map(itemgetter(5), infos)))
@@ -684,11 +667,8 @@ def load_crash_source(
         if ("" in person_ids or len(set(keys)) < len(keys) or not person_seen.isdisjoint(keys)
                 or not all(map(unit_info.__contains__, filter(itemgetter(1), zip(own, units))))):
             return False
-        try:
-            kabcos = person_kabco.over(cells, keep) if person_kabco is not None else None
-            airbags = person_airbag_of.over(cells, keep) if person_airbag_of is not None else None
-        except (KeyError, ValueError):
-            return False
+        kabcos = person_kabco.over(cells, keep) if person_kabco is not None else None
+        airbags = person_airbag_of.over(cells, keep) if person_airbag_of is not None else None
         _count(diagnostics, "parent_dropped", orphans)
         person_seen.update(keys)
         if kabcos is not None:
@@ -933,7 +913,8 @@ def load_passenger_share(spec: SchemaSpec, file: str | Path) -> PassengerShareTa
             raise ValidationError(f"{at}:{line}: share {share!r} outside [0, 1]")
         key = (state, area, group)
         if key in mapping:
-            raise ValidationError(f"{at}:{line}: duplicate share for {key}")
+            raise ValidationError(
+                f"{at}:{line}: duplicate share for {PassengerShareTable.label(key)}")
         mapping[key] = share
     return PassengerShareTable.from_mapping(mapping)
 
@@ -1175,7 +1156,8 @@ def load_dataset(manifest: interchange.DatasetManifest) -> DatasetRecords:
             table = load_passenger_share(load_schema(ref.spec), ref.file)
             for key, value in table.shares:
                 if key in merged and merged[key] != value:
-                    raise ValidationError(f"conflicting passenger shares for {key}")
+                    raise ValidationError(
+                        f"conflicting passenger shares for {PassengerShareTable.label(key)}")
                 merged[key] = value
         shares = PassengerShareTable.from_mapping(merged)
 

@@ -30,16 +30,16 @@ crashes through one child-table fold, so the canonical files of a
 county, a raw source's rows, or records encoded to rows
 (``filters.select_subset``) are counted in one pass each.  A fold reads
 a file in chunks of whole lines (``_fold_file``, which ``ingest``'s
-raw loaders read through too): a chunk that needs no ``csv`` parsing
-(no quote or NUL, no CR but in a CR LF line end, and as many cells on
-every line as the header has) is split at its commas once and folded
-column by column, and every other chunk, from its first line to the end
-of the file, and rows in memory, row by row.  Both ways run the same
-decoders, memos and checks, and a chunk is folded only once all its rows
-have passed them, so a fault is met, and named, row by row.  The folds
-decode every cell with the table's own decoders and run the records'
-checks (``model.check_crash``, ``check_unit``, ``check_person``) on every
-row, kept or not.  Either way, a cell other than an id or a float comes
+raw loaders read through too): a clean chunk, one that needs no ``csv``
+parsing by the contract ``_fold_file`` states, is split at its commas
+once and folded column by column, and every other chunk, from its
+first line to the end of the file, and rows in memory, row by row.
+Both ways run the same decoders, memos (on the same keys) and checks,
+and a chunk is folded only once all its rows have passed them, so a
+fault is met, and named, row by row.  The folds decode every cell with
+the table's own decoders and run the records' checks
+(``model.check_crash``, ``check_unit``, ``check_person``) on every row,
+kept or not.  Either way, a cell other than an id or a float comes
 from a small domain and is parsed once per distinct text per table (a
 ``Memo``).  A cell that does not parse raises ValidationError naming
 ``path:line``, the column and the bad value; a row a check rejects names
@@ -277,19 +277,20 @@ def _fold_file(handle, reader: csv.reader, width: int, chunk: Callable[[list[str
     fold; what ``rows`` returns, or the number of rows ``chunk`` folded.
 
     The file is read in chunks of whole lines, ``_READ`` characters or just
-    over.  A clean chunk is one with no quote or NUL, no CR but in a CR LF
-    line end, no line longer than ``csv`` takes a cell to be, and ``width``
-    cells a line on average, each line ending in LF.  Its CR LF line ends
-    are read as LF, as ``csv`` reads them, and it is split at its commas
-    into its rows' cells, each row's last cell keeping its line's LF, and
-    ``chunk(cells)`` folds them column by column.  Where a row of them would
-    fail, or a row's last cell has no LF (so some row has more or fewer
-    cells than ``width``), it returns False and has changed nothing.  From
-    the first line of any other chunk, of one that ``chunk`` does not fold
-    or of one holding a byte that is not UTF-8, to the end of the file,
-    ``rows(reader, line, n)`` folds row by row, n rows in: ``reader`` is a
-    strict ``csv.reader`` from that line, and ``line + reader.line_num`` the
-    physical line its last row ends on."""
+    over.  The clean-chunk contract, which every fold's ``chunk`` relies on
+    and which is checked here alone: a clean chunk has no quote or NUL, no
+    CR but in a CR LF line end (read as LF, as ``csv`` reads it), and no
+    line longer than ``csv`` takes a cell to be; split at its commas, it
+    has ``width`` cells a line, and each row's LF sits in its last cell,
+    which proves that every row has ``width`` cells.  The LFs are dropped,
+    so ``chunk(cells)`` gets each row's cells exactly as the row loop reads
+    them, and may read its columns in any order.  It folds them column by
+    column; where a row of them would fail, it returns False and has
+    changed nothing.  From the first line of any other chunk, of one that
+    ``chunk`` does not fold or of one holding a byte that is not UTF-8, to
+    the end of the file, ``rows(reader, line, n)`` folds row by row, n rows
+    in: ``reader`` is a strict ``csv.reader`` from that line, and ``line +
+    reader.line_num`` the physical line its last row ends on."""
     longest = csv.field_size_limit()
     n = 0
     try:
@@ -297,10 +298,19 @@ def _fold_file(handle, reader: csv.reader, width: int, chunk: Callable[[list[str
             text = ",".join(lines)
             if "\r" in text and text.count("\r") == text.count("\r\n"):
                 text = text.replace("\r\n", "\n")
-            clean = ('"' not in text and "\r" not in text and "\0" not in text
-                     and (len(text) <= longest or max(map(len, lines)) <= longest))
-            cells = text.split(",") if clean else ()
-            if len(cells) != width * len(lines) or not chunk(cells):
+            if ('"' in text or "\r" in text or "\0" in text
+                    or len(text) > longest and max(map(len, lines)) > longest):
+                break
+            cells = text.split(",")
+            if len(cells) != width * len(lines):
+                break
+            # A cell holds at most one LF, at its end, so one LF for each row
+            # among the rows' last cells means every row has ``width`` cells.
+            ends = "".join(cells[width - 1::width]).split("\n")
+            if len(ends) != len(lines) + 1:
+                break
+            cells[width - 1::width] = ends[:-1]
+            if not chunk(cells):
                 break
             n += len(lines)
         else:
@@ -315,20 +325,6 @@ def _fold_file(handle, reader: csv.reader, width: int, chunk: Callable[[list[str
         lines = []
     line = reader.line_num + n
     return rows(csv.reader(chain(lines, handle), strict=True), line, n)
-
-
-def _line_ended(decode: Callable) -> Memo:
-    """``decode`` of the cells of a row of a clean chunk (``_fold``) whose
-    last is the row's last cell, with its line's LF, memoized.  The LF is
-    dropped before ``decode``; a last cell without one, which a row of
-    another width puts there, raises ValueError, as would every key that
-    did not end with a row's last cell, so that no chunk is folded."""
-    def ended(key: tuple[str, ...]):
-        if not key[-1].endswith("\n"):
-            raise ValueError("a row of another width")
-        return decode((*key[:-1], key[-1][:-1]))
-
-    return Memo(ended)
 
 
 class Memo(dict):
@@ -465,7 +461,6 @@ def read_crashes(source: str | Path | Rows, region: Region, year: int) -> Canoni
         return year_value, fate, road, crash_evidence(kabco, tow, airbag)
 
     decoded = Memo(decode)
-    chunk_decoded = _line_ended(decoded.__getitem__)    # the cells end with the row's last
     width = len(CRASH_HEADER)
     ids, weights, road_class, evidence = [], [], [], []
     index: dict[str, int] = {}
@@ -476,7 +471,7 @@ def read_crashes(source: str | Path | Rows, region: Region, year: int) -> Canoni
         chunk_ids = cells[id_at::width]
         try:
             years, fates, roads, bits = zip(*map(
-                chunk_decoded.__getitem__, zip(*(cells[i::width] for i in at_cells))))
+                decoded.__getitem__, zip(*(cells[i::width] for i in at_cells))))
             chunk_weights = list(map(parse_weight, cells[weight_at::width]))
             _check_each(check_crash, chunk_ids, chunk_weights, years)
         except (KeyError, ValueError):
@@ -549,7 +544,6 @@ def _fold_children(source: str | Path | Rows, table: str, fold: CanonicalFold,
     at_key = list(map(spec.header.index, spec.key))     # the crash id's first
     key_of, cells_of = itemgetter(*at_key), itemgetter(*at_cells)
     effects = Memo(effect)
-    chunk_effects = _line_ended(effects.__getitem__)    # the cells end with the row's last
     index, evidence = fold.index, fold.columns.evidence
     width = len(spec.header)
     orphans = 0
@@ -559,7 +553,7 @@ def _fold_children(source: str | Path | Rows, table: str, fold: CanonicalFold,
         nonlocal orphans, in_order, last
         key_columns = [cells[i::width] for i in at_key]
         try:
-            adds = list(map(chunk_effects.__getitem__, zip(*(cells[i::width] for i in at_cells))))
+            adds = list(map(effects.__getitem__, zip(*(cells[i::width] for i in at_cells))))
             _check_each(check, *key_columns)
         except (KeyError, ValueError):
             return False

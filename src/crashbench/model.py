@@ -297,18 +297,18 @@ class PassengerShareTable:
         index = {}
         for key, value in self.shares:
             if not 0.0 <= value <= 1.0:
-                state, area, group = key
                 raise ValidationError(
-                    f"passenger share {state}/{area.value}/{group.value} "
-                    f"out of range: {value!r}"
-                )
+                    f"passenger share {self.label(key)} out of range: {value!r}")
             if key in index:
-                state, area, group = key
-                raise ValidationError(
-                    f"duplicate passenger share for {state}/{area.value}/{group.value}"
-                )
+                raise ValidationError(f"duplicate passenger share for {self.label(key)}")
             index[key] = value
         object.__setattr__(self, "_index", index)
+
+    @staticmethod
+    def label(key: tuple[str, AreaType, ShareGroup]) -> str:
+        """A share's key as errors name it: state/area/group."""
+        state, area, group = key
+        return f"{state}/{area.value}/{group.value}"
 
     @classmethod
     def from_mapping(cls, mapping) -> PassengerShareTable:

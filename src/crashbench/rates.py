@@ -581,24 +581,26 @@ def build_benchmark(dataset, rows: tuple[tuple[SeverityLevel, str], ...] = DEFAU
     w_all = 1.0 if all_imp is None else all_imp.w
     crash_counts = tally_crash_counts(surface)
 
+    def mileage(shares: PassengerShareTable | None, scope: str) -> float:
+        try:
+            return merge_mileage(dataset.mileage, shares, region, road_rule, scope=scope)
+        except ValidationError as exc:
+            files = ", ".join(str(ref.file) for ref in manifest.mileage) or "none"
+            raise ValidationError(f"{exc} in {manifest.year} (mileage: {files})") from None
+
     shares = dataset.shares
     crashes, vehicles = _weighted_totals(all_subset)
     totals = AggregateInputs(
         region=region,
         year=manifest.year,
         weighted=all_subset.weighted,
-        mileage_all_roads_mmi=merge_mileage(dataset.mileage, None, region, road_rule,
-                                            scope="all"),
+        mileage_all_roads_mmi=mileage(None, "all"),
         crashes_all_roads=crashes,
         vehicles_all_roads=vehicles,
-        mileage_all_roads_passenger_mmi=(
-            merge_mileage(dataset.mileage, shares, region, road_rule, scope="all")
-            if shares is not None else None
-        ),
+        mileage_all_roads_passenger_mmi=mileage(shares, "all") if shares is not None else None,
         vehicles_all_roads_passenger=count_crashed_vehicles(
             all_subset, SeverityLevel.POLICE_REPORTED, w_all),
-        mileage_surface_passenger_mmi=merge_mileage(dataset.mileage, shares, region,
-                                                    road_rule, scope="surface"),
+        mileage_surface_passenger_mmi=mileage(shares, "surface"),
         counts=tally_vehicle_counts(surface, w),
     )
     return replace(

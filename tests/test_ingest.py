@@ -343,6 +343,21 @@ class TestSwitrs:
         assert sf.tow_level == "crash"
         assert sf.airbag_units is True
 
+    def test_empty_tow_away_without_a_towed_unit_counts_once(self, tmp_path):
+        # SWITRS reads tow-away per crash alone: a crash whose cell is empty
+        # reads as not towed and counts once, not once per party.
+        (tmp_path / "c.csv").write_text(
+            "case_id,accident_year,collision_severity,chp_beat_type,tow_away,county\n"
+            "S1,2022,0,0,,San Francisco\nS2,2022,0,0,1,San Francisco\n")
+        (tmp_path / "p.csv").write_text(
+            "party_number,case_id,stwd_vehicle_type,chp_veh_type_towing,party_type,"
+            "move_pre_acc,party_safety_equip_1,party_safety_equip_2\n"
+            "1,S1,A,,1,1,P,P\n2,S1,A,,1,1,P,P\n1,S2,A,,1,1,P,P\n")
+        load = load_crash_source(load_schema("switrs"), tmp_path / "c.csv", tmp_path / "p.csv",
+                                 region=SF, year=2022)
+        assert load.diagnostics["unknown_towed"] == 1
+        assert {c.crash_id: c.tow_away for c in load.crashes} == {"S1": False, "S2": True}
+
     def test_sf_crash_fields(self, sf):
         crashes = by_id(sf.crashes)
         expected = {

@@ -208,6 +208,12 @@ MALFORMED = {
         # rows of five, but for the LF that ends the first.
         {"crashes": CRASHES, "persons": _persons("C1,1\n", "1,O,0x,C1,1,2,O,0\n")},
         "{}:2: expected 5 cells, got 2"),
+    "short_row_then_long_row_of_cells_that_decode": (
+        # Split at their commas, the two rows would read as two valid rows
+        # of six, the first with unit "1\n": only the LF check refuses them.
+        {"crashes": CRASHES, "vehicles": _vehicles(
+            "C1,1\n", "passenger,1,0,0,C2,1,passenger,1,0,0\n")},
+        "{}:2: expected 6 cells, got 2"),
     "empty_person_id": (
         {"crashes": CRASHES, "persons": _persons("C1,1,1,O,0\n", "C1,1,,O,0\n")},
         "{}:3: crash C1: person_id is empty"),

@@ -274,3 +274,97 @@ def test_renamed_section_or_key_is_an_input_error(name, tmp_path, capsys):
         assert code == 2, (case, err)
         assert str(target) in err, (case, err)
         assert f"[{section}]" in err or f"[{section}x]" in err, (case, err)
+
+
+def _replaced(old: str, new: str):
+    def edit(text: str) -> str:
+        assert old in text
+        return text.replace(old, new, 1)
+    return edit
+
+
+# A fault in one row of a mileage, shares or aggregate table, and the error
+# each command that reads the table gives: (run, file, edit, message, with
+# {} for the file).  Each names the file and the row's line.
+ROW_FAULTS = {
+    "unmapped_class_code": (
+        "national_2022", "vm2_2022.csv", _replaced("2022,1,urban,", "2022,99,urban,"),
+        "fhwa_vm2 mileage file {}:2: unmapped functional class code '99'"),
+    "unmapped_mileage_area_code": (
+        "national_2022", "vm2_2022.csv", _replaced("2022,1,urban,", "2022,1,moon,"),
+        "fhwa_vm2 mileage file {}:2: unmapped area code 'moon'"),
+    "empty_state": (
+        "national_2022", "vm4_2022.csv", _replaced("US,urban,interstate,", " ,urban,interstate,"),
+        "fhwa_vm4 shares file {}:2: empty state"),
+    "unmapped_share_area_code": (
+        "national_2022", "vm4_2022.csv", _replaced("US,urban,interstate,", "US,moon,interstate,"),
+        "fhwa_vm4 shares file {}:2: unmapped area code 'moon'"),
+    "unmapped_class_group": (
+        "national_2022", "vm4_2022.csv", _replaced("US,urban,interstate,", "US,urban,bridges,"),
+        "fhwa_vm4 shares file {}:2: unmapped class group 'bridges'"),
+    "share_out_of_range": (
+        "national_2022", "vm4_2022.csv",
+        _replaced("US,urban,interstate,80", "US,urban,interstate,180"),
+        "fhwa_vm4 shares file {}:2: share 180.0 outside [0, 100]"),
+    "repeated_share": (
+        "national_2022", "vm4_2022.csv",
+        _replaced("US,urban,other_arterial,93", "US,urban,interstate,80"),
+        "fhwa_vm4 shares file {}:3: duplicate share for US/urban/interstate"),
+    "zero_canonical_mileage": (
+        "town_2022", "town_mileage.csv", _replaced(",local,all,0.012", ",local,all,0"),
+        "{}:2: mileage cell Springfield/local: vmt_millions must be positive, got 0.0"),
+    "unreadable_aggregate_total": (
+        "aggregates", "aggregates_2022.csv", _replaced(",232430,38507\n", ",232430,lots\n"),
+        "aggregate table {} row 2: unreadable fatal 'lots'"),
+    "aggregate_header_only": (
+        "aggregates", "aggregates_2022.csv", lambda text: text[:text.index("\n") + 1],
+        "aggregate table {}: no rows"),
+}
+
+
+@pytest.mark.parametrize("fault", ROW_FAULTS)
+def test_a_row_fault_in_a_mileage_shares_or_aggregate_table_names_its_line(fault, tmp_path,
+                                                                           capsys):
+    run, file, edit, message = ROW_FAULTS[fault]
+    commands = _stage(run, tmp_path)
+    target = tmp_path / file
+    target.write_text(edit(target.read_text()))
+    for command, argv in commands.items():
+        code = main([*argv, "--out", str(tmp_path / f"out_{command}"), "--quiet"])
+        err = capsys.readouterr().err
+        assert (code, err) == (2, f"error: {message.format(target)}\n"), command
+
+
+@pytest.mark.parametrize("edit, manifest_edit, message", [
+    # Mileage of another year reads as no mileage for the region: the error
+    # names the year and the mileage files, so it does not read as a
+    # region fault.
+    (_replaced("IL,2022,", "IL,2021,"), {},
+     "no mileage cells for region Springfield in 2022 (mileage: {})"),
+    (_replaced(",local,", ",interstate,"), {"road_rule": "county_functional"},
+     "no mileage remains for region Springfield under rule county_functional in 2022 "
+     "(mileage: {})"),
+])
+def test_missing_mileage_names_the_year_and_the_mileage_files(edit, manifest_edit, message,
+                                                              tmp_path, capsys):
+    argv = _stage("town_2022", tmp_path)["benchmark"]
+    target = tmp_path / "town_mileage.csv"
+    target.write_text(edit(target.read_text()))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), **manifest_edit}))
+    code = main([*argv, "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert (code, err) == (2, f"error: {message.format(target)}\n")
+
+
+def test_conflicting_shares_name_their_key(tmp_path, capsys):
+    argv = _stage("national_2022", tmp_path)["benchmark"]
+    text = (tmp_path / "vm4_2022.csv").read_text()
+    (tmp_path / "vm4_b.csv").write_text(_replaced("US,urban,interstate,80",
+                                                  "US,urban,interstate,70")(text))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["shares"].append({"spec": "fhwa_vm4", "file": "vm4_b.csv"})
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    code = main([*argv, "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert (code, err) == (2, "error: conflicting passenger shares for US/urban/interstate\n")

@@ -32,7 +32,9 @@ RAW_MANIFESTS = ("california_2022", "la_2022", "maricopa_2022", "national_2022",
 
 def _row_loop_alone():
     """Refuse every chunk, so that each file is read by the row loop alone."""
-    return mock.patch.object(ingest, "_drop_line_ends", lambda cells, width: False)
+    fold = ingest._RawFile.fold
+    return mock.patch.object(ingest._RawFile, "fold",
+                             lambda self, chunk, rows: fold(self, lambda cells: False, rows))
 
 
 def _datasets(name: str) -> list:
@@ -125,6 +127,14 @@ CASES = {
         "vehicles", lambda s, k: _edit(s["vehicles"], k, s["vehicles"][k],
                                        f"3,C{k // 2},4\n", f"4,C{k // 2},4,1,2,x,y\n"),
         None),
+    "short_row_then_long_row_of_cells_that_decode": (
+        # The row loop reads units 3 and 4; split at their commas, the two
+        # rows would read as units 3 and 5, the first with its line's LF in
+        # its crash id cell, and all their cells decode: only the LF check
+        # refuses them.
+        "vehicles", lambda s, k: _edit(s["vehicles"], k, s["vehicles"][k], f"3,C{k // 2}\n",
+                                       f"4,C{k // 2},4,5,C{k // 2},4,1,0\n"),
+        None),
     "repeated_header_name": (
         "crashes", lambda s, k: s.update(crashes=[
             "CASENUM,INT_HWY,YEAR,WEIGHT,MAXSEV_IM,INT_HWY\n"]
@@ -139,6 +149,20 @@ CASES = {
         "vehicles", lambda s, k: _edit(s["vehicles"], k, "1,X9,4,1,0\n"),
         "ReferentialError: crss vehicle file {}:{line}: vehicle row references unknown "
         "crash 'X9'"),
+    "repeated_unit": (
+        # Rows k - 1 and k both become unit 1 of row k's crash, whichever
+        # of its crash's two units row k was.
+        "vehicles", lambda s, k: [_edit(s["vehicles"], at, f"1,C{(k - 1) // 2},4,1,0\n")
+                                  for at in (k - 1, k)],
+        "ValidationError: crss vehicle file {}:{line}: duplicate unit C{half}/1"),
+    "repeated_person": (
+        "persons", lambda s, k: [_edit(s["persons"], at, f"1,C{k - 1},1,0,1\n")
+                                 for at in (k - 1, k)],
+        "ValidationError: crss person file {}:{line}: duplicate person C{k}/1/1"),
+    "person_of_an_unknown_crash": (
+        "persons", lambda s, k: _edit(s["persons"], k, "1,X404,1,0,1\n"),
+        "ReferentialError: crss person file {}:{line}: person row references unknown "
+        "crash 'X404'"),
     "vehicle_of_a_dropped_crash": (
         "vehicles", lambda s, k: _edit(s["crashes"], k // 2, _crash(k // 2 - 1, year="2021")),
         None),
